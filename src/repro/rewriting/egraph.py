@@ -8,14 +8,18 @@ composes a (possibly clumsy) term for the loop body and asks
 :func:`simplify` for the smallest equivalent term under the pairing laws.
 
 The implementation is a classic e-graph: hash-consed e-nodes over e-class
-ids with union-find and congruence closure, rule application by e-matching,
-and smallest-term extraction.
+ids with union-find and egg-style deferred congruence closure, rule
+application by e-matching, and smallest-term extraction.  Each rule
+direction is compiled once into a nested-loop matcher over a per-iteration
+op index and a straight-line instantiator for its right-hand side, and
+every container is insertion-ordered, so the result and the rule log do
+not depend on the hash seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+import math
+from typing import Callable, NamedTuple
 
 from ..errors import GraphitiError
 from .algebra import _parse_call  # canonical combinator-call syntax
@@ -49,158 +53,188 @@ def term_size(term: Term) -> int:
     return 1 + sum(term_size(child) for child in term[1:])
 
 
-@dataclass(frozen=True)
-class _ENode:
-    op: str
-    children: tuple[int, ...]
-    payload: str = ""  # symbol name for atoms
+def _index_key(node: tuple) -> tuple:
+    """The op-index key of an e-node or pattern: the atom itself, or (op, arity)."""
+    return node if node[0] == "sym" else (node[0], len(node) - 1)
 
 
 class EGraph:
-    """A small e-graph over function-algebra terms."""
+    """A small e-graph over function-algebra terms.
+
+    E-nodes are plain tuples shaped like terms with e-class ids as children:
+    ``("sym", name)`` for atoms and ``(op, child, ...)`` otherwise.  Every
+    e-node is born with a fresh e-class, so its birth class id names it:
+    ``_node_of[i]`` is the canonical form of the e-node born with class
+    ``i``, or ``None`` once congruence merged it into an older duplicate.
+    Walking ``_node_of`` therefore visits e-nodes in creation order.
+    """
 
     def __init__(self):
         self._parent: list[int] = []
-        self._nodes: dict[_ENode, int] = {}
-        self._classes: dict[int, set[_ENode]] = {}
+        self._node_of: list[tuple | None] = []
+        self._memo: dict[tuple, int] = {}  # hash-cons: e-node -> birth id
+        self._uses: list[list[int]] = []  # class -> birth ids of e-nodes using it
+        self._dirty: list[int] = []  # classes merged since the last rebuild
+
+    def __len__(self) -> int:
+        """Number of hash-consed e-nodes (canonical right after a rebuild)."""
+        return len(self._memo)
 
     # -- union-find -----------------------------------------------------------
 
     def find(self, cls: int) -> int:
-        while self._parent[cls] != cls:
-            self._parent[cls] = self._parent[self._parent[cls]]
-            cls = self._parent[cls]
-        return cls
-
-    def _new_class(self) -> int:
-        cls = len(self._parent)
-        self._parent.append(cls)
-        self._classes[cls] = set()
+        parent = self._parent
+        while parent[cls] != cls:
+            parent[cls] = parent[parent[cls]]
+            cls = parent[cls]
         return cls
 
     # -- construction ---------------------------------------------------------
 
     def add_term(self, term: Term) -> int:
         if term[0] == "sym":
-            return self._add(_ENode("sym", (), term[1]))
-        children = tuple(self.add_term(child) for child in term[1:])
-        return self._add(_ENode(term[0], children))
+            return self._add(term)
+        return self._add((term[0],) + tuple(self.add_term(child) for child in term[1:]))
 
-    def _add(self, node: _ENode) -> int:
-        node = self._canonical(node)
-        existing = self._nodes.get(node)
+    def _add(self, node: tuple) -> int:
+        """Hash-cons *node*, whose children must be canonical."""
+        existing = self._memo.get(node)
         if existing is not None:
             return self.find(existing)
-        cls = self._new_class()
-        self._nodes[node] = cls
-        self._classes[cls].add(node)
-        return cls
+        return self._insert(node)
 
-    def _canonical(self, node: _ENode) -> _ENode:
-        return _ENode(node.op, tuple(self.find(c) for c in node.children), node.payload)
+    def _insert(self, node: tuple) -> int:
+        """Add *node* (canonical, not yet hash-consed) in a fresh e-class."""
+        cls = len(self._parent)
+        self._parent.append(cls)
+        self._node_of.append(node)
+        self._uses.append([])
+        self._memo[node] = cls
+        if node[0] != "sym":
+            uses = self._uses
+            for child in node[1:]:
+                uses[child].append(cls)
+        return cls
 
     def union(self, a: int, b: int) -> int:
         a, b = self.find(a), self.find(b)
         if a == b:
             return a
         self._parent[b] = a
-        merged = self._classes.get(a, set()) | self._classes.pop(b, set())
-        self._classes[a] = merged
+        self._uses[a].extend(self._uses[b])
+        self._uses[b] = []
+        self._dirty.append(a)
         return a
 
     def rebuild(self) -> None:
-        """Restore congruence closure after unions (full-sweep to fixpoint)."""
-        changed = True
-        while changed:
-            changed = False
-            canonical_nodes: dict[_ENode, int] = {}
-            for node, cls in self._nodes.items():
-                canonical = self._canonical(node)
-                owner = self.find(cls)
-                existing = canonical_nodes.get(canonical)
-                if existing is not None:
-                    if self.find(existing) != owner:
-                        self.union(existing, owner)
-                        changed = True
-                    canonical_nodes[canonical] = self.find(existing)
-                else:
-                    canonical_nodes[canonical] = owner
-            self._nodes = {n: self.find(c) for n, c in canonical_nodes.items()}
-        self._classes = {}
-        for node, cls in self._nodes.items():
-            self._classes.setdefault(self.find(cls), set()).add(node)
+        """Restore congruence closure after unions.
 
-    # -- e-matching ------------------------------------------------------------
-
-    def match(self, pattern: Term, cls: int, bindings: dict[str, int]) -> Iterable[dict[str, int]]:
-        """Yield variable bindings for *pattern* rooted at e-class *cls*.
-
-        Pattern variables are ("var", name) nodes.
+        Only e-nodes using a class merged since the last rebuild can have
+        gone stale, so only those are re-canonicalised (egg's deferred
+        rebuilding).  Of two congruent e-nodes the older one survives.
         """
-        cls = self.find(cls)
-        if pattern[0] == "var":
-            bound = bindings.get(pattern[1])
-            if bound is None:
-                extended = dict(bindings)
-                extended[pattern[1]] = cls
-                yield extended
-            elif self.find(bound) == cls:
-                yield bindings
-            return
-        for node in list(self._classes.get(cls, ())):
-            if pattern[0] == "sym":
-                if node.op == "sym" and node.payload == pattern[1]:
-                    yield bindings
-                continue
-            if node.op != pattern[0] or len(node.children) != len(pattern) - 1:
-                continue
-            stack = [bindings]
-            for child_pattern, child_cls in zip(pattern[1:], node.children):
-                next_stack = []
-                for b in stack:
-                    next_stack.extend(self.match(child_pattern, child_cls, b))
-                stack = next_stack
-                if not stack:
-                    break
-            yield from stack
+        find = self.find
+        while self._dirty:
+            todo = dict.fromkeys(find(cls) for cls in self._dirty)
+            self._dirty = []
+            for cls in todo:
+                self._repair(find(cls))
 
-    def instantiate(self, pattern: Term, bindings: Mapping[str, int]) -> int:
-        if pattern[0] == "var":
-            return self.find(bindings[pattern[1]])
-        if pattern[0] == "sym":
-            return self._add(_ENode("sym", (), pattern[1]))
-        children = tuple(self.instantiate(child, bindings) for child in pattern[1:])
-        return self._add(_ENode(pattern[0], children))
+    def _repair(self, cls: int) -> None:
+        """Re-canonicalise the e-nodes using *cls*, then merge congruent ones."""
+        find, memo, node_of = self.find, self._memo, self._node_of
+        users: list[int] = []
+        congruent: list[tuple[int, int]] = []
+        for i in dict.fromkeys(self._uses[cls]):
+            node = node_of[i]
+            if node is None:
+                continue
+            canon = (node[0],) + tuple(find(child) for child in node[1:])
+            if canon != node:
+                del memo[node]
+            other = memo.setdefault(canon, i)
+            if other == i:
+                node_of[i] = canon
+                users.append(i)
+            elif other < i:
+                node_of[i] = None
+                congruent.append((other, i))
+            else:
+                memo[canon] = i
+                node_of[i] = canon
+                node_of[other] = None
+                users.append(i)
+                congruent.append((i, other))
+        self._uses[cls] = users
+        for keep, drop in congruent:
+            self.union(keep, drop)
 
-    def classes(self) -> list[int]:
-        return sorted({self.find(c) for c in range(len(self._parent))})
+    def _index(self) -> dict[tuple, dict[int, list[tuple]]]:
+        """Op index of the (rebuilt) e-graph: key -> class -> e-nodes.
+
+        Keys are :func:`_index_key`.  Classes and e-nodes appear in creation
+        order, which fixes the order matches are found and applied in.
+        """
+        find = self.find
+        tables: dict[tuple, dict[int, list[tuple]]] = {}
+        for i, node in enumerate(self._node_of):
+            if node is None:
+                continue
+            key = _index_key(node)
+            table = tables.get(key)
+            if table is None:
+                table = tables[key] = {}
+            cls = find(i)
+            nodes = table.get(cls)
+            if nodes is None:
+                table[cls] = [node]
+            else:
+                nodes.append(node)
+        return tables
 
     # -- extraction -------------------------------------------------------------
 
     def extract(self, cls: int) -> Term:
-        """Smallest term (by node count) representing e-class *cls*."""
-        costs: dict[int, tuple[int, Term]] = {}
+        """Smallest term (by node count) representing e-class *cls*.
+
+        E-nodes are visited in creation order and only a strictly smaller
+        term replaces a class's best, so ties go to the oldest e-node.
+        """
+        find = self.find
+        entries = [
+            (find(i), node, tuple(find(child) for child in node[1:]) if node[0] != "sym" else ())
+            for i, node in enumerate(self._node_of)
+            if node is not None
+        ]
+        costs = [math.inf] * len(self._parent)
+        choice: dict[int, tuple[tuple, tuple[int, ...]]] = {}
         changed = True
         while changed:
             changed = False
-            for node, owner in self._nodes.items():
-                owner = self.find(owner)
-                if any(self.find(c) not in costs for c in node.children):
-                    continue
-                if node.op == "sym":
-                    candidate = (1, ("sym", node.payload))
-                else:
-                    child_costs = [costs[self.find(c)] for c in node.children]
-                    total = 1 + sum(c for c, _ in child_costs)
-                    candidate = (total, (node.op,) + tuple(t for _, t in child_costs))
-                best = costs.get(owner)
-                if best is None or candidate[0] < best[0]:
-                    costs[owner] = candidate
+            for owner, node, children in entries:
+                total = 1
+                for child in children:
+                    total += costs[child]
+                if total < costs[owner]:
+                    costs[owner] = total
+                    choice[owner] = (node, children)
                     changed = True
-        result = costs.get(self.find(cls))
-        if result is None:
+        root = find(cls)
+        if root not in choice:
             raise GraphitiError("extraction failed: class has no finite-cost term")
-        return result[1]
+        # A class's best only changes to a strictly cheaper one, so the
+        # children a choice was made with kept their best terms since.
+        terms: dict[int, Term] = {}
+
+        def term_of(owner: int) -> Term:
+            term = terms.get(owner)
+            if term is None:
+                node, children = choice[owner]
+                term = node if node[0] == "sym" else (node[0],) + tuple(map(term_of, children))
+                terms[owner] = term
+            return term
+
+        return term_of(root)
 
 
 def _v(name: str) -> Term:
@@ -251,6 +285,119 @@ def _pattern_vars(pattern: Term) -> frozenset[str]:
     return frozenset().union(*(_pattern_vars(child) for child in pattern[1:]))
 
 
+# -- rule compilation -----------------------------------------------------------
+
+
+def _compile_matcher(lhs: Term) -> tuple[Callable, list[str]]:
+    """Compile *lhs* into a nested-loop matcher over :meth:`EGraph._index`.
+
+    Returns ``(match, names)``.  ``match(tables, append, tag)`` calls
+    ``append((tag, root, bindings))`` once per match, with *bindings* the
+    matched class ids of the pattern variables in the order of *names*.
+    Atoms in the pattern become membership tests, variables plain reads.
+    """
+    if lhs[0] == "var":
+        raise GraphitiError("a rule's left-hand side must not be a bare variable")
+    keys: list[tuple] = []
+    names: list[str] = []
+    body: list[str] = []
+
+    def table(pattern: Term) -> str:
+        key = _index_key(pattern)
+        if key not in keys:
+            keys.append(key)
+        return f"t{keys.index(key)}"
+
+    def emit_children(pattern: Term, node: str, depth: int) -> int:
+        pad = "    " * depth
+        nested = []
+        for pos, child in enumerate(pattern[1:], 1):
+            ref = f"{node}[{pos}]"
+            if child[0] == "var":
+                if child[1] in names:
+                    body.append(f"{pad}if {ref} != v_{child[1]}: continue")
+                else:
+                    names.append(child[1])
+                    body.append(f"{pad}v_{child[1]} = {ref}")
+            elif child[0] == "sym":
+                body.append(f"{pad}if {ref} not in {table(child)}: continue")
+            else:
+                nested.append((child, ref))
+        for child, ref in nested:
+            loop_var = f"n{depth}"
+            body.append(f"{'    ' * depth}for {loop_var} in {table(child)}.get({ref}, ()):")
+            depth = emit_children(child, loop_var, depth + 1)
+        return depth
+
+    if lhs[0] == "sym":
+        body.append(f"    for root in {table(lhs)}:")
+        depth = 2
+    else:
+        body.append(f"    for root, nodes in {table(lhs)}.items():")
+        body.append("        for n1 in nodes:")
+        depth = emit_children(lhs, "n1", 3)
+    bindings = "".join(f"v_{name}, " for name in names)
+    body.append(f"{'    ' * depth}append((tag, root, ({bindings})))")
+
+    head = ["def match(tables, append, tag):"]
+    for index, key in enumerate(keys):
+        head.append(f"    t{index} = tables.get({key!r})")
+        head.append(f"    if t{index} is None: return")
+    namespace: dict = {}
+    exec("\n".join(head + body), namespace)
+    return namespace["match"], names
+
+
+def _compile_instantiator(rhs: Term, names: list[str]) -> Callable:
+    """Compile *rhs* into ``instantiate(find, lookup, insert, *bindings) -> class``.
+
+    The instantiator hash-conses the instance of *rhs* under the bindings (given
+    in the order of *names*) bottom-up and returns its canonical class.
+    """
+    lines = [f"def instantiate(find, lookup, insert, {''.join(f'v_{name}, ' for name in names)}):"]
+
+    def emit(pattern: Term) -> str:
+        if pattern[0] == "var":
+            return f"find(v_{pattern[1]})"
+        if pattern[0] == "sym":
+            key = repr(pattern)
+        else:
+            key = f"({pattern[0]!r}, {''.join(emit(child) + ', ' for child in pattern[1:])})"
+        var = f"x{len(lines)}"
+        lines.append(f"    k = {key}")
+        lines.append(f"    {var} = lookup(k)")
+        lines.append(f"    {var} = insert(k) if {var} is None else find({var})")
+        return var
+
+    lines.append(f"    return {emit(rhs)}")
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["instantiate"]
+
+
+class _Direction(NamedTuple):
+    name: str
+    match: Callable
+    instantiate: Callable
+
+
+def _compile_rules() -> list[_Direction]:
+    """Compile every rule direction :func:`saturate` applies, in :data:`RULES` order."""
+    directions = []
+    for name, lhs, rhs in RULES:
+        sides = [(name, lhs, rhs)]
+        lhs_vars, rhs_vars = _pattern_vars(lhs), _pattern_vars(rhs)
+        if rhs[0] != "var" and lhs_vars and lhs_vars == rhs_vars:
+            sides.append((f"{name}-rev", rhs, lhs))
+        for rule_name, source, target in sides:
+            match, names = _compile_matcher(source)
+            directions.append(_Direction(rule_name, match, _compile_instantiator(target, names)))
+    return directions
+
+
+_DIRECTIONS = _compile_rules()
+
+
 def saturate(
     egraph: EGraph,
     iterations: int = 8,
@@ -265,35 +412,37 @@ def saturate(
     ``comp(swap, swap)`` or ``par(id, id)`` only inflates the e-graph,
     feeding combinatorial cross-products through the par-fusion law.
 
+    Each iteration matches every rule against the e-graph as it stood when
+    the iteration started, applies the matches in rule order, then
+    rebuilds.  Saturation stops once the e-graph holds more than
+    *node_limit* e-nodes.
+
     When *log* is given, every rule application that merged two previously
     distinct e-classes appends its rule name — the reproduction's analogue
     of egg handing back a replayable rewrite sequence (section 3.2).
     """
+    find, lookup, insert = egraph.find, egraph._memo.get, egraph._insert
+    egraph.rebuild()
     for _ in range(iterations):
-        if len(egraph._nodes) > node_limit:
+        if len(egraph) > node_limit:
             break  # saturated past budget: matching itself would be O(n²)
-        matches: list[tuple[str, Term, dict[str, int], int]] = []
-        for name, lhs, rhs in RULES:
-            directions = [(name, lhs, rhs)]
-            lhs_vars, rhs_vars = _pattern_vars(lhs), _pattern_vars(rhs)
-            if rhs[0] != "var" and lhs_vars and lhs_vars == rhs_vars:
-                directions.append((f"{name}-rev", rhs, lhs))
-            for rule_name, direction_lhs, direction_rhs in directions:
-                for cls in egraph.classes():
-                    for bindings in egraph.match(direction_lhs, cls, {}):
-                        matches.append((rule_name, direction_rhs, bindings, cls))
+        tables = egraph._index()
+        matches: list[tuple[_Direction, int, tuple[int, ...]]] = []
+        for direction in _DIRECTIONS:
+            direction.match(tables, matches.append, direction)
+        del tables  # free the index before the e-graph grows
         changed = False
-        for rule_name, rhs_pattern, bindings, root in matches:
-            if len(egraph._nodes) > node_limit:
+        for direction, root, bindings in matches:
+            if len(egraph) > node_limit:
                 break
-            new_cls = egraph.instantiate(rhs_pattern, bindings)
-            if egraph.find(new_cls) != egraph.find(root):
+            new_cls = direction.instantiate(find, lookup, insert, *bindings)
+            if new_cls != find(root):
                 egraph.union(new_cls, root)
                 if log is not None:
-                    log.append(rule_name)
+                    log.append(direction.name)
                 changed = True
         egraph.rebuild()
-        if not changed or len(egraph._nodes) > node_limit:
+        if not changed or len(egraph) > node_limit:
             break
 
 
