@@ -10,13 +10,15 @@ table-2-style buffer-placement sweep over several benchmark circuits,
   same :class:`CompiledCircuit`, retargeting channel capacities in place
   (the incremental-recompile path),
 
-and append an entry to ``benchmarks/BENCH_sim.json``.  Both paths must
-report byte-identical cycle counts on every (circuit, placement) pair —
-the sweep aborts if they diverge.
+and append an entry to ``benchmarks/BENCH_sim.json``.  Every run starts
+from the program's pristine arrays, so both paths must report identical
+``SimStats.to_dict()`` — cycles, tokens fired, ``peak_in_flight``,
+per-channel peaks and the store history — on every (circuit, placement)
+pair.
 
 ``--guard --min-speedup 5`` is the CI mode: it exits 1 unless the
 aggregate sweep (total interpreted seconds over total compiled seconds)
-clears the given factor, or if any cycle count differs between backends.
+clears the given factor, or if any run's stats differ between backends.
 """
 
 #: (benchmark, constructor kwargs, flows swept).  In-order circuits
@@ -76,8 +78,9 @@ def _build_unit(name, kwargs, flow):
 def collect_measurements(repeats: int = 1) -> dict:
     """Time the placement sweep on both backends, unit by unit.
 
-    Cycle counts are carried into the result so the guard (and the JSON
-    history) can show the two engines agree bit-for-bit, not just fast.
+    Each run's full ``SimStats.to_dict()`` is compared between the
+    backends, so the guard (and the JSON history) shows the two engines
+    agree bit-for-bit, not just fast.
     """
     from repro.hls.area import latency_of
     from repro.sim.compiled import BatchRun, compile_circuit
@@ -88,12 +91,15 @@ def collect_measurements(repeats: int = 1) -> dict:
         for flow in flows:
             program, env, kernel, graph, placements = _build_unit(name, kwargs, flow)
 
+            def fresh():
+                return {key: array.copy() for key, array in program.arrays.items()}
+
             def interp_sweep():
                 return [
                     simulate_graph(
-                        graph, env, kernel, program.arrays,
+                        graph, env, kernel, fresh(),
                         capacities=caps, latency_of=latency_of, backend="interp",
-                    ).cycles
+                    ).to_dict()
                     for caps in placements
                 ]
 
@@ -102,18 +108,15 @@ def collect_measurements(repeats: int = 1) -> dict:
                     graph, env, kernel,
                     capacities=placements[0], latency_of=latency_of,
                 )
-                runs = [
-                    BatchRun(arrays=program.arrays, capacities=caps)
-                    for caps in placements
-                ]
-                return [stats.cycles for stats in circuit.run_batch(runs)]
+                runs = [BatchRun(arrays=fresh(), capacities=caps) for caps in placements]
+                return [stats.to_dict() for stats in circuit.run_batch(runs)]
 
-            interp_seconds, interp_cycles = _best_of(repeats, interp_sweep)
-            compiled_seconds, compiled_cycles = _best_of(repeats, compiled_sweep)
+            interp_seconds, interp_stats = _best_of(repeats, interp_sweep)
+            compiled_seconds, compiled_stats = _best_of(repeats, compiled_sweep)
             results[f"{name}/{flow}"] = {
                 "placements": len(placements),
-                "cycles": compiled_cycles,
-                "cycles_match": compiled_cycles == interp_cycles,
+                "cycles": [stats["cycles"] for stats in compiled_stats],
+                "stats_match": compiled_stats == interp_stats,
                 "interp_seconds": round(interp_seconds, 6),
                 "compiled_seconds": round(compiled_seconds, 6),
                 "speedup": round(interp_seconds / compiled_seconds, 2),
@@ -128,7 +131,7 @@ def _aggregate(measurements: dict) -> dict:
         "interp_seconds": round(interp, 6),
         "compiled_seconds": round(compiled, 6),
         "speedup": round(interp / compiled, 2),
-        "cycles_match": all(row["cycles_match"] for row in measurements.values()),
+        "stats_match": all(row["stats_match"] for row in measurements.values()),
     }
 
 
@@ -153,7 +156,7 @@ def main(argv=None) -> int:
         "--guard",
         action="store_true",
         help="exit 1 unless the aggregate sweep speedup clears --min-speedup "
-        "and every cycle count matches between backends",
+        "and every run's SimStats match between backends",
     )
     parser.add_argument(
         "--min-speedup",
@@ -171,11 +174,11 @@ def main(argv=None) -> int:
     )
 
     if args.guard:
-        if not aggregate["cycles_match"]:
+        if not aggregate["stats_match"]:
             mismatched = [
-                name for name, row in measurements.items() if not row["cycles_match"]
+                name for name, row in measurements.items() if not row["stats_match"]
             ]
-            print(f"FAIL: backends disagree on cycle counts: {mismatched}")
+            print(f"FAIL: backends disagree on SimStats: {mismatched}")
             return 1
         if aggregate["speedup"] < args.min_speedup:
             print(
@@ -185,7 +188,7 @@ def main(argv=None) -> int:
             return 1
         print(
             f"OK: aggregate sweep speedup {aggregate['speedup']:g}x, "
-            "cycle counts identical on every placement"
+            "SimStats identical on every placement"
         )
     return 0
 

@@ -18,6 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+def _did_work(section: dict) -> bool:
+    """True when any counter or timing in a metrics *section* is non-zero."""
+    return any(value for value in section.values() if isinstance(value, (int, float)))
+
+
 @dataclass
 class MetricsSnapshot:
     """One moment's unified view of executor, rewriting and obs counters.
@@ -108,17 +113,19 @@ class MetricsSnapshot:
         )
 
     def summary(self) -> str:
+        """One line; the rewriting and saturation parts appear only when
+        that work happened (a fresh session reports all-zero sections)."""
         parts = [
             f"{self.units} units: {self.hits} cached, {self.executed} executed"
             f" ({self.retries} retried), {self.total_seconds:.2f}s work"
         ]
-        if self.rewriting:
+        if _did_work(self.rewriting):
             parts.append(
                 f"{self.rewrites_applied} rewrites applied"
                 f" ({self.matches_tried} candidates tried,"
                 f" {float(self.rewriting.get('seconds', 0.0)):.2f}s)"
             )
-        if self.saturation:
+        if _did_work(self.saturation):
             parts.append(
                 f"saturation: {int(self.saturation.get('states', 0))} states,"
                 f" {int(self.saturation.get('enodes', 0))} e-nodes,"

@@ -4,39 +4,60 @@
 graph into a :class:`CompiledCircuit`: a flat array of per-node step
 closures laid out in the shared :func:`~repro.sim.cycle.evaluation_order`,
 with every channel, latency, function and parameter lookup resolved at
-compile time.  Channels become preallocated ring buffers, and an
-event-driven active set skips nodes that provably cannot fire — during the
-long latency windows of pipelined floating-point loops most of the circuit
-is quiescent, which is where the interpreted
+compile time.
+
+Scheduling is event-exact: a node's step is called only after an event
+that can change what the step reads, and the node sleeps otherwise.  The
+events are
+
+* a token becoming visible on one of its inputs — the end-of-cycle commit
+  of a staged push, or a combinational ``push_now``;
+* a pop (or aligner delete) from one of its output channels that was
+  *full* — the only pop that can change the node's room check;
+* its pipeline head coming due.  Pipeline entries store the absolute cycle
+  they are ready at, and a node that sleeps with a non-empty pipeline is
+  woken at its head's ready cycle through a per-run timer map;
+* a Collector result, which wakes the Driver (its ``sequential_outer``
+  gating reads the received count).
+
+After a firing a node stays awake only while one of its inputs still holds
+a token or its pipeline head is due by the next cycle; Tagger and Driver
+stay awake after any firing, because their own state can enable a second
+firing with no new event.  Awake nodes are found with ``bytearray.find`` in
+topological order, so a node woken later in the order during the sweep
+still runs in the same cycle.  Most nodes sleep most of the time — during
+the long latency windows of pipelined floating-point loops nearly the
+whole circuit does — which is where the interpreted
 :class:`~repro.sim.cycle.CycleSimulator` burns its time re-asking every
 node every cycle.
 
 The compiled engine is *cycle- and value-identical* to the interpreter: it
-replicates the two-phase channel model (staged pushes commit at cycle end;
-combinational ``push_now`` visibility), the pipeline aging and head-of-line
-delivery rules, the tag aligner, and the Driver/Collector bridge, down to
-deadlock windows and error messages.  The interpreter stays as the
-differential-testing oracle behind the same interface (see
-``tests/property/test_sim_backend_equivalence.py``).
+uses the same channel model (a deque of committed tokens plus the staged
+pushes of this cycle, committed at cycle end; combinational ``push_now``
+visibility), the same pipeline delivery rules (an entry started at cycle
+``t`` with latency ``L`` is ready at ``t + max(1, L-1)``, delivered
+head-of-line when every destination has room), the tag aligner, and the
+Driver/Collector bridge, down to deadlock windows and error messages.  The
+interpreter stays as the differential-testing oracle behind the same
+interface (see ``tests/property/test_sim_backend_equivalence.py``).
 
 :meth:`CompiledCircuit.run` executes one stimulus; :meth:`CompiledCircuit.run_batch`
 executes many stimuli/buffer-placement variants without re-lowering —
 changing only channel capacities between runs is an O(changed-channels)
 retarget, which is exactly the shape of the Table 2 buffer sweep.
 
-Tokens carry Python values (tagged tuples), so the hot arrays are Python
-lists indexed by precomputed ring offsets; numpy enters only through the
+Tokens carry Python values (tagged tuples); numpy enters only through the
 kernels' own array stores.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .. import obs
-from ..core.environment import Environment
+from ..core.environment import Environment, FunctionDef
 from ..core.exprhigh import Endpoint, ExprHigh
 from ..errors import DeadlockError, SimulationError
 from ..hls.ir import Kernel, eval_expr
@@ -44,149 +65,122 @@ from .cycle import Edge, SimStats, evaluation_order, full_channel_message
 
 __all__ = ["BatchRun", "CompiledCircuit", "compile_circuit"]
 
-#: sentinel "pipeline" for nodes that are never deactivated (Tagger, Driver,
-#: Collector): the run loop keeps any node with a truthy pipeline active.
-_ALWAYS_ACTIVE = (True,)
 
+class _Channel:
+    """A channel: committed tokens in a deque plus this cycle's staged pushes
+    (the :class:`~repro.sim.cycle.Channel` model).
 
-class _Ring:
-    """A channel as a preallocated ring buffer plus a staged overflow list.
-
-    ``buf[head:head+count]`` (mod ``cap``) holds the committed, consumer-
-    visible tokens; ``staged`` holds this cycle's two-phase pushes until the
-    end-of-cycle commit.  Each ring knows the indices of its producer and
-    consumer nodes in the compiled step array so pushes and pops can wake
-    exactly the nodes whose firing conditions may have changed.
+    ``room`` counts the free slots (capacity minus committed and staged
+    tokens) and ``low`` is its minimum over the run, so the occupancy peak
+    is ``cap - low``.  Each channel knows the indices of its producer and
+    consumer in the compiled step array: a commit or ``push_now`` wakes the
+    consumer, and a pop from a full channel wakes the producer.
     """
 
     __slots__ = (
         "cap",
-        "buf",
-        "head",
-        "count",
+        "queue",
         "staged",
-        "peak",
+        "room",
+        "low",
         "src",
         "dst",
         "producer",
         "consumer",
-        "rt",
+        "active",
+        "dirty",
+        "ctx",
     )
 
     def __init__(self, cap: int, src: Endpoint, dst: Endpoint, producer: int, consumer: int, rt):
         self.cap = cap
-        self.buf: list = [None] * cap
-        self.head = 0
-        self.count = 0
+        self.queue: deque = deque()
         self.staged: list = []
-        self.peak = 0
+        self.room = cap
+        self.low = cap
         self.src = src
         self.dst = dst
         self.producer = producer
         self.consumer = consumer
-        self.rt = rt  # owning CompiledCircuit: shared active set / counters
+        # Shared run state of the owning CompiledCircuit.
+        self.active: bytearray = rt._active
+        self.dirty: list = rt._dirty
+        self.ctx: _Ctx = rt._ctx
+
+    def _overflow(self) -> SimulationError:
+        return SimulationError(
+            full_channel_message(self.src, self.dst, self.cap - self.room, self.cap)
+        )
 
     def push(self, value) -> None:
         """Two-phase push: staged now, committed (and consumer woken) at cycle end."""
-        occupancy = self.count + len(self.staged)
-        if occupancy >= self.cap:
-            raise SimulationError(
-                full_channel_message(self.src, self.dst, occupancy, self.cap)
-            )
+        room = self.room
+        if not room:
+            raise self._overflow()
         if not self.staged:
-            self.rt._dirty.append(self)
+            self.dirty.append(self)
         self.staged.append(value)
-        occupancy += 1
-        if occupancy > self.peak:
-            self.peak = occupancy
-        self.rt._tokens += 1
+        room -= 1
+        self.room = room
+        if room < self.low:
+            self.low = room
+        self.ctx.tokens += 1
 
     def push_now(self, value) -> None:
         """Combinational push: committed and consumer-visible within this cycle."""
-        occupancy = self.count + len(self.staged)
-        if occupancy >= self.cap:
-            raise SimulationError(
-                full_channel_message(self.src, self.dst, occupancy, self.cap)
-            )
-        index = self.head + self.count
-        if index >= self.cap:
-            index -= self.cap
-        self.buf[index] = value
-        self.count += 1
-        occupancy += 1
-        if occupancy > self.peak:
-            self.peak = occupancy
-        rt = self.rt
-        rt._tokens += 1
-        rt._active[self.consumer] = 1
+        room = self.room
+        if not room:
+            raise self._overflow()
+        self.queue.append(value)
+        room -= 1
+        self.room = room
+        if room < self.low:
+            self.low = room
+        self.ctx.tokens += 1
+        self.active[self.consumer] = 1
 
     def pop(self):
-        head = self.head
-        value = self.buf[head]
-        self.buf[head] = None
-        head += 1
-        self.head = 0 if head == self.cap else head
-        self.count -= 1
-        rt = self.rt
-        rt._tokens -= 1
-        rt._active[self.producer] = 1
-        return value
+        if not self.room:
+            self.active[self.producer] = 1
+        self.room += 1
+        self.ctx.tokens -= 1
+        return self.queue.popleft()
 
     def delete_at(self, position: int):
-        """Remove the committed token at logical *position* (aligner pops)."""
-        if position == 0:
-            return self.pop()
-        cap, buf, head = self.cap, self.buf, self.head
-        index = head + position
-        if index >= cap:
-            index -= cap
-        value = buf[index]
-        last = self.count - 1
-        for offset in range(position, last):
-            i = head + offset
-            if i >= cap:
-                i -= cap
-            j = i + 1
-            if j >= cap:
-                j -= cap
-            buf[i] = buf[j]
-        i = head + last
-        if i >= cap:
-            i -= cap
-        buf[i] = None
-        self.count = last
-        rt = self.rt
-        rt._tokens -= 1
-        rt._active[self.producer] = 1
+        """Remove the committed token at *position* (aligner pops)."""
+        queue = self.queue
+        value = queue[position]
+        del queue[position]
+        if not self.room:
+            self.active[self.producer] = 1
+        self.room += 1
+        self.ctx.tokens -= 1
         return value
 
 
-def _pop_aligned(channels: list[_Ring]) -> list | None:
-    """Ring-buffer port of the interpreter's tag aligner (same tag choice)."""
-    first = channels[0]
-    if not first.count:
+def _pop_aligned(channels: list[_Channel]) -> list | None:
+    """Port of the interpreter's tag aligner (same tag choice)."""
+    first = channels[0].queue
+    if not first:
         return None
     # Fast path: every head already carries the first channel's head tag.
     # The full scan would choose exactly that tag at position 0 everywhere,
     # so this is the identical pop sequence without building tag indices.
-    head_tag = first.buf[first.head][0]
+    head_tag = first[0][0]
     aligned = True
     for channel in channels:
-        if not channel.count:
+        queue = channel.queue
+        if not queue:
             return None
-        if channel.buf[channel.head][0] != head_tag:
+        if queue[0][0] != head_tag:
             aligned = False
     if aligned:
         return [channel.pop() for channel in channels]
     tag_sets = []
     for channel in channels:
         tags: dict = {}
-        head, cap, buf = channel.head, channel.cap, channel.buf
-        for position in range(channel.count):
-            index = head + position
-            if index >= cap:
-                index -= cap
-            tag = buf[index][0]
+        for position, value in enumerate(channel.queue):
+            tag = value[0]
             if tag not in tags:
                 tags[tag] = position
         tag_sets.append(tags)
@@ -195,25 +189,26 @@ def _pop_aligned(channels: list[_Ring]) -> list | None:
         common &= set(tags)
     if not common:
         return None
-    first = channels[0]
-    head_tag = first.buf[first.head][0]
     chosen = head_tag if head_tag in common else min(common, key=lambda t: tag_sets[0][t])
-    values = []
-    for channel, tags in zip(channels, tag_sets):
-        values.append(channel.delete_at(tags[chosen]))
-    return values
+    return [channel.delete_at(tags[chosen]) for channel, tags in zip(channels, tag_sets)]
+
+
+def _idle() -> int:
+    """Step of a node that can never fire (a required port is unconnected)."""
+    return 0
 
 
 class _Ctx:
     """Per-run mutable context shared by every compiled step closure."""
 
-    __slots__ = ("arrays", "stats", "trace", "cycle")
+    __slots__ = ("arrays", "stats", "trace", "cycle", "tokens")
 
     def __init__(self):
         self.arrays: dict = {}
         self.stats = SimStats()
         self.trace = None
         self.cycle = 0
+        self.tokens = 0  # committed + staged tokens over all channels
 
 
 @dataclass
@@ -231,8 +226,8 @@ class CompiledCircuit:
     """An ExprHigh graph lowered to flat step arrays, reusable across runs.
 
     Build with :func:`compile_circuit`.  A circuit holds mutable run state
-    (channel rings, node pipelines), so a single instance must not be run
-    concurrently; reuse across sequential runs is the intended pattern.
+    (channels, node pipelines, timers), so a single instance must not be
+    run concurrently; reuse across sequential runs is the intended pattern.
     """
 
     def __init__(
@@ -256,17 +251,21 @@ class CompiledCircuit:
         self.order = evaluation_order(graph, latencies.__getitem__)
         index_of = {name: i for i, name in enumerate(self.order)}
 
-        # Shared run state, captured by rings and step closures.
+        # Shared run state, captured by channels and step closures.
         self._active = bytearray(len(self.order))
-        self._dirty: list[_Ring] = []
-        self._tokens = 0
+        self._dirty: list[_Channel] = []
         self._ctx = _Ctx()
+        #: ready cycle -> nodes to wake then; ``_armed[i]`` is the cycle node
+        #: i was last armed for, so re-arming the same deadline is a no-op.
+        self._timers: dict[int, list[int]] = {}
+        self._armed = [-1] * len(self.order)
+        self._arm = self._arm_fn()
 
-        self._channels: list[_Ring] = []
-        self._in_ch: dict[Endpoint, _Ring] = {}
-        self._out_ch: dict[Endpoint, _Ring] = {}
+        self._channels: list[_Channel] = []
+        self._in_ch: dict[Endpoint, _Channel] = {}
+        self._out_ch: dict[Endpoint, _Channel] = {}
         for dst, src in graph.connections.items():
-            ring = _Ring(
+            channel = _Channel(
                 self._base_capacities.get((src, dst), 1),
                 src,
                 dst,
@@ -274,9 +273,9 @@ class CompiledCircuit:
                 index_of[dst.node],
                 self,
             )
-            self._channels.append(ring)
-            self._in_ch[dst] = ring
-            self._out_ch[src] = ring
+            self._channels.append(channel)
+            self._in_ch[dst] = channel
+            self._out_ch[src] = channel
 
         self.outer_points = list(kernel.outer_points())
         self._expected_results = len(self.outer_points)
@@ -286,152 +285,300 @@ class CompiledCircuit:
         self._collector_states: dict[str, dict] = {
             name: {"received": 0} for name in graph.nodes_of_type("Collector")
         }
+        self._drivers = [index_of[name] for name in graph.nodes_of_type("Driver")]
 
         self._steps: list = []
-        self._pipelines: list = []
+        self._pipelines: list[deque] = []
         self._resets: list = []
-        for name in self.order:
+        for me, name in enumerate(self.order):
             spec = graph.nodes[name]
             maker = getattr(self, f"_make_{spec.typ.lower()}", None)
             if maker is None:
                 raise SimulationError(
                     f"no cycle model for component type {spec.typ!r}"
                 )
-            step, pipeline, reset = maker(name, spec, latencies[name])
+            step, pipeline, reset = maker(me, name, spec, latencies[name])
             self._steps.append(step)
-            self._pipelines.append(pipeline)
+            if pipeline is not None:
+                self._pipelines.append(pipeline)
             if reset is not None:
                 self._resets.append(reset)
 
     # -- channel / closure helpers -------------------------------------------
 
-    def _in(self, node: str, port: str) -> _Ring | None:
+    def _in(self, node: str, port: str) -> _Channel | None:
         return self._in_ch.get(Endpoint(node, port))
 
-    def _out(self, node: str, port: str) -> _Ring | None:
+    def _out(self, node: str, port: str) -> _Channel | None:
         return self._out_ch.get(Endpoint(node, port))
 
-    def _drain_fn(self, pipeline: deque):
-        """Pipeline drain closure: age every entry, deliver the head when all
-        destinations have room — identical to the interpreter's rules."""
+    def _outs(self, node: str, ports) -> list[_Channel]:
+        """The connected output channels among *ports* (dangling ones drop)."""
+        return [c for c in (self._out(node, port) for port in ports) if c is not None]
+
+    def _arm_fn(self):
+        """``arm(node, ready)``: wake *node* at cycle *ready*."""
+        timers, armed = self._timers, self._armed
+
+        def arm(node: int, ready: int) -> None:
+            if armed[node] != ready:
+                armed[node] = ready
+                due = timers.get(ready)
+                if due is None:
+                    timers[ready] = [node]
+                else:
+                    due.append(node)
+
+        return arm
+
+    def _drain_fn(self, pipeline: deque, outs: list[_Channel]):
+        """Drain closure for ``(ready, value)`` entries: deliver the head's
+        value to every channel in *outs* once all of them have room.
+
+        Called only when the head is due.
+        """
+        if len(outs) != 1:
+
+            def drain() -> int:
+                for out in outs:
+                    if not out.room:
+                        return 0
+                value = pipeline.popleft()[1]
+                for out in outs:
+                    out.push(value)
+                return 1
+
+            return drain
+
+        [out] = outs
+        staged, dirty, ctx = out.staged, self._dirty, self._ctx
 
         def drain() -> int:
-            if not pipeline:
+            room = out.room
+            if not room:
                 return 0
-            for entry in pipeline:
-                if entry[0] > 0:
-                    entry[0] -= 1
-            first = pipeline[0]
-            if first[0] > 0:
-                return 0
-            outs = first[1]
-            for channel, _ in outs:
-                if channel is not None and channel.count + len(channel.staged) >= channel.cap:
-                    return 0
-            for channel, value in outs:
-                if channel is not None:
-                    channel.push(value)
-            pipeline.popleft()
+            if not staged:
+                dirty.append(out)
+            staged.append(pipeline.popleft()[1])
+            room -= 1
+            out.room = room
+            if room < out.low:
+                out.low = room
+            ctx.tokens += 1
             return 1
 
         return drain
 
-    def _start_fn(self, name: str, latency: int, pipeline: deque):
-        """Firing-start closure: outputs are ``(ring_or_None, value)`` pairs
-        with the port already resolved at compile time."""
-        ctx = self._ctx
-        if latency == 0:
+    @staticmethod
+    def _drain_pairs_fn(pipeline: deque):
+        """Drain closure for ``(ready, [(channel_or_None, value), ...])``
+        entries, delivered once every destination has room."""
 
-            def start(outs: list) -> None:
+        def drain() -> int:
+            pairs = pipeline[0][1]
+            for out, _ in pairs:
+                if out is not None and not out.room:
+                    return 0
+            pipeline.popleft()
+            for out, value in pairs:
+                if out is not None:
+                    out.push(value)
+            return 1
+
+        return drain
+
+    def _start_fn(self, name: str, latency: int, pipeline: deque, outs=None):
+        """Firing-start closure.
+
+        With *outs* (a fixed list of output channels) a start takes one
+        value for all of them; without, a list of ``(channel_or_None,
+        value)`` pairs.  A pipelined start appends an entry ready
+        ``max(1, latency - 1)`` cycles later.  A combinational start
+        delivers within the cycle when every destination has room, and
+        otherwise holds the payload as an entry ready next cycle.
+        """
+        ctx = self._ctx
+        if latency:
+            delay = max(1, latency - 1)
+
+            def start(payload) -> None:
                 if ctx.trace is not None:
-                    ctx.trace.record(name, ctx.cycle, 0)
-                for channel, _ in outs:
-                    if channel is not None and channel.count + len(channel.staged) >= channel.cap:
-                        pipeline.append([0, outs])
-                        return
-                for channel, value in outs:
-                    if channel is not None:
-                        channel.push_now(value)
+                    ctx.trace.record(name, ctx.cycle, latency)
+                pipeline.append((ctx.cycle + delay, payload))
 
             return start
 
-        remaining = latency - 1
+        if outs is not None:
 
-        def start(outs: list) -> None:
+            def start(value) -> None:
+                if ctx.trace is not None:
+                    ctx.trace.record(name, ctx.cycle, 0)
+                for out in outs:
+                    if not out.room:
+                        pipeline.append((ctx.cycle + 1, value))
+                        return
+                for out in outs:
+                    out.push_now(value)
+
+            return start
+
+        def start(pairs) -> None:
             if ctx.trace is not None:
-                ctx.trace.record(name, ctx.cycle, latency)
-            pipeline.append([remaining, outs])
+                ctx.trace.record(name, ctx.cycle, 0)
+            for out, _ in pairs:
+                if out is not None and not out.room:
+                    pipeline.append((ctx.cycle + 1, pairs))
+                    return
+            for out, value in pairs:
+                if out is not None:
+                    out.push_now(value)
 
         return start
 
-    # -- per-component compilers ---------------------------------------------
-    #
-    # Each ``_make_<type>`` returns ``(step, pipeline, reset)``: the firing
-    # closure, the object whose truthiness keeps the node active, and an
-    # optional per-run state reset.  Every closure mirrors the matching
-    # ``CycleSimulator._fire_<type>`` exactly (checks in the same order, pops
-    # and pushes at the same points) so firing counts match cycle for cycle.
+    def _tick_fn(self, me, fire, inputs, pipeline=None, drain=None, sticky=False):
+        """Step closure for node *me* around its firing rule *fire*.
 
-    def _make_fork(self, name, spec, latency):
-        pipeline: deque = deque()
-        drain = self._drain_fn(pipeline)
-        start = self._start_fn(name, latency, pipeline)
-        pipe_cap = max(1, latency)
-        channel = self._in(name, "in0")
-        out_chs = [self._out(name, port) for port in spec.out_ports]
+        Like the interpreter's ``_tick``: deliver a due pipeline head, then
+        try to fire.  Then apply the sleep rule: stay awake after a firing
+        while an input still holds a token or the pipeline head is due by
+        the next cycle (always, if *sticky*); otherwise sleep, armed for
+        the head's ready cycle when the pipeline is non-empty.  A head that
+        is due but blocked waits for the pop that frees its destination.
+        """
+        ctx, active, arm = self._ctx, self._active, self._arm
+        queues = [c.queue for c in inputs if c is not None]
 
         def step() -> int:
-            fired = drain()
-            if channel is None or not channel.count or len(pipeline) >= pipe_cap:
-                return fired
-            value = channel.pop()
-            start([(out, value) for out in out_chs])
-            return fired + 1
+            cycle = ctx.cycle
+            fired = drain() if pipeline and pipeline[0][0] <= cycle else 0
+            fired += fire()
+            if fired:
+                if sticky or (pipeline and pipeline[0][0] <= cycle + 1):
+                    active[me] = 1
+                    return fired
+                for queue in queues:
+                    if queue:
+                        active[me] = 1
+                        return fired
+                if pipeline:
+                    arm(me, pipeline[0][0])
+            elif pipeline and pipeline[0][0] > cycle:
+                arm(me, pipeline[0][0])
+            return fired
+
+        return step
+
+    # -- per-component compilers ---------------------------------------------
+    #
+    # Each ``_make_<type>`` returns ``(step, pipeline, reset)``: the step
+    # closure, the node's latency pipeline (None when it has none) and an
+    # optional per-run state reset.  Every firing rule mirrors the matching
+    # ``CycleSimulator._fire_<type>`` exactly (checks in the same order, pops
+    # and pushes at the same points) so firing counts match cycle for cycle.
+    #
+    # Fork, Operator, Branch and Mux — most of the step calls — are written
+    # out in full: pops and pushes inline, the sleep rule of ``_tick_fn``
+    # inline, and the generic ``start`` only for combinational starts or
+    # when a trace is attached.
+
+    def _make_fork(self, me, name, spec, latency):
+        channel = self._in(name, "in0")
+        if channel is None:
+            return _idle, None, None
+        outs = self._outs(name, spec.out_ports)
+        pipeline: deque = deque()
+        drain = self._drain_fn(pipeline, outs)
+        start = self._start_fn(name, latency, pipeline, outs)
+        pipe_cap = max(1, latency)
+        delay = max(1, latency - 1)
+        queue = channel.queue
+        n_outs = len(outs)
+        ctx, active, arm = self._ctx, self._active, self._arm
+
+        def step() -> int:
+            cycle = ctx.cycle
+            fired = 0
+            if pipeline and pipeline[0][0] <= cycle:
+                fired = drain()
+            if queue and len(pipeline) < pipe_cap:
+                if not channel.room:
+                    active[channel.producer] = 1
+                channel.room += 1
+                ctx.tokens -= 1
+                value = queue.popleft()
+                fired += 1
+                if ctx.trace is not None:
+                    start(value)
+                elif latency:
+                    pipeline.append((cycle + delay, value))
+                else:
+                    for out in outs:
+                        if not out.room:
+                            pipeline.append((cycle + 1, value))
+                            break
+                    else:
+                        for out in outs:
+                            out.queue.append(value)
+                            room = out.room - 1
+                            out.room = room
+                            if room < out.low:
+                                out.low = room
+                            active[out.consumer] = 1
+                        ctx.tokens += n_outs
+            if fired:
+                if queue or (pipeline and pipeline[0][0] <= cycle + 1):
+                    active[me] = 1
+                elif pipeline:
+                    arm(me, pipeline[0][0])
+            elif pipeline and pipeline[0][0] > cycle:
+                arm(me, pipeline[0][0])
+            return fired
 
         return step, pipeline, pipeline.clear
 
-    def _make_join(self, name, spec, latency):
-        pipeline: deque = deque()
-        drain = self._drain_fn(pipeline)
-        start = self._start_fn(name, latency, pipeline)
-        pipe_cap = max(1, latency)
+    def _make_join(self, me, name, spec, latency):
         a, b = self._in(name, "in0"), self._in(name, "in1")
-        out0 = self._out(name, "out0")
+        if a is None or b is None:
+            return _idle, None, None
+        pipeline: deque = deque()
+        outs = self._outs(name, ["out0"])
+        start = self._start_fn(name, latency, pipeline, outs)
+        pipe_cap = max(1, latency)
         tagged = bool(spec.param("tagged"))
         pair = [a, b]
 
-        def step() -> int:
-            fired = drain()
-            if a is None or b is None or len(pipeline) >= pipe_cap:
-                return fired
+        def fire() -> int:
+            if len(pipeline) >= pipe_cap:
+                return 0
             if tagged:
                 popped = _pop_aligned(pair)
                 if popped is None:
-                    return fired
+                    return 0
                 (tag, val_l), (_, val_r) = popped
                 value = (tag, (val_l, val_r))
             else:
-                if not a.count or not b.count:
-                    return fired
+                if not a.queue or not b.queue:
+                    return 0
                 value = (a.pop(), b.pop())
-            start([(out0, value)])
-            return fired + 1
+            start(value)
+            return 1
 
+        step = self._tick_fn(me, fire, pair, pipeline, self._drain_fn(pipeline, outs))
         return step, pipeline, pipeline.clear
 
-    def _make_split(self, name, spec, latency):
+    def _make_split(self, me, name, spec, latency):
+        channel = self._in(name, "in0")
+        if channel is None:
+            return _idle, None, None
         pipeline: deque = deque()
-        drain = self._drain_fn(pipeline)
         start = self._start_fn(name, latency, pipeline)
         pipe_cap = max(1, latency)
-        channel = self._in(name, "in0")
         out0, out1 = self._out(name, "out0"), self._out(name, "out1")
         tagged = bool(spec.param("tagged"))
 
-        def step() -> int:
-            fired = drain()
-            if channel is None or not channel.count or len(pipeline) >= pipe_cap:
-                return fired
+        def fire() -> int:
+            if not channel.queue or len(pipeline) >= pipe_cap:
+                return 0
             value = channel.pop()
             if tagged:
                 tag, (left, right) = value
@@ -439,230 +586,315 @@ class CompiledCircuit:
             else:
                 left, right = value
                 start([(out0, left), (out1, right)])
-            return fired + 1
+            return 1
 
+        step = self._tick_fn(me, fire, [channel], pipeline, self._drain_pairs_fn(pipeline))
         return step, pipeline, pipeline.clear
 
-    def _make_buffer(self, name, spec, latency):
+    def _make_buffer(self, me, name, spec, latency):
+        channel = self._in(name, "in0")
+        if channel is None:
+            return _idle, None, None
         pipeline: deque = deque()
-        drain = self._drain_fn(pipeline)
-        start = self._start_fn(name, latency, pipeline)
+        outs = self._outs(name, ["out0"])
+        start = self._start_fn(name, latency, pipeline, outs)
         pipe_cap = max(1, latency)
-        channel = self._in(name, "in0")
-        out0 = self._out(name, "out0")
 
-        def step() -> int:
-            fired = drain()
-            if channel is None or not channel.count or len(pipeline) >= pipe_cap:
-                return fired
-            start([(out0, channel.pop())])
-            return fired + 1
+        def fire() -> int:
+            if not channel.queue or len(pipeline) >= pipe_cap:
+                return 0
+            start(channel.pop())
+            return 1
 
+        step = self._tick_fn(me, fire, [channel], pipeline, self._drain_fn(pipeline, outs))
         return step, pipeline, pipeline.clear
 
-    def _make_sink(self, name, spec, latency):
+    def _make_sink(self, me, name, spec, latency):
         channel = self._in(name, "in0")
+        if channel is None:
+            return _idle, None, None
 
-        def step() -> int:
-            if channel is not None and channel.count:
+        def fire() -> int:
+            if channel.queue:
                 channel.pop()
                 return 1
             return 0
 
-        return step, None, None
+        return self._tick_fn(me, fire, [channel]), None, None
 
-    def _make_mux(self, name, spec, latency):
-        pipeline: deque = deque()
-        drain = self._drain_fn(pipeline)
-        start = self._start_fn(name, latency, pipeline)
-        pipe_cap = max(1, latency)
+    def _make_mux(self, me, name, spec, latency):
         cond = self._in(name, "cond")
+        if cond is None:
+            return _idle, None, None
         in0, in1 = self._in(name, "in0"), self._in(name, "in1")
-        out0 = self._out(name, "out0")
+        pipeline: deque = deque()
+        outs = self._outs(name, ["out0"])
+        drain = self._drain_fn(pipeline, outs)
+        start = self._start_fn(name, latency, pipeline, outs)
+        pipe_cap = max(1, latency)
+        delay = max(1, latency - 1)
+        cond_queue = cond.queue
+        queues = [c.queue for c in (cond, in0, in1) if c is not None]
+        ctx, active, arm = self._ctx, self._active, self._arm
 
         def step() -> int:
-            fired = drain()
-            if cond is None or not cond.count or len(pipeline) >= pipe_cap:
-                return fired
-            data = in0 if cond.buf[cond.head] else in1
-            if data is None or not data.count:
-                return fired
-            cond.pop()
-            start([(out0, data.pop())])
-            return fired + 1
+            cycle = ctx.cycle
+            fired = 0
+            if pipeline and pipeline[0][0] <= cycle:
+                fired = drain()
+            if cond_queue and len(pipeline) < pipe_cap:
+                data = in0 if cond_queue[0] else in1
+                if data is not None and data.queue:
+                    if not cond.room:
+                        active[cond.producer] = 1
+                    cond.room += 1
+                    cond_queue.popleft()
+                    if not data.room:
+                        active[data.producer] = 1
+                    data.room += 1
+                    ctx.tokens -= 2
+                    value = data.queue.popleft()
+                    if latency and ctx.trace is None:
+                        pipeline.append((cycle + delay, value))
+                    else:
+                        start(value)
+                    fired += 1
+            if fired:
+                if pipeline and pipeline[0][0] <= cycle + 1:
+                    active[me] = 1
+                else:
+                    for queue in queues:
+                        if queue:
+                            active[me] = 1
+                            break
+                    else:
+                        if pipeline:
+                            arm(me, pipeline[0][0])
+            elif pipeline and pipeline[0][0] > cycle:
+                arm(me, pipeline[0][0])
+            return fired
 
         return step, pipeline, pipeline.clear
 
-    def _make_branch(self, name, spec, latency):
+    def _make_branch(self, me, name, spec, latency):
+        cond, data = self._in(name, "cond"), self._in(name, "in0")
+        if cond is None or data is None:
+            return _idle, None, None
         pipeline: deque = deque()
-        drain = self._drain_fn(pipeline)
+        drain = self._drain_pairs_fn(pipeline)
         start = self._start_fn(name, latency, pipeline)
         pipe_cap = max(1, latency)
-        cond = self._in(name, "cond")
-        data = self._in(name, "in0")
+        delay = max(1, latency - 1)
         out0, out1 = self._out(name, "out0"), self._out(name, "out1")
         tagged = bool(spec.param("tagged"))
         pair = [cond, data]
+        cond_queue, data_queue = cond.queue, data.queue
+        ctx, active, arm = self._ctx, self._active, self._arm
 
         def step() -> int:
-            fired = drain()
-            if cond is None or data is None or len(pipeline) >= pipe_cap:
-                return fired
-            if tagged:
-                popped = _pop_aligned(pair)
-                if popped is None:
-                    return fired
-                cond_value, value = popped
-                truth = bool(cond_value[1])
-            else:
-                if not cond.count or not data.count:
-                    return fired
-                truth = bool(cond.pop())
-                value = data.pop()
-            start([(out0 if truth else out1, value)])
-            return fired + 1
+            cycle = ctx.cycle
+            fired = 0
+            if pipeline and pipeline[0][0] <= cycle:
+                fired = drain()
+            if cond_queue and data_queue and len(pipeline) < pipe_cap:
+                if tagged:
+                    popped = _pop_aligned(pair)
+                    taken = popped is not None
+                    if taken:
+                        (_, truth), value = popped
+                else:
+                    if not cond.room:
+                        active[cond.producer] = 1
+                    cond.room += 1
+                    truth = cond_queue.popleft()
+                    if not data.room:
+                        active[data.producer] = 1
+                    data.room += 1
+                    ctx.tokens -= 2
+                    value = data_queue.popleft()
+                    taken = True
+                if taken:
+                    fired += 1
+                    entry = [(out0 if truth else out1, value)]
+                    if latency and ctx.trace is None:
+                        pipeline.append((cycle + delay, entry))
+                    else:
+                        start(entry)
+            if fired:
+                if cond_queue or data_queue or (pipeline and pipeline[0][0] <= cycle + 1):
+                    active[me] = 1
+                elif pipeline:
+                    arm(me, pipeline[0][0])
+            elif pipeline and pipeline[0][0] > cycle:
+                arm(me, pipeline[0][0])
+            return fired
 
         return step, pipeline, pipeline.clear
 
-    def _make_merge(self, name, spec, latency):
+    def _make_merge(self, me, name, spec, latency):
         pipeline: deque = deque()
-        drain = self._drain_fn(pipeline)
-        start = self._start_fn(name, latency, pipeline)
+        outs = self._outs(name, ["out0"])
+        start = self._start_fn(name, latency, pipeline, outs)
         pipe_cap = max(1, latency)
         inputs = [self._in(name, "in0"), self._in(name, "in1")]
-        out0 = self._out(name, "out0")
         state = {"rr": 0}
 
-        def step() -> int:
-            fired = drain()
+        def fire() -> int:
             if len(pipeline) >= pipe_cap:
-                return fired
+                return 0
             rr = state["rr"] % 2
             for offset in range(2):
                 channel = inputs[(rr + offset) % 2]
-                if channel is not None and channel.count:
+                if channel is not None and channel.queue:
                     state["rr"] += 1
-                    start([(out0, channel.pop())])
-                    return fired + 1
-            return fired
+                    start(channel.pop())
+                    return 1
+            return 0
 
         def reset() -> None:
             pipeline.clear()
             state["rr"] = 0
 
+        step = self._tick_fn(me, fire, inputs, pipeline, self._drain_fn(pipeline, outs))
         return step, pipeline, reset
 
-    def _make_cmerge(self, name, spec, latency):
+    def _make_cmerge(self, me, name, spec, latency):
         pipeline: deque = deque()
-        drain = self._drain_fn(pipeline)
         start = self._start_fn(name, latency, pipeline)
         pipe_cap = max(1, latency)
         inputs = [self._in(name, "in0"), self._in(name, "in1")]
-        ports = ["in0", "in1"]
         out0 = self._out(name, "out0")
         index_channel = self._out(name, "index")
         state = {"rr": 0}
 
-        def step() -> int:
-            fired = drain()
+        def fire() -> int:
             if len(pipeline) >= pipe_cap:
-                return fired
+                return 0
             rr = state["rr"] % 2
             for offset in range(2):
                 position = (rr + offset) % 2
                 channel = inputs[position]
-                if channel is not None and channel.count:
-                    if (
-                        index_channel is not None
-                        and index_channel.count + len(index_channel.staged)
-                        >= index_channel.cap
-                    ):
-                        return fired
+                if channel is not None and channel.queue:
+                    if index_channel is not None and not index_channel.room:
+                        return 0
                     state["rr"] += 1
                     value = channel.pop()
-                    start([(out0, value), (index_channel, ports[position] == "in0")])
-                    return fired + 1
-            return fired
+                    start([(out0, value), (index_channel, position == 0)])
+                    return 1
+            return 0
 
         def reset() -> None:
             pipeline.clear()
             state["rr"] = 0
 
+        step = self._tick_fn(me, fire, inputs, pipeline, self._drain_pairs_fn(pipeline))
         return step, pipeline, reset
 
-    def _make_init(self, name, spec, latency):
+    def _make_init(self, me, name, spec, latency):
         pipeline: deque = deque()
-        drain = self._drain_fn(pipeline)
-        start = self._start_fn(name, latency, pipeline)
+        outs = self._outs(name, ["out0"])
+        start = self._start_fn(name, latency, pipeline, outs)
         pipe_cap = max(1, latency)
         channel = self._in(name, "in0")
-        out0 = self._out(name, "out0")
         initial = bool(spec.param("value", False))
         state = {"initial_pending": True}
 
-        def step() -> int:
-            fired = drain()
+        def fire() -> int:
             if state["initial_pending"]:
                 if len(pipeline) < pipe_cap:
                     state["initial_pending"] = False
-                    start([(out0, initial)])
-                    return fired + 1
-                return fired
-            if channel is None or not channel.count or len(pipeline) >= pipe_cap:
-                return fired
-            start([(out0, bool(channel.pop()))])
-            return fired + 1
+                    start(initial)
+                    return 1
+                return 0
+            if channel is None or not channel.queue or len(pipeline) >= pipe_cap:
+                return 0
+            start(bool(channel.pop()))
+            return 1
 
         def reset() -> None:
             pipeline.clear()
             state["initial_pending"] = True
 
+        step = self._tick_fn(me, fire, [channel], pipeline, self._drain_fn(pipeline, outs))
         return step, pipeline, reset
 
-    def _make_operator(self, name, spec, latency):
-        pipeline: deque = deque()
-        drain = self._drain_fn(pipeline)
-        start = self._start_fn(name, latency, pipeline)
-        pipe_cap = max(1, latency)
+    def _make_operator(self, me, name, spec, latency):
         channels = [self._in(name, port) for port in spec.in_ports]
-        out0 = self._out(name, "out0")
+        if any(c is None for c in channels):
+            return _idle, None, None
+        pipeline: deque = deque()
+        outs = self._outs(name, ["out0"])
+        drain = self._drain_fn(pipeline, outs)
+        start = self._start_fn(name, latency, pipeline, outs)
+        pipe_cap = max(1, latency)
+        delay = max(1, latency - 1)
         tagged = bool(spec.param("tagged"))
-        blocked = any(c is None for c in channels)
         op = str(spec.param("op"))
         env = self.env
         try:
             fn = env.function(op)
         except Exception:
             fn = None  # unresolvable: fail at the firing point, like the interpreter
+        if isinstance(fn, FunctionDef) and fn.arity == len(channels):
+            fn = fn.fn  # arity checked here once; a mismatch keeps the checked call
+        queues = [c.queue for c in channels]
+        n_inputs = len(channels)
+        ctx, active, arm = self._ctx, self._active, self._arm
 
         def step() -> int:
-            fired = drain()
-            if blocked or len(pipeline) >= pipe_cap:
-                return fired
-            f = fn if fn is not None else env.function(op)
-            if tagged:
-                popped = _pop_aligned(channels)
-                if popped is None:
-                    return fired
-                tag = popped[0][0]
-                result = (tag, f(*[v[1] for v in popped]))
-            else:
-                for channel in channels:
-                    if not channel.count:
-                        return fired
-                result = f(*[c.pop() for c in channels])
-            start([(out0, result)])
-            return fired + 1
+            cycle = ctx.cycle
+            fired = 0
+            if pipeline and pipeline[0][0] <= cycle:
+                fired = drain()
+            if len(pipeline) < pipe_cap:
+                f = fn if fn is not None else env.function(op)
+                args = None
+                if tagged:
+                    popped = _pop_aligned(channels)
+                    if popped is not None:
+                        args = [v[1] for v in popped]
+                elif all(queues):
+                    args = []
+                    for channel in channels:
+                        if not channel.room:
+                            active[channel.producer] = 1
+                        channel.room += 1
+                        args.append(channel.queue.popleft())
+                    ctx.tokens -= n_inputs
+                if args is not None:
+                    result = f(*args)
+                    if tagged:
+                        result = (popped[0][0], result)
+                    if latency and ctx.trace is None:
+                        pipeline.append((cycle + delay, result))
+                    else:
+                        start(result)
+                    fired += 1
+            if fired:
+                if pipeline and pipeline[0][0] <= cycle + 1:
+                    active[me] = 1
+                else:
+                    for queue in queues:
+                        if queue:
+                            active[me] = 1
+                            break
+                    else:
+                        if pipeline:
+                            arm(me, pipeline[0][0])
+            elif pipeline and pipeline[0][0] > cycle:
+                arm(me, pipeline[0][0])
+            return fired
 
         return step, pipeline, pipeline.clear
 
-    def _make_pure(self, name, spec, latency):
-        pipeline: deque = deque()
-        drain = self._drain_fn(pipeline)
-        start = self._start_fn(name, latency, pipeline)
-        pipe_cap = max(1, latency)
+    def _make_pure(self, me, name, spec, latency):
         channel = self._in(name, "in0")
-        out0 = self._out(name, "out0")
+        if channel is None:
+            return _idle, None, None
+        pipeline: deque = deque()
+        outs = self._outs(name, ["out0"])
+        start = self._start_fn(name, latency, pipeline, outs)
+        pipe_cap = max(1, latency)
         tagged = bool(spec.param("tagged"))
         fn_name = str(spec.param("fn"))
         env = self.env
@@ -670,11 +902,12 @@ class CompiledCircuit:
             fn = env.function(fn_name)
         except Exception:
             fn = None
+        if isinstance(fn, FunctionDef) and fn.arity == 1:
+            fn = fn.fn
 
-        def step() -> int:
-            fired = drain()
-            if channel is None or not channel.count or len(pipeline) >= pipe_cap:
-                return fired
+        def fire() -> int:
+            if not channel.queue or len(pipeline) >= pipe_cap:
+                return 0
             value = channel.pop()
             f = fn if fn is not None else env.function(fn_name)
             if tagged:
@@ -682,41 +915,43 @@ class CompiledCircuit:
                 result = (tag, f(inner))
             else:
                 result = f(value)
-            start([(out0, result)])
-            return fired + 1
+            start(result)
+            return 1
 
+        step = self._tick_fn(me, fire, [channel], pipeline, self._drain_fn(pipeline, outs))
         return step, pipeline, pipeline.clear
 
-    def _make_reorg(self, name, spec, latency):
-        return self._make_pure(name, spec, latency)
+    def _make_reorg(self, me, name, spec, latency):
+        return self._make_pure(me, name, spec, latency)
 
-    def _make_constant(self, name, spec, latency):
-        pipeline: deque = deque()
-        drain = self._drain_fn(pipeline)
-        start = self._start_fn(name, latency, pipeline)
-        pipe_cap = max(1, latency)
+    def _make_constant(self, me, name, spec, latency):
         channel = self._in(name, "ctrl")
-        out0 = self._out(name, "out0")
+        if channel is None:
+            return _idle, None, None
+        pipeline: deque = deque()
+        outs = self._outs(name, ["out0"])
+        start = self._start_fn(name, latency, pipeline, outs)
+        pipe_cap = max(1, latency)
         value = spec.param("value", 0)
 
-        def step() -> int:
-            fired = drain()
-            if channel is None or not channel.count or len(pipeline) >= pipe_cap:
-                return fired
+        def fire() -> int:
+            if not channel.queue or len(pipeline) >= pipe_cap:
+                return 0
             channel.pop()
-            start([(out0, value)])
-            return fired + 1
+            start(value)
+            return 1
 
+        step = self._tick_fn(me, fire, [channel], pipeline, self._drain_fn(pipeline, outs))
         return step, pipeline, pipeline.clear
 
-    def _make_store(self, name, spec, latency):
+    def _make_store(self, me, name, spec, latency):
+        addr, data = self._in(name, "addr"), self._in(name, "data")
+        if addr is None or data is None:
+            return _idle, None, None
         pipeline: deque = deque()
-        drain = self._drain_fn(pipeline)
-        start = self._start_fn(name, latency, pipeline)
+        outs = self._outs(name, ["done"])
+        start = self._start_fn(name, latency, pipeline, outs)
         pipe_cap = max(1, latency)
-        addr = self._in(name, "addr")
-        data = self._in(name, "data")
-        done = self._out(name, "done")
         tagged = bool(spec.param("tagged"))
         pair = [addr, data]
         array = str(spec.param("array", ""))
@@ -725,29 +960,29 @@ class CompiledCircuit:
             array = stores[0].array if len(stores) == 1 else ""
         ctx = self._ctx
 
-        def step() -> int:
-            fired = drain()
-            if addr is None or data is None or len(pipeline) >= pipe_cap:
-                return fired
+        def fire() -> int:
+            if len(pipeline) >= pipe_cap:
+                return 0
             if tagged:
                 popped = _pop_aligned(pair)
                 if popped is None:
-                    return fired
+                    return 0
                 (_, addr_v), (_, data_v) = popped
             else:
-                if not addr.count or not data.count:
-                    return fired
+                if not addr.queue or not data.queue:
+                    return 0
                 addr_v, data_v = addr.pop(), data.pop()
             if not array:
                 raise SimulationError("store component without an 'array' parameter")
             ctx.arrays[array].flat[int(addr_v)] = data_v
             ctx.stats.store_history.append((array, int(addr_v), data_v))
-            start([(done, ())])
-            return fired + 1
+            start(())
+            return 1
 
+        step = self._tick_fn(me, fire, pair, pipeline, self._drain_fn(pipeline, outs))
         return step, pipeline, pipeline.clear
 
-    def _make_tagger(self, name, spec, latency):
+    def _make_tagger(self, me, name, spec, latency):
         enter_ports = [p for p in spec.in_ports if p.startswith("enter")] or ["in0"]
         return_ports = [p for p in spec.in_ports if p.startswith("ret")] or ["in1"]
         tag_outs = [p for p in spec.out_ports if p.startswith("tag")] or ["out0"]
@@ -762,14 +997,12 @@ class CompiledCircuit:
         order: deque = deque()
         returns: dict = {}
 
-        def step() -> int:
+        def fire() -> int:
             fired = 0
             if (
                 free
-                and all(c is not None and c.count for c in enters)
-                and all(
-                    c is not None and c.count + len(c.staged) < c.cap for c in outs
-                )
+                and all(c is not None and c.queue for c in enters)
+                and all(c is not None and c.room for c in outs)
             ):
                 tag = free.pop(0)
                 order.append(tag)
@@ -777,7 +1010,7 @@ class CompiledCircuit:
                     out.push((tag, channel.pop()))
                 fired += 1
             for index, channel in enumerate(return_chs):
-                if channel is not None and channel.count:
+                if channel is not None and channel.queue:
                     tag, value = channel.pop()
                     returns.setdefault(tag, {})[index] = value
                     fired += 1
@@ -785,7 +1018,7 @@ class CompiledCircuit:
                 oldest = order[0]
                 slots = returns.get(oldest, {})
                 if len(slots) == n_returns and all(
-                    c is not None and c.count + len(c.staged) < c.cap for c in exits
+                    c is not None and c.room for c in exits
                 ):
                     for index, out in enumerate(exits):
                         out.push(slots[index])
@@ -800,9 +1033,9 @@ class CompiledCircuit:
             order.clear()
             returns.clear()
 
-        return step, _ALWAYS_ACTIVE, reset
+        return self._tick_fn(me, fire, [], sticky=True), None, reset
 
-    def _make_driver(self, name, spec, latency):
+    def _make_driver(self, me, name, spec, latency):
         outs = [self._out(name, port) for port in spec.out_ports]
         kernel = self.kernel
         outer_points = self.outer_points
@@ -814,14 +1047,14 @@ class CompiledCircuit:
         ctx = self._ctx
         state = {"next_point": 0}
 
-        def step() -> int:
+        def fire() -> int:
             index = state["next_point"]
             if index >= total:
                 return 0
             if sequential and collector_state is not None and collector_state["received"] < index:
                 return 0
             for channel in outs:
-                if channel is None or channel.count + len(channel.staged) >= channel.cap:
+                if channel is None or not channel.room:
                     return 0
             outer_env = outer_points[index]
             arrays = ctx.arrays
@@ -833,23 +1066,28 @@ class CompiledCircuit:
         def reset() -> None:
             state["next_point"] = 0
 
-        return step, _ALWAYS_ACTIVE, reset
+        return self._tick_fn(me, fire, [], sticky=True), None, reset
 
-    def _make_collector(self, name, spec, latency):
+    def _make_collector(self, me, name, spec, latency):
         channels = [self._in(name, port) for port in spec.in_ports]
-        blocked = any(c is None for c in channels)
+        state = self._collector_states[name]
+
+        def reset() -> None:
+            state["received"] = 0
+
+        if any(c is None for c in channels):
+            return _idle, None, reset
         kernel = self.kernel
         outer_points = self.outer_points
         result_vars = kernel.loop.result_vars
         epilogue = kernel.epilogue
-        state = self._collector_states[name]
+        drivers = self._drivers
+        active = self._active
         ctx = self._ctx
 
-        def step() -> int:
-            if blocked:
-                return 0
+        def fire() -> int:
             for channel in channels:
-                if not channel.count:
+                if not channel.queue:
                     return 0
             values = [c.pop() for c in channels]
             index = state["received"]
@@ -865,19 +1103,18 @@ class CompiledCircuit:
                 stats.store_history.append((store.array, addr, value))
             state["received"] = index + 1
             stats.results_collected = state["received"]
+            for driver in drivers:
+                active[driver] = 1
             return 1
 
-        def reset() -> None:
-            state["received"] = 0
-
-        return step, _ALWAYS_ACTIVE, reset
+        return self._tick_fn(me, fire, channels), None, reset
 
     # -- running --------------------------------------------------------------
 
     def retarget(self, capacities: Mapping[Edge, int] | None) -> int:
         """Incremental recompilation for a capacity-only change.
 
-        Reallocates just the rings whose capacity differs; everything else —
+        Updates just the channels whose capacity differs; everything else —
         step closures, evaluation order, resolved functions — is reused.
         Returns the number of channels touched.
         """
@@ -887,24 +1124,22 @@ class CompiledCircuit:
             cap = caps.get((channel.src, channel.dst), 1)
             if cap != channel.cap:
                 channel.cap = cap
-                channel.buf = [None] * cap
                 changed += 1
         return changed
 
     def _reset(self, capacities: Mapping[Edge, int] | None) -> int:
         retargeted = self.retarget(capacities)
         for channel in self._channels:
-            if channel.count or channel.staged:
-                channel.buf = [None] * channel.cap
-            channel.head = 0
-            channel.count = 0
+            channel.queue.clear()
             channel.staged.clear()
-            channel.peak = 0
+            channel.room = channel.low = channel.cap
         for reset in self._resets:
             reset()
-        self._active[:] = bytes([1]) * len(self._active)
+        self._active[:] = b"\x01" * len(self._active)
         self._dirty.clear()
-        self._tokens = 0
+        self._timers.clear()
+        self._armed[:] = [-1] * len(self._armed)
+        self._ctx.tokens = 0
         return retargeted
 
     def run(
@@ -927,10 +1162,13 @@ class CompiledCircuit:
             nodes=len(self.graph.nodes),
             backend="compiled",
         ) as sp:
-            stats = self._run_once(arrays, capacities, max_cycles, deadlock_window, trace)
+            stats, steps = self._run_once(
+                arrays, capacities, max_cycles, deadlock_window, trace
+            )
             sp.set(cycles=stats.cycles, tokens_fired=stats.tokens_fired)
         obs.count("sim.runs")
         obs.count("sim.cycles", stats.cycles)
+        obs.count("sim.steps", steps)
         return stats
 
     def run_batch(self, configs: Sequence[BatchRun | Mapping]) -> list[SimStats]:
@@ -944,8 +1182,9 @@ class CompiledCircuit:
         ) as sp:
             results = []
             cycles = 0
+            steps = 0
             for config in runs:
-                stats = self._run_once(
+                stats, run_steps = self._run_once(
                     config.arrays,
                     config.capacities,
                     config.max_cycles,
@@ -953,13 +1192,18 @@ class CompiledCircuit:
                     config.trace,
                 )
                 cycles += stats.cycles
+                steps += run_steps
                 results.append(stats)
             sp.set(cycles=cycles)
         obs.count("sim.runs", len(runs))
         obs.count("sim.cycles", cycles)
+        obs.count("sim.steps", steps)
         return results
 
-    def _run_once(self, arrays, capacities, max_cycles, deadlock_window, trace) -> SimStats:
+    def _run_once(
+        self, arrays, capacities, max_cycles, deadlock_window, trace
+    ) -> tuple[SimStats, int]:
+        """One run; returns its stats and the number of node-step calls."""
         retargeted = self._reset(capacities)
         if retargeted:
             obs.count("sim.compiled.retargets", retargeted)
@@ -969,39 +1213,33 @@ class CompiledCircuit:
         ctx.stats = stats = SimStats()
 
         active = self._active
+        find = active.find
         steps = self._steps
-        pipelines = self._pipelines
         dirty = self._dirty
+        due_at = self._timers.pop
+        pipelines = self._pipelines
         expected = self._expected_results
-        node_range = range(len(steps))
-        # Real latency pipelines only: Driver/Collector/Store steps return
-        # the _ALWAYS_ACTIVE sentinel, which must not block quiescence.
-        latency_pipelines = [p for p in pipelines if p is not _ALWAYS_ACTIVE]
+        calls = 0
         idle = 0
         cycle = 0
         completed = None
         while cycle < max_cycles:
             ctx.cycle = cycle
+            due = due_at(cycle, None)
+            if due is not None:
+                for i in due:
+                    active[i] = 1
             fired = 0
-            for i in node_range:
-                if active[i]:
-                    f = steps[i]()
-                    if f:
-                        fired += f
-                    elif not pipelines[i]:
-                        active[i] = 0
+            i = find(1)
+            while i >= 0:
+                active[i] = 0
+                fired += steps[i]()
+                calls += 1
+                i = find(1, i + 1)
             if dirty:
                 for channel in dirty:
                     staged = channel.staged
-                    buf = channel.buf
-                    cap = channel.cap
-                    index = channel.head + channel.count
-                    for value in staged:
-                        if index >= cap:
-                            index -= cap
-                        buf[index] = value
-                        index += 1
-                    channel.count += len(staged)
+                    channel.queue.extend(staged)
                     staged.clear()
                     active[channel.consumer] = 1
                 dirty.clear()
@@ -1010,18 +1248,18 @@ class CompiledCircuit:
                 # Drain phase (matches the interpreter): all results are in,
                 # but in-body stores may still sit in operator pipelines.
                 # Step for side effects until quiescent (nothing fired, no
-                # pipeline still aging a token); reported measurements stay
-                # frozen at the completion cycle.
-                if fired == 0 and not any(latency_pipelines):
-                    return stats
+                # pipeline still holding a token); reported measurements
+                # stay frozen at the completion cycle.
+                if fired == 0 and not any(pipelines):
+                    return stats, calls
                 continue
-            if self._tokens > stats.peak_in_flight:
-                stats.peak_in_flight = self._tokens
+            if ctx.tokens > stats.peak_in_flight:
+                stats.peak_in_flight = ctx.tokens
             if stats.results_collected >= expected:
                 completed = cycle
                 stats.cycles = cycle
                 stats.channel_peaks = {
-                    (channel.src, channel.dst): channel.peak
+                    (channel.src, channel.dst): channel.cap - channel.low
                     for channel in self._channels
                 }
                 continue

@@ -6,8 +6,9 @@
 reaches a cycle simulation.  Two backends sit behind it:
 
 * ``"compiled"`` (default): :func:`repro.sim.compiled.compile_circuit` —
-  the graph is lowered once into flat step arrays and executed with
-  ring-buffer channels and an event-driven active set;
+  the graph is lowered once into flat step arrays, and a node's step runs
+  only after an event that can change what it reads (a token arriving, a
+  full output channel freeing a slot, its pipeline head coming due);
 * ``"interp"``: :class:`repro.sim.cycle.CycleSimulator` — the original
   per-cycle, per-component interpreter, kept as the differential-testing
   oracle.

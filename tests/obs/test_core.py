@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro import obs
+from repro import Session, obs
 from repro.obs import InMemorySink, JsonlSink, MetricsSnapshot, Span, Tracer, render_tree
 
 
@@ -167,3 +167,20 @@ class TestMetricsSnapshot:
 
     def test_empty_snapshot_summary(self):
         assert "0 units" in MetricsSnapshot().summary()
+
+    def test_fresh_session_summary_omits_idle_sections(self):
+        with Session(use_cache=False) as session:
+            snapshot = session.metrics()
+        # The sections exist, zero-filled, but no transform or saturation ran.
+        assert snapshot.rewriting and snapshot.saturation
+        text = snapshot.summary()
+        assert "rewrites applied" not in text
+        assert "saturation" not in text
+        assert text.startswith("0 units")
+
+    def test_summary_shows_saturation_once_it_ran(self):
+        text = MetricsSnapshot(
+            saturation={"states": 3, "enodes": 12, "frontier": 2, "budget_exhausted": False}
+        ).summary()
+        assert "saturation: 3 states, 12 e-nodes, 2 pareto points" in text
+        assert "rewrites applied" not in text

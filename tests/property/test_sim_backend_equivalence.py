@@ -4,10 +4,11 @@ interpreter.
 The compiled backend (:mod:`repro.sim.compiled`) is only admissible as the
 default because it is observationally indistinguishable from the reference
 interpreter (:mod:`repro.sim.cycle`).  These tests pin that claim on every
-built-in kernel in :mod:`repro.benchmarks.kernels`, across all three
-dataflow transforms and under randomized buffer placements: identical
-``SimStats`` (cycle count, tokens fired, per-channel occupancy peaks, store
-history) and bit-identical computed arrays.
+built-in kernel in :mod:`repro.benchmarks.kernels` and on seeded fuzz-corpus
+programs, across all three dataflow transforms, under randomized buffer
+placements and custom operator latencies: identical ``SimStats`` (cycle
+count, tokens fired, per-channel occupancy peaks, store history) and
+bit-identical computed arrays.
 """
 
 import random
@@ -23,6 +24,7 @@ from repro.hls.area import latency_of
 from repro.hls.buffers import place_buffers
 from repro.hls.frontend import compile_program
 from repro.hls.ooo import transform_out_of_order
+from repro.interop.corpus import generate_program
 from repro.rewriting.pipeline import GraphitiPipeline
 from repro.sim.dispatch import simulate_graph
 
@@ -38,10 +40,15 @@ KERNELS = {
 
 TRANSFORMS = (None, "ooo", "graphiti")
 
+#: a fuzz-corpus program with ``sequential_outer`` and three outer
+#: instances: each instance waits for the previous result, which only
+#: reaches the Driver through the Collector's wake.
+SEQUENTIAL_SEED = 9
 
-def build(name, transform):
-    """(program, env, [(kernel, graph, tags)]) for one kernel x transform."""
-    program = KERNELS[name]()
+
+def build(make_program, transform):
+    """(program, env, [(kernel, graph, tags)]) for one program x transform."""
+    program = make_program()
     env = default_environment()
     compiled = compile_program(program, env)
     units = []
@@ -71,7 +78,7 @@ def observe(stats):
     )
 
 
-def run_backend(program, env, units, capacities_of, backend, pristine):
+def run_backend(program, env, units, capacities_of, backend, pristine, latency):
     for key, value in pristine.items():
         program.arrays[key][...] = value
     observations = []
@@ -82,27 +89,29 @@ def run_backend(program, env, units, capacities_of, backend, pristine):
             ck.kernel,
             program.arrays,
             capacities=capacities_of(graph, tags),
-            latency_of=latency_of,
+            latency_of=latency,
             backend=backend,
         )
         observations.append(observe(stats))
     return observations, {k: v.copy() for k, v in program.arrays.items()}
 
 
-def assert_backends_agree(name, transform, capacities_of):
-    program, env, units = build(name, transform)
+def assert_backends_agree(make_program, transform, capacities_of, latency=latency_of):
+    program, env, units = build(make_program, transform)
+    label = f"{program.name}/{transform}"
     pristine = {k: v.copy() for k, v in program.arrays.items()}
     compiled_obs, compiled_arrays = run_backend(
-        program, env, units, capacities_of, "compiled", pristine
+        program, env, units, capacities_of, "compiled", pristine, latency
     )
     interp_obs, interp_arrays = run_backend(
-        program, env, units, capacities_of, "interp", pristine
+        program, env, units, capacities_of, "interp", pristine, latency
     )
-    assert compiled_obs == interp_obs, f"{name}/{transform}: SimStats diverge"
+    assert compiled_obs == interp_obs, f"{label}: SimStats diverge"
     for key in interp_arrays:
         assert np.array_equal(compiled_arrays[key], interp_arrays[key]), (
-            f"{name}/{transform}: array {key!r} diverges"
+            f"{label}: array {key!r} diverges"
         )
+    return compiled_obs
 
 
 def default_placement(graph, tags):
@@ -115,7 +124,7 @@ class TestEveryKernelEveryTransform:
     @pytest.mark.parametrize("transform", TRANSFORMS)
     @pytest.mark.parametrize("name", sorted(KERNELS))
     def test_backends_identical(self, name, transform):
-        assert_backends_agree(name, transform, default_placement)
+        assert_backends_agree(KERNELS[name], transform, default_placement)
 
 
 class TestRandomizedPlacements:
@@ -140,4 +149,46 @@ class TestRandomizedPlacements:
                 for edge, cap in place_buffers(graph, tags).capacities.items()
             }
 
-        assert_backends_agree(name, transform, jittered)
+        assert_backends_agree(KERNELS[name], transform, jittered)
+
+
+class TestFuzzCorpusPrograms:
+    """Equivalence on the seeded loop nests of :mod:`repro.interop.corpus`."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        transform=st.sampled_from(TRANSFORMS),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_backends_identical_on_corpus_programs(self, seed, transform):
+        assert_backends_agree(
+            lambda: generate_program(seed), transform, default_placement
+        )
+
+    @pytest.mark.parametrize("transform", TRANSFORMS)
+    def test_sequential_outer_with_several_instances(self, transform):
+        program = generate_program(SEQUENTIAL_SEED)
+        [kernel] = program.kernels
+        assert kernel.sequential_outer and kernel.outer[0].count > 1
+        [(_, _, results, *_)] = assert_backends_agree(
+            lambda: generate_program(SEQUENTIAL_SEED), transform, default_placement
+        )
+        assert results == kernel.outer[0].count
+
+
+class TestOperatorLatencies:
+    """Pipeline deadlines: an entry started at cycle t with latency L is
+    ready at ``t + max(1, L-1)`` (``t + 1`` for a blocked combinational
+    one) — the interpreter's per-cycle countdown, for every latency class."""
+
+    @pytest.mark.parametrize("transform", TRANSFORMS)
+    @pytest.mark.parametrize("latency", [0, 1, 2, 7])
+    def test_backends_identical_under_custom_operator_latency(
+        self, latency, transform
+    ):
+        def custom(typ, params):
+            return latency if typ == "Operator" else latency_of(typ, params)
+
+        assert_backends_agree(
+            KERNELS["matvec"], transform, default_placement, latency=custom
+        )

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.components import default_environment, join
 from repro.errors import DeadlockError, SimulationError
+from repro.eval.runner import simulate_flow
 from repro.hls.area import latency_of
 from repro.hls.buffers import place_buffers
 from repro.hls.frontend import compile_program
@@ -13,6 +15,7 @@ from repro.sim.compiled import BatchRun, CompiledCircuit, compile_circuit
 from repro.sim.cycle import CycleSimulator
 from repro.sim.dispatch import BACKENDS, simulate_graph
 
+from ..property.test_sim_backend_equivalence import KERNELS
 from .test_cycle import countdown_program
 
 
@@ -193,6 +196,59 @@ class TestFullChannelDiagnostic:
         message = str(err.value)
         assert f"{ring.src} -> {ring.dst}" in message
         assert f"({ring.cap}/{ring.cap} occupied)" in message
+
+
+class TestFiringTraceParity:
+    """The compiled engine records every firing the interpreter does, at
+    the same cycle, with the same latency, in the same order."""
+
+    @pytest.mark.parametrize("flow", ["DF-IO", "DF-OoO", "GRAPHITI"])
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_traces_identical(self, name, flow):
+        for index in range(len(KERNELS[name]().kernels)):
+            c_stats, c_trace, _ = simulate_flow(KERNELS[name](), flow, index, backend="compiled")
+            i_stats, i_trace, _ = simulate_flow(KERNELS[name](), flow, index, backend="interp")
+            assert c_trace.events, f"{name}/{flow}/{index}: empty trace"
+            assert c_trace.events == i_trace.events, f"{name}/{flow}/{index}"
+            assert stats_tuple(c_stats) == stats_tuple(i_stats)
+
+
+class TestStepsCounter:
+    def run_counted(self, circuit, pristine):
+        with obs.scoped_tracer() as tracer:
+            stats = circuit.run({k: v.copy() for k, v in pristine.items()})
+        return stats, tracer.counters
+
+    def test_steps_deterministic_and_below_dense_sweep(self):
+        program, env, ck, graph, caps = compile_countdown("ooo")
+        pristine = {k: v.copy() for k, v in program.arrays.items()}
+        circuit = compile_circuit(
+            graph, env, ck.kernel, capacities=caps, latency_of=latency_of
+        )
+        stats, first = self.run_counted(circuit, pristine)
+        _, second = self.run_counted(circuit, pristine)
+        assert first["sim.runs"] == 1
+        assert first["sim.cycles"] == stats.cycles
+        assert 0 < first["sim.steps"] == second["sim.steps"]
+        # A dense sweep calls every node every cycle; the event-driven
+        # scheduler must do strictly less.
+        assert first["sim.steps"] < len(graph.nodes) * stats.cycles
+
+    def test_batch_counts_steps_of_every_run(self):
+        program, env, ck, graph, caps = compile_countdown("ooo")
+        pristine = {k: v.copy() for k, v in program.arrays.items()}
+        circuit = compile_circuit(
+            graph, env, ck.kernel, capacities=caps, latency_of=latency_of
+        )
+        _, single = self.run_counted(circuit, pristine)
+        with obs.scoped_tracer() as tracer:
+            circuit.run_batch(
+                [
+                    BatchRun(arrays={k: v.copy() for k, v in pristine.items()})
+                    for _ in range(2)
+                ]
+            )
+        assert tracer.counters["sim.steps"] == 2 * single["sim.steps"]
 
 
 class TestDispatch:
