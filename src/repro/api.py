@@ -267,8 +267,6 @@ class Session:
     def check_obligations(
         self,
         specs: Sequence[tuple[str, str, dict]] | None = None,
-        *,
-        sharded: bool = False,
     ) -> list[dict]:
         """Discharge rewrite obligations through the certificate fast path.
 
@@ -283,13 +281,6 @@ SimulationCertificate` in the content-addressed result cache (compact
         Re-validation is a real check: a stale or tampered certificate
         falls back to a full search, never to a trusted verdict.
 
-        With ``sharded=True`` the parallelism moves *inside* each
-        obligation: obligations run one at a time in this process, and a
-        cold search's frontier expansion is partitioned across the worker
-        pool (:func:`repro.refinement.find_weak_simulation_sharded`).
-        Verdicts and certificate hashes are identical either way; sharding
-        pays off when a few large obligations dominate.
-
         Returns one dict per spec, in spec order: ``rewrite``, ``holds``,
         ``verified_flag``, ``mode`` (``"search"`` / ``"recheck"`` /
         ``"recheck-incremental"`` / ``"search-fallback"`` / ``"mixed"``),
@@ -298,20 +289,6 @@ SimulationCertificate` in the content-addressed result cache (compact
         self._require_open("check_obligations")
         specs = list(specs if specs is not None else VERIFY_FACTORY_SPECS)
         cache_dir = str(self.cache.root) if isinstance(self.cache, ResultCache) else None
-        if sharded:
-            from .exec.workers import check_obligation_certified
-
-            with obs.span("check-obligations", obligations=len(specs), sharded=True):
-                return [
-                    check_obligation_certified(
-                        module=module,
-                        factory=factory,
-                        kwargs=kwargs,
-                        cache_dir=cache_dir,
-                        executor=self.executor,
-                    )
-                    for module, factory, kwargs in specs
-                ]
         units = [
             WorkUnit(
                 uid=f"obligation:{factory}",

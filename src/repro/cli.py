@@ -9,7 +9,6 @@ reproduction::
         --branch br_a --branch br_b --init init0 --cond-fork cf0 --tags 8
     python -m repro.cli verify            # discharge every rewrite obligation
     python -m repro.cli refine            # certified: recheck stored certificates
-    python -m repro.cli refine --sharded --jobs 4    # shard cold searches
     python -m repro.cli refine --dump-certs certs/   # export certificate files
     python -m repro.cli refine --dump-certs certs/ --cert-format binary  # .grc
     python -m repro.cli refine --load-certs certs/   # independently re-validate
@@ -305,7 +304,7 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     session = _session(args)
     failures = 0
     with _observe(args):
-        outcomes = session.check_obligations(specs, sharded=args.sharded)
+        outcomes = session.check_obligations(specs)
     for outcome in outcomes:
         if outcome["holds"]:
             status = (
@@ -663,11 +662,6 @@ def main(argv: list[str] | None = None) -> int:
         help="with --dump-certs: certificate file encoding — json writes "
         "one .json document per instance, binary writes the compact .grc "
         "container (default: json)",
-    )
-    refine.add_argument(
-        "--sharded", action="store_true",
-        help="partition each cold search's frontier across the --jobs "
-        "worker pool (certificates stay byte-identical to serial runs)",
     )
     _add_exec_flags(refine)
     refine.set_defaults(fn=_cmd_refine)

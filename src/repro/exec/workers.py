@@ -83,7 +83,6 @@ def check_obligation_certified(
     factory: str,
     kwargs: dict | None = None,
     cache_dir: str | None = None,
-    executor=None,
 ) -> dict:
     """Discharge one rewrite's obligation through the certificate fast path.
 
@@ -95,10 +94,6 @@ def check_obligation_certified(
     a miss (or a failed re-validation) is the simulation game solved from
     scratch.  The outcome dict records the per-instance provenance, so the
     caller can see whether the batch was searched, rechecked, or mixed.
-
-    *executor* (parent-process use only — never set in a pool worker)
-    shards each cold search's frontier expansion across the pool; see
-    :meth:`repro.api.Session.check_obligations`.
     """
     from ..errors import RefinementError
     from ..refinement.checker import check_rewrite_obligation
@@ -120,17 +115,9 @@ def check_obligation_certified(
         if rewrite.obligation is None:
             holds, detail = False, f"rewrite {rewrite.name!r} has no obligation instances"
         else:
-            for index, (lhs, rhs, env, stimuli) in enumerate(rewrite.obligation()):
-                ref = None
-                if executor is not None:
-                    from ..refinement.sharded import obligation_ref
-
-                    ref = obligation_ref(module, factory, kwargs, index)
+            for lhs, rhs, env, stimuli in rewrite.obligation():
                 try:
-                    report = check_rewrite_obligation(
-                        lhs, rhs, env, stimuli, cache=cache,
-                        executor=executor, sharded_ref=ref,
-                    )
+                    report = check_rewrite_obligation(lhs, rhs, env, stimuli, cache=cache)
                 except RefinementError as exc:
                     holds, detail = False, str(exc)
                     break
@@ -150,76 +137,6 @@ def check_obligation_certified(
         "detail": detail,
         "seconds": perf_counter() - start,
     }
-
-
-#: Per-process memo for sharded-search contexts: obligation recipe →
-#: (impl, spec, stimuli, _GameCache).  Pool workers are long-lived, so the
-#: modules are denoted once and the game cache's response sets amortise
-#: across every frontier level the worker sees.
-_FRONTIER_CONTEXTS: dict[str, tuple] = {}
-
-
-def _frontier_context(ref: dict) -> tuple:
-    import json
-
-    from ..core.semantics import denote
-    from ..refinement.checker import uniform_stimuli
-    from ..refinement.simulation import _GameCache, _normalise_stimuli
-
-    key = json.dumps(ref, sort_keys=True, default=repr)
-    context = _FRONTIER_CONTEXTS.get(key)
-    if context is None:
-        rewrite = getattr(importlib.import_module(ref["module"]), ref["factory"])(
-            **(ref.get("kwargs") or {})
-        )
-        instances = list(rewrite.obligation())
-        lhs, rhs, env, stimuli = instances[int(ref["instance"])]
-        impl = denote(rhs.lower(), env)
-        spec = denote(lhs.lower(), env.with_capacity(ref.get("spec_capacity")))
-        if stimuli is None:
-            stimuli = uniform_stimuli(impl, tuple(ref.get("values", (0, 1))))
-        stimuli = _normalise_stimuli(impl, stimuli)
-        context = (impl, spec, stimuli, _GameCache(impl, spec, stimuli))
-        _FRONTIER_CONTEXTS[key] = context
-    return context
-
-
-def expand_simulation_frontier(*, ref: dict, pairs: list) -> list:
-    """Expand one shard of a sharded weak-simulation search's frontier.
-
-    For each ``(impl_state, spec_state)`` pair, fires every implementation
-    move and computes the spec's permitted responses for the matching
-    diagram, returning plain state-level rows
-    ``(kind, port, value, impl_successor, [spec_responses])`` with
-    ``kind`` 0=input / 1=output / 2=internal.  The parent re-interns the
-    states into its global position table (see
-    :func:`repro.refinement.sharded.find_weak_simulation_sharded`).
-    """
-    impl, spec, stimuli, cache = _frontier_context(ref)
-    out = []
-    for impl_state, spec_state in pairs:
-        sid = cache.impl_id(impl_state)
-        tid = cache.spec_id(spec_state)
-        inputs, outputs, internals = cache.impl_moves(sid)
-        rows = []
-        states = cache.spec_states
-        for port, value, s_next in inputs:
-            responses = [
-                states[t] for t in cache.spec_input_responses(tid, port, value)
-            ]
-            rows.append((0, port, value, cache.impl_states[s_next], responses))
-        for port, value, s_next in outputs:
-            responses = [
-                states[t] for t in cache.spec_output_responses(tid, port, value)
-            ]
-            rows.append((1, port, value, cache.impl_states[s_next], responses))
-        closure = None
-        for s_next in internals:
-            if closure is None:
-                closure = [states[t] for t in cache.closure(tid)]
-            rows.append((2, None, None, cache.impl_states[s_next], closure))
-        out.append(rows)
-    return out
 
 
 def run_fuzz_case(*, seed: int, backend: str = "compiled") -> dict:

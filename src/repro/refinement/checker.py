@@ -166,8 +166,9 @@ def check_refinement(impl: Module, spec: Module, stimuli: Stimuli) -> Refinement
 
 
 def refines(impl: Module, spec: Module, stimuli: Stimuli) -> bool:
-    """Boolean form of :func:`check_refinement`."""
-    return find_weak_simulation(impl, spec, stimuli).holds
+    """Boolean form of :func:`check_refinement` (no certificate is kept,
+    so no replay witnesses are minted)."""
+    return find_weak_simulation(impl, spec, stimuli, mint_witnesses=False).holds
 
 
 def check_graph_refinement(
@@ -273,8 +274,6 @@ def check_rewrite_obligation(
     values: Iterable[Value] = (0, 1),
     spec_capacity: int | None = 4,
     cache=None,
-    executor=None,
-    sharded_ref: dict | None = None,
 ) -> RefinementReport:
     """Discharge the ``rhs ⊑ lhs`` obligation of a rewrite on a bounded instance.
 
@@ -299,11 +298,6 @@ def check_rewrite_obligation(
     success the report has ``mode="recheck"``, and on any re-validation
     failure the full search runs (``mode="search-fallback"``) and its fresh
     certificate replaces the stored one.
-
-    When *executor* and *sharded_ref* are both given, a cold search is
-    sharded over the executor pool
-    (:func:`~repro.refinement.sharded.find_weak_simulation_sharded`);
-    verdicts and certificate hashes are identical to the serial search.
     """
     rhs_module = denote(rhs.lower(), env)
     lhs_module = denote(lhs.lower(), env.with_capacity(spec_capacity))
@@ -322,15 +316,8 @@ def check_rewrite_obligation(
         if report is not None:
             return report
 
-    with obs.span("refine:weak-sim", obligation=True, sharded=sharded_ref is not None) as sp:
-        if executor is not None and sharded_ref is not None:
-            from .sharded import find_weak_simulation_sharded
-
-            result = find_weak_simulation_sharded(
-                rhs_module, lhs_module, stimuli, executor=executor, ref=sharded_ref
-            )
-        else:
-            result = find_weak_simulation(rhs_module, lhs_module, stimuli)
+    with obs.span("refine:weak-sim", obligation=True) as sp:
+        result = find_weak_simulation(rhs_module, lhs_module, stimuli)
         sp.set(holds=result.holds)
         if result.certificate is not None:
             sp.set(

@@ -1,8 +1,8 @@
 """A SAT oracle for refinement verdicts, independent of the game solver.
 
 :func:`repro.refinement.simulation.find_weak_simulation` decides bounded
-refinement by *solving the simulation game* — forward exploration plus
-backward loss propagation.  This module decides the same question by a
+refinement by *solving the simulation game* on the fly — optimistic
+response choices, revised as positions are refuted.  This module decides the same question by a
 different route: the existence of a weak simulation over the
 product-reachable arena is encoded as propositional satisfiability and
 handed to an in-tree DPLL solver with watched literals.  Agreement
@@ -26,8 +26,8 @@ the initial pairs and is closed under the three simulation diagrams:
   response contributes the unit clause ``(¬r_p)``.
 
 Every clause has at most one negative literal (the formula is
-dual-Horn), so unit propagation alone mirrors the game's backward loss
-propagation; the solver's true-first decision polarity makes the common
+dual-Horn), so unit propagation alone mirrors the game's refutation of
+losing positions; the solver's true-first decision polarity makes the common
 (refinement-holds) instance propagate to a model almost decision-free.
 
 **Soundness of the verdicts.**  Exploration stops after *bound* pairs.
@@ -449,7 +449,11 @@ def cross_check_obligation(
     if stimuli is None:
         stimuli = uniform_stimuli(impl, values)
 
-    game: SimulationResult = find_weak_simulation(impl, spec, stimuli)
+    # The certificate only ever serves as the disagreement witness, so
+    # skip minting replay witnesses.
+    game: SimulationResult = find_weak_simulation(
+        impl, spec, stimuli, mint_witnesses=False
+    )
     verdict = check_refinement_sat(impl, spec, stimuli, bound=bound)
     obs.count("refinement.sat_cross_checks")
 

@@ -3,21 +3,22 @@
 The paper proves refinements ``m ⊑ m'`` in Lean by exhibiting a simulation
 relation φ.  Here, for *bounded* instances (finite stimulus domains, bounded
 queues), we *decide* the existence of a weak simulation by solving the
-simulation game restricted to product-reachable pairs:
+simulation game on the fly, as a local greatest fixpoint (in the style of
+Liu and Smolka's local algorithm):
 
-* positions are pairs (impl state, spec state), starting from all pairs of
-  initial states;
+* positions are pairs (impl state, spec state), interned only when some
+  chosen response reaches them;
 * for every implementation move (input with a stimulus value, output,
-  internal step) the game records the set of *spec responses* permitted by
-  the corresponding diagram;
-* a position is losing if some implementation move has no winning response;
-  losing positions propagate backwards through a worklist (each position
-  knows which predecessor moves depend on it) until no further position
-  falls.
+  internal step) the corresponding diagram permits an ordered list of
+  *spec responses*; the solver optimistically points the move at the
+  first response not yet refuted and explores only that position;
+* a position is refuted when some move runs out of candidates, and a
+  refutation revisits only the moves whose current choice pointed at the
+  refuted position — each advances to its next candidate.
 
-Restricting to product-reachable pairs is sound and complete for deciding
-whether the initial states are simulated, because every witness pair that a
-diagram could use is itself product-reachable.
+Refutation is monotone, so every refuted position really loses; when the
+search settles, the explored unrefuted positions are closed under the
+chosen responses and therefore form a weak simulation.
 
 The three simulation diagrams keep the paper's asymmetry:
 
@@ -28,9 +29,10 @@ The three simulation diagrams keep the paper's asymmetry:
   steps would make the connect combinator unsound;
 * **internal** transitions map to zero or more internal steps.
 
-Success yields a :class:`SimulationCertificate` whose relation (the winning
-positions) is a genuine weak simulation containing the initial pairs;
-failure yields a counterexample with the violated diagram.
+Success yields a :class:`SimulationCertificate` whose relation (the explored
+winning positions) is a genuine weak simulation containing an initial pair
+for every implementation initial state; failure yields a counterexample
+with the violated diagram.
 
 Certificates are *persistent evidence*: they serialise (``to_dict`` /
 ``from_dict``, or the compact binary container in
@@ -58,6 +60,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+from .. import obs
 from ..core.module import Module, State, Value
 from ..core.ports import Port, parse_port
 from ..errors import CertificateError, RefinementError, SemanticsError
@@ -72,9 +75,10 @@ Stimuli = Mapping[Port, Iterable[Value]]
 #: adds the advisory replay-witness section.
 CERTIFICATE_FORMAT = 2
 
-#: Diagram tags used by replay witnesses (canonical move order sorts input
-#: moves before outputs before internals).
+#: Diagram tags used by the game and by replay witnesses (canonical move
+#: order sorts input moves before outputs before internals).
 _KIND_INPUT, _KIND_OUTPUT, _KIND_INTERNAL = 0, 1, 2
+_KIND_NAMES = ("input", "output", "internal")
 
 
 # -- state (de)serialisation --------------------------------------------------
@@ -501,18 +505,6 @@ class SimulationResult:
         return self.certificate
 
 
-@dataclass
-class _Move:
-    """One implementation move and the indices of winning response pairs."""
-
-    kind: str
-    detail: str
-    responses: tuple[int, ...]
-    port: Port | None = None
-    value: Value | None = None
-    succ_sid: int = -1
-
-
 class _GameCache:
     """Id-indexed successor cache shared by the game search and the recheck.
 
@@ -671,7 +663,7 @@ class _GameCache:
         cached = self._spec_inputs.get(key)
         if cached is None:
             # dict.fromkeys: the closures of different mid states overlap,
-            # and duplicate responses only inflate the game arena.
+            # and a duplicate response would only be tried twice.
             cached = tuple(
                 dict.fromkeys(
                     t_next
@@ -745,199 +737,253 @@ def find_weak_simulation(
     values that may ever be offered.  Both modules must expose identical
     input and output port sets.
 
-    The search explores product-reachable pairs with a frontier worklist
-    (successor sets memoised per state, not per pair), then resolves the
-    game by backward worklist propagation: each position counts, per move,
-    how many of its response pairs are still winning; when a position falls,
-    only the moves that actually referenced it are revisited.
+    The game is solved on the fly (see :class:`_LocalGame`): each move of
+    an explored position points at its first unrefuted spec response, and
+    only chosen positions are explored.  Initial pairs are chosen the same
+    way, with both initial-state sets taken in ``state_bytes`` order so the
+    relation — and hence the content hash — does not depend on the hash
+    seed.  The search stops as soon as some implementation initial state
+    has no spec initial state left.
 
-    On success the certificate carries replay witnesses (the concrete spec
-    response each diagram used) unless *mint_witnesses* is False; see
-    :class:`ReplayWitnesses`.
+    On success the certificate's relation is the set of explored,
+    unrefuted positions, and it carries replay witnesses (each move's
+    chosen response) unless *mint_witnesses* is False; see
+    :class:`ReplayWitnesses`.  Raises :class:`SemanticsError` when more
+    than *limit* positions are explored.
     """
     interface = _interface_violation(impl, spec)
     if interface is not None:
         return SimulationResult(False, violation=interface)
     stimuli = _normalise_stimuli(impl, stimuli)
     succ = _GameCache(impl, spec, stimuli)
+    memo: dict = {}
+    impl_init = sorted(impl.init, key=lambda s: state_bytes(s, memo))
+    spec_init = sorted(spec.init, key=lambda t: state_bytes(t, memo))
 
-    # Positions are (impl id, spec id) pairs packed into one int — ids are
-    # dense and bounded by *limit*, so 32 bits per side is ample.
-    index_of: dict[int, int] = {}
-    pairs: list[tuple[int, int]] = []
-    moves: list[list[_Move] | None] = []
-
-    def intern(sid: int, tid: int) -> int:
-        key = (sid << 32) | tid
-        idx = index_of.get(key)
-        if idx is None:
-            idx = len(pairs)
-            if idx >= limit:
-                raise SemanticsError(f"simulation game exceeded the limit of {limit} positions")
-            index_of[key] = idx
-            pairs.append((sid, tid))
-            moves.append(None)
-        return idx
-
-    initial_indices = [
-        intern(succ.impl_id(s0), succ.spec_id(t0)) for s0 in impl.init for t0 in spec.init
-    ]
-
-    # Forward exploration: compute every position's moves and responses.
-    frontier = list(initial_indices)
-    while frontier:
-        idx = frontier.pop()
-        if moves[idx] is not None:
-            continue
-        sid, tid = pairs[idx]
-        position_moves = expand_position(succ, sid, tid, intern)
-        moves[idx] = position_moves
-        for move in position_moves:
-            for succ_idx in move.responses:
-                if moves[succ_idx] is None:
-                    frontier.append(succ_idx)
-
-    return resolve_game(succ, pairs, moves, index_of, mint_witnesses=mint_witnesses)
-
-
-def expand_position(succ: _GameCache, sid: int, tid: int, intern) -> list[_Move]:
-    """Compute one game position's moves (spec responses interned via
-    *intern*).  Shared by the serial search and the sharded search's
-    local-expansion path."""
-    position_moves: list[_Move] = []
-    inputs, outputs, internals = succ.impl_moves(sid)
-
-    for port, value, s_next in inputs:
-        responses = tuple(
-            intern(s_next, t_next)
-            for t_next in succ.spec_input_responses(tid, port, value)
-        )
-        position_moves.append(
-            _Move(
-                "input", f"input {port}={value!r}", responses,
-                port=port, value=value, succ_sid=s_next,
-            )
-        )
-
-    for port, value, s_next in outputs:
-        responses = tuple(
-            intern(s_next, t_next)
-            for t_next in succ.spec_output_responses(tid, port, value)
-        )
-        position_moves.append(
-            _Move(
-                "output", f"output {port} emits {value!r}", responses,
-                port=port, value=value, succ_sid=s_next,
-            )
-        )
-
-    for s_next in internals:
-        responses = tuple(intern(s_next, t_next) for t_next in succ.closure(tid))
-        position_moves.append(
-            _Move("internal", "internal step", responses, succ_sid=s_next)
-        )
-    return position_moves
-
-
-def resolve_game(
-    succ: _GameCache,
-    pairs: list[tuple[int, int]],
-    moves: list,
-    index_of: dict[int, int],
-    *,
-    mint_witnesses: bool = True,
-) -> SimulationResult:
-    """Solve an explored simulation game and mint the certificate.
-
-    Shared by the serial search (which explores the arena in-process) and
-    the sharded search (which merges worker-expanded frontiers into the
-    same position/move tables before resolving).
-    """
-    impl, spec = succ.impl, succ.spec
-
-    # Backward worklist: a position falls when some move runs out of winning
-    # responses; only the dependants of a fallen position are revisited.
-    # Losses only ever originate from a move with an empty response set, so
-    # when no such base case exists every explored pair wins and the reverse
-    # dependency index is never built — the common (refinement-holds) path
-    # pays nothing for the propagation machinery.
-    good = [True] * len(pairs)
-    reason: list[_Move | None] = [None] * len(pairs)
-    lost: list[int] = []
-    for idx in range(len(pairs)):
-        for move in moves[idx] or ():
-            if not move.responses:
-                good[idx] = False
-                reason[idx] = move
-                lost.append(idx)
-                break
-
-    iterations = 0
-    if lost:
-        alive: list[list[int]] = [[] for _ in range(len(pairs))]
-        dependants: dict[int, list[tuple[int, int]]] = {}
-        for idx in range(len(pairs)):
-            counts = []
-            for move_idx, move in enumerate(moves[idx] or ()):
-                counts.append(len(move.responses))
-                for succ_idx in move.responses:
-                    dependants.setdefault(succ_idx, []).append((idx, move_idx))
-            alive[idx] = counts
-        while lost:
-            iterations += 1
-            fallen = lost.pop()
-            for idx, move_idx in dependants.get(fallen, ()):
-                if not good[idx]:
-                    continue
-                counts = alive[idx]
-                counts[move_idx] -= 1
-                if counts[move_idx] == 0:
-                    good[idx] = False
-                    reason[idx] = (moves[idx] or [])[move_idx]
-                    lost.append(idx)
-
-    for s0 in impl.init:
-        sid = succ.impl_id(s0)
-        winners = [
-            t0 for t0 in spec.init if good[index_of[(sid << 32) | succ.spec_id(t0)]]
-        ]
-        if not winners:
-            violation = _diagnose(succ, pairs, index_of, reason, s0, spec.init)
-            return SimulationResult(False, violation=violation)
-
-    impl_states = succ.impl_states
-    spec_states = succ.spec_states
-    relation = frozenset(
-        (impl_states[sid], spec_states[tid])
-        for idx, (sid, tid) in enumerate(pairs)
-        if good[idx]
+    game = _LocalGame(succ, limit)
+    exhausted = game.solve(
+        [succ.impl_id(s0) for s0 in impl_init], [succ.spec_id(t0) for t0 in spec_init]
     )
+    obs.count("refinement.game_positions", len(game.pairs))
+    if exhausted is not None:
+        return SimulationResult(False, violation=game.diagnose(exhausted))
+
+    pairs, lost = game.pairs, game.lost
+    impl_states, spec_states = succ.impl_states, succ.spec_states
     certificate = SimulationCertificate(
-        relation=relation,
+        relation=frozenset(
+            (impl_states[sid], spec_states[tid])
+            for idx, (sid, tid) in enumerate(pairs)
+            if not lost[idx]
+        ),
         impl_states=len({sid for sid, _ in pairs}),
         spec_states=len({tid for _, tid in pairs}),
-        iterations=iterations,
-        stimuli=dict(succ.stimuli),
+        iterations=game.iterations,
+        stimuli=dict(stimuli),
     )
     if mint_witnesses:
-        certificate.witnesses = _extract_witnesses(
-            succ, pairs, moves, good, index_of, certificate
-        )
+        certificate.witnesses = _extract_witnesses(game, certificate)
     return SimulationResult(True, certificate=certificate)
 
 
+def _move_detail(kind: int, port, value) -> str:
+    if kind == _KIND_INPUT:
+        return f"input {port}={value!r}"
+    if kind == _KIND_OUTPUT:
+        return f"output {port} emits {value!r}"
+    return "internal step"
+
+
+class _LocalGame:
+    """The weak-simulation game, explored and solved on the fly.
+
+    Positions are ``(impl id, spec id)`` pairs packed into one int key — ids
+    are dense and bounded by the position limit, so 32 bits per side is
+    ample.  An *expanded* position stores its implementation moves
+    ``(kind, port, value, impl successor id)``, each move's ordered spec
+    response candidates (:class:`_GameCache` order: the spec's own state
+    first for internal moves, the state right after the input for inputs)
+    and the index of the candidate currently chosen.  ``waiting[p]`` lists
+    the ``(owner, move)`` pairs whose choice points at position ``p``; an
+    owner ``~r`` (negative) is the *r*-th implementation initial state,
+    whose candidates are the spec initial states.
+
+    Invariant: every choice points at an unrefuted position.  Refuting a
+    position advances exactly its waiting choices, and a move with no
+    candidate left refutes its owner.  Refutation is monotone, so once the
+    pending positions run out, the unrefuted ones are all expanded and
+    closed under their choices — a weak simulation.
+    """
+
+    __slots__ = (
+        "succ", "limit", "index_of", "pairs", "lost", "reason", "moves",
+        "cands", "choice", "waiting", "pending", "refuted", "iterations",
+        "root_sid", "root_cands", "root_choice", "_moves_of",
+    )
+
+    def __init__(self, succ: _GameCache, limit: int):
+        self.succ = succ
+        self.limit = limit
+        self.index_of: dict[int, int] = {}
+        self.pairs: list[tuple[int, int]] = []
+        self.lost = bytearray()
+        self.reason: dict[int, int] = {}
+        self.moves: list[tuple | None] = []
+        self.cands: list[list[tuple[int, ...]] | None] = []
+        self.choice: list[list[int] | None] = []
+        self.waiting: list[list[tuple[int, int]]] = []
+        self.pending: list[int] = []
+        self.refuted: list[int] = []
+        self.iterations = 0
+        self.root_sid: list[int] = []
+        self.root_cands: list[tuple[int, ...]] = []
+        self.root_choice: list[int] = []
+        self._moves_of: dict[int, tuple] = {}
+
+    def position_moves(self, sid: int) -> tuple:
+        """The implementation moves of *sid*, inputs before outputs before
+        internals (memoised per state, shared by every position)."""
+        cached = self._moves_of.get(sid)
+        if cached is None:
+            inputs, outputs, internals = self.succ.impl_moves(sid)
+            cached = tuple(
+                [(_KIND_INPUT, port, value, s) for port, value, s in inputs]
+                + [(_KIND_OUTPUT, port, value, s) for port, value, s in outputs]
+                + [(_KIND_INTERNAL, None, None, s) for s in internals]
+            )
+            self._moves_of[sid] = cached
+        return cached
+
+    def choose(self, owner: int, move: int, s_next: int, cands: tuple, k: int) -> int:
+        """Point *move* of *owner* at its first unrefuted candidate from
+        index *k* on, interning it if new; returns the candidate index, or
+        -1 when every remaining candidate is refuted."""
+        index_of = self.index_of
+        base = s_next << 32
+        for k in range(k, len(cands)):
+            key = base | cands[k]
+            idx = index_of.get(key)
+            if idx is None:
+                idx = len(self.pairs)
+                if idx >= self.limit:
+                    raise SemanticsError(
+                        f"simulation game exceeded the limit of {self.limit} positions"
+                    )
+                index_of[key] = idx
+                self.pairs.append((s_next, cands[k]))
+                self.lost.append(0)
+                self.moves.append(None)
+                self.cands.append(None)
+                self.choice.append(None)
+                self.waiting.append([(owner, move)])
+                self.pending.append(idx)
+                return k
+            if not self.lost[idx]:
+                self.waiting[idx].append((owner, move))
+                return k
+        return -1
+
+    def solve(self, impl_init: list[int], spec_init: list[int]) -> int | None:
+        """Explore until every pending position is expanded; returns the
+        index of an implementation initial state left without any spec
+        initial state (the game is lost), or None (it is won)."""
+        spec_init = tuple(spec_init)
+        for r, sid in enumerate(impl_init):
+            self.root_sid.append(sid)
+            self.root_cands.append(spec_init)
+            self.root_choice.append(self.choose(~r, 0, sid, spec_init, 0))
+            if self.root_choice[r] < 0:
+                return r
+        succ = self.succ
+        candidates = (
+            succ.spec_input_responses,
+            succ.spec_output_responses,
+            lambda tid, port, value: succ.closure(tid),
+        )
+        pairs, pending = self.pairs, self.pending
+        choose = self.choose
+        while pending:
+            p = pending.pop()
+            tid = pairs[p][1]
+            moves = self.position_moves(pairs[p][0])
+            cand_lists: list[tuple[int, ...]] = []
+            choices: list[int] = []
+            self.moves[p], self.cands[p], self.choice[p] = moves, cand_lists, choices
+            for m, (kind, port, value, s_next) in enumerate(moves):
+                cands = candidates[kind](tid, port, value)
+                k = choose(p, m, s_next, cands, 0)
+                if k < 0:
+                    self.lost[p] = 1
+                    self.reason[p] = m
+                    self.refuted.append(p)
+                    exhausted = self._propagate()
+                    if exhausted is not None:
+                        return exhausted
+                    break
+                cand_lists.append(cands)
+                choices.append(k)
+        return None
+
+    def _propagate(self) -> int | None:
+        """Advance every choice that pointed at a refuted position; returns
+        an exhausted initial-state index, or None."""
+        lost, refuted, waiting = self.lost, self.refuted, self.waiting
+        choose = self.choose
+        while refuted:
+            p = refuted.pop()
+            self.iterations += 1
+            dependants, waiting[p] = waiting[p], []
+            for owner, m in dependants:
+                if owner < 0:
+                    r = ~owner
+                    k = choose(owner, 0, self.root_sid[r], self.root_cands[r],
+                               self.root_choice[r] + 1)
+                    if k < 0:
+                        return r
+                    self.root_choice[r] = k
+                elif not lost[owner]:
+                    choices = self.choice[owner]
+                    k = choose(owner, m, self.moves[owner][m][3],
+                               self.cands[owner][m], choices[m] + 1)
+                    if k < 0:
+                        lost[owner] = 1
+                        self.reason[owner] = m
+                        refuted.append(owner)
+                    else:
+                        choices[m] = k
+        return None
+
+    def chosen(self, idx: int, m: int) -> int:
+        """The spec id move *m* of position *idx* currently responds with."""
+        return self.cands[idx][m][self.choice[idx][m]]
+
+    def diagnose(self, r: int) -> Violation:
+        """Why implementation initial state *r* has no simulating spec state:
+        the move that refuted its first spec initial pairing."""
+        succ = self.succ
+        sid = self.root_sid[r]
+        if not self.root_cands[r]:
+            s0 = succ.impl_states[sid]
+            return Violation("init", s0, None, f"initial state {s0!r} is not simulated")
+        tid = self.root_cands[r][0]
+        idx = self.index_of[(sid << 32) | tid]
+        kind, port, value, _ = self.moves[idx][self.reason[idx]]
+        return Violation(
+            _KIND_NAMES[kind],
+            succ.impl_states[sid],
+            succ.spec_states[tid],
+            f"{_move_detail(kind, port, value)} has no winning spec response",
+        )
+
+
 def _extract_witnesses(
-    succ: _GameCache,
-    pairs: list[tuple[int, int]],
-    moves: list,
-    good: list[bool],
-    index_of: dict[int, int],
-    certificate: SimulationCertificate,
+    game: _LocalGame, certificate: SimulationCertificate
 ) -> ReplayWitnesses | None:
     """Record, per relation entry and canonical move, the response the game
-    actually used — the data :func:`recheck_certificate` replays in O(1)
-    per move.  Returns None when anything is off (the certificate then
-    simply rechecks through the exhaustive pass)."""
+    chose — the data :func:`recheck_certificate` replays in O(1) per move.
+    Returns None when anything is off (the certificate then simply rechecks
+    through the exhaustive pass)."""
+    succ = game.succ
     impl_states, spec_states, rows = certificate.canonical_parts()
     impl_sid_of = [succ.impl_id(s) for s in impl_states]
     spec_tid_of = [succ.spec_id(t) for t in spec_states]
@@ -977,51 +1023,44 @@ def _extract_witnesses(
 
     for i, j in rows:
         sid, tid = impl_sid_of[i], spec_tid_of[j]
-        idx = index_of.get((sid << 32) | tid)
+        idx = game.index_of.get((sid << 32) | tid)
         if idx is None:
             return None
-        canonical: dict[tuple, _Move] = {}
-        for move in moves[idx] or ():
-            succ_i = impl_canon_of_sid.get(move.succ_sid)
+        canonical: dict[tuple, int] = {}
+        for m, (kind, port, value, s_next) in enumerate(game.moves[idx]):
+            succ_i = impl_canon_of_sid.get(s_next)
             if succ_i is None:
                 return None
-            if move.kind == "input":
-                key = (_KIND_INPUT, str(move.port), state_bytes(move.value, bytes_memo), succ_i)
-            elif move.kind == "output":
-                key = (_KIND_OUTPUT, str(move.port), state_bytes(move.value, bytes_memo), succ_i)
+            if kind == _KIND_INTERNAL:
+                key = (kind, "", b"", succ_i)
             else:
-                key = (_KIND_INTERNAL, "", b"", succ_i)
-            canonical.setdefault(key, move)
+                key = (kind, str(port), state_bytes(value, bytes_memo), succ_i)
+            canonical.setdefault(key, m)
         row_witnesses: list[tuple[int, int, int]] = []
         for key in sorted(canonical):
-            move = canonical[key]
-            resp_tid = None
-            for response in move.responses:
-                if good[response]:
-                    resp_tid = pairs[response][1]
-                    break
-            if resp_tid is None:
-                return None
-            if move.kind == "input":
+            m = canonical[key]
+            kind, port, value, _ = game.moves[idx][m]
+            resp_tid = game.chosen(idx, m)
+            if kind == _KIND_INPUT:
                 witness = None
-                for mid in succ.spec_input_mids(tid, move.port, move.value):
+                for mid in succ.spec_input_mids(tid, port, value):
                     tids = succ.tau_path(mid, resp_tid)
                     if tids is not None:
                         witness = (_KIND_INPUT, intern_path(tids), 0)
                         break
                 if witness is None:
                     return None
-            elif move.kind == "output":
-                emap_key = (tid, move.port)
+            elif kind == _KIND_OUTPUT:
+                emap_key = (tid, port)
                 emap = emit_mids.get(emap_key)
                 if emap is None:
                     emap = {}
-                    fire = succ.spec.outputs[move.port].fire
+                    fire = succ.spec.outputs[port].fire
                     for mid in succ.closure(tid):
                         for spec_value, t_next in fire(succ.spec_states[mid]):
                             emap.setdefault((spec_value, succ.spec_id(t_next)), mid)
                     emit_mids[emap_key] = emap
-                mid = emap.get((move.value, resp_tid))
+                mid = emap.get((value, resp_tid))
                 if mid is None:
                     return None
                 tids = succ.tau_path(tid, mid)
@@ -1334,26 +1373,3 @@ def _exhaustive_recheck(
                     method="exhaustive",
                 )
     return SimulationResult(True, certificate=certificate, method="exhaustive")
-
-
-def _diagnose(
-    succ: _GameCache,
-    pairs: list[tuple[int, int]],
-    index_of: dict[int, int],
-    reason: list["_Move | None"],
-    s0: State,
-    spec_inits: frozenset[State],
-) -> Violation:
-    sid = succ.impl_id(s0)
-    for t0 in spec_inits:
-        idx = index_of[(sid << 32) | succ.spec_id(t0)]
-        move = reason[idx]
-        if move is not None:
-            pair_sid, pair_tid = pairs[idx]
-            return Violation(
-                move.kind,
-                succ.impl_states[pair_sid],
-                succ.spec_states[pair_tid],
-                f"{move.detail} has no winning spec response",
-            )
-    return Violation("init", s0, None, f"initial state {s0!r} is not simulated")

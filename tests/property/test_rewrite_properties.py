@@ -6,13 +6,21 @@ refines the original (bounded weak simulation).  Any unsound rewrite or
 any bug in matching/application/lifting shows up as a counterexample.
 """
 
-from hypothesis import given, settings
+import dataclasses
+
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.components import buffer, default_environment, fork, pure, sink
 from repro.core import ExprHigh
 from repro.core.semantics import denote
-from repro.refinement import refines, uniform_stimuli
+from repro.refinement import (
+    check_refinement_sat,
+    find_weak_simulation,
+    recheck_certificate,
+    refines,
+    uniform_stimuli,
+)
 from repro.rewriting.engine import RewriteEngine
 from repro.rewriting.rules.extra import buffer_elim
 from repro.rewriting.rules.pure_gen import fork_lift_pure, pure_compose
@@ -112,3 +120,43 @@ class TestTheorem46Fuzz:
         # Fixpoint: no rule matches the result any more.
         for rule in rules:
             assert engine.apply_once(result, rule) is None
+
+
+class TestLocalGameAgreesWithSat:
+    """The local game solver against the SAT oracle on Theorem-4.6 graphs.
+
+    The capacities are drawn independently, so a rewritten graph with more
+    buffering than its spec can fail, and both verdicts occur.  The SAT
+    oracle encodes the whole product-reachable arena, which bounds the
+    local solver's relation.
+    """
+
+    @seed(46)
+    @given(
+        elastic_graphs(),
+        st.lists(st.sampled_from(range(len(NORMALIZERS))), max_size=4),
+        st.integers(1, 2),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_verdict_certificate_and_size(self, graph, rule_choice, impl_cap, spec_cap):
+        env = default_environment(capacity=impl_cap)
+        rules = [NORMALIZERS[i]() for i in sorted(set(rule_choice))]
+        rewritten = RewriteEngine().apply_exhaustively(graph, rules, max_steps=64)
+        impl = denote(rewritten.lower(), env)
+        spec = denote(graph.lower(), env.with_capacity(spec_cap))
+        stimuli = uniform_stimuli(impl, (0,))
+
+        game = find_weak_simulation(impl, spec, stimuli)
+        sat = check_refinement_sat(impl, spec, stimuli)
+        assert sat.definitive
+        assert game.holds == sat.holds
+        if not game.holds:
+            return
+        certificate = game.certificate
+        assert len(certificate.relation) <= sat.pairs_explored
+        replayed = recheck_certificate(impl, spec, certificate, stimuli)
+        assert replayed.holds and replayed.method == "replay"
+        bare = dataclasses.replace(certificate, witnesses=None)
+        exhaustive = recheck_certificate(impl, spec, bare, stimuli)
+        assert exhaustive.holds and exhaustive.method == "exhaustive"
