@@ -413,26 +413,36 @@ class ExprHigh:
 
         input_names = {endpoint: IOPort(i) for i, endpoint in self.inputs.items()}
         output_names = {endpoint: IOPort(i) for i, endpoint in self.outputs.items()}
-
-        bases = []
-        for name in order:
-            spec = self.nodes[name]
-            in_map: dict[Port, Port] = {}
-            for idx, port in enumerate(spec.in_ports):
-                endpoint = Endpoint(name, port)
-                in_map[IOPort(idx)] = input_names.get(endpoint, InternalPort(name, port))
-            out_map: dict[Port, Port] = {}
-            for idx, port in enumerate(spec.out_ports):
-                endpoint = Endpoint(name, port)
-                out_map[IOPort(idx)] = output_names.get(endpoint, InternalPort(name, port))
-            encoded = encode_component(spec.typ, spec.param_dict())
-            bases.append(exprlow.Base(encoded, PortMap(in_map), PortMap(out_map)))
-
+        bases = [
+            lower_node(name, self.nodes[name], input_names, output_names) for name in order
+        ]
         connections = [
             (InternalPort(src.node, src.port), InternalPort(dst.node, dst.port))
             for dst, src in self.sorted_connections()
         ]
         return exprlow.build(bases, connections)
+
+
+def lower_node(
+    name: str,
+    spec: NodeSpec,
+    input_names: Mapping[Endpoint, IOPort],
+    output_names: Mapping[Endpoint, IOPort],
+) -> exprlow.Base:
+    """The base component a node lowers to.
+
+    Canonical port ``io:k`` maps to the external port the graph marks on
+    the node's k-th port (*input_names*/*output_names*), or else to the
+    internal name ``name.port``.
+    """
+    in_map: dict[Port, Port] = {}
+    for idx, port in enumerate(spec.in_ports):
+        in_map[IOPort(idx)] = input_names.get(Endpoint(name, port), InternalPort(name, port))
+    out_map: dict[Port, Port] = {}
+    for idx, port in enumerate(spec.out_ports):
+        out_map[IOPort(idx)] = output_names.get(Endpoint(name, port), InternalPort(name, port))
+    encoded = encode_component(spec.typ, spec.param_dict())
+    return exprlow.Base(encoded, PortMap(in_map), PortMap(out_map))
 
 
 def lift(expr: exprlow.ExprLow, specs: Mapping[str, NodeSpec] | None = None) -> ExprHigh:
@@ -449,17 +459,8 @@ def lift(expr: exprlow.ExprLow, specs: Mapping[str, NodeSpec] | None = None) -> 
 
     for index, base in enumerate(expr.bases()):
         name = _instance_name(base, index)
-        typ, params = decode_component(base.typ)
-        spec = specs.get(name) if specs else None
-        if spec is None:
-            spec = NodeSpec.make(
-                typ,
-                [f"in{i}" for i in range(len(base.inputs))],
-                [f"out{i}" for i in range(len(base.outputs))],
-                params,
-            )
-        else:
-            spec = NodeSpec.make(typ, spec.in_ports, spec.out_ports, params)
+        known = specs.get(name) if specs else None
+        spec = lifted_spec(base.typ, known, len(base.inputs), len(base.outputs))
         graph.add_node(name, spec)
         for idx in range(len(base.inputs)):
             target = base.inputs[IOPort(idx)]
@@ -489,6 +490,20 @@ def lift(expr: exprlow.ExprLow, specs: Mapping[str, NodeSpec] | None = None) -> 
         elif isinstance(port, IOPort) and port not in connected_inputs:
             graph.mark_input(port.index, endpoint.node, endpoint.port)
     return graph
+
+
+def lifted_spec(encoded: str, known: NodeSpec | None, n_in: int, n_out: int) -> NodeSpec:
+    """The spec :func:`lift` gives a base with component string *encoded*.
+
+    Type and parameters come from the string; port names from *known*
+    when given, else positionally ``in0..``/``out0..``.
+    """
+    typ, params = decode_component(encoded)
+    if known is None:
+        return NodeSpec.make(
+            typ, [f"in{i}" for i in range(n_in)], [f"out{i}" for i in range(n_out)], params
+        )
+    return NodeSpec.make(typ, known.in_ports, known.out_ports, params)
 
 
 def _instance_name(base: exprlow.Base, index: int) -> str:

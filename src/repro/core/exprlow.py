@@ -25,21 +25,38 @@ from .ports import InternalPort, Port, PortMap
 class ExprLow:
     """Base class for ExprLow expressions.  Immutable and hashable."""
 
+    def _walk(self) -> Iterator["ExprLow"]:
+        """Yield every subterm in pre-order, left to right.
+
+        Iterative, like the other whole-term traversals below, so a lowered
+        graph of thousands of nodes (a product fold and a connect chain each
+        as deep as the graph is large) does not hit the recursion limit.
+        """
+        stack: list[ExprLow] = [self]
+        while stack:
+            expr = stack.pop()
+            yield expr
+            stack.extend(reversed(expr._children()))
+
     def bases(self) -> Iterator["Base"]:
         """Yield every base component, left to right."""
-        raise NotImplementedError
+        for expr in self._walk():
+            if isinstance(expr, Base):
+                yield expr
 
     def connections(self) -> Iterator[tuple[Port, Port]]:
-        """Yield every ``(output, input)`` pair closed by a connect."""
-        raise NotImplementedError
+        """Yield every ``(output, input)`` pair closed by a connect, outermost first."""
+        for expr in self._walk():
+            if isinstance(expr, Connect):
+                yield (expr.output, expr.input)
 
     def dangling_inputs(self) -> frozenset[Port]:
         """Input ports not consumed by any connect — the graph's inputs."""
-        raise NotImplementedError
+        return _dangling(self, outputs=False)
 
     def dangling_outputs(self) -> frozenset[Port]:
         """Output ports not consumed by any connect — the graph's outputs."""
-        raise NotImplementedError
+        return _dangling(self, outputs=True)
 
     def substitute(self, lhs: "ExprLow", rhs: "ExprLow") -> "ExprLow":
         """The rewriting function ``e[lhs := rhs]`` of section 4.2.
@@ -84,18 +101,6 @@ class Base(ExprLow):
         if not self.typ:
             raise GraphError("base component requires a non-empty type name")
 
-    def bases(self) -> Iterator["Base"]:
-        yield self
-
-    def connections(self) -> Iterator[tuple[Port, Port]]:
-        return iter(())
-
-    def dangling_inputs(self) -> frozenset[Port]:
-        return self.inputs.targets()
-
-    def dangling_outputs(self) -> frozenset[Port]:
-        return self.outputs.targets()
-
     def _substitute_children(self, lhs: ExprLow, rhs: ExprLow) -> ExprLow:
         return self
 
@@ -127,28 +132,6 @@ class Product(ExprLow):
     left: ExprLow
     right: ExprLow
 
-    def bases(self) -> Iterator[Base]:
-        yield from self.left.bases()
-        yield from self.right.bases()
-
-    def connections(self) -> Iterator[tuple[Port, Port]]:
-        yield from self.left.connections()
-        yield from self.right.connections()
-
-    def dangling_inputs(self) -> frozenset[Port]:
-        left, right = self.left.dangling_inputs(), self.right.dangling_inputs()
-        overlap = left & right
-        if overlap:
-            raise GraphError(f"product input ports overlap: {sorted(map(str, overlap))}")
-        return left | right
-
-    def dangling_outputs(self) -> frozenset[Port]:
-        left, right = self.left.dangling_outputs(), self.right.dangling_outputs()
-        overlap = left & right
-        if overlap:
-            raise GraphError(f"product output ports overlap: {sorted(map(str, overlap))}")
-        return left | right
-
     def _substitute_children(self, lhs: ExprLow, rhs: ExprLow) -> ExprLow:
         return Product(self.left.substitute(lhs, rhs), self.right.substitute(lhs, rhs))
 
@@ -170,25 +153,6 @@ class Connect(ExprLow):
     input: Port
     expr: ExprLow
 
-    def bases(self) -> Iterator[Base]:
-        yield from self.expr.bases()
-
-    def connections(self) -> Iterator[tuple[Port, Port]]:
-        yield (self.output, self.input)
-        yield from self.expr.connections()
-
-    def dangling_inputs(self) -> frozenset[Port]:
-        inner = self.expr.dangling_inputs()
-        if self.input not in inner:
-            raise GraphError(f"connect input {self.input} is not a dangling input")
-        return inner - {self.input}
-
-    def dangling_outputs(self) -> frozenset[Port]:
-        inner = self.expr.dangling_outputs()
-        if self.output not in inner:
-            raise GraphError(f"connect output {self.output} is not a dangling output")
-        return inner - {self.output}
-
     def _substitute_children(self, lhs: ExprLow, rhs: ExprLow) -> ExprLow:
         return Connect(self.output, self.input, self.expr.substitute(lhs, rhs))
 
@@ -205,6 +169,46 @@ class Connect(ExprLow):
 
     def __str__(self) -> str:
         return f"connect({self.output} ⇝ {self.input}, {self.expr})"
+
+
+def _dangling(expr: ExprLow, outputs: bool) -> frozenset[Port]:
+    """The dangling input (or output) ports of *expr*, bottom-up.
+
+    Evaluates children before parents, left before right, so the first
+    violated check — a product whose sides share a port, or a connect
+    closing a port that is not dangling — is the one a structural recursion
+    would report.  Each intermediate set is consumed once, so sets are
+    updated in place and the whole pass is linear in the term's size.
+    """
+    kind = "output" if outputs else "input"
+    done: list[set[Port]] = []
+    stack: list[tuple[ExprLow, bool]] = [(expr, False)]
+    while stack:
+        node, ready = stack.pop()
+        if isinstance(node, Base):
+            done.append(set((node.outputs if outputs else node.inputs).targets()))
+        elif not ready:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(node._children()))
+        elif isinstance(node, Product):
+            right = done.pop()
+            left = done.pop()
+            if not left.isdisjoint(right):
+                overlap = left & right
+                raise GraphError(f"product {kind} ports overlap: {sorted(map(str, overlap))}")
+            if len(left) < len(right):
+                left, right = right, left
+            left |= right
+            done.append(left)
+        elif isinstance(node, Connect):
+            port = node.output if outputs else node.input
+            inner = done[-1]
+            if port not in inner:
+                raise GraphError(f"connect {kind} {port} is not a dangling {kind}")
+            inner.discard(port)
+        else:
+            raise GraphError(f"cannot compute dangling ports of {type(node).__name__}")
+    return frozenset(done[0])
 
 
 def product_fold(exprs: Sequence[ExprLow]) -> ExprLow:
@@ -313,24 +317,35 @@ def rename_ports(
     Used by the rewrite application to stitch a replacement subterm's
     interface ports onto the names the surrounding graph already uses.
     """
-    if isinstance(expr, Base):
-        return Base(
-            expr.typ,
-            PortMap({src: in_mapping.get(dst, dst) for src, dst in expr.inputs.items()}),
-            PortMap({src: out_mapping.get(dst, dst) for src, dst in expr.outputs.items()}),
-        )
-    if isinstance(expr, Product):
-        return Product(
-            rename_ports(expr.left, in_mapping, out_mapping),
-            rename_ports(expr.right, in_mapping, out_mapping),
-        )
-    if isinstance(expr, Connect):
-        return Connect(
-            out_mapping.get(expr.output, expr.output),
-            in_mapping.get(expr.input, expr.input),
-            rename_ports(expr.expr, in_mapping, out_mapping),
-        )
-    raise GraphError(f"cannot rename ports in {type(expr).__name__}")
+    done: list[ExprLow] = []
+    stack: list[tuple[ExprLow, bool]] = [(expr, False)]
+    while stack:
+        node, ready = stack.pop()
+        if isinstance(node, Base):
+            done.append(
+                Base(
+                    node.typ,
+                    PortMap({src: in_mapping.get(dst, dst) for src, dst in node.inputs.items()}),
+                    PortMap({src: out_mapping.get(dst, dst) for src, dst in node.outputs.items()}),
+                )
+            )
+        elif not isinstance(node, (Product, Connect)):
+            raise GraphError(f"cannot rename ports in {type(node).__name__}")
+        elif not ready:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(node._children()))
+        elif isinstance(node, Product):
+            right = done.pop()
+            done.append(Product(done.pop(), right))
+        else:
+            done.append(
+                Connect(
+                    out_mapping.get(node.output, node.output),
+                    in_mapping.get(node.input, node.input),
+                    done.pop(),
+                )
+            )
+    return done[0]
 
 
 def instance_names(expr: ExprLow) -> frozenset[str]:

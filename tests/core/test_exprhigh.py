@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.components import fork, join, mux, operator, sink
+from repro.components import buffer, fork, join, mux, operator, sink
 from repro.core.exprhigh import Endpoint, ExprHigh, NodeSpec, lift
 from repro.errors import GraphError
 
@@ -217,6 +217,21 @@ class TestLowerLift:
         assert set(twice.nodes) == set(once.nodes)
         assert twice.lower() == once.lower()
 
+
+    def test_long_chain_round_trips(self):
+        """Lowering and lifting are not bounded by the recursion limit."""
+        g = ExprHigh()
+        names = [f"b{i:04d}" for i in range(2000)]
+        for name in names:
+            g.add_node(name, buffer(slots=2))
+        for src, dst in zip(names, names[1:]):
+            g.connect(src, "out0", dst, "in0")
+        g.mark_input(0, names[0], "in0")
+        g.mark_output(0, names[-1], "out0")
+        lifted = lift(g.lower(), g.nodes)
+        assert list(lifted.nodes.items()) == list(g.nodes.items())
+        assert sorted(lifted.connections.items(), key=str) == sorted(g.connections.items(), key=str)
+        assert lifted.inputs == g.inputs and lifted.outputs == g.outputs
 
 class TestNodeSpec:
     def test_param_access(self):

@@ -13,6 +13,7 @@ from repro.core.exprlow import (
     instance_names,
     isolate,
     product_fold,
+    rename_ports,
 )
 from repro.core.ports import InternalPort, IOPort, PortMap, sequential_map
 from repro.errors import GraphError
@@ -174,3 +175,52 @@ class TestNames:
         expr = Product(inner, base("b"))
         assert expr.contains(inner)
         assert not expr.contains(base("q"))
+
+
+def chain_term(length):
+    """A lowered chain of *length* buffers: a product fold and a connect
+    chain each as deep as the chain is long."""
+    bases = [base(f"b{i}", typ="Buffer", n_out=1) for i in range(length)]
+    conns = [
+        (InternalPort(f"b{i}", "out0"), InternalPort(f"b{i + 1}", "in0")) for i in range(length - 1)
+    ]
+    return bases, conns, build(bases, conns)
+
+
+class TestDeepTerms:
+    """The whole-term traversals are iterative: a term far deeper than the
+    recursion limit keeps the order and the errors of the structural
+    definitions."""
+
+    LENGTH = 3000
+
+    def test_bases_and_connections_keep_their_order(self):
+        bases, conns, expr = chain_term(self.LENGTH)
+        assert list(expr.bases()) == bases
+        assert list(expr.connections()) == conns[::-1]  # outermost connect first
+        assert expr.size() == self.LENGTH
+
+    def test_dangling_ports_of_a_deep_term(self):
+        _, _, expr = chain_term(self.LENGTH)
+        check_well_formed(expr)
+        assert expr.dangling_inputs() == frozenset({InternalPort("b0", "in0")})
+        assert expr.dangling_outputs() == frozenset({InternalPort(f"b{self.LENGTH - 1}", "out0")})
+
+    def test_innermost_violation_is_reported(self):
+        bases, conns, _ = chain_term(self.LENGTH)
+        bad = (InternalPort("b0", "out0"), InternalPort("ghost", "in0"))
+        expr = build(bases, [bad] + conns)
+        with pytest.raises(GraphError, match="connect input ghost.in0 is not a dangling input"):
+            check_well_formed(expr)
+        overlapping = Product(build(bases, conns), base("b0", typ="Buffer", n_out=1))
+        with pytest.raises(GraphError, match=r"product input ports overlap: \['b0.in0'\]"):
+            overlapping.dangling_inputs()
+
+    def test_rename_ports_on_a_deep_term(self):
+        bases, conns, expr = chain_term(self.LENGTH)
+        last = InternalPort(f"b{self.LENGTH - 1}", "out0")
+        renamed = rename_ports(expr, {InternalPort("b0", "in0"): IOPort(0)}, {last: IOPort(0)})
+        assert renamed.dangling_inputs() == frozenset({IOPort(0)})
+        assert renamed.dangling_outputs() == frozenset({IOPort(0)})
+        assert list(renamed.connections()) == conns[::-1]
+        assert [b.typ for b in renamed.bases()] == [b.typ for b in bases]
