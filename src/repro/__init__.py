@@ -14,9 +14,9 @@ Quick tour::
     from repro import Session
 
     session = Session(jobs=4)          # parallel + cached execution
-    session.transform(graph, mark)     # the OoO pipeline
+    session.transform(graph=g, mark=m) # the OoO pipeline
     session.verify()                   # discharge every rewrite obligation
-    session.bench("matvec")            # the evaluation harness
+    session.bench(name="matvec")       # the evaluation harness
     print(session.report())            # Tables 2-3 + Figure 8
 
 :class:`Session` (see :mod:`repro.api`) is the facade over the lower-level
@@ -29,7 +29,7 @@ pieces, which remain importable::
     )
 
 (The deprecated ``repro.run_benchmark`` shim was removed in v1.5 — use
-``Session(...).bench(name)``; see the migration table in ``docs/api.md``.)
+``Session(...).bench(name=...)``; see the migration table in ``docs/api.md``.)
 
 See README.md for the architecture overview and examples/ for runnable
 walkthroughs.

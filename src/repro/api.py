@@ -8,11 +8,11 @@ is reachable through one object::
     from repro import Session
 
     session = Session(jobs=4)                 # parallel, cached
-    session.transform(graph, mark)            # the five-phase OoO pipeline
+    session.transform(graph=g, mark=m)        # the five-phase OoO pipeline
     session.verify()                          # discharge every obligation
     session.check_obligations()               # certified: recheck stored certificates
-    session.bench("matvec")                   # one benchmark, four flows
-    session.simulate(ck, stimuli=arrays)      # one kernel, one stimulus
+    session.bench(name="matvec")              # one benchmark, four flows
+    session.simulate(graph_or_kernel=ck, stimuli=arrays)  # one kernel, one stimulus
     print(session.report())                   # Tables 2-3 + Figure 8
     print(session.metrics().summary())        # one unified MetricsSnapshot
 
@@ -42,7 +42,6 @@ to per-rewrite matching and pool-worker subtrees.
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -60,37 +59,6 @@ from .rewriting.engine import EngineStats
 from .rewriting.pipeline import GraphitiPipeline, TransformResult
 from .rewriting.rules import VERIFY_FACTORY_SPECS, build_rewrite
 from .rewriting.saturate import SaturationBudget, SaturationStats
-
-
-def _positional_shim(method: str, args: tuple, names: Sequence[str], values: dict) -> None:
-    """Map deprecated positional arguments onto their keyword slots.
-
-    ``Session.transform/simulate/bench`` went keyword-only in v1.7 so that
-    call sites — the verification service's worker pool above all — are
-    unambiguous.  Positional use keeps working for one release with a
-    :class:`DeprecationWarning`; mixing a positional argument with its
-    keyword form is an error, exactly as Python itself would report it.
-    """
-    if not args:
-        return
-    if len(args) > len(names):
-        raise TypeError(
-            f"Session.{method}() takes at most {len(names)} positional "
-            f"argument{'s' if len(names) != 1 else ''} ({len(args)} given)"
-        )
-    warnings.warn(
-        f"positional arguments to Session.{method}() are deprecated and will "
-        f"be removed in the next release; pass "
-        f"{', '.join(f'{name}=...' for name in names[: len(args)])} as keywords",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    for name, value in zip(names, args):
-        if values.get(name) is not None:
-            raise TypeError(
-                f"Session.{method}() got multiple values for argument {name!r}"
-            )
-        values[name] = value
 
 
 class Session:
@@ -193,7 +161,7 @@ class Session:
 
     def transform(
         self,
-        *args,
+        *,
         graph: ExprHigh | None = None,
         mark=None,
         strategy: str = "fixpoint",
@@ -201,8 +169,8 @@ class Session:
     ) -> TransformResult:
         """Transform a marked loop: destructive fixpoint or saturation.
 
-        All arguments are keyword-only since v1.7 (positional *graph* and
-        *mark* still work for one release with a ``DeprecationWarning``).
+        All arguments are keyword-only (since v1.7; positional calls,
+        deprecated in v1.7, are a ``TypeError`` since v1.13).
 
         ``strategy="fixpoint"`` (the default) runs the five-phase
         out-of-order pipeline; ``strategy="saturate"`` runs the fixpoint
@@ -212,9 +180,6 @@ class Session:
         ``result.graph``.  *budget* bounds the exploration (see
         :class:`~repro.rewriting.saturate.SaturationBudget`).
         """
-        shim = {"graph": graph, "mark": mark}
-        _positional_shim("transform", args, ("graph", "mark"), shim)
-        graph, mark = shim["graph"], shim["mark"]
         if graph is None or mark is None:
             raise TypeError("Session.transform() requires graph= and mark=")
         self._require_open("transform")
@@ -349,9 +314,9 @@ SimulationCertificate` in the content-addressed result cache (compact
         """Cross-check rewrite obligations: SAT oracle vs simulation game.
 
         Every obligation instance is decided twice — by the
-        weak-simulation game solver and by the independent CNF encoding
-        plus DPLL solver (:mod:`repro.refinement.sat`) — and the verdicts
-        compared.  Returns one dict per spec, in spec order: ``rewrite``,
+        weak-simulation game solver and by the independent dual-Horn CNF
+        encoding plus propagation solver (:mod:`repro.refinement.sat`) —
+        and the verdicts compared.  Returns one dict per spec, in spec order: ``rewrite``,
         ``agreed``, ``holds`` (the game verdict), per-instance SAT
         statistics and ``detail`` (the disagreement message, when the two
         oracles definitively contradict).  *bound* caps the SAT encoder's
@@ -477,7 +442,7 @@ SimulationCertificate` in the content-addressed result cache (compact
 
     def simulate(
         self,
-        *args,
+        *,
         graph_or_kernel=None,
         stimuli=None,
         backend: str = "compiled",
@@ -491,9 +456,8 @@ SimulationCertificate` in the content-addressed result cache (compact
     ):
         """Cycle-simulate a circuit: the single simulation entry point.
 
-        All arguments are keyword-only since v1.7 (a positional
-        *graph_or_kernel* still works for one release with a
-        ``DeprecationWarning``).
+        All arguments are keyword-only (since v1.7; positional calls,
+        deprecated in v1.7, are a ``TypeError`` since v1.13).
 
         Parameters
         ----------
@@ -526,9 +490,6 @@ SimulationCertificate` in the content-addressed result cache (compact
         from .sim.compiled import BatchRun, compile_circuit
         from .sim.dispatch import BACKENDS, simulate_graph
 
-        shim = {"graph_or_kernel": graph_or_kernel}
-        _positional_shim("simulate", args, ("graph_or_kernel",), shim)
-        graph_or_kernel = shim["graph_or_kernel"]
         if graph_or_kernel is None:
             raise TypeError("Session.simulate() requires graph_or_kernel=")
         if stimuli is None:
@@ -598,19 +559,16 @@ SimulationCertificate` in the content-addressed result cache (compact
 
     def bench(
         self,
-        *args,
+        *,
         name: str | None = None,
         program=None,
         backend: str = "compiled",
     ) -> "BenchmarkResult":
         """Run one benchmark through all four flows.
 
-        All arguments are keyword-only since v1.7 (positional *name* and
-        *program* still work for one release with a ``DeprecationWarning``).
+        All arguments are keyword-only (since v1.7; positional calls,
+        deprecated in v1.7, are a ``TypeError`` since v1.13).
         """
-        shim = {"name": name, "program": program}
-        _positional_shim("bench", args, ("name", "program"), shim)
-        name, program = shim["name"], shim["program"]
         if name is None:
             raise TypeError("Session.bench() requires name=")
         return self.bench_many(

@@ -104,6 +104,14 @@ class OracleDisagreement(GraphitiError):
         super().__init__(message)
 
 
+class NotDualHornError(GraphitiError, ValueError):
+    """A clause handed to the SAT oracle's solver has two negative literals.
+
+    The refinement encoding is dual-Horn by construction (at most one
+    negative literal per clause), and the solver decides exactly that
+    class; anything else is a caller error, not a formula to search."""
+
+
 class SimulationError(GraphitiError):
     """The cycle-level simulator reached an invalid configuration."""
 

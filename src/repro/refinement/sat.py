@@ -2,14 +2,17 @@
 
 :func:`repro.refinement.simulation.find_weak_simulation` decides bounded
 refinement by *solving the simulation game* on the fly — optimistic
-response choices, revised as positions are refuted.  This module decides the same question by a
-different route: the existence of a weak simulation over the
-product-reachable arena is encoded as propositional satisfiability and
-handed to an in-tree DPLL solver with watched literals.  Agreement
+response choices, revised as positions are refuted.  This module decides
+the same question by a different route: the existence of a weak
+simulation over the product-reachable arena is encoded as propositional
+satisfiability and handed to an in-tree dual-Horn solver.  Agreement
 between two independently-implemented decision procedures is the point:
 :func:`cross_check_obligation` runs both on one rewrite obligation and
 raises :class:`~repro.errors.OracleDisagreement` if their *definitive*
-verdicts ever contradict.
+verdicts ever contradict.  The two share only the memoised successor
+enumeration (one :class:`_GameCache` per cross-check, over the same
+``denote`` semantics); the game's relation, choices and refutations
+never reach the encoder.
 
 **The encoding.**  One boolean variable ``r_p`` per product-reachable
 pair ``p = (impl state, spec state)``, read as "p is in the simulation
@@ -26,9 +29,10 @@ the initial pairs and is closed under the three simulation diagrams:
   response contributes the unit clause ``(¬r_p)``.
 
 Every clause has at most one negative literal (the formula is
-dual-Horn), so unit propagation alone mirrors the game's refutation of
-losing positions; the solver's true-first decision polarity makes the common
-(refinement-holds) instance propagate to a model almost decision-free.
+dual-Horn), so :func:`solve` decides it by propagation alone, in linear
+time: starting from all-true, a clause whose positive literals have all
+gone false forces its negative one — the game's refutation of a losing
+position.  The model it finds is the greatest one.
 
 **Soundness of the verdicts.**  Exploration stops after *bound* pairs.
 Pairs beyond the bound get a variable but no closure clauses — they are
@@ -57,13 +61,14 @@ from ..core.exprhigh import ExprHigh
 from ..core.module import Module, Value
 from ..core.ports import Port
 from ..core.semantics import denote
-from ..errors import OracleDisagreement
+from ..errors import NotDualHornError, OracleDisagreement
 from .checker import uniform_stimuli
 from .simulation import (
     SimulationResult,
     _GameCache,
     _interface_violation,
     _normalise_stimuli,
+    _successor_cache,
     find_weak_simulation,
 )
 
@@ -75,163 +80,118 @@ Stimuli = Mapping[Port, Iterable[Value]]
 DEFAULT_BOUND = 200_000
 
 
-# -- CNF + DPLL ---------------------------------------------------------------
+# -- dual-Horn CNF + propagation ---------------------------------------------
 
 
 class CnfFormula:
-    """A CNF formula in DIMACS convention: variables are positive ints,
-    a literal is ``±var``, a clause is a sequence of literals."""
+    """A dual-Horn CNF formula: variables are positive ints, and every
+    clause has at most one negative literal.
+
+    A clause is stored as ``(head, body)``: *head* is the variable of its
+    one negative literal (0 when it has none) and *body* the list of its
+    positive variables, so ``(h, [a, b])`` is ``(¬h ∨ a ∨ b)``.  Clauses
+    may share one body list; the solver never mutates it.
+    """
 
     def __init__(self) -> None:
         self.num_vars = 0
-        self.clauses: list[list[int]] = []
+        self.clauses: list[tuple[int, list[int]]] = []
 
     def new_var(self) -> int:
         self.num_vars += 1
         return self.num_vars
 
     def add_clause(self, literals: Iterable[int]) -> None:
-        clause = list(literals)
-        for lit in clause:
+        """Add a clause given as DIMACS literals (``±var``).
+
+        Raises :class:`ValueError` on a literal outside the variable range
+        and :class:`~repro.errors.NotDualHornError` on a clause with two
+        negative literals.
+        """
+        head = 0
+        body: list[int] = []
+        for lit in literals:
             if lit == 0 or abs(lit) > self.num_vars:
                 raise ValueError(f"literal {lit} outside variable range")
-        self.clauses.append(clause)
+            if lit > 0:
+                body.append(lit)
+            elif head and head != -lit:
+                raise NotDualHornError(
+                    f"clause has negative literals {-head} and {lit}; "
+                    "only dual-Horn clauses are supported"
+                )
+            else:
+                head = -lit
+        self.clauses.append((head, body))
+
+    def checked_body(self, body: list[int]) -> list[int]:
+        """Range-check a body list once, for clauses that will share it."""
+        if body and (min(body) < 1 or max(body) > self.num_vars):
+            bad = min(body) if min(body) < 1 else max(body)
+            raise ValueError(f"literal {bad} outside variable range")
+        return body
 
 
 @dataclass
 class SatResult:
-    """Outcome of :func:`solve`: a model (var → bool, 1-indexed) or UNSAT."""
+    """Outcome of :func:`solve`: a model (var → bool, 1-indexed) or UNSAT.
+
+    ``propagations`` counts the variables forced false."""
 
     satisfiable: bool
     model: list[bool] | None
-    decisions: int = 0
     propagations: int = 0
-    conflicts: int = 0
 
 
 def solve(formula: CnfFormula) -> SatResult:
-    """Decide *formula* by DPLL with two watched literals per clause.
+    """Decide the dual-Horn *formula* by Dowling–Gallier propagation.
 
-    Chronological backtracking, no clause learning — deliberately simple,
-    since the refinement encodings are dual-Horn and resolve almost
-    entirely by unit propagation.  Decisions assign **true first**: on a
-    dual-Horn formula every non-unit clause keeps a positive literal, so
-    the all-true direction is the one that models live in.
+    Every variable starts true, and each clause watches one body variable.
+    When a watched variable is forced false, the watch moves to a later
+    body variable of that clause that is still true; falsity is permanent,
+    so a watch never moves back and the whole run is linear in the formula
+    size.  A clause whose body is all false forces its head false, and a
+    clause without a head then makes the formula UNSAT.  No decision is
+    ever taken, so nothing is undone.
+
+    A variable is false in the returned model only if every model makes it
+    false: the model is the *greatest* one, the same one a true-first DPLL
+    search ends in.
     """
     n = formula.num_vars
-    assign = [0] * (n + 1)  # 0 unassigned / 1 true / -1 false
-    trail: list[int] = []
-    decisions = propagations = conflicts = 0
+    value = bytearray(b"\x01") * (n + 1)
+    value[0] = 0
+    clauses = formula.clauses
+    watches: list[list[int]] = [[] for _ in range(n + 1)]
+    watch_at = [0] * len(clauses)
+    queue: list[int] = []
+    for ci, (head, body) in enumerate(clauses):
+        if body:
+            watches[body[0]].append(ci)
+        elif not head:
+            return SatResult(False, None, len(queue))
+        elif value[head]:
+            value[head] = 0
+            queue.append(head)
 
-    # Clause lists are mutable: the two watched literals are kept at
-    # positions 0 and 1 and swapped into place as watches move.
-    clauses: list[list[int]] = []
-    watches: dict[int, list[int]] = {}
-    units: list[int] = []
-    for clause in formula.clauses:
-        if not clause:
-            return SatResult(False, None)
-        if len(clause) == 1:
-            units.append(clause[0])
-            continue
-        ci = len(clauses)
-        clauses.append(list(clause))
-        watches.setdefault(clause[0], []).append(ci)
-        watches.setdefault(clause[1], []).append(ci)
-
-    def value(lit: int) -> int:
-        v = assign[lit] if lit > 0 else -assign[-lit]
-        return v
-
-    def enqueue(lit: int) -> bool:
-        v = value(lit)
-        if v == 1:
-            return True
-        if v == -1:
-            return False
-        assign[abs(lit)] = 1 if lit > 0 else -1
-        trail.append(lit)
-        return True
-
-    qhead = 0
-
-    def propagate() -> bool:
-        """Drain the trail; returns False on conflict."""
-        nonlocal qhead, propagations
-        while qhead < len(trail):
-            lit = trail[qhead]
-            qhead += 1
-            propagations += 1
-            falsified = -lit
-            ws = watches.get(falsified)
-            if not ws:
-                continue
-            i = 0
-            while i < len(ws):
-                ci = ws[i]
-                clause = clauses[ci]
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
-                if value(clause[0]) == 1:
-                    i += 1
-                    continue
-                for k in range(2, len(clause)):
-                    if value(clause[k]) != -1:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        watches.setdefault(clause[1], []).append(ci)
-                        ws[i] = ws[-1]
-                        ws.pop()
-                        break
-                else:
-                    if not enqueue(clause[0]):
-                        return False
-                    i += 1
-        return True
-
-    for lit in units:
-        if not enqueue(lit):
-            return SatResult(False, None, decisions, propagations, conflicts + 1)
-    if not propagate():
-        return SatResult(False, None, decisions, propagations, conflicts + 1)
-
-    # Decision stack entries: [trail length at decision, decided var,
-    # flipped?].  search_from is a monotone low-water mark for the next
-    # unassigned variable, rewound on backtracking.
-    stack: list[list] = []
-    search_from = 1
-
-    while True:
-        var = 0
-        for v in range(search_from, n + 1):
-            if assign[v] == 0:
-                var = v
-                break
-        if var == 0:
-            model = [False] + [assign[v] == 1 for v in range(1, n + 1)]
-            return SatResult(True, model, decisions, propagations, conflicts)
-        search_from = var
-        decisions += 1
-        stack.append([len(trail), var, False])
-        enqueue(var)
-        while not propagate():
-            conflicts += 1
-            while stack and stack[-1][2]:
-                mark, dvar, _ = stack.pop()
-                for lit in trail[mark:]:
-                    assign[abs(lit)] = 0
-                del trail[mark:]
-                search_from = min(search_from, dvar)
-            if not stack:
-                return SatResult(False, None, decisions, propagations, conflicts)
-            frame = stack[-1]
-            mark, dvar, _ = frame
-            for lit in trail[mark:]:
-                assign[abs(lit)] = 0
-            del trail[mark:]
-            qhead = mark
-            search_from = min(search_from, dvar)
-            frame[2] = True
-            enqueue(-dvar)
+    propagations = len(queue)
+    while queue:
+        for ci in watches[queue.pop()]:
+            head, body = clauses[ci]
+            k = watch_at[ci] + 1
+            size = len(body)
+            while k < size and not value[body[k]]:
+                k += 1
+            if k < size:
+                watch_at[ci] = k
+                watches[body[k]].append(ci)
+            elif not head:
+                return SatResult(False, None, propagations)
+            elif value[head]:
+                value[head] = 0
+                propagations += 1
+                queue.append(head)
+    return SatResult(True, list(map(bool, value)), propagations)
 
 
 # -- the refinement encoding --------------------------------------------------
@@ -276,66 +236,80 @@ def encode_refinement(
     spec: Module,
     stimuli: Stimuli,
     bound: int = DEFAULT_BOUND,
-) -> tuple[CnfFormula, dict[tuple[int, int], int], int, bool]:
-    """Encode ``impl ⊑ spec`` (bounded by *stimuli*) as CNF.
+    *,
+    cache: _GameCache | None = None,
+) -> tuple[CnfFormula, list[tuple[int, int]], int, bool]:
+    """Encode ``impl ⊑ spec`` (bounded by *stimuli*) as dual-Horn CNF.
 
-    Returns ``(formula, var_of, explored, truncated)``: *var_of* maps
-    product pairs ``(impl id, spec id)`` — ids in a fresh
-    :class:`_GameCache` ordering — to DIMACS variables, *explored* counts
-    pairs whose closure clauses were emitted, and *truncated* is True when
-    the *bound* cut exploration short (see the module docstring for what
-    that does to verdict status).
+    Returns ``(formula, pairs, explored, truncated)``: variable ``v`` is
+    the product pair ``pairs[v - 1]`` ``(impl id, spec id)`` — ids in the
+    :class:`_GameCache` ordering, numbered breadth-first from the initial
+    pairs — *explored* counts pairs whose closure clauses were emitted,
+    and *truncated* is True when the *bound* cut exploration short (see
+    the module docstring for what that does to verdict status).
+
+    *cache* is a successor cache already built for exactly these modules
+    and stimuli (:func:`cross_check_obligation` shares one with the game
+    so that each module is fired once); by default a fresh one is used.
+    Only successor enumeration is shared: the encoding reads nothing of
+    the game's positions, choices or refutations.
     """
     stimuli = _normalise_stimuli(impl, stimuli)
-    cache = _GameCache(impl, spec, stimuli)
+    cache = _successor_cache(impl, spec, stimuli, cache)
     formula = CnfFormula()
-    var_of: dict[tuple[int, int], int] = {}
-    frontier: list[tuple[int, int]] = []
+    clauses = formula.clauses
+    pairs: list[tuple[int, int]] = []
+    # Per implementation successor id: spec id → variable.
+    rows: dict[int, dict[int, int]] = {}
+    # Clauses with the same successor and responses share one body list.
+    bodies: dict[tuple[int, tuple[int, ...]], list[int]] = {}
 
-    def var(sid: int, tid: int) -> int:
-        key = (sid, tid)
-        v = var_of.get(key)
-        if v is None:
-            v = formula.new_var()
-            var_of[key] = v
-            frontier.append(key)
-        return v
+    def body_of(s_next: int, responses: tuple[int, ...]) -> list[int]:
+        key = (s_next, responses)
+        body = bodies.get(key)
+        if body is None:
+            row = rows.get(s_next)
+            if row is None:
+                row = rows[s_next] = {}
+            body = list(map(row.get, responses))
+            if not all(body):
+                for k, tid in enumerate(responses):
+                    if body[k] is None:
+                        v = row.get(tid)
+                        if v is None:
+                            pairs.append((s_next, tid))
+                            v = row[tid] = len(pairs)
+                        body[k] = v
+                formula.num_vars = len(pairs)
+            body = bodies[key] = formula.checked_body(body)
+        return body
 
+    spec_init = tuple(cache.spec_id(t0) for t0 in sorted(spec.init, key=repr))
     for s0 in sorted(impl.init, key=repr):
-        sid = cache.impl_id(s0)
-        formula.add_clause(
-            [var(sid, cache.spec_id(t0)) for t0 in sorted(spec.init, key=repr)]
-        )
+        clauses.append((0, body_of(cache.impl_id(s0), spec_init)))
 
-    explored: set[tuple[int, int]] = set()
+    impl_moves = cache.impl_moves
+    input_responses = cache.spec_input_responses
+    output_responses = cache.spec_output_responses
+    closure = cache.closure
     truncated = False
-    head = 0
-    while head < len(frontier):
-        pair = frontier[head]
-        head += 1
-        if pair in explored:
-            continue
-        if len(explored) >= bound:
+    explored = 0
+    while explored < len(pairs):
+        if explored >= bound:
             truncated = True
             break
-        explored.add(pair)
-        sid, tid = pair
-        p = var_of[pair]
-        inputs, outputs, internals = cache.impl_moves(sid)
+        sid, tid = pairs[explored]
+        explored += 1
+        p = explored
+        inputs, outputs, internals = impl_moves(sid)
         for port, value, s_next in inputs:
-            formula.add_clause(
-                [-p]
-                + [var(s_next, t) for t in cache.spec_input_responses(tid, port, value)]
-            )
+            clauses.append((p, body_of(s_next, input_responses(tid, port, value))))
         for port, value, s_next in outputs:
-            formula.add_clause(
-                [-p]
-                + [var(s_next, t) for t in cache.spec_output_responses(tid, port, value)]
-            )
+            clauses.append((p, body_of(s_next, output_responses(tid, port, value))))
         for s_next in internals:
-            formula.add_clause([-p] + [var(s_next, t) for t in cache.closure(tid)])
+            clauses.append((p, body_of(s_next, closure(tid))))
 
-    return formula, var_of, len(explored), truncated
+    return formula, pairs, explored, truncated
 
 
 def check_refinement_sat(
@@ -343,8 +317,12 @@ def check_refinement_sat(
     spec: Module,
     stimuli: Stimuli,
     bound: int = DEFAULT_BOUND,
+    *,
+    cache: _GameCache | None = None,
 ) -> SatVerdict:
-    """Decide ``impl ⊑ spec`` through the CNF encoding and DPLL solver."""
+    """Decide ``impl ⊑ spec`` through the dual-Horn encoding and solver.
+
+    *cache* is passed on to :func:`encode_refinement`."""
     interface = _interface_violation(impl, spec)
     if interface is not None:
         return SatVerdict(
@@ -356,8 +334,8 @@ def check_refinement_sat(
             detail=str(interface),
         )
     with obs.span("refine:sat") as sp:
-        formula, var_of, explored, truncated = encode_refinement(
-            impl, spec, stimuli, bound
+        formula, pairs, explored, truncated = encode_refinement(
+            impl, spec, stimuli, bound, cache=cache
         )
         result = solve(formula)
         sp.set(
@@ -370,7 +348,8 @@ def check_refinement_sat(
     obs.count("refinement.sat_checks")
     relation_size = None
     if result.satisfiable and result.model is not None:
-        relation_size = sum(1 for v in var_of.values() if result.model[v])
+        # Every variable is a pair variable, so the relation is the model.
+        relation_size = result.model.count(True)
     return SatVerdict(
         holds=result.satisfiable,
         complete=not truncated,
@@ -378,11 +357,7 @@ def check_refinement_sat(
         variables=formula.num_vars,
         clauses=len(formula.clauses),
         relation_size=relation_size,
-        stats={
-            "decisions": result.decisions,
-            "propagations": result.propagations,
-            "conflicts": result.conflicts,
-        },
+        stats={"propagations": result.propagations},
     )
 
 
@@ -448,13 +423,19 @@ def cross_check_obligation(
     spec = denote(lhs.lower(), env.with_capacity(spec_capacity))
     if stimuli is None:
         stimuli = uniform_stimuli(impl, values)
+    # One successor cache serves both procedures, so each module is fired
+    # once per state; with mismatched interfaces both return early.
+    cache = None
+    if _interface_violation(impl, spec) is None:
+        stimuli = _normalise_stimuli(impl, stimuli)
+        cache = _GameCache(impl, spec, stimuli)
 
     # The certificate only ever serves as the disagreement witness, so
     # skip minting replay witnesses.
     game: SimulationResult = find_weak_simulation(
-        impl, spec, stimuli, mint_witnesses=False
+        impl, spec, stimuli, mint_witnesses=False, cache=cache
     )
-    verdict = check_refinement_sat(impl, spec, stimuli, bound=bound)
+    verdict = check_refinement_sat(impl, spec, stimuli, bound=bound, cache=cache)
     obs.count("refinement.sat_cross_checks")
 
     if verdict.definitive and verdict.holds != game.holds:

@@ -723,6 +723,18 @@ def _normalise_stimuli(impl: Module, stimuli: Stimuli) -> dict[Port, tuple]:
     return {port: normalised[port] for port in sorted(normalised, key=str)}
 
 
+def _successor_cache(
+    impl: Module, spec: Module, stimuli: dict[Port, tuple], cache: _GameCache | None
+) -> _GameCache:
+    """*cache* once checked to be built for these modules and normalised
+    stimuli, or a fresh cache when it is None."""
+    if cache is None:
+        return _GameCache(impl, spec, stimuli)
+    if cache.impl is not impl or cache.spec is not spec or cache.stimuli != stimuli:
+        raise ValueError("the successor cache was built for other modules or stimuli")
+    return cache
+
+
 def find_weak_simulation(
     impl: Module,
     spec: Module,
@@ -730,6 +742,7 @@ def find_weak_simulation(
     limit: int = 500_000,
     *,
     mint_witnesses: bool = True,
+    cache: _GameCache | None = None,
 ) -> SimulationResult:
     """Decide ``impl ⊑ spec`` on the bounded instance given by *stimuli*.
 
@@ -750,12 +763,16 @@ def find_weak_simulation(
     chosen response) unless *mint_witnesses* is False; see
     :class:`ReplayWitnesses`.  Raises :class:`SemanticsError` when more
     than *limit* positions are explored.
+
+    *cache* is a successor cache already built for exactly these modules
+    and stimuli, which the SAT cross-check shares with its encoder; by
+    default a fresh one is used.
     """
     interface = _interface_violation(impl, spec)
     if interface is not None:
         return SimulationResult(False, violation=interface)
     stimuli = _normalise_stimuli(impl, stimuli)
-    succ = _GameCache(impl, spec, stimuli)
+    succ = _successor_cache(impl, spec, stimuli, cache)
     memo: dict = {}
     impl_init = sorted(impl.init, key=lambda s: state_bytes(s, memo))
     spec_init = sorted(spec.init, key=lambda t: state_bytes(t, memo))

@@ -70,11 +70,11 @@ class TestSessionCaching:
         assert warm.metrics().hits == len(FLOWS)
 
     def test_program_edit_invalidates_cache(self, tmp_path):
-        Session(cache_dir=tmp_path).bench("matvec", program=matvec(5))
+        Session(cache_dir=tmp_path).bench(name="matvec", program=matvec(5))
         edited = matvec(5)
         edited.arrays["x"][0] += 1.0
         session = Session(cache_dir=tmp_path)
-        session.bench("matvec", program=edited)
+        session.bench(name="matvec", program=edited)
         assert session.metrics().executed == len(FLOWS)
 
     def test_verify_is_cached(self, tmp_path):
@@ -108,7 +108,7 @@ class TestSessionTransform:
         compiled = compile_program(program, default_environment())
         ck = compiled.kernels[0]
         session = Session(use_cache=False)
-        result = session.transform(ck.graph, ck.mark)
+        result = session.transform(graph=ck.graph, mark=ck.mark)
         assert result.transformed
         assert "Tagger" in {spec.typ for spec in result.graph.nodes.values()}
 
@@ -203,7 +203,7 @@ class TestResultProtocol:
     def test_transform_result_protocol(self):
         program = gcd_program()
         ck = compile_program(program, default_environment()).kernels[0]
-        result = Session(use_cache=False).transform(ck.graph, ck.mark)
+        result = Session(use_cache=False).transform(graph=ck.graph, mark=ck.mark)
         data = as_dict(result)
         assert data["kind"] == "TransformResult" and data["transformed"]
         assert "rewrites" in summarize(result)
@@ -221,7 +221,7 @@ class TestResultProtocol:
         assert "refinement holds [search]" in summarize(report)
 
     def test_benchmark_result_protocol(self):
-        result = Session(use_cache=False).bench("matvec", program=matvec(4))
+        result = Session(use_cache=False).bench(name="matvec", program=matvec(4))
         data = as_dict(result)
         assert data["kind"] == "BenchmarkResult"
         assert set(data["flows"]) == set(FLOWS)
@@ -234,7 +234,7 @@ class TestResultProtocol:
 class TestUnifiedMetrics:
     def test_snapshot_sections_and_protocol(self, tmp_path):
         session = Session(cache_dir=tmp_path)
-        session.bench("matvec", program=matvec(4))
+        session.bench(name="matvec", program=matvec(4))
         snapshot = session.metrics()
         data = as_dict(snapshot)
         assert data["kind"] == "MetricsSnapshot"
@@ -246,7 +246,7 @@ class TestUnifiedMetrics:
         program = gcd_program()
         ck = compile_program(program, default_environment()).kernels[0]
         session = Session(use_cache=False)
-        result = session.transform(ck.graph, ck.mark)
+        result = session.transform(graph=ck.graph, mark=ck.mark)
         snapshot = session.metrics()
         assert snapshot.rewrites_applied == result.rewrites_applied
         assert snapshot.per_rewrite  # per-rewrite breakdown is populated
@@ -283,7 +283,7 @@ class TestSessionSimulate:
 
     def test_single_stimulus_returns_stats(self):
         program, ck, session = self.make()
-        stats = session.simulate(ck, stimuli=program.arrays)
+        stats = session.simulate(graph_or_kernel=ck, stimuli=program.arrays)
         assert stats.cycles > 0
         assert stats.results_collected == 4
         assert stats.channel_peaks  # populated on success
@@ -295,10 +295,10 @@ class TestSessionSimulate:
             return {k: v.copy() for k, v in program.arrays.items()}
 
         compiled_runs = session.simulate(
-            ck, stimuli=[fresh(), fresh()], backend="compiled"
+            graph_or_kernel=ck, stimuli=[fresh(), fresh()], backend="compiled"
         )
         interp_runs = session.simulate(
-            ck, stimuli=[fresh(), fresh()], backend="interp"
+            graph_or_kernel=ck, stimuli=[fresh(), fresh()], backend="interp"
         )
         assert [s.cycles for s in compiled_runs] == [s.cycles for s in interp_runs]
         assert [s.channel_peaks for s in compiled_runs] == [
@@ -308,13 +308,13 @@ class TestSessionSimulate:
     def test_bare_graph_requires_kernel(self):
         program, ck, session = self.make()
         with pytest.raises(ValueError, match="kernel"):
-            session.simulate(ck.graph, stimuli=program.arrays)
+            session.simulate(graph_or_kernel=ck.graph, stimuli=program.arrays)
         stats = session.simulate(
-            ck.graph, kernel=ck.kernel, stimuli=program.arrays
+            graph_or_kernel=ck.graph, kernel=ck.kernel, stimuli=program.arrays
         )
         assert stats.cycles > 0
 
     def test_unknown_backend_rejected(self):
         program, ck, session = self.make()
         with pytest.raises(ValueError, match="unknown simulation backend"):
-            session.simulate(ck, stimuli=program.arrays, backend="bogus")
+            session.simulate(graph_or_kernel=ck, stimuli=program.arrays, backend="bogus")

@@ -46,7 +46,7 @@ def transform_under_trace(tracer):
     program = gcd_program()
     ck = compile_program(program, default_environment()).kernels[0]
     session = Session(use_cache=False)
-    result = session.transform(ck.graph, ck.mark)
+    result = session.transform(graph=ck.graph, mark=ck.mark)
     assert result.transformed
     return session, result
 

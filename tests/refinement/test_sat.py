@@ -1,9 +1,11 @@
-"""The SAT oracle: DPLL solver correctness and oracle/game agreement.
+"""The SAT oracle: dual-Horn solver correctness and oracle/game agreement.
 
-Two layers: the watched-literal DPLL solver is checked against brute
-force on small random formulas, and the refinement encoding is checked
-against the weak-simulation game on every library-rule obligation —
-including the two rules whose obligations genuinely fail.
+Three layers: the dual-Horn propagator is checked against brute force on
+small random formulas, the refinement encoding is checked against the
+weak-simulation game on every library-rule obligation — including the
+two rules whose obligations genuinely fail — and the cross-check, which
+shares one successor cache between the two procedures, is checked to
+decide exactly what each procedure decides on its own.
 """
 
 import itertools
@@ -11,6 +13,10 @@ import random
 
 import pytest
 
+from repro.core.semantics import denote
+from repro.errors import NotDualHornError
+from repro.refinement import sat
+from repro.refinement.checker import uniform_stimuli
 from repro.refinement.sat import (
     DEFAULT_BOUND,
     CnfFormula,
@@ -20,6 +26,7 @@ from repro.refinement.sat import (
     encode_refinement,
     solve,
 )
+from repro.refinement.simulation import _GameCache, _normalise_stimuli, find_weak_simulation
 from repro.rewriting.rules import VERIFY_FACTORY_SPECS, build_rewrite
 
 
@@ -38,7 +45,7 @@ def satisfies(model, clauses):
     )
 
 
-# -- the DPLL solver ----------------------------------------------------------
+# -- the dual-Horn solver -------------------------------------------------------
 
 
 def test_empty_formula_is_sat():
@@ -61,12 +68,22 @@ def test_model_satisfies_every_clause():
     assert satisfies(result.model, clauses)
 
 
-def test_unsat_needs_backtracking():
-    # every assignment to (a, c) conflicts; the solver must flip decisions
-    clauses = [[1, 2], [1, -2], [-1, 3], [-1, -3]]
-    result = solve(formula_of(3, clauses))
-    assert not result.satisfiable
-    assert result.conflicts >= 1
+def test_unsat_only_through_a_chain_of_propagations():
+    # (¬1) forces 1 false, which empties the body of (¬2 ∨ 1), and so on
+    # along the chain until the headless clause (5 ∨ 6) has no true
+    # literal left; 6 falls only once both 4 and 5 have.  Clause order is
+    # shuffled so the chain does not follow it.
+    clauses = [[1, -2], [2, -3], [-4, 3], [-5, 4], [-6, 4, 5], [5, 6], [-1]]
+    for seed in range(5):
+        random.Random(seed).shuffle(clauses)
+        result = solve(formula_of(6, clauses))
+        assert not result.satisfiable
+        assert result.model is None
+    # without the final headless clause the chain ends in a model
+    result = solve(formula_of(6, [c for c in clauses if c != [5, 6]]))
+    assert result.satisfiable
+    assert result.model == [False] * 7
+    assert result.propagations == 6
 
 
 def test_out_of_range_literal_rejected():
@@ -75,31 +92,55 @@ def test_out_of_range_literal_rejected():
         f.add_clause([3])
     with pytest.raises(ValueError, match="outside variable range"):
         f.add_clause([0])
+    with pytest.raises(ValueError, match="outside variable range"):
+        f.add_clause([1, -3])
+    with pytest.raises(ValueError, match="outside variable range"):
+        f.checked_body([1, 3])
+    with pytest.raises(ValueError, match="outside variable range"):
+        f.checked_body([0, 2])
+    assert f.checked_body([2, 1]) == [2, 1]
+    assert f.clauses == []
 
 
-def brute_force_sat(num_vars, clauses):
+def test_two_negative_literals_rejected():
+    f = formula_of(3, [[-1, 2, -1]])  # one negative literal, repeated
+    assert f.clauses == [(1, [2])]
+    with pytest.raises(NotDualHornError, match="dual-Horn"):
+        f.add_clause([1, -2, -3])
+    with pytest.raises(ValueError):  # the typed error is still a ValueError
+        f.add_clause([-2, -3])
+    assert len(f.clauses) == 1
+
+
+def brute_force_models(num_vars, clauses):
     for bits in itertools.product((False, True), repeat=num_vars):
         model = (False,) + bits
         if satisfies(model, clauses):
-            return True
-    return False
+            yield model
 
 
-def test_solver_agrees_with_brute_force_on_random_formulas():
+def test_solver_finds_the_greatest_model_of_random_dual_horn_formulas():
     rng = random.Random(0)
-    for _ in range(150):
+    unsat = 0
+    for _ in range(300):
         num_vars = rng.randint(1, 8)
-        clauses = [
-            [
-                rng.choice((1, -1)) * rng.randint(1, num_vars)
-                for _ in range(rng.randint(1, 3))
-            ]
-            for _ in range(rng.randint(1, 14))
-        ]
+        clauses = []
+        for _ in range(rng.randint(1, 14)):
+            clause = [rng.randint(1, num_vars) for _ in range(rng.randint(0, 3))]
+            if rng.random() < 0.7:  # the one negative literal, anywhere
+                clause.insert(rng.randint(0, len(clause)), -rng.randint(1, num_vars))
+            clauses.append(clause)
         result = solve(formula_of(num_vars, clauses))
-        assert result.satisfiable == brute_force_sat(num_vars, clauses), clauses
-        if result.satisfiable:
-            assert satisfies(result.model, clauses), clauses
+        models = list(brute_force_models(num_vars, clauses))
+        assert result.satisfiable == bool(models), clauses
+        if not models:
+            unsat += 1
+            continue
+        # dual-Horn models are closed under union, so the greatest one is
+        # the union of all of them
+        greatest = [any(model[v] for model in models) for v in range(num_vars + 1)]
+        assert result.model == greatest, clauses
+    assert 0 < unsat < 300
 
 
 # -- the refinement encoding --------------------------------------------------
@@ -148,11 +189,14 @@ def test_encoding_is_dual_horn():
     lhs, rhs, env, stimuli = obligations_of("mux_combine")[0]
     impl = denote(rhs.lower(), env)
     spec = denote(lhs.lower(), env.with_capacity(4))
-    formula, var_of, explored, truncated = encode_refinement(impl, spec, stimuli)
+    formula, pairs, explored, truncated = encode_refinement(impl, spec, stimuli)
     assert not truncated
-    assert explored == len(var_of) > 0
-    for clause in formula.clauses:
-        assert sum(1 for lit in clause if lit < 0) <= 1
+    assert explored == len(pairs) == formula.num_vars > 0
+    assert len(set(pairs)) == len(pairs)
+    # (head, body): at most one negative literal, the rest positive
+    for head, body in formula.clauses:
+        assert 0 <= head <= formula.num_vars
+        assert all(1 <= v <= formula.num_vars for v in body)
 
 
 def test_sat_oracle_agrees_with_game_on_every_library_obligation():
@@ -187,3 +231,74 @@ def test_default_bound_covers_every_library_obligation():
             assert verdict.definitive
             largest = max(largest, verdict.pairs_explored)
     assert largest * 2 < DEFAULT_BOUND
+
+
+# -- one successor cache per cross-check ---------------------------------------
+
+
+def library_obligations():
+    for spec in VERIFY_FACTORY_SPECS:
+        rewrite = build_rewrite(*spec)
+        if rewrite.obligation is not None:
+            for index, obligation in enumerate(rewrite.obligation()):
+                yield f"{rewrite.name}[{index}]", obligation
+
+
+def game_outcome(result):
+    if result.holds:
+        return result.certificate.content_hash()
+    return result.violation
+
+
+def sat_fields(verdict):
+    return (
+        verdict.holds,
+        verdict.complete,
+        verdict.definitive,
+        verdict.pairs_explored,
+        verdict.variables,
+        verdict.clauses,
+        verdict.relation_size,
+    )
+
+
+@pytest.mark.parametrize("bound", [10, 100, 1_000, DEFAULT_BOUND])
+def test_shared_cache_changes_no_verdict(monkeypatch, bound):
+    games = []
+
+    def recording_game(*args, **kwargs):
+        assert kwargs["cache"] is not None
+        games.append(find_weak_simulation(*args, **kwargs))
+        return games[-1]
+
+    monkeypatch.setattr(sat, "find_weak_simulation", recording_game)
+    checked = 0
+    for name, (lhs, rhs, env, stimuli) in library_obligations():
+        impl = denote(rhs.lower(), env)
+        spec = denote(lhs.lower(), env.with_capacity(4))
+        report = cross_check_obligation(lhs, rhs, env, stimuli, bound=bound)
+        alone = check_refinement_sat(impl, spec, stimuli, bound=bound)
+        assert sat_fields(report.sat) == sat_fields(alone), name
+        game = find_weak_simulation(impl, spec, stimuli, mint_witnesses=False)
+        assert game_outcome(games[-1]) == game_outcome(game), name
+        assert report.game_holds == game.holds, name
+        checked += 1
+    assert checked == len(games) == 19
+
+
+def test_a_cache_for_other_modules_is_refused():
+    lhs, rhs, env, stimuli = obligations_of("mux_combine")[0]
+    impl = denote(rhs.lower(), env)
+    spec = denote(lhs.lower(), env.with_capacity(4))
+    normalised = _normalise_stimuli(impl, stimuli)
+    cache = _GameCache(impl, spec, normalised)
+    assert encode_refinement(impl, spec, stimuli, cache=cache)[2] > 0
+    for wrong in (
+        _GameCache(spec, impl, normalised),
+        _GameCache(impl, denote(lhs.lower(), env.with_capacity(4)), normalised),
+        _GameCache(impl, spec, uniform_stimuli(impl, (0,))),
+    ):
+        with pytest.raises(ValueError, match="successor cache"):
+            encode_refinement(impl, spec, stimuli, cache=wrong)
+        with pytest.raises(ValueError, match="successor cache"):
+            find_weak_simulation(impl, spec, stimuli, cache=wrong)

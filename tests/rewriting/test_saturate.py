@@ -310,7 +310,7 @@ class TestSessionSurface:
 
         session = Session(use_cache=False)
         ck = compile_program(gcd_program(), session.env).kernels[0]
-        result = session.transform(ck.graph, ck.mark, strategy="saturate")
+        result = session.transform(graph=ck.graph, mark=ck.mark, strategy="saturate")
         assert result.strategy == "saturate" and len(result.pareto) >= 2
         snapshot = session.metrics()
         assert snapshot.saturation["states"] > 0
@@ -324,4 +324,4 @@ class TestSessionSurface:
         session = Session(use_cache=False)
         ck = compile_program(gcd_program(), session.env).kernels[0]
         with pytest.raises(RewriteError, match="unknown strategy"):
-            session.transform(ck.graph, ck.mark, strategy="nope")
+            session.transform(graph=ck.graph, mark=ck.mark, strategy="nope")

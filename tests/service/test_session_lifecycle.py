@@ -1,4 +1,4 @@
-"""Session lifecycle (close / context manager) and the keyword-only shim."""
+"""Session lifecycle (close / context manager) and keyword-only dispatch."""
 
 import pytest
 
@@ -57,34 +57,30 @@ def test_metrics_still_readable_after_close():
     assert session.metrics().units >= 1  # inspection is not work dispatch
 
 
-# -- the positional deprecation shim -----------------------------------------
+# -- keyword-only dispatch ----------------------------------------------------
 
 
-def test_positional_transform_warns_and_works():
+def test_positional_transform_is_a_typeerror():
     with Session(use_cache=False) as session:
         ck = _compiled(session)
-        with pytest.warns(DeprecationWarning, match="graph=.*mark="):
-            legacy = session.transform(ck.graph, ck.mark)
-        modern = session.transform(graph=ck.graph, mark=ck.mark)
-    assert legacy.to_dict() == modern.to_dict()
+        with pytest.raises(TypeError, match="positional"):
+            session.transform(ck.graph, ck.mark)
+        assert session.transform(graph=ck.graph, mark=ck.mark).transformed
 
 
-def test_positional_simulate_warns_and_works():
+def test_positional_simulate_is_a_typeerror():
     program = matvec(4)
     with Session(use_cache=False) as session:
         ck = _compiled(session)
-        with pytest.warns(DeprecationWarning, match="graph_or_kernel="):
-            legacy = session.simulate(ck, stimuli=program.arrays)
-        modern = session.simulate(graph_or_kernel=ck, stimuli=program.arrays)
-    assert legacy.to_dict() == modern.to_dict()
+        with pytest.raises(TypeError, match="positional"):
+            session.simulate(ck, stimuli=program.arrays)
+        assert session.simulate(graph_or_kernel=ck, stimuli=program.arrays).cycles > 0
 
 
-def test_positional_bench_warns_and_works():
+def test_positional_bench_is_a_typeerror():
     with Session(use_cache=False) as session:
-        with pytest.warns(DeprecationWarning, match="name="):
-            legacy = session.bench("matvec")
-        modern = session.bench(name="matvec")
-    assert legacy.to_dict() == modern.to_dict()
+        with pytest.raises(TypeError, match="positional"):
+            session.bench("matvec")
 
 
 def test_keyword_calls_do_not_warn(recwarn):
@@ -100,9 +96,8 @@ def test_keyword_calls_do_not_warn(recwarn):
 def test_mixing_positional_and_keyword_is_an_error():
     with Session(use_cache=False) as session:
         ck = _compiled(session)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="multiple values"):
-                session.transform(ck.graph, graph=ck.graph, mark=ck.mark)
+        with pytest.raises(TypeError, match="positional"):
+            session.transform(ck.graph, graph=ck.graph, mark=ck.mark)
 
 
 def test_too_many_positionals_is_an_error():
