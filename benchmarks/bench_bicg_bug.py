@@ -11,8 +11,8 @@ Run with:  pytest benchmarks/bench_bicg_bug.py --benchmark-only -s
 import numpy as np
 import pytest
 
+from repro import Session
 from repro.benchmarks import bicg
-from repro.eval.runner import run_benchmark
 from repro.hls.ir import run_program
 
 
@@ -49,7 +49,8 @@ def test_df_ooo_is_fast_but_wrong(bicg_result, once):
 def test_print_divergence(results, once):
     program = bicg(6)
     reference = run_program(program, program.copy_arrays())
-    result = run_benchmark("bicg", bicg(6))
+    with Session(use_cache=False) as session:
+        result = session.bench(name="bicg", program=bicg(6))
     print()
     print("bicg, n=6: s[] after the sweep")
     print("  reference :", np.round(reference.arrays["s"], 3))

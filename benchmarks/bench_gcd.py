@@ -6,7 +6,7 @@ Run with:  pytest benchmarks/bench_gcd.py --benchmark-only -s
 import numpy as np
 import pytest
 
-from repro.eval.runner import run_benchmark
+from repro import Session
 from repro.hls.ir import (
     BinOp,
     DoWhile,
@@ -48,9 +48,15 @@ def gcd_program(n: int = 12) -> Program:
     )
 
 
+def bench_gcd():
+    """The gcd program through all four flows."""
+    with Session(use_cache=False) as session:
+        return session.bench(name="gcd", program=gcd_program())
+
+
 @pytest.fixture(scope="module")
 def gcd_result():
-    return run_benchmark("gcd", gcd_program())
+    return bench_gcd()
 
 
 def test_print_traces(gcd_result, once):
@@ -96,4 +102,4 @@ def test_results_correct_in_all_flows(gcd_result, once):
 
 @pytest.mark.benchmark(group="gcd")
 def test_benchmark_gcd_simulation(benchmark):
-    benchmark.pedantic(lambda: run_benchmark("gcd", gcd_program()), rounds=1, iterations=1)
+    benchmark.pedantic(bench_gcd, rounds=1, iterations=1)

@@ -6,8 +6,8 @@ Run with:  pytest benchmarks/bench_table2.py --benchmark-only -s
 import pytest
 
 from repro.eval import paper_data
+from repro import Session
 from repro.eval.report import clock_table, cycle_table, exec_time_table
-from repro.eval.runner import run_benchmark
 
 from conftest import get_results
 
@@ -22,7 +22,8 @@ def test_benchmark_all_flows(benchmark, name):
     def run():
         if name in cache:
             return cache[name]
-        cache[name] = run_benchmark(name)
+        with Session(use_cache=False) as session:
+            cache[name] = session.bench(name=name)
         return cache[name]
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)

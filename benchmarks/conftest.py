@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro import Session
 from repro.eval.paper_data import BENCHMARKS
-from repro.eval.runner import run_benchmark
 
 _CACHE: dict = {}
 
@@ -18,8 +18,8 @@ _CACHE: dict = {}
 def get_results() -> dict:
     """All six paper benchmarks through all four flows (computed once)."""
     if not _CACHE:
-        for name in BENCHMARKS:
-            _CACHE[name] = run_benchmark(name)
+        with Session(use_cache=False) as session:
+            _CACHE.update(session.bench_many(BENCHMARKS))
     return _CACHE
 
 

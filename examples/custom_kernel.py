@@ -14,7 +14,7 @@ Run with:  python examples/custom_kernel.py
 
 import numpy as np
 
-from repro.eval.runner import run_benchmark
+from repro import Session
 from repro.hls.ir import (
     BinOp,
     Const,
@@ -25,6 +25,7 @@ from repro.hls.ir import (
     Program,
     StoreOp,
     Var,
+    run_program,
 )
 
 
@@ -71,14 +72,17 @@ def horner_program(points: int = 24, degree: int = 12) -> Program:
 
 def main() -> None:
     program = horner_program()
-    result = run_benchmark("horner", program)
-
-    # Sanity: the circuits computed the actual polynomial.
+    # Sanity: the program computes the actual polynomial ...
     coefficients = program.arrays["c"]
     expected = np.array(
         [np.polyval(coefficients, x) for x in program.arrays["x"]]
     )
-    np.testing.assert_allclose(program.arrays["y"], expected, atol=1e-9)
+    np.testing.assert_allclose(run_program(program).arrays["y"], expected, atol=1e-9)
+
+    with Session(use_cache=False) as session:
+        result = session.bench(name="horner", program=program)
+    # ... and every dataflow circuit computed what the program does.
+    assert all(result[flow].correct for flow in ("DF-IO", "DF-OoO", "GRAPHITI"))
     print("polynomial results verified against numpy.polyval")
     print()
     print(f"{'flow':10s} {'cycles':>8s} {'CP(ns)':>8s} {'exec(ns)':>10s} {'LUT':>6s} {'FF':>6s}")

@@ -12,8 +12,8 @@ Run with:  python examples/gcd_ooo.py
 import numpy as np
 
 from repro.benchmarks import load_benchmark  # noqa: F401  (same API family)
+from repro import Session
 from repro.components import default_environment
-from repro.eval.runner import run_benchmark
 from repro.hls.ir import (
     BinOp,
     DoWhile,
@@ -62,7 +62,8 @@ def gcd_program(n: int = 12) -> Program:
 
 def main() -> None:
     program = gcd_program()
-    result = run_benchmark("gcd", program)
+    with Session(use_cache=False) as session:
+        result = session.bench(name="gcd", program=program)
 
     expected = [
         int(np.gcd(a, b)) for a, b in zip(program.arrays["arr1"], program.arrays["arr2"])

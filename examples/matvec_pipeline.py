@@ -7,8 +7,8 @@ flip-flop cost (the Table 3 matvec discussion).
 Run with:  python examples/matvec_pipeline.py
 """
 
+from repro import Session
 from repro.benchmarks import matvec
-from repro.eval.runner import run_benchmark
 from repro.hls.ir import Kernel, Program
 
 
@@ -31,14 +31,15 @@ def main() -> None:
     base = matvec(n)
     print(f"matvec {n}x{n}: cycle count and area vs tag budget")
     print(f"{'tags':>5s} {'DF-IO':>8s} {'GRAPHITI':>9s} {'speedup':>8s} {'FFs':>7s}")
-    for tags in (2, 4, 8, 16, 32):
-        result = run_benchmark("matvec", with_tags(base, tags))
-        io = result["DF-IO"]
-        graphiti = result["GRAPHITI"]
-        print(
-            f"{tags:>5d} {io.cycles:>8d} {graphiti.cycles:>9d} "
-            f"{io.cycles / graphiti.cycles:>8.2f} {graphiti.area.ffs:>7d}"
-        )
+    with Session(use_cache=False) as session:
+        for tags in (2, 4, 8, 16, 32):
+            result = session.bench(name="matvec", program=with_tags(base, tags))
+            io = result["DF-IO"]
+            graphiti = result["GRAPHITI"]
+            print(
+                f"{tags:>5d} {io.cycles:>8d} {graphiti.cycles:>9d} "
+                f"{io.cycles / graphiti.cycles:>8.2f} {graphiti.area.ffs:>7d}"
+            )
     print()
     print("more tags -> more overlapped rows -> fewer cycles, more flip-flops")
 

@@ -2,7 +2,7 @@
 
 Everything the scattered entry points did — ``GraphitiPipeline`` for
 transforms, ``RewriteEngine.verify_rewrite`` for obligations,
-``run_benchmark`` for evaluation, the hand-rolled loops in ``cli.py`` —
+per-flow evaluation loops, the hand-rolled loops in ``cli.py`` —
 is reachable through one object::
 
     from repro import Session

@@ -16,7 +16,7 @@ from .report import (
     render_figure8,
     shape_checks,
 )
-from .runner import BenchmarkResult, FlowResult, run_benchmark
+from .runner import BenchmarkResult, FlowResult
 
 __all__ = [
     "paper_data",
@@ -39,5 +39,4 @@ __all__ = [
     "shape_checks",
     "BenchmarkResult",
     "FlowResult",
-    "run_benchmark",
 ]

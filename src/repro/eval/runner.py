@@ -135,35 +135,6 @@ class BenchmarkResult:
         return f"{self.name}: {flows}"
 
 
-def run_benchmark(
-    name: str, program: Program | None = None, backend: str = "compiled"
-) -> BenchmarkResult:
-    """Run *name* through DF-IO, DF-OoO, Graphiti, and Vericert."""
-    program = program if program is not None else load_benchmark(name)
-    pristine = {key: array.copy() for key, array in program.arrays.items()}
-
-    reference = run_program(program, {key: array.copy() for key, array in pristine.items()})
-
-    env = default_environment()
-    compiled = compile_program(program, env)
-
-    result = BenchmarkResult(name)
-    result.flows["DF-IO"] = _run_dataflow(
-        "DF-IO", compiled, program, pristine, reference, env, transform=None,
-        backend=backend,
-    )
-    result.flows["DF-OoO"] = _run_dataflow(
-        "DF-OoO", compiled, program, pristine, reference, env, transform="ooo",
-        backend=backend,
-    )
-    result.flows["GRAPHITI"] = _run_dataflow(
-        "GRAPHITI", compiled, program, pristine, reference, env, transform="graphiti",
-        backend=backend,
-    )
-    result.flows["Vericert"] = _run_vericert(program, pristine)
-    return result
-
-
 def run_flow(
     name: str,
     flow: str,
@@ -172,10 +143,9 @@ def run_flow(
 ) -> FlowResult:
     """Run *name* under a single flow — the executor's unit of work.
 
-    Compiling per flow (rather than sharing one compiled program across the
-    four flows, as :func:`run_benchmark` does) is deterministic, so the
-    measurements are identical to the serial path's; it is what lets the
-    (benchmark × flow) matrix fan out as independent, picklable work units.
+    Each flow compiles the program itself; compiling is deterministic, so
+    the (benchmark × flow) matrix fans out as independent, picklable work
+    units (see :meth:`repro.api.Session.bench`).
     """
     program = program if program is not None else load_benchmark(name)
     pristine = {key: array.copy() for key, array in program.arrays.items()}

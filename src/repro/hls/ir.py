@@ -304,20 +304,6 @@ class Kernel:
 
         yield from recurse(list(self.outer), {})
 
-    def trip_counts(self, arrays) -> list[int]:
-        """Iteration count of each loop instance (reference execution)."""
-        counts = []
-        for outer_env in self.outer_points():
-            state = {v: eval_expr(self.init[v], outer_env, arrays) for v in self.loop.state}
-            iterations = 0
-            cont = True
-            while cont:
-                state, cont = self.loop.step(state, arrays)
-                iterations += 1
-            counts.append(iterations)
-        return counts
-
-
 @dataclass
 class Program:
     """A benchmark: named arrays plus a list of kernels run in sequence."""
@@ -332,36 +318,51 @@ class Program:
 
 @dataclass
 class ExecutionTrace:
-    """Reference execution results: final memory plus per-store history."""
+    """Reference execution results: final memory, per-store history and
+    the iteration count of every loop instance.
+
+    ``trip_counts[k][p]`` is the number of inner iterations kernel *k* ran
+    at its outer point *p* (in :meth:`Kernel.outer_points` order), with the
+    memory that instance saw: earlier kernels' writes and earlier
+    instances' epilogue stores applied.
+    """
 
     arrays: dict[str, np.ndarray]
     store_history: list[tuple[str, int, object]]
-    inner_iterations: int
+    trip_counts: list[list[int]]
+
+    @property
+    def inner_iterations(self) -> int:
+        return sum(sum(counts) for counts in self.trip_counts)
 
 
 def run_program(program: Program, arrays: dict[str, np.ndarray] | None = None) -> ExecutionTrace:
     """Execute *program* sequentially — the C semantics ground truth."""
     memory = arrays if arrays is not None else program.copy_arrays()
     history: list[tuple[str, int, object]] = []
-    total_iterations = 0
+    trip_counts: list[list[int]] = []
 
     recording = _RecordingArrays(memory, history)
     for kernel in program.kernels:
+        counts: list[int] = []
+        trip_counts.append(counts)
         for outer_env in kernel.outer_points():
             state = {
                 v: eval_expr(kernel.init[v], outer_env, recording) for v in kernel.loop.state
             }
+            iterations = 0
             cont = True
             while cont:
                 state, cont = kernel.loop.step(state, recording)
-                total_iterations += 1
+                iterations += 1
+            counts.append(iterations)
             result_env = {v: state[v] for v in kernel.loop.result_vars}
             result_env.update(outer_env)
             for store in kernel.epilogue:
                 index = int(eval_expr(store.index, result_env, recording))
                 value = eval_expr(store.value, result_env, recording)
                 recording[store.array].flat[index] = value
-    return ExecutionTrace(arrays=memory, store_history=history, inner_iterations=total_iterations)
+    return ExecutionTrace(arrays=memory, store_history=history, trip_counts=trip_counts)
 
 
 class _RecordingArrays(dict):

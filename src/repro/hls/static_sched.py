@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from ..errors import SchedulingError
 from .area import AreaReport, OP_PROFILES, base_op
-from .ir import BinOp, Const, Expr, Load, Program, Select, UnOp, Var
+from .ir import BinOp, Const, Expr, Load, Program, Select, UnOp, Var, run_program
 
 #: Latency scale: Vericert's units are pipelined deeper to close at a lower
 #: clock; combined with no loop pipelining this is the paper's cycle-count /
@@ -141,14 +141,19 @@ class StaticScheduleReport:
 
 
 def schedule_program(program: Program, arrays: dict | None = None) -> StaticScheduleReport:
-    """Schedule and 'run' the program on the FSM architecture."""
-    memory = arrays if arrays is not None else program.copy_arrays()
+    """Schedule and 'run' the program on the FSM architecture.
+
+    Trip counts come from the reference interpreter run on *arrays* (in
+    place; default: a copy of the program's), so a loop bound that reads
+    an earlier kernel's or an earlier instance's store sees that store.
+    """
+    trace = run_program(program, arrays)
     total_cycles = 0
     total_iterations = 0
     worst_iteration = 0
     ops_used: set[str] = set()
 
-    for kernel in program.kernels:
+    for kernel, trip_counts in zip(program.kernels, trace.trip_counts):
         body_exprs = list(kernel.loop.body.values()) + [kernel.loop.condition]
         for op in kernel.loop.stores:
             body_exprs.extend([op.index, op.value])
@@ -164,7 +169,6 @@ def schedule_program(program: Program, arrays: dict | None = None) -> StaticSche
             else 0
         )
 
-        trip_counts = kernel.trip_counts({n: a.copy() for n, a in memory.items()})
         for trips in trip_counts:
             total_cycles += init_cycles + trips * iteration_cycles + epilogue_cycles
             total_iterations += trips

@@ -6,6 +6,20 @@ closures laid out in the shared :func:`~repro.sim.cycle.evaluation_order`,
 with every channel, latency, function and parameter lookup resolved at
 compile time.
 
+Steps are specialised per node when the circuit is lowered.  For the types
+that make nearly all step calls (Operator, Fork, Branch, Mux, Merge, Join,
+Split) lowering picks the step written for the node's shape — tagged or
+not, one or two inputs, one output or a fan-out, combinational or
+pipelined, function resolved or not — in which delivering a due pipeline
+head, the pops and the check that all input heads carry one tag are
+inline; heads with different tags go to the tag aligner, a shape circuits
+rarely have to the generic delivery and start closures.  The rare types
+(Tagger, Driver, Collector, Store, Init, CMerge, Constant, Sink, Buffer,
+Pure, Reorg) keep a firing rule behind one generic step.  Steps are
+closures, not source generated per circuit: ``compile()`` costs about as
+much per generated line as a short run's whole simulation, and a fuzz
+corpus lowers dozens of small circuits that each run once.
+
 Scheduling is event-exact: a node's step is called only after an event
 that can change what the step reads, and the node sleeps otherwise.  The
 events are
@@ -74,7 +88,9 @@ class _Channel:
     tokens) and ``low`` is its minimum over the run, so the occupancy peak
     is ``cap - low``.  Each channel knows the indices of its producer and
     consumer in the compiled step array: a commit or ``push_now`` wakes the
-    consumer, and a pop from a full channel wakes the producer.
+    consumer, and a pop from a full channel wakes the producer.  A staged
+    push hands ``commit``, the ``(queue, staged, consumer)`` triple, to the
+    end-of-cycle commit.
     """
 
     __slots__ = (
@@ -87,6 +103,7 @@ class _Channel:
         "dst",
         "producer",
         "consumer",
+        "commit",
         "active",
         "dirty",
         "ctx",
@@ -102,6 +119,7 @@ class _Channel:
         self.dst = dst
         self.producer = producer
         self.consumer = consumer
+        self.commit = (self.queue, self.staged, consumer)
         # Shared run state of the owning CompiledCircuit.
         self.active: bytearray = rt._active
         self.dirty: list = rt._dirty
@@ -118,7 +136,7 @@ class _Channel:
         if not room:
             raise self._overflow()
         if not self.staged:
-            self.dirty.append(self)
+            self.dirty.append(self.commit)
         self.staged.append(value)
         room -= 1
         self.room = room
@@ -159,25 +177,16 @@ class _Channel:
 
 
 def _pop_aligned(channels: list[_Channel]) -> list | None:
-    """Port of the interpreter's tag aligner (same tag choice)."""
-    first = channels[0].queue
-    if not first:
-        return None
-    # Fast path: every head already carries the first channel's head tag.
-    # The full scan would choose exactly that tag at position 0 everywhere,
-    # so this is the identical pop sequence without building tag indices.
-    head_tag = first[0][0]
-    aligned = True
-    for channel in channels:
-        queue = channel.queue
-        if not queue:
-            return None
-        if queue[0][0] != head_tag:
-            aligned = False
-    if aligned:
-        return [channel.pop() for channel in channels]
+    """Port of the interpreter's tag aligner (same tag choice).
+
+    The specialised one- and two-input steps pop heads that already carry
+    one tag inline and call this only when the heads disagree; tagged
+    Stores and operators of three or more inputs call it for every firing.
+    """
     tag_sets = []
     for channel in channels:
+        if not channel.queue:
+            return None
         tags: dict = {}
         for position, value in enumerate(channel.queue):
             tag = value[0]
@@ -189,11 +198,12 @@ def _pop_aligned(channels: list[_Channel]) -> list | None:
         common &= set(tags)
     if not common:
         return None
+    head_tag = channels[0].queue[0][0]
     chosen = head_tag if head_tag in common else min(common, key=lambda t: tag_sets[0][t])
     return [channel.delete_at(tags[chosen]) for channel, tags in zip(channels, tag_sets)]
 
 
-def _idle() -> int:
+def _idle(cycle: int) -> int:
     """Step of a node that can never fire (a required port is unconnected)."""
     return 0
 
@@ -253,7 +263,8 @@ class CompiledCircuit:
 
         # Shared run state, captured by channels and step closures.
         self._active = bytearray(len(self.order))
-        self._dirty: list[_Channel] = []
+        #: commit triples of the channels holding staged pushes this cycle.
+        self._dirty: list[tuple] = []
         self._ctx = _Ctx()
         #: ready cycle -> nodes to wake then; ``_armed[i]`` is the cycle node
         #: i was last armed for, so re-arming the same deadline is a no-op.
@@ -337,34 +348,14 @@ class CompiledCircuit:
 
         Called only when the head is due.
         """
-        if len(outs) != 1:
-
-            def drain() -> int:
-                for out in outs:
-                    if not out.room:
-                        return 0
-                value = pipeline.popleft()[1]
-                for out in outs:
-                    out.push(value)
-                return 1
-
-            return drain
-
-        [out] = outs
-        staged, dirty, ctx = out.staged, self._dirty, self._ctx
 
         def drain() -> int:
-            room = out.room
-            if not room:
-                return 0
-            if not staged:
-                dirty.append(out)
-            staged.append(pipeline.popleft()[1])
-            room -= 1
-            out.room = room
-            if room < out.low:
-                out.low = room
-            ctx.tokens += 1
+            for out in outs:
+                if not out.room:
+                    return 0
+            value = pipeline.popleft()[1]
+            for out in outs:
+                out.push(value)
             return 1
 
         return drain
@@ -436,7 +427,7 @@ class CompiledCircuit:
         return start
 
     def _tick_fn(self, me, fire, inputs, pipeline=None, drain=None, sticky=False):
-        """Step closure for node *me* around its firing rule *fire*.
+        """Generic step closure for node *me* around its firing rule *fire*.
 
         Like the interpreter's ``_tick``: deliver a due pipeline head, then
         try to fire.  Then apply the sleep rule: stay awake after a firing
@@ -445,11 +436,10 @@ class CompiledCircuit:
         the head's ready cycle when the pipeline is non-empty.  A head that
         is due but blocked waits for the pop that frees its destination.
         """
-        ctx, active, arm = self._ctx, self._active, self._arm
+        active, arm = self._active, self._arm
         queues = [c.queue for c in inputs if c is not None]
 
-        def step() -> int:
-            cycle = ctx.cycle
+        def step(cycle: int) -> int:
             fired = drain() if pipeline and pipeline[0][0] <= cycle else 0
             fired += fire()
             if fired:
@@ -468,7 +458,17 @@ class CompiledCircuit:
 
         return step
 
-    # -- per-component compilers ---------------------------------------------
+    def _single_out(self, name: str, port: str, latency: int, pipeline: deque):
+        """``(out, staged, commit, drain, start)`` of a node whose only output
+        is *port*.  *out* is None when the port is unconnected; the steps
+        then fall back to *drain* and *start*, which deliver nowhere."""
+        out = self._out(name, port)
+        outs = [] if out is None else [out]
+        staged, commit = ((), None) if out is None else (out.staged, out.commit)
+        drain = self._drain_fn(pipeline, outs)
+        return out, staged, commit, drain, self._start_fn(name, latency, pipeline, outs)
+
+    # -- hot component steps -------------------------------------------------
     #
     # Each ``_make_<type>`` returns ``(step, pipeline, reset)``: the step
     # closure, the node's latency pipeline (None when it has none) and an
@@ -476,10 +476,177 @@ class CompiledCircuit:
     # ``CycleSimulator._fire_<type>`` exactly (checks in the same order, pops
     # and pushes at the same points) so firing counts match cycle for cycle.
     #
-    # Fork, Operator, Branch and Mux — most of the step calls — are written
-    # out in full: pops and pushes inline, the sleep rule of ``_tick_fn``
-    # inline, and the generic ``start`` only for combinational starts or
-    # when a trace is attached.
+    # The types below make nearly all step calls, so their steps are chosen
+    # per node from its shape and written out in full: a due pipeline head
+    # is delivered inline, pops are inline, heads that already carry one tag
+    # are popped without the aligner, and the sleep rule of ``_tick_fn`` and
+    # the trace record of a firing are inline.  A shape a circuit rarely has
+    # (an unconnected output, a combinational operator, a pipelined Join)
+    # goes through the generic ``drain``/``start`` closures instead.
+
+    def _make_operator(self, me, name, spec, latency):
+        channels = [self._in(name, port) for port in spec.in_ports]
+        if any(c is None for c in channels):
+            return _idle, None, None
+        op = str(spec.param("op"))
+        try:
+            fn = self.env.function(op)
+        except Exception:
+            fn = None  # unresolvable: fail at the firing point, like the interpreter
+        if isinstance(fn, FunctionDef) and fn.arity == len(channels):
+            fn = fn.fn  # arity checked here once; a mismatch keeps the checked call
+        tagged = bool(spec.param("tagged"))
+        pipeline: deque = deque()
+        if fn is None or isinstance(fn, FunctionDef) or len(channels) not in (1, 2):
+            step = self._operator_any(me, name, latency, pipeline, channels, tagged, op, fn)
+        elif len(channels) == 1:
+            step = self._operator_1(me, name, latency, pipeline, channels[0], tagged, fn)
+        else:
+            step = self._operator_2(me, name, latency, pipeline, channels, tagged, fn)
+        return step, pipeline, pipeline.clear
+
+    def _operator_1(self, me, name, latency, pipeline, channel, tagged, fn):
+        """Unary operator with a resolved *fn*."""
+        out, staged, commit, drain, start = self._single_out(name, "out0", latency, pipeline)
+        queue, producer = channel.queue, channel.producer
+        cap, delay = max(1, latency), max(1, latency - 1)
+        ctx, active, arm, dirty = self._ctx, self._active, self._arm, self._dirty
+
+        def step(cycle: int) -> int:
+            fired = 0
+            if pipeline and pipeline[0][0] <= cycle:
+                if out is None:
+                    fired = drain()
+                else:
+                    room = out.room
+                    if room:
+                        if not staged:
+                            dirty.append(commit)
+                        staged.append(pipeline.popleft()[1])
+                        room -= 1
+                        out.room = room
+                        if room < out.low:
+                            out.low = room
+                        ctx.tokens += 1
+                        fired = 1
+            if queue and len(pipeline) < cap:
+                room = channel.room
+                if not room:
+                    active[producer] = 1
+                channel.room = room + 1
+                ctx.tokens -= 1
+                value = queue.popleft()
+                result = (value[0], fn(value[1])) if tagged else fn(value)
+                if not latency:
+                    start(result)
+                else:
+                    if ctx.trace is not None:
+                        ctx.trace.record(name, cycle, latency)
+                    pipeline.append((cycle + delay, result))
+                fired += 1
+            if fired:
+                if queue or (pipeline and pipeline[0][0] <= cycle + 1):
+                    active[me] = 1
+                elif pipeline:
+                    arm(me, pipeline[0][0])
+            elif pipeline and pipeline[0][0] > cycle:
+                arm(me, pipeline[0][0])
+            return fired
+
+        return step
+
+    def _operator_2(self, me, name, latency, pipeline, channels, tagged, fn):
+        """Binary operator with a resolved *fn*."""
+        out, staged, commit, drain, start = self._single_out(name, "out0", latency, pipeline)
+        a, b = channels
+        qa, qb, pa, pb = a.queue, b.queue, a.producer, b.producer
+        cap, delay = max(1, latency), max(1, latency - 1)
+        ctx, active, arm, dirty = self._ctx, self._active, self._arm, self._dirty
+
+        def step(cycle: int) -> int:
+            fired = 0
+            if pipeline and pipeline[0][0] <= cycle:
+                if out is None:
+                    fired = drain()
+                else:
+                    room = out.room
+                    if room:
+                        if not staged:
+                            dirty.append(commit)
+                        staged.append(pipeline.popleft()[1])
+                        room -= 1
+                        out.room = room
+                        if room < out.low:
+                            out.low = room
+                        ctx.tokens += 1
+                        fired = 1
+            if qa and qb and len(pipeline) < cap:
+                if tagged and qa[0][0] != qb[0][0]:
+                    popped = _pop_aligned(channels)  # misaligned heads: search
+                else:
+                    room = a.room
+                    if not room:
+                        active[pa] = 1
+                    a.room = room + 1
+                    room = b.room
+                    if not room:
+                        active[pb] = 1
+                    b.room = room + 1
+                    ctx.tokens -= 2
+                    popped = qa.popleft(), qb.popleft()
+                if popped is not None:
+                    left, right = popped
+                    result = (left[0], fn(left[1], right[1])) if tagged else fn(left, right)
+                    if not latency:
+                        start(result)
+                    else:
+                        if ctx.trace is not None:
+                            ctx.trace.record(name, cycle, latency)
+                        pipeline.append((cycle + delay, result))
+                    fired += 1
+            if fired:
+                if qa or qb or (pipeline and pipeline[0][0] <= cycle + 1):
+                    active[me] = 1
+                elif pipeline:
+                    arm(me, pipeline[0][0])
+            elif pipeline and pipeline[0][0] > cycle:
+                arm(me, pipeline[0][0])
+            return fired
+
+        return step
+
+    def _operator_any(self, me, name, latency, pipeline, channels, tagged, op, fn):
+        """Any other operator: three or more inputs (``select``), none, or a
+        *fn* that is unresolved or of another arity.  The function is looked
+        up (and its arity checked) where the interpreter does, so an error
+        surfaces at the same firing with the same message."""
+        _, _, _, drain, start = self._single_out(name, "out0", latency, pipeline)
+        queues = [c.queue for c in channels]
+        cap = max(1, latency)
+        env, active, arm = self.env, self._active, self._arm
+
+        def step(cycle: int) -> int:
+            fired = drain() if pipeline and pipeline[0][0] <= cycle else 0
+            if len(pipeline) < cap:
+                f = fn if fn is not None else env.function(op)
+                if tagged:
+                    popped = _pop_aligned(channels)
+                    if popped is not None:
+                        start((popped[0][0], f(*[v[1] for v in popped])))
+                        fired += 1
+                elif all(queues):
+                    start(f(*[channel.pop() for channel in channels]))
+                    fired += 1
+            if fired:
+                if any(queues) or (pipeline and pipeline[0][0] <= cycle + 1):
+                    active[me] = 1
+                elif pipeline:
+                    arm(me, pipeline[0][0])
+            elif pipeline and pipeline[0][0] > cycle:
+                arm(me, pipeline[0][0])
+            return fired
+
+        return step
 
     def _make_fork(self, me, name, spec, latency):
         channel = self._in(name, "in0")
@@ -487,44 +654,217 @@ class CompiledCircuit:
             return _idle, None, None
         outs = self._outs(name, spec.out_ports)
         pipeline: deque = deque()
-        drain = self._drain_fn(pipeline, outs)
-        start = self._start_fn(name, latency, pipeline, outs)
-        pipe_cap = max(1, latency)
-        delay = max(1, latency - 1)
-        queue = channel.queue
-        n_outs = len(outs)
+        if latency or len(outs) != 2:
+            step = self._fork_any(me, name, latency, pipeline, channel, outs)
+        else:
+            step = self._fork_2(me, name, pipeline, channel, outs)
+        return step, pipeline, pipeline.clear
+
+    def _fork_2(self, me, name, pipeline, channel, outs):
+        """Combinational two-way fork: a copy to both outputs within the
+        cycle, or the value held until both have room."""
+        o0, o1 = outs
+        q0, q1, c0, c1 = o0.queue, o1.queue, o0.consumer, o1.consumer
+        queue, producer = channel.queue, channel.producer
         ctx, active, arm = self._ctx, self._active, self._arm
 
-        def step() -> int:
-            cycle = ctx.cycle
+        def step(cycle: int) -> int:
             fired = 0
-            if pipeline and pipeline[0][0] <= cycle:
-                fired = drain()
-            if queue and len(pipeline) < pipe_cap:
-                if not channel.room:
-                    active[channel.producer] = 1
-                channel.room += 1
-                ctx.tokens -= 1
+            if pipeline and pipeline[0][0] <= cycle and o0.room and o1.room:
+                value = pipeline.popleft()[1]
+                o0.push(value)
+                o1.push(value)
+                fired = 1
+            if queue and not pipeline:
+                room = channel.room
+                if not room:
+                    active[producer] = 1
+                channel.room = room + 1
                 value = queue.popleft()
                 fired += 1
                 if ctx.trace is not None:
-                    start(value)
-                elif latency:
-                    pipeline.append((cycle + delay, value))
+                    ctx.trace.record(name, cycle, 0)
+                room0, room1 = o0.room, o1.room
+                if room0 and room1:
+                    q0.append(value)
+                    room0 -= 1
+                    o0.room = room0
+                    if room0 < o0.low:
+                        o0.low = room0
+                    q1.append(value)
+                    room1 -= 1
+                    o1.room = room1
+                    if room1 < o1.low:
+                        o1.low = room1
+                    active[c0] = 1
+                    active[c1] = 1
+                    ctx.tokens += 1  # one popped, two pushed
                 else:
-                    for out in outs:
-                        if not out.room:
-                            pipeline.append((cycle + 1, value))
-                            break
+                    ctx.tokens -= 1
+                    pipeline.append((cycle + 1, value))
+            if fired:
+                if queue or (pipeline and pipeline[0][0] <= cycle + 1):
+                    active[me] = 1
+                elif pipeline:
+                    arm(me, pipeline[0][0])
+            elif pipeline and pipeline[0][0] > cycle:
+                arm(me, pipeline[0][0])
+            return fired
+
+        return step
+
+    def _fork_any(self, me, name, latency, pipeline, channel, outs):
+        """Fork of any other fan-out or latency."""
+        drain = self._drain_fn(pipeline, outs)
+        start = self._start_fn(name, latency, pipeline, outs)
+        cap = max(1, latency)
+        queue = channel.queue
+        active, arm = self._active, self._arm
+
+        def step(cycle: int) -> int:
+            fired = drain() if pipeline and pipeline[0][0] <= cycle else 0
+            if queue and len(pipeline) < cap:
+                start(channel.pop())
+                fired += 1
+            if fired:
+                if queue or (pipeline and pipeline[0][0] <= cycle + 1):
+                    active[me] = 1
+                elif pipeline:
+                    arm(me, pipeline[0][0])
+            elif pipeline and pipeline[0][0] > cycle:
+                arm(me, pipeline[0][0])
+            return fired
+
+        return step
+
+    def _make_join(self, me, name, spec, latency):
+        a, b = self._in(name, "in0"), self._in(name, "in1")
+        if a is None or b is None:
+            return _idle, None, None
+        pipeline: deque = deque()
+        out, staged, commit, drain, start = self._single_out(name, "out0", latency, pipeline)
+        inline = out is not None and not latency  # combinational: push within the cycle
+        out_queue = out.queue if out is not None else None
+        consumer = out.consumer if out is not None else None
+        tagged = bool(spec.param("tagged"))
+        pair = [a, b]
+        qa, qb, pa, pb = a.queue, b.queue, a.producer, b.producer
+        cap = max(1, latency)
+        ctx, active, arm, dirty = self._ctx, self._active, self._arm, self._dirty
+
+        def step(cycle: int) -> int:
+            fired = 0
+            if pipeline and pipeline[0][0] <= cycle:
+                if out is None:
+                    fired = drain()
+                else:
+                    room = out.room
+                    if room:
+                        if not staged:
+                            dirty.append(commit)
+                        staged.append(pipeline.popleft()[1])
+                        room -= 1
+                        out.room = room
+                        if room < out.low:
+                            out.low = room
+                        ctx.tokens += 1
+                        fired = 1
+            if qa and qb and len(pipeline) < cap:
+                if tagged and qa[0][0] != qb[0][0]:
+                    popped = _pop_aligned(pair)  # misaligned heads: search
+                else:
+                    room = a.room
+                    if not room:
+                        active[pa] = 1
+                    a.room = room + 1
+                    room = b.room
+                    if not room:
+                        active[pb] = 1
+                    b.room = room + 1
+                    ctx.tokens -= 2
+                    popped = qa.popleft(), qb.popleft()
+                if popped is not None:
+                    left, right = popped
+                    value = (left[0], (left[1], right[1])) if tagged else (left, right)
+                    fired += 1
+                    if not inline:
+                        start(value)
                     else:
-                        for out in outs:
-                            out.queue.append(value)
-                            room = out.room - 1
+                        if ctx.trace is not None:
+                            ctx.trace.record(name, cycle, 0)
+                        room = out.room
+                        if room:
+                            out_queue.append(value)
+                            room -= 1
                             out.room = room
                             if room < out.low:
                                 out.low = room
-                            active[out.consumer] = 1
-                        ctx.tokens += n_outs
+                            active[consumer] = 1
+                            ctx.tokens += 1
+                        else:
+                            pipeline.append((cycle + 1, value))
+            if fired:
+                if qa or qb or (pipeline and pipeline[0][0] <= cycle + 1):
+                    active[me] = 1
+                elif pipeline:
+                    arm(me, pipeline[0][0])
+            elif pipeline and pipeline[0][0] > cycle:
+                arm(me, pipeline[0][0])
+            return fired
+
+        return step, pipeline, pipeline.clear
+
+    def _make_split(self, me, name, spec, latency):
+        channel = self._in(name, "in0")
+        if channel is None:
+            return _idle, None, None
+        # Entries are ``(ready, left, right)``; an unconnected output drops
+        # its half, like the interpreter.
+        pipeline: deque = deque()
+        out0, out1 = self._out(name, "out0"), self._out(name, "out1")
+        tagged = bool(spec.param("tagged"))
+        queue, producer = channel.queue, channel.producer
+        cap, delay = max(1, latency), max(1, latency - 1)
+        ctx, active, arm = self._ctx, self._active, self._arm
+
+        def step(cycle: int) -> int:
+            fired = 0
+            if (
+                pipeline
+                and pipeline[0][0] <= cycle
+                and (out0 is None or out0.room)
+                and (out1 is None or out1.room)
+            ):
+                _, left, right = pipeline.popleft()
+                if out0 is not None:
+                    out0.push(left)
+                if out1 is not None:
+                    out1.push(right)
+                fired = 1
+            if queue and len(pipeline) < cap:
+                room = channel.room
+                if not room:
+                    active[producer] = 1
+                channel.room = room + 1
+                ctx.tokens -= 1
+                value = queue.popleft()
+                if tagged:
+                    tag, (left, right) = value
+                    left, right = (tag, left), (tag, right)
+                else:
+                    left, right = value
+                if ctx.trace is not None:
+                    ctx.trace.record(name, cycle, latency)
+                if latency:
+                    pipeline.append((cycle + delay, left, right))
+                elif (out0 is None or out0.room) and (out1 is None or out1.room):
+                    if out0 is not None:
+                        out0.push_now(left)
+                    if out1 is not None:
+                        out1.push_now(right)
+                else:
+                    pipeline.append((cycle + 1, left, right))
+                fired += 1
             if fired:
                 if queue or (pipeline and pipeline[0][0] <= cycle + 1):
                     active[me] = 1
@@ -536,60 +876,218 @@ class CompiledCircuit:
 
         return step, pipeline, pipeline.clear
 
-    def _make_join(self, me, name, spec, latency):
-        a, b = self._in(name, "in0"), self._in(name, "in1")
-        if a is None or b is None:
+    def _make_mux(self, me, name, spec, latency):
+        cond = self._in(name, "cond")
+        if cond is None:
             return _idle, None, None
+        in0, in1 = self._in(name, "in0"), self._in(name, "in1")
         pipeline: deque = deque()
-        outs = self._outs(name, ["out0"])
-        start = self._start_fn(name, latency, pipeline, outs)
-        pipe_cap = max(1, latency)
-        tagged = bool(spec.param("tagged"))
-        pair = [a, b]
+        out, staged, commit, drain, start = self._single_out(name, "out0", latency, pipeline)
+        cond_queue, cond_producer = cond.queue, cond.producer
+        queue0 = in0.queue if in0 is not None else ()
+        queue1 = in1.queue if in1 is not None else ()
+        cap, delay = max(1, latency), max(1, latency - 1)
+        ctx, active, arm, dirty = self._ctx, self._active, self._arm, self._dirty
 
-        def fire() -> int:
-            if len(pipeline) >= pipe_cap:
-                return 0
-            if tagged:
-                popped = _pop_aligned(pair)
-                if popped is None:
-                    return 0
-                (tag, val_l), (_, val_r) = popped
-                value = (tag, (val_l, val_r))
-            else:
-                if not a.queue or not b.queue:
-                    return 0
-                value = (a.pop(), b.pop())
-            start(value)
-            return 1
+        def step(cycle: int) -> int:
+            fired = 0
+            if pipeline and pipeline[0][0] <= cycle:
+                if out is None:
+                    fired = drain()
+                else:
+                    room = out.room
+                    if room:
+                        if not staged:
+                            dirty.append(commit)
+                        staged.append(pipeline.popleft()[1])
+                        room -= 1
+                        out.room = room
+                        if room < out.low:
+                            out.low = room
+                        ctx.tokens += 1
+                        fired = 1
+            if cond_queue and len(pipeline) < cap:
+                data = in0 if cond_queue[0] else in1
+                if data is not None and data.queue:
+                    room = cond.room
+                    if not room:
+                        active[cond_producer] = 1
+                    cond.room = room + 1
+                    cond_queue.popleft()
+                    room = data.room
+                    if not room:
+                        active[data.producer] = 1
+                    data.room = room + 1
+                    ctx.tokens -= 2
+                    value = data.queue.popleft()
+                    if not latency:
+                        start(value)
+                    else:
+                        if ctx.trace is not None:
+                            ctx.trace.record(name, cycle, latency)
+                        pipeline.append((cycle + delay, value))
+                    fired += 1
+            if fired:
+                if (
+                    cond_queue
+                    or queue0
+                    or queue1
+                    or (pipeline and pipeline[0][0] <= cycle + 1)
+                ):
+                    active[me] = 1
+                elif pipeline:
+                    arm(me, pipeline[0][0])
+            elif pipeline and pipeline[0][0] > cycle:
+                arm(me, pipeline[0][0])
+            return fired
 
-        step = self._tick_fn(me, fire, pair, pipeline, self._drain_fn(pipeline, outs))
         return step, pipeline, pipeline.clear
 
-    def _make_split(self, me, name, spec, latency):
-        channel = self._in(name, "in0")
-        if channel is None:
+    def _make_branch(self, me, name, spec, latency):
+        cond, data = self._in(name, "cond"), self._in(name, "in0")
+        if cond is None or data is None:
             return _idle, None, None
+        # Entries are ``(ready, target, value)``; a None target (an
+        # unconnected output) drops the value, like the interpreter.
         pipeline: deque = deque()
-        start = self._start_fn(name, latency, pipeline)
-        pipe_cap = max(1, latency)
         out0, out1 = self._out(name, "out0"), self._out(name, "out1")
         tagged = bool(spec.param("tagged"))
+        pair = [cond, data]
+        cond_queue, data_queue = cond.queue, data.queue
+        pc, pd = cond.producer, data.producer
+        cap, delay = max(1, latency), max(1, latency - 1)
+        ctx, active, arm, dirty = self._ctx, self._active, self._arm, self._dirty
 
-        def fire() -> int:
-            if not channel.queue or len(pipeline) >= pipe_cap:
-                return 0
-            value = channel.pop()
-            if tagged:
-                tag, (left, right) = value
-                start([(out0, (tag, left)), (out1, (tag, right))])
-            else:
-                left, right = value
-                start([(out0, left), (out1, right)])
-            return 1
+        def step(cycle: int) -> int:
+            fired = 0
+            if pipeline:
+                ready, target, value = pipeline[0]
+                if ready <= cycle:
+                    if target is None:
+                        pipeline.popleft()
+                        fired = 1
+                    else:
+                        room = target.room
+                        if room:
+                            staged = target.staged
+                            if not staged:
+                                dirty.append(target.commit)
+                            staged.append(value)
+                            room -= 1
+                            target.room = room
+                            if room < target.low:
+                                target.low = room
+                            ctx.tokens += 1
+                            pipeline.popleft()
+                            fired = 1
+            if cond_queue and data_queue and len(pipeline) < cap:
+                if tagged and cond_queue[0][0] != data_queue[0][0]:
+                    popped = _pop_aligned(pair)  # misaligned heads: search
+                else:
+                    room = cond.room
+                    if not room:
+                        active[pc] = 1
+                    cond.room = room + 1
+                    room = data.room
+                    if not room:
+                        active[pd] = 1
+                    data.room = room + 1
+                    ctx.tokens -= 2
+                    popped = cond_queue.popleft(), data_queue.popleft()
+                if popped is not None:
+                    truth, value = popped
+                    if tagged:
+                        truth = truth[1]
+                    target = out0 if truth else out1
+                    if ctx.trace is not None:
+                        ctx.trace.record(name, cycle, latency)
+                    if latency:
+                        pipeline.append((cycle + delay, target, value))
+                    elif target is not None:
+                        if target.room:
+                            target.push_now(value)
+                        else:
+                            pipeline.append((cycle + 1, target, value))
+                    fired += 1
+            if fired:
+                if cond_queue or data_queue or (pipeline and pipeline[0][0] <= cycle + 1):
+                    active[me] = 1
+                elif pipeline:
+                    arm(me, pipeline[0][0])
+            elif pipeline and pipeline[0][0] > cycle:
+                arm(me, pipeline[0][0])
+            return fired
 
-        step = self._tick_fn(me, fire, [channel], pipeline, self._drain_pairs_fn(pipeline))
         return step, pipeline, pipeline.clear
+
+    def _make_merge(self, me, name, spec, latency):
+        in0, in1 = self._in(name, "in0"), self._in(name, "in1")
+        pipeline: deque = deque()
+        out, staged, commit, drain, start = self._single_out(name, "out0", latency, pipeline)
+        queue0 = in0.queue if in0 is not None else ()
+        queue1 = in1.queue if in1 is not None else ()
+        cap, delay = max(1, latency), max(1, latency - 1)
+        ctx, active, arm, dirty = self._ctx, self._active, self._arm, self._dirty
+        rr = 0  # round-robin count: an even count tries in0 first
+
+        def step(cycle: int) -> int:
+            nonlocal rr
+            fired = 0
+            if pipeline and pipeline[0][0] <= cycle:
+                if out is None:
+                    fired = drain()
+                else:
+                    room = out.room
+                    if room:
+                        if not staged:
+                            dirty.append(commit)
+                        staged.append(pipeline.popleft()[1])
+                        room -= 1
+                        out.room = room
+                        if room < out.low:
+                            out.low = room
+                        ctx.tokens += 1
+                        fired = 1
+            if len(pipeline) < cap:
+                if rr & 1:
+                    channel = in1 if queue1 else in0 if queue0 else None
+                else:
+                    channel = in0 if queue0 else in1 if queue1 else None
+                if channel is not None:
+                    rr += 1
+                    room = channel.room
+                    if not room:
+                        active[channel.producer] = 1
+                    channel.room = room + 1
+                    ctx.tokens -= 1
+                    value = channel.queue.popleft()
+                    if not latency:
+                        start(value)
+                    else:
+                        if ctx.trace is not None:
+                            ctx.trace.record(name, cycle, latency)
+                        pipeline.append((cycle + delay, value))
+                    fired += 1
+            if fired:
+                if queue0 or queue1 or (pipeline and pipeline[0][0] <= cycle + 1):
+                    active[me] = 1
+                elif pipeline:
+                    arm(me, pipeline[0][0])
+            elif pipeline and pipeline[0][0] > cycle:
+                arm(me, pipeline[0][0])
+            return fired
+
+        def reset() -> None:
+            nonlocal rr
+            pipeline.clear()
+            rr = 0
+
+        return step, pipeline, reset
+
+    # -- rare component steps ------------------------------------------------
+    #
+    # The remaining types make about one step call in a hundred; they keep a
+    # firing rule run by the generic ``_tick_fn`` step.
 
     def _make_buffer(self, me, name, spec, latency):
         channel = self._in(name, "in0")
@@ -621,142 +1119,6 @@ class CompiledCircuit:
             return 0
 
         return self._tick_fn(me, fire, [channel]), None, None
-
-    def _make_mux(self, me, name, spec, latency):
-        cond = self._in(name, "cond")
-        if cond is None:
-            return _idle, None, None
-        in0, in1 = self._in(name, "in0"), self._in(name, "in1")
-        pipeline: deque = deque()
-        outs = self._outs(name, ["out0"])
-        drain = self._drain_fn(pipeline, outs)
-        start = self._start_fn(name, latency, pipeline, outs)
-        pipe_cap = max(1, latency)
-        delay = max(1, latency - 1)
-        cond_queue = cond.queue
-        queues = [c.queue for c in (cond, in0, in1) if c is not None]
-        ctx, active, arm = self._ctx, self._active, self._arm
-
-        def step() -> int:
-            cycle = ctx.cycle
-            fired = 0
-            if pipeline and pipeline[0][0] <= cycle:
-                fired = drain()
-            if cond_queue and len(pipeline) < pipe_cap:
-                data = in0 if cond_queue[0] else in1
-                if data is not None and data.queue:
-                    if not cond.room:
-                        active[cond.producer] = 1
-                    cond.room += 1
-                    cond_queue.popleft()
-                    if not data.room:
-                        active[data.producer] = 1
-                    data.room += 1
-                    ctx.tokens -= 2
-                    value = data.queue.popleft()
-                    if latency and ctx.trace is None:
-                        pipeline.append((cycle + delay, value))
-                    else:
-                        start(value)
-                    fired += 1
-            if fired:
-                if pipeline and pipeline[0][0] <= cycle + 1:
-                    active[me] = 1
-                else:
-                    for queue in queues:
-                        if queue:
-                            active[me] = 1
-                            break
-                    else:
-                        if pipeline:
-                            arm(me, pipeline[0][0])
-            elif pipeline and pipeline[0][0] > cycle:
-                arm(me, pipeline[0][0])
-            return fired
-
-        return step, pipeline, pipeline.clear
-
-    def _make_branch(self, me, name, spec, latency):
-        cond, data = self._in(name, "cond"), self._in(name, "in0")
-        if cond is None or data is None:
-            return _idle, None, None
-        pipeline: deque = deque()
-        drain = self._drain_pairs_fn(pipeline)
-        start = self._start_fn(name, latency, pipeline)
-        pipe_cap = max(1, latency)
-        delay = max(1, latency - 1)
-        out0, out1 = self._out(name, "out0"), self._out(name, "out1")
-        tagged = bool(spec.param("tagged"))
-        pair = [cond, data]
-        cond_queue, data_queue = cond.queue, data.queue
-        ctx, active, arm = self._ctx, self._active, self._arm
-
-        def step() -> int:
-            cycle = ctx.cycle
-            fired = 0
-            if pipeline and pipeline[0][0] <= cycle:
-                fired = drain()
-            if cond_queue and data_queue and len(pipeline) < pipe_cap:
-                if tagged:
-                    popped = _pop_aligned(pair)
-                    taken = popped is not None
-                    if taken:
-                        (_, truth), value = popped
-                else:
-                    if not cond.room:
-                        active[cond.producer] = 1
-                    cond.room += 1
-                    truth = cond_queue.popleft()
-                    if not data.room:
-                        active[data.producer] = 1
-                    data.room += 1
-                    ctx.tokens -= 2
-                    value = data_queue.popleft()
-                    taken = True
-                if taken:
-                    fired += 1
-                    entry = [(out0 if truth else out1, value)]
-                    if latency and ctx.trace is None:
-                        pipeline.append((cycle + delay, entry))
-                    else:
-                        start(entry)
-            if fired:
-                if cond_queue or data_queue or (pipeline and pipeline[0][0] <= cycle + 1):
-                    active[me] = 1
-                elif pipeline:
-                    arm(me, pipeline[0][0])
-            elif pipeline and pipeline[0][0] > cycle:
-                arm(me, pipeline[0][0])
-            return fired
-
-        return step, pipeline, pipeline.clear
-
-    def _make_merge(self, me, name, spec, latency):
-        pipeline: deque = deque()
-        outs = self._outs(name, ["out0"])
-        start = self._start_fn(name, latency, pipeline, outs)
-        pipe_cap = max(1, latency)
-        inputs = [self._in(name, "in0"), self._in(name, "in1")]
-        state = {"rr": 0}
-
-        def fire() -> int:
-            if len(pipeline) >= pipe_cap:
-                return 0
-            rr = state["rr"] % 2
-            for offset in range(2):
-                channel = inputs[(rr + offset) % 2]
-                if channel is not None and channel.queue:
-                    state["rr"] += 1
-                    start(channel.pop())
-                    return 1
-            return 0
-
-        def reset() -> None:
-            pipeline.clear()
-            state["rr"] = 0
-
-        step = self._tick_fn(me, fire, inputs, pipeline, self._drain_fn(pipeline, outs))
-        return step, pipeline, reset
 
     def _make_cmerge(self, me, name, spec, latency):
         pipeline: deque = deque()
@@ -817,75 +1179,6 @@ class CompiledCircuit:
 
         step = self._tick_fn(me, fire, [channel], pipeline, self._drain_fn(pipeline, outs))
         return step, pipeline, reset
-
-    def _make_operator(self, me, name, spec, latency):
-        channels = [self._in(name, port) for port in spec.in_ports]
-        if any(c is None for c in channels):
-            return _idle, None, None
-        pipeline: deque = deque()
-        outs = self._outs(name, ["out0"])
-        drain = self._drain_fn(pipeline, outs)
-        start = self._start_fn(name, latency, pipeline, outs)
-        pipe_cap = max(1, latency)
-        delay = max(1, latency - 1)
-        tagged = bool(spec.param("tagged"))
-        op = str(spec.param("op"))
-        env = self.env
-        try:
-            fn = env.function(op)
-        except Exception:
-            fn = None  # unresolvable: fail at the firing point, like the interpreter
-        if isinstance(fn, FunctionDef) and fn.arity == len(channels):
-            fn = fn.fn  # arity checked here once; a mismatch keeps the checked call
-        queues = [c.queue for c in channels]
-        n_inputs = len(channels)
-        ctx, active, arm = self._ctx, self._active, self._arm
-
-        def step() -> int:
-            cycle = ctx.cycle
-            fired = 0
-            if pipeline and pipeline[0][0] <= cycle:
-                fired = drain()
-            if len(pipeline) < pipe_cap:
-                f = fn if fn is not None else env.function(op)
-                args = None
-                if tagged:
-                    popped = _pop_aligned(channels)
-                    if popped is not None:
-                        args = [v[1] for v in popped]
-                elif all(queues):
-                    args = []
-                    for channel in channels:
-                        if not channel.room:
-                            active[channel.producer] = 1
-                        channel.room += 1
-                        args.append(channel.queue.popleft())
-                    ctx.tokens -= n_inputs
-                if args is not None:
-                    result = f(*args)
-                    if tagged:
-                        result = (popped[0][0], result)
-                    if latency and ctx.trace is None:
-                        pipeline.append((cycle + delay, result))
-                    else:
-                        start(result)
-                    fired += 1
-            if fired:
-                if pipeline and pipeline[0][0] <= cycle + 1:
-                    active[me] = 1
-                else:
-                    for queue in queues:
-                        if queue:
-                            active[me] = 1
-                            break
-                    else:
-                        if pipeline:
-                            arm(me, pipeline[0][0])
-            elif pipeline and pipeline[0][0] > cycle:
-                arm(me, pipeline[0][0])
-            return fired
-
-        return step, pipeline, pipeline.clear
 
     def _make_pure(self, me, name, spec, latency):
         channel = self._in(name, "in0")
@@ -1223,6 +1516,8 @@ class CompiledCircuit:
         idle = 0
         cycle = 0
         completed = None
+        tokens_fired = 0
+        peak = 0
         while cycle < max_cycles:
             ctx.cycle = cycle
             due = due_at(cycle, None)
@@ -1233,15 +1528,14 @@ class CompiledCircuit:
             i = find(1)
             while i >= 0:
                 active[i] = 0
-                fired += steps[i]()
+                fired += steps[i](cycle)
                 calls += 1
                 i = find(1, i + 1)
             if dirty:
-                for channel in dirty:
-                    staged = channel.staged
-                    channel.queue.extend(staged)
+                for queue, staged, consumer in dirty:
+                    queue.extend(staged)
                     staged.clear()
-                    active[channel.consumer] = 1
+                    active[consumer] = 1
                 dirty.clear()
             cycle += 1
             if completed is not None:
@@ -1253,11 +1547,13 @@ class CompiledCircuit:
                 if fired == 0 and not any(pipelines):
                     return stats, calls
                 continue
-            if ctx.tokens > stats.peak_in_flight:
-                stats.peak_in_flight = ctx.tokens
+            if ctx.tokens > peak:
+                peak = ctx.tokens
             if stats.results_collected >= expected:
                 completed = cycle
                 stats.cycles = cycle
+                stats.tokens_fired = tokens_fired
+                stats.peak_in_flight = peak
                 stats.channel_peaks = {
                     (channel.src, channel.dst): channel.cap - channel.low
                     for channel in self._channels
@@ -1273,7 +1569,7 @@ class CompiledCircuit:
                     )
             else:
                 idle = 0
-                stats.tokens_fired += fired
+                tokens_fired += fired
         raise SimulationError(f"simulation exceeded {max_cycles} cycles")
 
 

@@ -8,7 +8,7 @@ from repro.benchmarks import matvec
 from repro.components import default_environment, fork, mux
 from repro.core import ExprHigh
 from repro.errors import GraphitiError
-from repro.eval.runner import FLOWS, FlowResult, run_benchmark, run_flow
+from repro.eval.runner import FLOWS, FlowResult, run_flow
 from repro.hls.frontend import LoopMark, compile_program
 from repro.hls.ir import BinOp, DoWhile, Kernel, Load, OuterLoop, Program, StoreOp, UnOp, Var
 from repro.results import as_dict, summarize
@@ -39,8 +39,8 @@ def gcd_program() -> Program:
 
 
 class TestFlowEquivalence:
-    def test_run_flow_matches_run_benchmark_on_full_matrix(self):
-        combined = run_benchmark("matvec", matvec(5))
+    def test_run_flow_matches_session_bench_on_full_matrix(self):
+        combined = Session(jobs=1, use_cache=False).bench(name="matvec", program=matvec(5))
         for flow in FLOWS:
             single = run_flow("matvec", flow, matvec(5))
             assert single.to_dict() == combined[flow].to_dict()

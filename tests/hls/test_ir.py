@@ -117,8 +117,8 @@ class TestKernelExecution:
 
     def test_trip_counts(self):
         program = self._countdown()
-        counts = program.kernels[0].trip_counts(program.copy_arrays())
-        assert counts == [1, 2, 3]  # do-while runs at least once
+        trace = run_program(program)
+        assert trace.trip_counts == [[1, 2, 3]]  # do-while runs at least once
 
     def test_run_program_stores_results(self):
         program = self._countdown()

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.benchmarks import load_benchmark, matvec
-from repro.hls.ir import BinOp, Const, DoWhile, Kernel, Load, OuterLoop, Program, StoreOp, Var
+from repro.hls.ir import (
+    BinOp, Const, DoWhile, Kernel, Load, OuterLoop, Program, StoreOp, Var, run_program,
+)
 from repro.hls.static_sched import schedule_length, schedule_program
 
 
@@ -76,12 +78,58 @@ class TestScheduleProgram:
         assert schedule_program(program).area.dsps == 0
 
 
+def countdown(name, outer, start):
+    """A kernel counting ``n`` down from *start* to 0 at each outer point."""
+    loop = DoWhile(
+        name,
+        ("n",),
+        {"n": BinOp("sub", Var("n"), Const(1))},
+        BinOp("lt", Const(0), Var("n")),
+        ("n",),
+    )
+    return Kernel(name, loop, (OuterLoop("i", outer),), {"n": start})
+
+
+class TestTripCountsSeeStores:
+    """Trip counts come from the memory each loop instance really sees."""
+
+    def test_bound_written_by_an_earlier_kernel(self):
+        # "set" stores 4 into lim[0]; "use" counts down from lim[0] twice.
+        writer = Kernel(
+            "set",
+            countdown("set", 1, Const(1)).loop,
+            (OuterLoop("i", 1),),
+            {"n": Const(1)},
+            (StoreOp("lim", Const(0), Const(4)),),
+        )
+        reader = countdown("use", 2, Load("lim", Const(0)))
+        program = Program("two", {"lim": np.ones(1)}, [writer, reader])
+        report = schedule_program(program)
+        assert run_program(program).trip_counts == [[1], [4, 4]]
+        assert report.iterations == 1 + 4 + 4
+        assert program.arrays["lim"][0] == 1  # the program's arrays are untouched
+
+    def test_bound_written_by_an_earlier_instance(self):
+        # Each instance stores its exit count plus 3 into lim[0], which
+        # bounds the next instance: 1, then 0 + 3, then 0 + 3.
+        kernel = countdown("chain", 3, Load("lim", Const(0)))
+        kernel = Kernel(
+            "chain", kernel.loop, kernel.outer, kernel.init,
+            (StoreOp("lim", Const(0), BinOp("add", Var("n"), Const(3))),),
+            sequential_outer=True,
+        )
+        program = Program("chain", {"lim": np.ones(1)}, [kernel])
+        assert run_program(program).trip_counts == [[1, 3, 3]]
+        assert schedule_program(program).iterations == 7
+
+
 class TestComparisonShape:
     def test_vericert_cycles_dominate_dataflow(self):
         """The architectural claim: static scheduling with shared units has
         a much higher cycle count on irregular-latency loops."""
-        from repro.eval.runner import run_benchmark
+        from repro.eval.runner import run_flow
 
-        result = run_benchmark("matvec", matvec(8))
-        assert result["Vericert"].cycles > 1.5 * result["DF-IO"].cycles
-        assert result["Vericert"].area.clock_period < result["DF-IO"].area.clock_period
+        vericert = run_flow("matvec", "Vericert", matvec(8))
+        df_io = run_flow("matvec", "DF-IO", matvec(8))
+        assert vericert.cycles > 1.5 * df_io.cycles
+        assert vericert.area.clock_period < df_io.area.clock_period

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.benchmarks import bicg, gemm, gsum_many, gsum_single, matvec, mvt
-from repro.eval.runner import run_benchmark
+from repro.api import Session
 
 SMALL = {
     "matvec": lambda: matvec(8),
@@ -24,7 +24,8 @@ SMALL = {
 
 @pytest.fixture(scope="module")
 def results():
-    return {name: run_benchmark(name, factory()) for name, factory in SMALL.items()}
+    programs = {name: factory() for name, factory in SMALL.items()}
+    return Session(jobs=1, use_cache=False).bench_many(list(programs), programs)
 
 
 class TestFunctionalCorrectness:

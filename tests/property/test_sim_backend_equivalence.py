@@ -135,7 +135,7 @@ class TestRandomizedPlacements:
         transform=st.sampled_from(TRANSFORMS),
         seed=st.integers(0, 2**16),
     )
-    @settings(max_examples=12, deadline=None)
+    @settings(deadline=None)  # example count from the HYPOTHESIS_PROFILE
     def test_backends_identical_under_jittered_capacities(
         self, name, transform, seed
     ):
@@ -159,7 +159,7 @@ class TestFuzzCorpusPrograms:
         seed=st.integers(0, 2**32 - 1),
         transform=st.sampled_from(TRANSFORMS),
     )
-    @settings(max_examples=12, deadline=None)
+    @settings(deadline=None)  # example count from the HYPOTHESIS_PROFILE
     def test_backends_identical_on_corpus_programs(self, seed, transform):
         assert_backends_agree(
             lambda: generate_program(seed), transform, default_placement
