@@ -248,7 +248,7 @@ SimulationCertificate` in the content-addressed result cache (compact
 
         Returns one dict per spec, in spec order: ``rewrite``, ``holds``,
         ``verified_flag``, ``mode`` (``"search"`` / ``"recheck"`` /
-        ``"recheck-incremental"`` / ``"search-fallback"`` / ``"mixed"``),
+        ``"search-fallback"`` / ``"mixed"``),
         ``instances``, ``certificate_hashes``, ``detail`` and ``seconds``.
         """
         self._require_open("check_obligations")

@@ -236,29 +236,33 @@ def _run_dataflow(
 
 
 def _stores_in_order(actual: list, expected: list) -> bool:
-    """Per-array, the sequence of (index, value) writes must match.
+    """Per-array, the sequence of (index, value) writes must match: the
+    indices exactly, the values within ``atol=1e-6`` (one vectorised
+    ``np.isclose`` per array).
 
     Writes to *different* arrays may legitimately interleave differently
     (the collector of instance *i* can overlap the loop of instance *i+1*),
     but reordering writes within one array is the observable symptom of the
     unsound out-of-order transformation.
     """
-    def by_array(history: list) -> dict[str, list]:
-        grouped: dict[str, list] = {}
+    def by_array(history: list) -> dict[str, tuple[list, list]]:
+        grouped: dict[str, tuple[list, list]] = {}
         for array, index, value in history:
-            grouped.setdefault(array, []).append((index, value))
+            indices, values = grouped.setdefault(array, ([], []))
+            indices.append(index)
+            values.append(value)
         return grouped
 
     actual_groups, expected_groups = by_array(actual), by_array(expected)
     if set(actual_groups) != set(expected_groups):
         return False
-    for array, writes in expected_groups.items():
-        candidate = actual_groups[array]
-        if len(candidate) != len(writes):
+    for array, (indices, values) in expected_groups.items():
+        got_indices, got_values = actual_groups[array]
+        if got_indices != indices:
             return False
-        for (ai, av), (ei, ev) in zip(candidate, writes):
-            if ai != ei or not np.isclose(float(av), float(ev), atol=1e-6):
-                return False
+        got = np.array(got_values, dtype=float)
+        if not np.isclose(got, np.array(values, dtype=float), atol=1e-6).all():
+            return False
     return True
 
 

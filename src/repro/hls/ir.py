@@ -15,12 +15,24 @@ branches; memory reads are pure array loads; memory *writes* inside a body
 non-transformable — the bicg situation of section 6.2.
 
 :func:`run_program` is the reference interpreter: the sequential-C ground
-truth that circuit simulations are checked against.
+truth that circuit simulations are checked against.  It compiles each
+kernel once per call and then runs it: every expression becomes a closure
+over a tuple of values (:func:`compile_expr`), with each variable resolved
+to its slot in that tuple.  Init expressions see the outer variables; body,
+condition and in-body store expressions see the state variables; epilogue
+stores see the outer variables and the loop's exit values under the result
+variable names, an exit value shadowing an outer variable of the same name
+(as the simulators' Collectors bind them).  :func:`eval_expr` is the
+recursive tree walk over a name → value mapping, used where an expression
+is evaluated once (the simulators' Driver and Collector, constant folding);
+the two agree on every value and every error.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Mapping
 
 import numpy as np
@@ -96,17 +108,17 @@ class Select(Expr):
 
 
 _BINOPS: dict[str, Callable] = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "fadd": lambda a, b: a + b,
-    "fsub": lambda a, b: a - b,
-    "fmul": lambda a, b: a * b,
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "fadd": operator.add,
+    "fsub": operator.sub,
+    "fmul": operator.mul,
     "mod": lambda a, b: a % b if b else 0,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "ne": lambda a, b: a != b,
-    "eq": lambda a, b: a == b,
+    "lt": operator.lt,
+    "le": operator.le,
+    "ne": operator.ne,
+    "eq": operator.eq,
     "and": lambda a, b: bool(a) and bool(b),
     "or": lambda a, b: bool(a) or bool(b),
 }
@@ -241,17 +253,6 @@ class DoWhile:
     def is_effectful(self) -> bool:
         return bool(self.stores)
 
-    def step(self, state: Mapping[str, object], arrays) -> tuple[dict[str, object], bool]:
-        """One body execution: returns (new state, continue?); applies stores."""
-        new_state = {
-            var: eval_expr(self.body[var], state, arrays) for var in self.state
-        }
-        for store in self.stores:
-            index = int(eval_expr(store.index, new_state, arrays))
-            arrays[store.array].flat[index] = eval_expr(store.value, new_state, arrays)
-        cont = bool(eval_expr(self.condition, new_state, arrays))
-        return new_state, cont
-
 
 @dataclass(frozen=True)
 class OuterLoop:
@@ -268,7 +269,8 @@ class Kernel:
     * ``outer``: iteration dimensions, outermost first.
     * ``init``: initial state per outer point, over the outer variables.
     * ``epilogue``: stores performed per outer point from the loop's exit
-      values (bound under the result variable names).
+      values (bound under the result variable names, which shadow outer
+      variables of the same name).
     * ``tags``: the tag count the out-of-order transform uses for this loop
       (the per-benchmark numbers of Elakhras et al.).
     * ``sequential_outer``: when True the outer iterations are dependent
@@ -336,65 +338,156 @@ class ExecutionTrace:
         return sum(sum(counts) for counts in self.trip_counts)
 
 
-def run_program(program: Program, arrays: dict[str, np.ndarray] | None = None) -> ExecutionTrace:
-    """Execute *program* sequentially — the C semantics ground truth."""
-    memory = arrays if arrays is not None else program.copy_arrays()
-    history: list[tuple[str, int, object]] = []
-    trip_counts: list[list[int]] = []
 
-    recording = _RecordingArrays(memory, history)
-    for kernel in program.kernels:
-        counts: list[int] = []
-        trip_counts.append(counts)
-        for outer_env in kernel.outer_points():
-            state = {
-                v: eval_expr(kernel.init[v], outer_env, recording) for v in kernel.loop.state
-            }
-            iterations = 0
-            cont = True
-            while cont:
-                state, cont = kernel.loop.step(state, recording)
-                iterations += 1
-            counts.append(iterations)
-            result_env = {v: state[v] for v in kernel.loop.result_vars}
-            result_env.update(outer_env)
-            for store in kernel.epilogue:
-                index = int(eval_expr(store.index, result_env, recording))
-                value = eval_expr(store.value, result_env, recording)
-                recording[store.array].flat[index] = value
+
+# -- the reference interpreter ---------------------------------------------------
+
+#: A compiled expression: a closure over a tuple of values, laid out by the
+#: scope it was compiled against.
+Compiled = Callable[[tuple], object]
+
+
+def _fail(message: str) -> Compiled:
+    """A compiled expression that raises ``FrontendError(message)`` when run."""
+
+    def fail(values):
+        raise FrontendError(message)
+
+    return fail
+
+
+def compile_expr(expr: Expr, scope: Mapping[str, int], flats: Mapping[str, object]) -> Compiled:
+    """Compile *expr* to a closure over a tuple of values.
+
+    *scope* maps each visible variable to its slot in the tuple and *flats*
+    each array name to the array's ``.flat``.  The closure returns what
+    :func:`eval_expr` returns under the same bindings and raises what it
+    raises.  Errors surface when the closure runs, not here: an unbound
+    variable, an unknown op or a bad load fails only when evaluation
+    reaches it, so an unknown op in a ``Select`` branch not taken never
+    raises.
+    """
+    if isinstance(expr, Var):
+        slot = scope.get(expr.name)
+        if slot is None:
+            return _fail(f"unbound variable {expr.name!r}")
+        return operator.itemgetter(slot)
+    if isinstance(expr, Const):
+        value = expr.value
+        return lambda values: value
+    if isinstance(expr, BinOp):
+        fn = _BINOPS.get(expr.op)
+        if fn is None:
+            return _fail(f"unknown binary op {expr.op!r}")
+        left = compile_expr(expr.left, scope, flats)
+        right = compile_expr(expr.right, scope, flats)
+        return lambda values: fn(left(values), right(values))
+    if isinstance(expr, UnOp):
+        fn = _UNOPS.get(expr.op)
+        if fn is None:
+            return _fail(f"unknown unary op {expr.op!r}")
+        operand = compile_expr(expr.operand, scope, flats)
+        return lambda values: fn(operand(values))
+    if isinstance(expr, Load):
+        return _compile_load(expr.array, compile_expr(expr.index, scope, flats), flats.get(expr.array))
+    if isinstance(expr, Select):
+        cond = compile_expr(expr.cond, scope, flats)
+        if_true = compile_expr(expr.if_true, scope, flats)
+        if_false = compile_expr(expr.if_false, scope, flats)
+        return lambda values: if_true(values) if cond(values) else if_false(values)
+    return _fail(f"cannot evaluate expression {expr!r}")
+
+
+def _compile_load(array: str, index_of: Compiled, flat) -> Compiled:
+    if flat is None:
+
+        def load(values):
+            raise FrontendError(f"bad load {array}[{int(index_of(values))}]")
+
+        return load
+
+    def load(values):
+        index = int(index_of(values))
+        try:
+            return flat[index]
+        except IndexError as exc:
+            raise FrontendError(f"bad load {array}[{index}]") from exc
+
+    return load
+
+
+def _compile_store(
+    store: StoreOp, scope: Mapping[str, int], flats: Mapping[str, object], history: list
+) -> Callable[[tuple], None]:
+    """A closure performing *store* and appending it to *history*.
+
+    An unknown array raises ``KeyError`` after the index and value are
+    evaluated, as the assignment ``arrays[name].flat[index] = value`` does.
+    """
+    array = store.array
+    index_of = compile_expr(store.index, scope, flats)
+    value_of = compile_expr(store.value, scope, flats)
+    flat = flats.get(array)
+    record = history.append
+
+    def write(values) -> None:
+        index = int(index_of(values))
+        value = value_of(values)
+        if flat is None:
+            raise KeyError(array)
+        record((array, index, value))
+        flat[index] = value
+
+    return write
+
+
+def run_program(program: Program, arrays: dict[str, np.ndarray] | None = None) -> ExecutionTrace:
+    """Execute *program* sequentially — the C semantics ground truth.
+
+    Runs on *arrays* in place (default: a copy of the program's).  Each
+    kernel is compiled once per call (:func:`compile_expr`) and then run.
+    """
+    memory = arrays if arrays is not None else program.copy_arrays()
+    flats = {name: array.flat for name, array in memory.items()}
+    history: list[tuple[str, int, object]] = []
+    trip_counts = [_run_kernel(kernel, flats, history) for kernel in program.kernels]
     return ExecutionTrace(arrays=memory, store_history=history, trip_counts=trip_counts)
 
 
-class _RecordingArrays(dict):
-    """Array mapping that records writes through ``.flat`` assignment."""
+def _run_kernel(kernel: Kernel, flats: Mapping[str, object], history: list) -> list[int]:
+    """Run every outer point of *kernel*; return its trip counts."""
+    loop = kernel.loop
+    # An outer point is one value per dimension (``itertools.product``
+    # enumerates them in :meth:`Kernel.outer_points` order); the innermost
+    # dimension of a repeated name wins, as it does there.
+    outer_scope = {dim.var: slot for slot, dim in enumerate(kernel.outer)}
+    state_scope = {var: slot for slot, var in enumerate(loop.state)}
+    # The epilogue sees the outer point followed by the exit values, and an
+    # exit value shadows an outer variable of the same name.
+    result_scope = dict(outer_scope)
+    result_scope.update((var, len(kernel.outer) + n) for n, var in enumerate(loop.result_vars))
+    result_slots = [state_scope[var] for var in loop.result_vars]
 
-    def __init__(self, arrays: dict[str, np.ndarray], history: list):
-        super().__init__()
-        self._history = history
-        for name, array in arrays.items():
-            self[name] = _RecordingArray(name, array, history)
+    inits = [compile_expr(kernel.init[var], outer_scope, flats) for var in loop.state]
+    body = [compile_expr(loop.body[var], state_scope, flats) for var in loop.state]
+    stores = [_compile_store(store, state_scope, flats, history) for store in loop.stores]
+    condition = compile_expr(loop.condition, state_scope, flats)
+    epilogue = [_compile_store(store, result_scope, flats, history) for store in kernel.epilogue]
 
-
-class _RecordingArray:
-    def __init__(self, name: str, array: np.ndarray, history: list):
-        self._name = name
-        self._array = array
-        self._history = history
-        self.flat = _RecordingFlat(name, array, history)
-
-    def __getattr__(self, item):
-        return getattr(self._array, item)
-
-
-class _RecordingFlat:
-    def __init__(self, name: str, array: np.ndarray, history: list):
-        self._name = name
-        self._array = array
-        self._history = history
-
-    def __getitem__(self, index):
-        return self._array.flat[index]
-
-    def __setitem__(self, index, value):
-        self._history.append((self._name, int(index), value))
-        self._array.flat[index] = value
+    counts: list[int] = []
+    for point in product(*(range(dim.count) for dim in kernel.outer)):
+        state = tuple([init(point) for init in inits])
+        iterations = 0
+        while True:
+            state = tuple([update(state) for update in body])
+            for write in stores:
+                write(state)
+            iterations += 1
+            if not condition(state):
+                break
+        counts.append(iterations)
+        if epilogue:
+            values = point + tuple([state[slot] for slot in result_slots])
+            for write in epilogue:
+                write(values)
+    return counts

@@ -7,19 +7,11 @@ from .checker import (
     check_rewrite_obligation,
     io_stimuli,
     recheck_obligation_certificate,
-    recheck_obligation_incremental,
     refines,
     uniform_stimuli,
 )
 from .codec import from_bytes as certificate_from_bytes
 from .codec import looks_binary, to_bytes as certificate_to_bytes
-from .incremental import (
-    GraphDiff,
-    IncrementalOutcome,
-    diff_graphs,
-    incremental_recheck,
-    transport_certificate,
-)
 from .sat import (
     CnfFormula,
     CrossCheckReport,
@@ -51,17 +43,11 @@ __all__ = [
     "check_rewrite_obligation",
     "io_stimuli",
     "recheck_obligation_certificate",
-    "recheck_obligation_incremental",
     "refines",
     "uniform_stimuli",
     "certificate_from_bytes",
     "certificate_to_bytes",
     "looks_binary",
-    "GraphDiff",
-    "IncrementalOutcome",
-    "diff_graphs",
-    "incremental_recheck",
-    "transport_certificate",
     "CnfFormula",
     "CrossCheckReport",
     "SatResult",

@@ -20,9 +20,7 @@ corrupted or tampered certificate fails the hash or a simulation diagram
 and the obligation silently falls back to a full search.  The
 :class:`RefinementReport` records which path produced it: ``mode="search"``
 (cold), ``"recheck"`` (persisted certificate re-validated, via witness
-replay or the exhaustive pass), ``"recheck-incremental"`` (only the
-rewrite-touched region re-validated; see
-:mod:`repro.refinement.incremental`) or ``"search-fallback"`` (a stored
+replay or the exhaustive pass) or ``"search-fallback"`` (a stored
 certificate failed re-validation and the game was re-solved).
 """
 
@@ -41,7 +39,6 @@ from ..errors import CertificateError, RefinementError
 from .simulation import (
     SimulationCertificate,
     SimulationResult,
-    _normalise_stimuli,
     find_weak_simulation,
     recheck_certificate,
 )
@@ -56,9 +53,7 @@ class RefinementReport:
     *mode* records the provenance of the verdict: ``"search"`` when the
     weak-simulation game was solved from scratch (cold), ``"recheck"``
     when a persisted certificate was re-validated (witness replay or the
-    exhaustive diagram pass), ``"recheck-incremental"`` when only the
-    touched region of a rewritten graph was re-validated against a
-    transported baseline certificate, and ``"search-fallback"`` when a
+    exhaustive diagram pass), and ``"search-fallback"`` when a
     stored certificate existed but failed re-validation and the game was
     re-solved from scratch — corruption costs time, never soundness.
 
@@ -70,7 +65,7 @@ class RefinementReport:
     """
 
     certificate: SimulationCertificate | None
-    mode: str = "search"  # "search" | "recheck" | "recheck-incremental" | "search-fallback"
+    mode: str = "search"  # "search" | "recheck" | "search-fallback"
     #: Detached-form statistics (``impl_states``/``spec_states``/
     #: ``relation_size``/``certificate_hash``), populated by
     #: :meth:`from_dict` when the certificate itself did not travel.
@@ -382,95 +377,6 @@ def recheck_obligation_certificate(
         )
     obs.count("refinement.cert_cache_hits")
     return RefinementReport(certificate, mode="recheck")
-
-
-def recheck_obligation_incremental(
-    lhs: ExprHigh,
-    rhs_old: ExprHigh,
-    rhs_new: ExprHigh,
-    env: Environment,
-    certificate: SimulationCertificate,
-    stimuli: Stimuli | None = None,
-    values: Iterable[Value] = (0, 1),
-    spec_capacity: int | None = 4,
-    cache=None,
-) -> RefinementReport:
-    """Discharge ``rhs_new ⊑ lhs`` by upgrading evidence for ``rhs_old ⊑ lhs``.
-
-    *certificate* must be valid evidence for the old obligation (typically
-    the report of a prior :func:`check_rewrite_obligation` on *rhs_old*).
-    The incremental pass transports the relation onto the new graph's
-    state shape and re-validates only the moves of the touched region
-    (:mod:`repro.refinement.incremental`); the fallback chain is
-
-    1. incremental recheck  → ``mode="recheck-incremental"``
-    2. full recheck of the baseline certificate (when the incremental
-       argument does not apply but the state shape is unchanged)
-       → ``mode="recheck"``
-    3. full search → ``mode="search-fallback"``
-
-    so a stale or corrupted baseline costs time, never soundness.  The
-    upgraded certificate is stored under the *new* obligation's cache key
-    when *cache* is given.
-    """
-    from .incremental import incremental_recheck
-
-    rhs_module = denote(rhs_new.lower(), env)
-    lhs_module = denote(lhs.lower(), env.with_capacity(spec_capacity))
-    if stimuli is None:
-        stimuli = uniform_stimuli(rhs_module, values)
-    try:
-        wanted = _normalise_stimuli(rhs_module, stimuli)
-    except RefinementError:
-        wanted = None
-
-    if wanted is not None and wanted == certificate.stimuli:
-        with obs.span("refine:recheck-incremental", obligation=True) as sp:
-            outcome = incremental_recheck(
-                rhs_old, rhs_new, env, rhs_module, lhs_module, certificate, wanted
-            )
-            sp.set(
-                eligible=outcome.eligible,
-                entries=outcome.entries_validated,
-                moves=outcome.moves_checked,
-                reason=outcome.reason,
-            )
-        if (
-            outcome.eligible
-            and outcome.result is not None
-            and outcome.result.holds
-            and outcome.result.certificate is not None
-        ):
-            obs.count("refinement.incremental_hits")
-            upgraded = outcome.result.certificate
-            if cache is not None:
-                from ..exec.hashing import certificate_key
-
-                key = certificate_key(
-                    rhs_new, lhs, env, stimuli, spec_capacity=spec_capacity
-                )
-                _store_certificate(cache, key, upgraded)
-            return RefinementReport(upgraded, mode="recheck-incremental")
-        if not outcome.eligible:
-            # The incremental argument did not apply; the baseline may
-            # still recheck in full when the state shape is unchanged.
-            result = recheck_certificate(rhs_module, lhs_module, certificate, stimuli)
-            if result.holds:
-                obs.count("refinement.cert_cache_hits")
-                return RefinementReport(certificate, mode="recheck")
-    obs.count("refinement.incremental_fallbacks")
-    return_report = check_rewrite_obligation(
-        lhs,
-        rhs_new,
-        env,
-        stimuli,
-        values=values,
-        spec_capacity=spec_capacity,
-        cache=cache,
-    )
-    if return_report.mode == "search":
-        return_report.mode = "search-fallback"
-    return return_report
 
 
 def check_rewrite_obligation_traces(
