@@ -171,7 +171,7 @@ def measure_overhead(repeats: int = 5) -> dict:
     Three configurations of the same workload (the worklist fixpoint on the
     largest graphs, repeated within a sample until each configuration's
     share of it lasts at least ``_MIN_SAMPLE_SECONDS``), interleaved
-    round-robin and reported best-of as seconds per pass:
+    round-robin within each sample:
 
     * ``stubbed`` — ``obs.span``/``count``/``gauge`` replaced by no-ops,
       approximating the pre-instrumentation engine;
@@ -181,8 +181,14 @@ def measure_overhead(repeats: int = 5) -> dict:
 
     The contract (and the CI guard) is on ``nosink_overhead``: tracing that
     nobody turned on must stay within a few percent of the stubbed run.
+    Each overhead is the median over samples of that sample's paired ratio
+    (``nosink / stubbed - 1``, likewise for ``sink``).  The configurations
+    of one sample share a stretch of machine speed, so the ratio cancels
+    drift between samples that a per-configuration best-of would not.
+    The ``*_seconds`` fields are per-pass medians, for reference only.
     """
     import math
+    import statistics
     from time import perf_counter
 
     from repro import obs
@@ -229,25 +235,31 @@ def measure_overhead(repeats: int = 5) -> dict:
     # so none always runs right after another.
     runs = {"stubbed": run_stubbed, "nosink": lambda: timed(one_pass), "sink": run_with_sink}
     order = list(runs)
-    best = dict.fromkeys(runs, float("inf"))
+    samples = []
     for _ in range(repeats):
         sample = dict.fromkeys(runs, 0.0)
         for _ in range(passes):
             for config in order:
                 sample[config] += runs[config]()
             order.append(order.pop(0))
-        for config, seconds in sample.items():
-            best[config] = min(best[config], seconds)
+        samples.append(sample)
+
+    def seconds(config: str) -> float:
+        return round(statistics.median(s[config] for s in samples) / passes, 6)
+
+    def overhead(config: str) -> float:
+        ratio = statistics.median(s[config] / s["stubbed"] for s in samples)
+        return round(ratio - 1.0, 4)
 
     return {
         "workload": list(_LARGEST),
         "repeats": repeats,
         "passes_per_sample": passes,
-        "stubbed_seconds": round(best["stubbed"] / passes, 6),
-        "nosink_seconds": round(best["nosink"] / passes, 6),
-        "sink_seconds": round(best["sink"] / passes, 6),
-        "nosink_overhead": round(best["nosink"] / best["stubbed"] - 1.0, 4),
-        "sink_overhead": round(best["sink"] / best["stubbed"] - 1.0, 4),
+        "stubbed_seconds": seconds("stubbed"),
+        "nosink_seconds": seconds("nosink"),
+        "sink_seconds": seconds("sink"),
+        "nosink_overhead": overhead("nosink"),
+        "sink_overhead": overhead("sink"),
     }
 
 
@@ -274,7 +286,10 @@ def main(argv=None) -> int:
         help="measure observability overhead instead of the microbenchmarks; "
         "exit 1 when the no-sink overhead exceeds the threshold",
     )
-    parser.add_argument("--repeats", type=int, default=5, help="best-of repeats")
+    parser.add_argument(
+        "--repeats", type=int, default=5,
+        help="best-of repeats (microbenchmarks) or paired samples (--overhead-guard)",
+    )
     parser.add_argument(
         "--threshold",
         type=float,

@@ -58,7 +58,6 @@ from .obs import MetricsSnapshot
 from .rewriting.engine import EngineStats
 from .rewriting.pipeline import GraphitiPipeline, TransformResult
 from .rewriting.rules import VERIFY_FACTORY_SPECS, build_rewrite
-from .rewriting.saturate import SaturationBudget, SaturationStats
 
 
 class Session:
@@ -97,7 +96,6 @@ class Session:
             self.cache = NullCache()
         self._metrics = ExecutorMetrics()
         self._engine_stats = EngineStats()
-        self._saturation_stats = SaturationStats()
         self.executor = Executor(jobs=jobs, cache=self.cache, metrics=self._metrics)
         self._check_obligations = check_obligations
         self._closed = False
@@ -154,7 +152,6 @@ class Session:
             rewriting=self._engine_stats.to_dict(),
             counters=dict(tracer.counters),
             gauges=dict(tracer.gauges),
-            saturation=self._saturation_stats.to_dict(),
         )
 
     # -- transformation ------------------------------------------------------
@@ -164,21 +161,11 @@ class Session:
         *,
         graph: ExprHigh | None = None,
         mark=None,
-        strategy: str = "fixpoint",
-        budget: SaturationBudget | None = None,
     ) -> TransformResult:
-        """Transform a marked loop: destructive fixpoint or saturation.
+        """Transform a marked loop with the five-phase out-of-order pipeline.
 
         All arguments are keyword-only (since v1.7; positional calls,
         deprecated in v1.7, are a ``TypeError`` since v1.13).
-
-        ``strategy="fixpoint"`` (the default) runs the five-phase
-        out-of-order pipeline; ``strategy="saturate"`` runs the fixpoint
-        baseline and then equality-saturates the kernel under the
-        structural rewrite set, returning the (area, cycles) Pareto
-        frontier in ``result.pareto`` with the best-cost circuit as
-        ``result.graph``.  *budget* bounds the exploration (see
-        :class:`~repro.rewriting.saturate.SaturationBudget`).
         """
         if graph is None or mark is None:
             raise TypeError("Session.transform() requires graph= and mark=")
@@ -187,19 +174,14 @@ class Session:
             self.env,
             check_obligations=self._check_obligations,
             cache=self.cache,
-            strategy=strategy,
-            budget=budget,
         )
-        with obs.span(
-            "transform", kernel=getattr(mark, "kernel", "?"), strategy=strategy
-        ):
+        with obs.span("transform", kernel=getattr(mark, "kernel", "?")):
             try:
                 return pipeline.transform_kernel(graph, mark)
             finally:
                 # Whatever happened — success, refusal, or an exception —
                 # the engine's counters roll up into session.metrics().
                 self._engine_stats.merge(pipeline.engine.stats)
-                self._saturation_stats.merge(pipeline.saturation_stats)
 
     # -- verification --------------------------------------------------------
 

@@ -22,10 +22,7 @@ reproduction::
 
 ``transform`` reads a dot graph, runs the five-phase out-of-order pipeline
 on the marked loop, and writes the rewritten dot graph (or reports the
-refusal, e.g. for effectful loop bodies).  ``--strategy saturate`` switches
-to the equality-saturation backend: the kernel's rewrite closure is
-explored, the (area, cycles) Pareto frontier extracted (``--pareto`` prints
-it), and the best-cost circuit written.
+refusal, e.g. for effectful loop bodies).
 
 Every subcommand goes through the :class:`repro.api.Session` facade and
 accepts the executor flags: ``--jobs N`` fans independent work units
@@ -111,19 +108,10 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         return 2
     session = _session(args, check_obligations=args.check)
     with _observe(args):
-        result = session.transform(graph=graph, mark=mark, strategy=args.strategy)
-    if not result.transformed and result.strategy != "saturate":
+        result = session.transform(graph=graph, mark=mark)
+    if not result.transformed:
         print(f"refused: {result.refusal}", file=sys.stderr)
         return 2
-    if args.pareto and result.pareto:
-        print(f"{'area':>8s} {'cycles':>8s} {'CP(ns)':>8s} {'time(ns)':>10s} {'steps':>6s} certified", file=sys.stderr)
-        for point in result.pareto:
-            cost = point.cost
-            print(
-                f"{cost.area:>8d} {cost.cycles:>8d} {cost.clock_period:>8.2f} "
-                f"{cost.time:>10.1f} {len(point.derivation):>6d} {point.certified}",
-                file=sys.stderr,
-            )
     output = print_dot(result.graph)
     if args.output:
         Path(args.output).write_text(output)
@@ -626,14 +614,6 @@ def main(argv: list[str] | None = None) -> int:
     transform.add_argument("--collector", help="collector pseudo-node, if present")
     transform.add_argument("--tags", type=int, default=4, help="tag budget")
     transform.add_argument("--check", action="store_true", help="discharge obligations before applying")
-    transform.add_argument(
-        "--strategy", default="fixpoint", metavar="NAME",
-        help="optimization strategy: fixpoint | saturate (default: fixpoint)",
-    )
-    transform.add_argument(
-        "--pareto", action="store_true",
-        help="with --strategy saturate: print the extracted pareto frontier to stderr",
-    )
     _add_exec_flags(transform)
     transform.set_defaults(fn=_cmd_transform)
 
@@ -849,16 +829,6 @@ def main(argv: list[str] | None = None) -> int:
     if bound is not None and bound < 1:
         print(f"error: --bound must be >= 1 (got {bound})", file=sys.stderr)
         return 2
-    strategy = getattr(args, "strategy", None)
-    if strategy is not None:
-        from .rewriting.saturate import STRATEGIES
-
-        if strategy not in STRATEGIES:
-            print(
-                f"error: --strategy must be one of {', '.join(STRATEGIES)} (got {strategy})",
-                file=sys.stderr,
-            )
-            return 2
     return args.fn(args)
 
 

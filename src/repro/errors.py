@@ -46,15 +46,6 @@ class RewriteError(GraphitiError):
     """A rewrite could not be applied to the located subgraph."""
 
 
-class SaturationLimitError(RewriteError):
-    """Equality saturation exhausted its node/iteration budget.
-
-    Raised only when the saturation was configured with
-    ``on_exhausted="error"``; the default policy returns the partial
-    frontier explored so far instead.
-    """
-
-
 class ResultSchemaError(GraphitiError):
     """A wire-format result dict was malformed: missing or unknown
     ``schema_version``, an unregistered ``kind``, or a field that does not

@@ -6,9 +6,6 @@
   Graphiti's Mux/Branch combination synchronises the per-variable data
   paths, costing cycles relative to DF-OoO's uncombined steering, without
   hurting area or clock much.
-* **Saturation vs fixpoint** — what the equality-saturation backend buys
-  over the destructive pipeline on every benchmark: modeled best-point
-  cost against the fixpoint circuit's cost, plus the frontier size.
 """
 
 from __future__ import annotations
@@ -92,67 +89,6 @@ def steering_comparison(result: BenchmarkResult) -> SteeringComparison:
         graphiti_luts=result["GRAPHITI"].area.luts,
         df_ooo_luts=result["DF-OoO"].area.luts,
     )
-
-
-@dataclass
-class StrategyDelta:
-    """Saturate-vs-fixpoint comparison for one benchmark kernel.
-
-    Costs come from :func:`repro.hls.area.circuit_cost`; ``best_*`` is the
-    lowest-modeled-time point of the extracted Pareto frontier.  The
-    saturate strategy seeds exploration with the fixpoint output, so
-    ``time_ratio <= 1`` always holds — strict improvement means saturation
-    found a variant the destructive pipeline cannot reach.
-    """
-
-    benchmark: str
-    fixpoint_area: int
-    fixpoint_cycles: int
-    fixpoint_time: float
-    best_area: int
-    best_cycles: int
-    best_time: float
-    frontier: int
-    refused: bool
-
-    @property
-    def time_ratio(self) -> float:
-        """Best saturated time over fixpoint time (<= 1 by construction)."""
-        return self.best_time / self.fixpoint_time
-
-    @property
-    def area_ratio(self) -> float:
-        return self.best_area / self.fixpoint_area
-
-
-def strategy_deltas(
-    benchmarks=None, budget=None, session=None
-) -> list[StrategyDelta]:
-    """Run every benchmark under ``strategy="saturate"``; one delta each."""
-    from ..api import Session
-    from ..benchmarks import BENCHMARKS, load_benchmark
-    from ..hls.frontend import compile_program
-
-    session = session if session is not None else Session(use_cache=False)
-    deltas = []
-    for name in benchmarks if benchmarks is not None else BENCHMARKS:
-        program = load_benchmark(name)
-        ck = compile_program(program, session.env).kernels[0]
-        result = session.transform(graph=ck.graph, mark=ck.mark, strategy="saturate", budget=budget)
-        deltas.append(
-            StrategyDelta(
-                benchmark=name,
-                fixpoint_area=result.fixpoint_cost.area,
-                fixpoint_cycles=result.fixpoint_cost.cycles,
-                fixpoint_time=result.fixpoint_cost.time,
-                best_area=result.best_cost.area,
-                best_cycles=result.best_cost.cycles,
-                best_time=result.best_cost.time,
-                frontier=len(result.pareto),
-                refused=not result.transformed,
-            )
-        )
-    return deltas
 
 
 @dataclass

@@ -1,16 +1,10 @@
-"""Table 2: cycle count, clock period, and execution time.
-
-``python -m repro.eval.table2 --strategy`` additionally renders the
-saturation-vs-fixpoint delta table (modeled best-point cost of the
-equality-saturation backend against the destructive pipeline).
-"""
+"""Table 2: cycle count, clock period, and execution time."""
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from . import paper_data
-from .ablation import StrategyDelta
 from .report import clock_table, cycle_table, exec_time_table
 from .runner import BenchmarkResult
 
@@ -30,34 +24,8 @@ def render(results: Mapping[str, BenchmarkResult]) -> str:
     )
 
 
-def render_strategy_deltas(deltas: Sequence[StrategyDelta]) -> str:
-    """The saturation-vs-fixpoint companion table."""
-    title = "Saturation vs fixpoint — modeled (area, cycles) of the best extracted point"
-    lines = [title, "=" * len(title)]
-    lines.append(
-        f"{'benchmark':14s}{'fix area':>10s}{'fix cyc':>9s}{'best area':>11s}"
-        f"{'best cyc':>10s}{'t-ratio':>9s}{'frontier':>10s}  note"
-    )
-    for delta in deltas:
-        note = "ooo refused; structural rules only" if delta.refused else ""
-        lines.append(
-            f"{delta.benchmark:14s}{delta.fixpoint_area:>10d}{delta.fixpoint_cycles:>9d}"
-            f"{delta.best_area:>11d}{delta.best_cycles:>10d}{delta.time_ratio:>9.3f}"
-            f"{delta.frontier:>10d}  {note}"
-        )
-    return "\n".join(lines)
-
-
-def main(argv: Sequence[str] | None = None) -> None:
-    import sys
-
-    argv = list(sys.argv[1:] if argv is None else argv)
+def main() -> None:
     print(render(collect()))
-    if "--strategy" in argv:
-        from .ablation import strategy_deltas
-
-        print()
-        print(render_strategy_deltas(strategy_deltas()))
 
 
 if __name__ == "__main__":

@@ -16,13 +16,14 @@ factors*, not its absolute numbers:
 
 Clock period is estimated as the largest per-component combinational delay
 in the netlist (every channel hop is registered), plus a wiring margin that
-grows slowly with design size.
+grows slowly with design size.  Cycle counts are not estimated here: they
+come from simulating the circuit (:mod:`repro.sim`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from ..core.exprhigh import ExprHigh
 
@@ -163,169 +164,6 @@ class AreaReport:
             dsps=int(data["dsps"]),
             clock_period=float(data["clock_period"]),
         )
-
-
-#: One DSP slice is worth this many LUT+FF units in the scalar area axis
-#: used for Pareto extraction (a Kintex-7-flavoured exchange rate).
-DSP_AREA_WEIGHT = 120
-
-#: Nominal trip count of the modeled steady-state loop.  The cost model is
-#: comparative (it ranks circuit variants of *one* kernel against each
-#: other), so any fixed count works; 16 keeps the numbers readable.
-MODEL_TRIP_COUNT = 16
-
-
-@dataclass(frozen=True)
-class CircuitCost:
-    """The (area, cycles) point one circuit variant occupies.
-
-    ``area`` folds LUTs, FFs and DSPs into one scalar axis
-    (:data:`DSP_AREA_WEIGHT`); ``cycles`` is the *modeled* steady-state
-    loop cost of :func:`modeled_cycles` — a static estimate, deliberately
-    cheap enough to score thousands of e-graph extraction candidates
-    without simulating any of them.
-    """
-
-    area: int
-    cycles: int
-    clock_period: float
-
-    @property
-    def time(self) -> float:
-        """Modeled execution time (ns): the scalar used to rank variants."""
-        return self.cycles * self.clock_period
-
-    def dominates(self, other: "CircuitCost") -> bool:
-        """Pareto dominance on the (area, cycles) axes."""
-        return (
-            self.area <= other.area
-            and self.cycles <= other.cycles
-            and (self.area < other.area or self.cycles < other.cycles)
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "area": int(self.area),
-            "cycles": int(self.cycles),
-            "clock_period": float(self.clock_period),
-            "time": round(self.time, 3),
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping) -> "CircuitCost":
-        return CircuitCost(
-            area=int(data["area"]),
-            cycles=int(data["cycles"]),
-            clock_period=float(data["clock_period"]),
-        )
-
-
-def _node_latency(spec) -> int:
-    return latency_of(spec.typ, dict(spec.params))
-
-
-def _strongly_connected_components(graph: ExprHigh) -> list[list[str]]:
-    """Tarjan's SCC (iterative), over the directed connection structure."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[list[str]] = []
-    counter = 0
-
-    for root in sorted(graph.nodes):
-        if root in index:
-            continue
-        work: list[tuple[str, Iterator]] = [(root, iter(sorted(
-            {succ for succ, _, _ in graph.successors(root)})))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, successors = work[-1]
-            advanced = False
-            for succ in successors:
-                if succ not in index:
-                    index[succ] = low[succ] = counter
-                    counter += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(sorted(
-                        {s for s, _, _ in graph.successors(succ)}))))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(sorted(component))
-    return components
-
-
-def _has_self_loop(graph: ExprHigh, node: str) -> bool:
-    return any(dst.node == node for _, _, dst in graph.successors(node))
-
-
-def modeled_cycles(graph: ExprHigh, trip_count: int = MODEL_TRIP_COUNT) -> int:
-    """Static steady-state cycle estimate for one loop circuit.
-
-    The model follows the paper's performance story: an in-order loop's
-    initiation interval is the total latency around its feedback cycle
-    (each iteration waits for the loop-carried token), while a tagged
-    out-of-order loop overlaps up to ``tags`` iterations, dividing that
-    latency.  Nodes outside any cycle contribute once as pipeline fill.
-    """
-    overlap = 1
-    for name in graph.nodes_of_type("Tagger"):
-        overlap = max(overlap, int(graph.nodes[name].param("tags", 4)))
-
-    in_cycle: set[str] = set()
-    interval = 1
-    for component in _strongly_connected_components(graph):
-        if len(component) == 1 and not _has_self_loop(graph, component[0]):
-            continue
-        in_cycle.update(component)
-        latency = sum(_node_latency(graph.nodes[name]) for name in component)
-        tagged = any(
-            graph.nodes[name].param("tagged", False) is True for name in component
-        )
-        if tagged:
-            latency = -(-latency // overlap)  # ceil division: tags-way overlap
-        interval = max(interval, latency, 1)
-
-    fill = sum(
-        _node_latency(spec)
-        for name, spec in graph.nodes.items()
-        if name not in in_cycle
-    )
-    return trip_count * interval + fill
-
-
-def circuit_cost(graph: ExprHigh, trip_count: int = MODEL_TRIP_COUNT) -> CircuitCost:
-    """Score one circuit variant for Pareto extraction.
-
-    Uses the same technology table as :func:`analyze` for area and clock
-    period, and :func:`modeled_cycles` for the cycle axis.
-    """
-    report = analyze(graph)
-    return CircuitCost(
-        area=report.luts + report.ffs + DSP_AREA_WEIGHT * report.dsps,
-        cycles=modeled_cycles(graph, trip_count),
-        clock_period=report.clock_period,
-    )
 
 
 def analyze(

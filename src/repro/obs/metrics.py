@@ -34,10 +34,6 @@ class MetricsSnapshot:
     * ``rewriting`` — ``rewrites_applied``/``matches_tried``/``seconds``/
       ``full_scans``/``worklist_scans`` plus ``per_rewrite`` keyed by
       rewrite name (``applied``/``matches_tried``/``match_seconds``);
-    * ``saturation`` — e-graph backend counters accumulated across
-      ``strategy="saturate"`` transforms: ``states``/``enodes``/
-      ``eclasses``/``rules_fired``/``frontier``/``budget_exhausted`` and
-      the saturate/extract/certify timings;
     * ``counters``/``gauges`` — the observability tracer's typed counters
       (e.g. ``matcher.plan_cache_hits``) and gauges.
     """
@@ -46,7 +42,6 @@ class MetricsSnapshot:
     rewriting: dict = field(default_factory=dict)
     counters: dict = field(default_factory=dict)
     gauges: dict = field(default_factory=dict)
-    saturation: dict = field(default_factory=dict)
 
     # -- executor convenience (the old ExecutorMetrics surface) --------------
 
@@ -96,7 +91,6 @@ class MetricsSnapshot:
             "rewriting": dict(self.rewriting),
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
-            "saturation": dict(self.saturation),
         }
 
     @staticmethod
@@ -109,12 +103,11 @@ class MetricsSnapshot:
             rewriting=dict(entry.get("rewriting", {})),
             counters=dict(entry.get("counters", {})),
             gauges=dict(entry.get("gauges", {})),
-            saturation=dict(entry.get("saturation", {})),
         )
 
     def summary(self) -> str:
-        """One line; the rewriting and saturation parts appear only when
-        that work happened (a fresh session reports all-zero sections)."""
+        """One line; the rewriting part appears only when that work
+        happened (a fresh session reports an all-zero section)."""
         parts = [
             f"{self.units} units: {self.hits} cached, {self.executed} executed"
             f" ({self.retries} retried), {self.total_seconds:.2f}s work"
@@ -124,12 +117,6 @@ class MetricsSnapshot:
                 f"{self.rewrites_applied} rewrites applied"
                 f" ({self.matches_tried} candidates tried,"
                 f" {float(self.rewriting.get('seconds', 0.0)):.2f}s)"
-            )
-        if _did_work(self.saturation):
-            parts.append(
-                f"saturation: {int(self.saturation.get('states', 0))} states,"
-                f" {int(self.saturation.get('enodes', 0))} e-nodes,"
-                f" {int(self.saturation.get('frontier', 0))} pareto points"
             )
         if self.counters:
             parts.append(

@@ -31,8 +31,10 @@ from .errors import GraphitiError, ResultSchemaError
 
 #: The wire-format version stamped into every ``to_dict()`` payload.
 #: Bump on any change to a result type's dict shape; ``from_dict``
-#: readers reject versions they do not know.
-SCHEMA_VERSION = 1
+#: readers reject versions they do not know.  Version 2 (v1.16) dropped
+#: the ``TransformResult`` strategy/frontier keys and the
+#: ``MetricsSnapshot`` ``saturation`` section.
+SCHEMA_VERSION = 2
 
 
 @runtime_checkable

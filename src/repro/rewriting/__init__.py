@@ -1,6 +1,6 @@
 """The verified rewriting framework: patterns, matching, application,
-the e-graph backends (term-level oracle and whole-circuit saturation),
-and the five-phase out-of-order pipeline."""
+the term-level e-graph behind the purify step, and the five-phase
+out-of-order pipeline."""
 
 from .apply import Application, apply_rewrite
 from .engine import EngineStats, RewriteEngine
@@ -8,20 +8,6 @@ from .matcher import find_matches, first_match
 from .pipeline import GraphitiPipeline, TransformResult, remove_identity_wires
 from .purify import PurityError, Region, compose_region, discover_region, purify_rewrite
 from .rewrite import Match, Rewrite, Var, pattern
-from .saturate import (
-    STRATEGIES,
-    CircuitEGraph,
-    CircuitState,
-    DerivationStep,
-    ParetoPoint,
-    SaturationBudget,
-    SaturationStats,
-    circuit_key,
-    extract_pareto,
-    replay_derivation,
-    saturate_graph,
-    saturation_rewrites,
-)
 
 __all__ = [
     "Application",
@@ -42,16 +28,4 @@ __all__ = [
     "Rewrite",
     "Var",
     "pattern",
-    "STRATEGIES",
-    "CircuitEGraph",
-    "CircuitState",
-    "DerivationStep",
-    "ParetoPoint",
-    "SaturationBudget",
-    "SaturationStats",
-    "circuit_key",
-    "extract_pareto",
-    "replay_derivation",
-    "saturate_graph",
-    "saturation_rewrites",
 ]

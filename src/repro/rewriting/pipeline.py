@@ -7,12 +7,13 @@ pipeline applies:
    conditions (fig. 3a).
 2. **Eliminate** — exhaustively cancel Split/Join pairs and sunk Forks
    introduced by phase 1 (fig. 3b), then drop identity wires.
-3. **Purify** — compose the loop body into a single Pure component using
-   the e-graph oracle (fig. 5, section 3.2); *refuses effectful bodies*,
+3. **Purify** — compose the loop body into a single Pure component (fig. 5,
+   section 3.2); the e-graph oracle's term becomes the Pure's ``fn`` and
+   its rule count joins ``composition_steps``.  *Refuses effectful bodies*,
    which is what catches the bicg bug of section 6.2.
 4. **Reorder** — apply the main out-of-order loop rewrite (fig. 3d).
 5. **Expand** — splice the saved body back in tagged form, undoing the
-   Pure generation.
+   Pure generation (the oracle's term is replaced, never simulated).
 
 The engine log records which applications were backed by a discharged
 refinement obligation, mirroring the paper's verified-core/unverified-minor
@@ -27,32 +28,16 @@ from .. import obs
 from ..core.environment import Environment
 from ..core.exprhigh import Endpoint, ExprHigh, NodeSpec
 from ..errors import GraphitiError, RewriteError
-from ..hls.area import CircuitCost, circuit_cost
 from .engine import RewriteEngine
 from .purify import PurityError, discover_region, purify_rewrite
 from .rewrite import Match, Rewrite
 from .rules import combine, loop_rewrite, reduction
-from .saturate import (
-    STRATEGIES,
-    ParetoPoint,
-    SaturationBudget,
-    SaturationStats,
-    extract_pareto,
-    saturate_graph,
-    saturation_rewrites,
-)
 from ..components import split as split_spec
 
 
 @dataclass
 class TransformResult:
-    """Outcome of running the pipeline on one kernel graph.
-
-    Under ``strategy="saturate"`` the result additionally carries the
-    extracted Pareto frontier: ``graph`` is the best-cost point, ``pareto``
-    lists every non-dominated variant, and ``fixpoint_cost`` is the
-    destructive baseline's cost for comparison.
-    """
+    """Outcome of running the pipeline on one kernel graph."""
 
     graph: ExprHigh
     transformed: bool
@@ -60,11 +45,6 @@ class TransformResult:
     rewrites_applied: int = 0
     composition_steps: int = 0
     verified_applications: int = 0
-    strategy: str = "fixpoint"
-    pareto: list[ParetoPoint] = field(default_factory=list)
-    best_cost: CircuitCost | None = None
-    fixpoint_cost: CircuitCost | None = None
-    saturation: dict | None = None
 
     @property
     def total_steps(self) -> int:
@@ -82,10 +62,9 @@ class TransformResult:
         from ..dot import print_dot
         from ..results import SCHEMA_VERSION
 
-        data = {
+        return {
             "kind": "TransformResult",
             "schema_version": SCHEMA_VERSION,
-            "strategy": self.strategy,
             "transformed": bool(self.transformed),
             "refusal": self.refusal,
             "rewrites_applied": int(self.rewrites_applied),
@@ -94,29 +73,28 @@ class TransformResult:
             "nodes": len(self.graph.nodes),
             "graph_dot": print_dot(self.graph),
         }
-        if self.pareto:
-            data["pareto"] = [point.to_dict() for point in self.pareto]
-        if self.best_cost is not None:
-            data["best_cost"] = self.best_cost.to_dict()
-        if self.fixpoint_cost is not None:
-            data["fixpoint_cost"] = self.fixpoint_cost.to_dict()
-        if self.saturation is not None:
-            data["saturation"] = self.saturation
-        return data
 
     @staticmethod
     def from_dict(data: dict) -> "TransformResult":
         """Rebuild a result (graph included) from its wire dict.
 
         Raises :class:`~repro.errors.ResultSchemaError` on a missing or
-        unknown ``schema_version`` or the wrong ``kind``.
+        unknown ``schema_version`` or the wrong ``kind``.  Schema 1 dicts
+        read when their ``strategy`` is ``"fixpoint"`` (the other keys of
+        that era are ignored); any other strategy's ``graph_dot`` was a
+        pick from a frontier this reader cannot describe, so it raises.
         """
         from ..dot import parse_dot
         from ..errors import ResultSchemaError
         from ..results import check_schema
-        from .saturate import ParetoPoint
 
         entry = check_schema(data, "TransformResult")
+        strategy = entry.get("strategy", "fixpoint")
+        if strategy != "fixpoint":
+            raise ResultSchemaError(
+                f"TransformResult with strategy {strategy!r} is no longer "
+                "readable; only fixpoint results are"
+            )
         try:
             graph = parse_dot(entry["graph_dot"])
             return TransformResult(
@@ -126,17 +104,6 @@ class TransformResult:
                 rewrites_applied=int(entry["rewrites_applied"]),
                 composition_steps=int(entry["composition_steps"]),
                 verified_applications=int(entry["verified_applications"]),
-                strategy=str(entry["strategy"]),
-                pareto=[ParetoPoint.from_dict(p) for p in entry.get("pareto", [])],
-                best_cost=(
-                    CircuitCost.from_dict(entry["best_cost"])
-                    if "best_cost" in entry else None
-                ),
-                fixpoint_cost=(
-                    CircuitCost.from_dict(entry["fixpoint_cost"])
-                    if "fixpoint_cost" in entry else None
-                ),
-                saturation=entry.get("saturation"),
             )
         except (KeyError, TypeError, ValueError, GraphitiError) as exc:
             if isinstance(exc, ResultSchemaError):
@@ -146,14 +113,6 @@ class TransformResult:
             ) from exc
 
     def summary(self) -> str:
-        if self.strategy == "saturate" and self.pareto:
-            base = (
-                f"saturated to a {len(self.pareto)}-point pareto frontier, "
-                f"best (area={self.best_cost.area}, cycles={self.best_cost.cycles})"
-            )
-            if not self.transformed:
-                base += f"; ooo reorder refused: {self.refusal}"
-            return base
         if not self.transformed:
             return f"refused: {self.refusal}"
         return (
@@ -178,35 +137,14 @@ class GraphitiPipeline:
     check_types: bool = False
     cache: object | None = None  # a repro.exec result cache for obligation discharges
     use_worklist: bool = True  # dirty-region fixpoints; False forces whole-graph scans
-    strategy: str = "fixpoint"
-    budget: SaturationBudget | None = None  # saturate-strategy exploration limits
     engine: RewriteEngine = field(init=False)
-    saturation_stats: SaturationStats = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise RewriteError(
-                f"unknown strategy {self.strategy!r}; expected one of "
-                f"{', '.join(STRATEGIES)}"
-            )
         self.engine = RewriteEngine(check_obligations=self.check_obligations, cache=self.cache)
-        self.saturation_stats = SaturationStats()
 
     # -- public API ---------------------------------------------------------
 
     def transform_kernel(self, graph: ExprHigh, mark) -> TransformResult:
-        """Transform the marked loop per the configured strategy.
-
-        ``"fixpoint"`` runs the destructive five-phase flow; ``"saturate"``
-        additionally explores the rewrite closure of the kernel (seeded
-        with both the input and the fixpoint output) and extracts the
-        (area, cycles) Pareto frontier — see :meth:`_transform_saturate`.
-        """
-        if self.strategy == "saturate":
-            return self._transform_saturate(graph, mark)
-        return self._transform_fixpoint(graph, mark)
-
-    def _transform_fixpoint(self, graph: ExprHigh, mark) -> TransformResult:
         """Make the marked loop out-of-order; refuse when unsound."""
         if mark.effectful:
             obs.count("pipeline.refusals")
@@ -298,107 +236,6 @@ class GraphitiPipeline:
                 composition_steps=steps,
                 verified_applications=verified,
             )
-
-    # -- the saturate strategy -------------------------------------------------
-
-    def _transform_saturate(self, graph: ExprHigh, mark) -> TransformResult:
-        """Equality saturation around the fixpoint baseline.
-
-        The destructive pipeline runs first: its output (when it does not
-        refuse) seeds the exploration alongside the input graph, so the
-        extracted best point costs no more than the fixpoint circuit *by
-        construction* — saturation can only add cheaper variants.  On a
-        refusal (the bicg case) exploration proceeds over the input alone
-        with the structural rule set, which never reorders iterations, so
-        the frontier stays sound for effectful loops too.
-        """
-        with obs.span(
-            "pipeline:saturate", kernel=mark.kernel, nodes=len(graph.nodes)
-        ) as root:
-            fix = self._transform_fixpoint(graph, mark)
-            fixpoint_cost = circuit_cost(fix.graph)
-            stats = SaturationStats()
-            seeds = [fix.graph] if fix.transformed else []
-            with obs.span("phase:saturate"):
-                states, _, stats = saturate_graph(
-                    graph,
-                    saturation_rewrites(tags=mark.tags),
-                    budget=self.budget,
-                    stats=stats,
-                    extra_seeds=seeds,
-                )
-            with obs.span("phase:extract"):
-                points = extract_pareto(states, stats)
-            if self.check_obligations:
-                with obs.span("phase:certify", points=len(points)):
-                    self._certify_points(points, stats)
-            best = min(points, key=lambda p: (p.cost.time, p.cost.area, p.order))
-            self.saturation_stats.merge(stats)
-            obs.count("pipeline.saturations")
-            root.set(frontier=len(points), states=stats.states)
-            return TransformResult(
-                graph=best.graph,
-                transformed=fix.transformed,
-                refusal=fix.refusal,
-                rewrites_applied=fix.rewrites_applied,
-                composition_steps=fix.composition_steps,
-                verified_applications=fix.verified_applications,
-                strategy="saturate",
-                pareto=points,
-                best_cost=best.cost,
-                fixpoint_cost=fixpoint_cost,
-                saturation=stats.to_dict(),
-            )
-
-    def _certify_points(self, points: list[ParetoPoint], stats: SaturationStats) -> None:
-        """Discharge every obligation behind each extracted circuit.
-
-        Each Pareto point is a replayed rewrite sequence; its guarantee is
-        the conjunction of the per-rewrite refinement obligations along the
-        derivation.  Obligations route through
-        :func:`~repro.refinement.checker.check_rewrite_obligation` with the
-        pipeline's result cache, so warm runs re-validate stored
-        certificates (``mode="recheck"``) instead of re-solving the
-        simulation games.  Mirroring the engine, only ``verified`` rewrites
-        carry a dischargeable obligation — the unverified minor rewrites
-        (the paper's figures 3a-3c limitation note) participate without
-        blocking certification, exactly as on the fixpoint path.
-        Derivation steps of the fixpoint-seeded points were already
-        discharged by the engine during the fixpoint run.
-        """
-        from time import perf_counter
-
-        from ..refinement.checker import RefinementError, check_rewrite_obligation
-
-        start = perf_counter()
-        discharged: dict[str, bool] = {}
-        by_name = {r.name: r for r in saturation_rewrites()}
-        for point in points:
-            certified = True
-            for name in set(point.derivation):
-                holds = discharged.get(name)
-                if holds is None:
-                    rewrite = by_name[name]
-                    holds = True
-                    if rewrite.verified and rewrite.obligation is not None:
-                        for lhs, rhs, env, stimuli in rewrite.obligation():
-                            try:
-                                report = check_rewrite_obligation(
-                                    lhs, rhs, env, stimuli, cache=self.cache
-                                )
-                            except RefinementError:
-                                # A failed obligation poisons every point
-                                # using this rewrite, not the whole run.
-                                holds = False
-                                obs.count("saturation.certify_failed")
-                                break
-                            obs.count(f"saturation.certify_{report.mode}")
-                    discharged[name] = holds
-                certified = certified and holds
-            point.certified = certified
-            if certified:
-                stats.certified_points += 1
-        stats.certify_seconds += perf_counter() - start
 
     # -- phase 5 ---------------------------------------------------------------
 

@@ -5,9 +5,12 @@ sits between the Mux output and the Branch/condition-fork inputs is the
 *body region*.  This module proves the region acts like a pure function by
 actually constructing that function: it composes each region node into a
 combinator term over the region's input (Operators become ``tup(f)`` after
-a Join, Forks become ``dup``, Splits become projections), asks the e-graph
-oracle to minimise the term — the paper's use of egg — and replaces the
-region with ``Pure{fn=term}; Split``.
+a Join, Forks become ``dup``, Splits become projections), passes the term
+through the e-graph oracle (the egg substitute) and replaces the region
+with ``Pure{fn=term}; Split``.  The oracle's term becomes the tagged Pure's
+``fn``, and phase 5 of the pipeline replaces that Pure with the saved
+region, so the term is never simulated.  The oracle's rule count is added
+to ``composition_steps``; no rewrite order is chosen or replayed.
 
 A region containing an effectful component (a Store) cannot be composed
 and the purifier refuses, which is precisely the check that caught the
@@ -143,8 +146,8 @@ def compose_region(graph: ExprHigh, region: Region, env) -> tuple[str, int]:
         )
         sp.set(compositions=steps, oracle_rules=len(rule_log))
     algebra.ensure(env, simplified)
-    # The oracle's rule applications count as rewrite steps too — they are
-    # exactly the Split/Join algebra rewrites the paper replays from egg.
+    # The oracle's rule applications are counted as composition steps; the
+    # rules themselves are not replayed as graph rewrites.
     return simplified, steps + len(rule_log)
 
 

@@ -3,9 +3,10 @@ Split/Join algebra (figs. 3c and 5e).
 
 After operator-to-Pure conversion the body is a network of Pures, Splits
 and Joins.  These rewrites push Pures together (so :func:`pure_compose`
-can fuse them) and reassociate the remaining Split/Join network; the order
-in which to apply the algebra rules is chosen by the e-graph oracle
-(:mod:`repro.rewriting.egraph`), mirroring the paper's use of egg.
+can fuse them) and reassociate the remaining Split/Join network.  The
+purify step does not replay these rules in an order an oracle picks: the
+e-graph oracle (:mod:`repro.rewriting.egraph`) only simplifies the composed
+body term, and only its rule count is kept (see :mod:`repro.rewriting.purify`).
 """
 
 from __future__ import annotations

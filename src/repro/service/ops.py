@@ -7,8 +7,8 @@ call and returns the result in the versioned wire format of
 * :func:`canonical_params` validates and *normalises* the parameters —
   defaults filled in, keys sorted, unknown keys rejected with
   :class:`~repro.errors.ServiceError` — so that equivalent requests
-  (``{"kernel": "matvec"}`` versus ``{"kernel": "matvec", "strategy":
-  "fixpoint"}``) fingerprint to the same result-store key;
+  (a ``simulate`` job's ``{"kernel": "matvec"}`` versus ``{"kernel":
+  "matvec", "flow": "DF-OoO"}``) fingerprint to the same result-store key;
 * :func:`run_op` executes the kind on a checked-out Session.  It runs in
   a worker thread, never on the event loop.
 
@@ -102,12 +102,7 @@ def canonical_params(kind: str, params: Mapping | None) -> dict:
     params = dict(params or {})
 
     if kind == "transform":
-        _reject_unknown(params, ("kernel", "dot", "mark", "strategy"), kind)
-        from ..rewriting.saturate import STRATEGIES
-
-        strategy = _check_choice(
-            str(params.get("strategy", "fixpoint")), STRATEGIES, "strategy", kind
-        )
+        _reject_unknown(params, ("kernel", "dot", "mark"), kind)
         if "kernel" in params:
             if "dot" in params or "mark" in params:
                 raise ServiceError(
@@ -115,12 +110,12 @@ def canonical_params(kind: str, params: Mapping | None) -> dict:
                 )
             kernel = _require_str(params, "kernel", kind)
             _known_benchmark(kernel, kind)
-            return {"kernel": kernel, "strategy": strategy}
+            return {"kernel": kernel}
         dot = _require_str(params, "dot", kind)
         mark = params.get("mark")
         if not isinstance(mark, Mapping):
             raise ServiceError("transform job with 'dot' requires a 'mark' mapping")
-        return {"dot": dot, "mark": _canonical_mark(mark), "strategy": strategy}
+        return {"dot": dot, "mark": _canonical_mark(mark)}
 
     if kind == "simulate":
         _reject_unknown(params, ("kernel", "flow", "backend"), kind)
@@ -278,7 +273,7 @@ def _op_transform(session, params: Mapping) -> dict:
             )
         except GraphitiError as exc:
             raise ServiceError(f"invalid loop mark: {exc}") from exc
-    result = session.transform(graph=graph, mark=mark, strategy=params["strategy"])
+    result = session.transform(graph=graph, mark=mark)
     return result.to_dict()
 
 

@@ -171,16 +171,8 @@ class TestMetricsSnapshot:
     def test_fresh_session_summary_omits_idle_sections(self):
         with Session(use_cache=False) as session:
             snapshot = session.metrics()
-        # The sections exist, zero-filled, but no transform or saturation ran.
-        assert snapshot.rewriting and snapshot.saturation
+        # The section exists, zero-filled, but no transform ran.
+        assert snapshot.rewriting
         text = snapshot.summary()
         assert "rewrites applied" not in text
-        assert "saturation" not in text
         assert text.startswith("0 units")
-
-    def test_summary_shows_saturation_once_it_ran(self):
-        text = MetricsSnapshot(
-            saturation={"states": 3, "enodes": 12, "frontier": 2, "budget_exhausted": False}
-        ).summary()
-        assert "saturation: 3 states, 12 e-nodes, 2 pareto points" in text
-        assert "rewrites applied" not in text

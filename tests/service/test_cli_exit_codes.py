@@ -75,11 +75,15 @@ def test_unknown_benchmark_exits_2(capsys):
     assert main(["sim", "definitely-not-a-benchmark"]) == 2
 
 
-def test_unknown_strategy_exits_2(tmp_path, capsys):
+def test_unrecognised_strategy_flag_still_exits_2(tmp_path, capsys):
+    # --strategy was removed with the saturate backend; argparse now
+    # rejects it as an unrecognised argument, still with exit code 2.
     dot = tmp_path / "x.dot"
     dot.write_text("digraph {}")
-    code = main(
-        ["transform", str(dot), "--mux", "m", "--branch", "b",
-         "--init", "i", "--cond-fork", "cf", "--strategy", "alchemy"]
-    )
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(
+            ["transform", str(dot), "--mux", "m", "--branch", "b",
+             "--init", "i", "--cond-fork", "cf", "--strategy", "fixpoint"]
+        )
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --strategy" in capsys.readouterr().err

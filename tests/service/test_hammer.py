@@ -36,7 +36,7 @@ def _expected_results():
             )
         for name in TRANSFORM_KERNELS:
             expected[("transform", name)] = run_op(
-                session, "transform", {"kernel": name, "strategy": "fixpoint"}
+                session, "transform", {"kernel": name}
             )
         expected[("bench", "matvec")] = run_op(session, "bench", {"name": "matvec"})
     return expected

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import ServiceError
+from repro.results import SCHEMA_VERSION
 
 
 def test_submit_watch_result_roundtrip(make_server):
@@ -17,7 +18,7 @@ def test_submit_watch_result_roundtrip(make_server):
     # the stream is ordered: versions strictly increase, one line per change
     result = client.result(job["id"])
     assert result["kind"] == "SimStats"
-    assert result["schema_version"] == 1
+    assert result["schema_version"] == SCHEMA_VERSION
     assert result["cycles"] > 0
 
 

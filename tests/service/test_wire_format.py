@@ -46,17 +46,31 @@ def test_transform_result_round_trips(session, compiled):
     assert rebuilt.to_dict() == wire
 
 
-def test_saturate_result_round_trips_pareto(session, compiled):
-    result = session.transform(
-        graph=compiled.graph, mark=compiled.mark, strategy="saturate"
-    )
+def test_v2_transform_result_has_no_strategy_keys(session, compiled):
+    result = session.transform(graph=compiled.graph, mark=compiled.mark)
     wire = result.to_dict()
-    rebuilt = TransformResult.from_dict(wire)
-    assert len(rebuilt.pareto) == len(result.pareto)
-    for ours, theirs in zip(rebuilt.pareto, result.pareto):
-        assert ours.cost.to_dict() == theirs.cost.to_dict()
-        assert sorted(ours.graph.nodes) == sorted(theirs.graph.nodes)
-    assert rebuilt.best_cost.to_dict() == result.best_cost.to_dict()
+    assert wire["schema_version"] == 2
+    assert "strategy" not in wire and "saturation" not in wire
+    assert TransformResult.from_dict(wire).to_dict() == wire
+
+
+def _as_v1(wire: dict, strategy: str) -> dict:
+    """The same result as a schema-1 writer stamped it."""
+    return {**wire, "schema_version": 1, "strategy": strategy}
+
+
+def test_v1_fixpoint_transform_result_still_reads(session, compiled):
+    wire = session.transform(graph=compiled.graph, mark=compiled.mark).to_dict()
+    old = _as_v1(wire, "fixpoint")
+    old["saturation"] = {"states": 1}  # a key of that era, ignored
+    rebuilt = TransformResult.from_dict(old)
+    assert rebuilt.to_dict() == wire
+
+
+def test_v1_non_fixpoint_transform_result_is_rejected(session, compiled):
+    wire = session.transform(graph=compiled.graph, mark=compiled.mark).to_dict()
+    with pytest.raises(ResultSchemaError, match="saturate"):
+        TransformResult.from_dict(_as_v1(wire, "saturate"))
 
 
 def test_simstats_round_trips(session, compiled):
@@ -107,6 +121,7 @@ def test_metrics_snapshot_round_trips(session):
     snapshot = session.metrics()
     wire = snapshot.to_dict()
     assert wire["schema_version"] == SCHEMA_VERSION
+    assert "saturation" not in wire
     rebuilt = MetricsSnapshot.from_dict(wire)
     assert rebuilt.to_dict() == wire
 
