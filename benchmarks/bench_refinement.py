@@ -8,8 +8,8 @@ the bundled heavyweight rewrite obligations,
   compact binary container), **validate** (replay the stored witnesses
   against freshly fired moves), and **fallback** (the exhaustive
   O(relation x moves) recheck used when witnesses are absent or damaged),
-* both **encodings** (JSON document vs binary container): size on disk and
-  encode/decode time, and
+* the **binary container** (the stored encoding) against the read-only
+  JSON dump: size and encode time, plus the container's decode time, and
 * the **parallel batch** through ``Session.check_obligations`` — a cold run
   that populates the certificate cache, then a warm run that rechecks,
 
@@ -58,7 +58,6 @@ def collect_measurements(repeats: int = 3) -> dict:
         recheck_obligation_certificate,
     )
     from repro.refinement.codec import from_bytes, to_bytes
-    from repro.refinement.simulation import SimulationCertificate
     from repro.rewriting.rules import build_rewrite
 
     results = {}
@@ -72,9 +71,6 @@ def collect_measurements(repeats: int = 3) -> dict:
 
             json_encode_seconds, payload = _best_of(repeats, certificate.to_dict)
             json_bytes = len(json.dumps(payload))
-            json_decode_seconds, _ = _best_of(
-                repeats, lambda: SimulationCertificate.from_dict(payload)
-            )
             binary_encode_seconds, blob = _best_of(
                 repeats, lambda: to_bytes(certificate)
             )
@@ -105,7 +101,6 @@ def collect_measurements(repeats: int = 3) -> dict:
                 "binary_bytes": len(blob),
                 "size_ratio": round(json_bytes / len(blob), 2),
                 "json_encode_seconds": round(json_encode_seconds, 6),
-                "json_decode_seconds": round(json_decode_seconds, 6),
                 "binary_encode_seconds": round(binary_encode_seconds, 6),
                 "search_seconds": round(search_seconds, 6),
                 "decode_seconds": round(decode_seconds, 6),

@@ -53,9 +53,15 @@ def main() -> None:
 
     # 3. Discharge the mux-combine rewrite's obligation (rhs ⊑ lhs) through
     #    the session — the executable stand-in for the Lean proof.  With a
-    #    cache enabled this is instant on every rerun.
-    [outcome] = session.verify([("repro.rewriting.rules.combine", "mux_combine", {})])
-    print(f"mux-combine obligation: holds={outcome['holds']} [{outcome['seconds']:.2f}s]")
+    #    cache enabled, a rerun rechecks the stored certificate instead of
+    #    searching again.
+    [outcome] = session.check_obligations(
+        [("repro.rewriting.rules.combine", "mux_combine", {})]
+    )
+    print(
+        f"mux-combine obligation: holds={outcome['holds']} "
+        f"[{outcome['mode']}, {outcome['seconds']:.2f}s]"
+    )
 
     # 4. Apply the rewrite through the engine (theorem 4.6 then guarantees
     #    the output refines the input).

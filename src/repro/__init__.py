@@ -15,7 +15,7 @@ Quick tour::
 
     session = Session(jobs=4)          # parallel + cached execution
     session.transform(graph=g, mark=m) # the OoO pipeline
-    session.verify()                   # discharge every rewrite obligation
+    session.check_obligations()        # discharge every rewrite obligation, certified
     session.bench(name="matvec")       # the evaluation harness
     print(session.report())            # Tables 2-3 + Figure 8
 

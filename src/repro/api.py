@@ -9,8 +9,7 @@ is reachable through one object::
 
     session = Session(jobs=4)                 # parallel, cached
     session.transform(graph=g, mark=m)        # the five-phase OoO pipeline
-    session.verify()                          # discharge every obligation
-    session.check_obligations()               # certified: recheck stored certificates
+    session.check_obligations()               # discharge every obligation, certified
     session.bench(name="matvec")              # one benchmark, four flows
     session.simulate(graph_or_kernel=ck, stimuli=arrays)  # one kernel, one stimulus
     print(session.report())                   # Tables 2-3 + Figure 8
@@ -24,9 +23,10 @@ A Session owns:
   stimuli/tool-version fingerprints (see :mod:`repro.exec.hashing`), so a
   warm rerun recomputes nothing;
 * the :class:`~repro.exec.executor.Executor` that fans independent work
-  units — (benchmark × flow) runs, obligation discharges, weak-simulation
-  checks — over a process pool, with deterministic result ordering (output
-  is byte-identical to a serial run) and serial fallback on worker failure;
+  units — (benchmark × flow) runs, obligation discharges, SAT
+  cross-checks, fuzz cases — over a process pool, with deterministic
+  result ordering (output is byte-identical to a serial run) and serial
+  fallback on worker failure;
 * the unified statistics surface: :meth:`Session.metrics` returns one
   :class:`~repro.obs.MetricsSnapshot` rolling up the executor accounting,
   the rewriting-engine counters accumulated across every ``transform``,
@@ -35,9 +35,9 @@ A Session owns:
   v1.5; see the migration table in ``docs/api.md``.)
 
 Every public method runs under a :mod:`repro.obs` span (``transform``,
-``verify``, ``bench``, ``report``), so attaching a sink — or passing
-``--trace``/``--profile`` on the CLI — captures the whole hierarchy down
-to per-rewrite matching and pool-worker subtrees.
+``check-obligations``, ``bench``, ``report``), so attaching a sink — or
+passing ``--trace``/``--profile`` on the CLI — captures the whole
+hierarchy down to per-rewrite matching and pool-worker subtrees.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .core.exprhigh import ExprHigh
 from .errors import GraphitiError
 from .exec.cache import NullCache, ResultCache, default_cache_dir
 from .exec.executor import Executor, WorkUnit
-from .exec.hashing import eval_unit_key, obligation_fingerprint, weak_sim_key
+from .exec.hashing import eval_unit_key
 from .exec.metrics import ExecutorMetrics
 from .obs import MetricsSnapshot
 from .rewriting.engine import EngineStats
@@ -77,7 +77,8 @@ class Session:
         CLI flag).
     check_obligations:
         Passed through to :class:`GraphitiPipeline`: discharge each
-        verified rewrite's obligation (cached) before its first use.
+        verified rewrite's obligation before its first use, rechecking a
+        cached certificate where one exists.
     """
 
     def __init__(
@@ -185,40 +186,13 @@ class Session:
 
     # -- verification --------------------------------------------------------
 
-    def verify(self, specs: Sequence[tuple[str, str, dict]] | None = None) -> list[dict]:
-        """Discharge every rewrite obligation, fanned out and cached.
-
-        Returns one dict per spec, in spec order: ``rewrite``, ``holds``,
-        ``verified_flag`` (was the rewrite *claimed* verified), ``detail``
-        (the counterexample message when it does not hold) and ``seconds``.
-        """
-        self._require_open("verify")
-        specs = list(specs if specs is not None else VERIFY_FACTORY_SPECS)
-        units = []
-        for module, factory, kwargs in specs:
-            rewrite = build_rewrite(module, factory, kwargs)
-            key = None
-            if rewrite.obligation is not None:
-                key = obligation_fingerprint(rewrite.name, list(rewrite.obligation()))
-            units.append(
-                WorkUnit(
-                    uid=f"verify:{rewrite.name}",
-                    fn="repro.exec.workers:discharge_rewrite",
-                    payload={"module": module, "factory": factory, "kwargs": kwargs},
-                    cache_key=key,
-                )
-            )
-        with obs.span("verify", obligations=len(units)):
-            return self.executor.run(units)
-
     def check_obligations(
         self,
         specs: Sequence[tuple[str, str, dict]] | None = None,
     ) -> list[dict]:
-        """Discharge rewrite obligations through the certificate fast path.
+        """Discharge rewrite obligations, certified through the cache.
 
-        Like :meth:`verify`, independent obligations fan out over the
-        executor pool — but instead of caching bare verdicts, each
+        Independent obligations fan out over the executor pool.  Each
         obligation persists its :class:`~repro.refinement.simulation.\
 SimulationCertificate` in the content-addressed result cache (compact
         binary encoding), and a warm run *re-validates* the stored
@@ -250,41 +224,6 @@ SimulationCertificate` in the content-addressed result cache (compact
             for module, factory, kwargs in specs
         ]
         with obs.span("check-obligations", obligations=len(units)):
-            return self.executor.run(units)
-
-    def check_refinements(
-        self,
-        pairs: Sequence[tuple[ExprHigh, ExprHigh]],
-        *,
-        values: tuple = (0, 1),
-        spec_capacity: int | None = 4,
-    ) -> list[dict]:
-        """Fan out weak-simulation checks ``rhs ⊑ lhs`` over graph pairs.
-
-        Each pair is ``(lhs, rhs)`` — specification first, like
-        :func:`repro.refinement.checker.check_rewrite_obligation`.
-        """
-        self._require_open("check_refinements")
-        units = []
-        for index, (lhs, rhs) in enumerate(pairs):
-            key = weak_sim_key(
-                rhs, lhs, self.env, None, values=values, spec_capacity=spec_capacity
-            )
-            units.append(
-                WorkUnit(
-                    uid=f"weak-sim:{index}",
-                    fn="repro.exec.workers:check_graph_pair",
-                    payload={
-                        "lhs": lhs,
-                        "rhs": rhs,
-                        "capacity": self.env.capacity,
-                        "values": tuple(values),
-                        "spec_capacity": spec_capacity,
-                    },
-                    cache_key=key,
-                )
-            )
-        with obs.span("check-refinements", pairs=len(units)):
             return self.executor.run(units)
 
     def sat_check(

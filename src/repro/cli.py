@@ -7,10 +7,8 @@ reproduction::
 
     python -m repro.cli transform circuit.dot --mux mux_a --mux mux_b \
         --branch br_a --branch br_b --init init0 --cond-fork cf0 --tags 8
-    python -m repro.cli verify            # discharge every rewrite obligation
-    python -m repro.cli refine            # certified: recheck stored certificates
-    python -m repro.cli refine --dump-certs certs/   # export certificate files
-    python -m repro.cli refine --dump-certs certs/ --cert-format binary  # .grc
+    python -m repro.cli refine            # discharge every rewrite obligation, certified
+    python -m repro.cli refine --dump-certs certs/   # export .grc certificate files
     python -m repro.cli refine --load-certs certs/   # independently re-validate
     python -m repro.cli bench matvec      # one benchmark, all four flows
     python -m repro.cli sim matvec --flow DF-OoO --backend compiled
@@ -122,28 +120,6 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    session = _session(args)
-    failures = 0
-    with _observe(args):
-        outcomes = session.verify()
-    for outcome in outcomes:
-        if outcome["holds"]:
-            status = "verified"
-        elif outcome["verified_flag"]:
-            status = f"FAILED ({outcome['detail']})"
-            failures += 1
-        else:
-            status = f"REFUTED ({outcome['detail']})"
-        print(f"{outcome['rewrite']:20s} {status}  [{outcome['seconds']:.2f}s]")
-    print(session.metrics().summary(), file=sys.stderr)
-    if failures:
-        print(f"{failures} verified-marked rewrites failed", file=sys.stderr)
-        return 1
-    print("all verified rewrites discharged; unverified ones refuted as documented")
-    return 0
-
-
 def _refine_specs(args: argparse.Namespace):
     """Resolve ``--rule`` filters against the verified-rewrite registry.
 
@@ -166,11 +142,16 @@ def _refine_specs(args: argparse.Namespace):
 
 
 def _refine_dump(args: argparse.Namespace) -> int:
-    """Discharge obligations serially, writing one certificate file each."""
+    """Discharge obligations serially, writing one ``.grc`` file each.
+
+    A ``.grc`` file is a one-line JSON metadata header followed by the
+    binary certificate container (see :mod:`repro.refinement.codec`).
+    """
     import json
 
     from .errors import GraphitiError, RefinementError
     from .refinement.checker import check_rewrite_obligation
+    from .refinement.codec import to_bytes
     from .rewriting.rules import build_rewrite
 
     try:
@@ -180,9 +161,6 @@ def _refine_dump(args: argparse.Namespace) -> int:
         return 2
     out_dir = Path(args.dump_certs).expanduser()
     out_dir.mkdir(parents=True, exist_ok=True)
-    binary = args.cert_format == "binary"
-    if binary:
-        from .refinement.codec import to_bytes as certificate_to_bytes
     session = _session(args)
     failures = written = 0
     with _observe(args):
@@ -208,19 +186,10 @@ def _refine_dump(args: argparse.Namespace) -> int:
                     "instance": index,
                     "mode": report.mode,
                 }
-                if binary:
-                    # .grc layout: one-line JSON metadata header, then the
-                    # raw binary certificate container (see refinement.codec).
-                    path = out_dir / f"{factory}-{index}.grc"
-                    path.write_bytes(
-                        json.dumps(meta).encode("utf-8")
-                        + b"\n"
-                        + certificate_to_bytes(report.certificate)
-                    )
-                else:
-                    path = out_dir / f"{factory}-{index}.json"
-                    meta["certificate"] = report.certificate.to_dict()
-                    path.write_text(json.dumps(meta))
+                path = out_dir / f"{factory}-{index}.grc"
+                path.write_bytes(
+                    json.dumps(meta).encode("utf-8") + b"\n" + to_bytes(report.certificate)
+                )
                 written += 1
                 print(f"{rewrite.name}[{index}] {report.summary()} -> {path}")
     print(f"{written} certificates written to {out_dir}", file=sys.stderr)
@@ -228,32 +197,35 @@ def _refine_dump(args: argparse.Namespace) -> int:
 
 
 def _refine_load(args: argparse.Namespace) -> int:
-    """Re-validate dumped certificate files against fresh obligations."""
+    """Re-validate dumped ``.grc`` certificate files against fresh obligations."""
     import json
 
     from .errors import GraphitiError
     from .refinement.checker import recheck_obligation_certificate
-    from .refinement.simulation import SimulationCertificate
+    from .refinement.codec import from_bytes
     from .rewriting.rules import build_rewrite
 
     cert_dir = Path(args.load_certs).expanduser()
-    files = sorted(list(cert_dir.glob("*.json")) + list(cert_dir.glob("*.grc")))
+    files = sorted(cert_dir.glob("*.grc"))
     if not files:
-        print(f"error: no certificate files in {cert_dir}", file=sys.stderr)
+        legacy = sorted(path.name for path in cert_dir.glob("*.json"))
+        if legacy:
+            print(
+                f"error: {cert_dir} holds only JSON certificate dumps "
+                f"({', '.join(legacy)}), which cannot be re-validated; "
+                "re-dump them with --dump-certs to get .grc files",
+                file=sys.stderr,
+            )
+        else:
+            print(f"error: no certificate files in {cert_dir}", file=sys.stderr)
         return 2
     failures = 0
     with _observe(args):
         for path in files:
             try:
-                if path.suffix == ".grc":
-                    from .refinement.codec import from_bytes as certificate_from_bytes
-
-                    header, _, blob = path.read_bytes().partition(b"\n")
-                    data = json.loads(header.decode("utf-8"))
-                    certificate = certificate_from_bytes(blob)
-                else:
-                    data = json.loads(path.read_text())
-                    certificate = SimulationCertificate.from_dict(data["certificate"])
+                header, _, blob = path.read_bytes().partition(b"\n")
+                data = json.loads(header.decode("utf-8"))
+                certificate = from_bytes(blob)
                 rewrite = build_rewrite(
                     data["module"], data["factory"], data.get("kwargs") or {}
                 )
@@ -598,7 +570,8 @@ def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser, every subcommand and flag included."""
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -617,13 +590,10 @@ def main(argv: list[str] | None = None) -> int:
     _add_exec_flags(transform)
     transform.set_defaults(fn=_cmd_transform)
 
-    verify = sub.add_parser("verify", help="discharge every rewrite obligation")
-    _add_exec_flags(verify)
-    verify.set_defaults(fn=_cmd_verify)
-
     refine = sub.add_parser(
         "refine",
-        help="certified obligation checking with persistent simulation certificates",
+        help="discharge rewrite obligations, certified by persistent "
+        "simulation certificates",
     )
     refine.add_argument(
         "--rule", action="append", metavar="FACTORY",
@@ -631,17 +601,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     refine.add_argument(
         "--dump-certs", default=None, metavar="DIR",
-        help="write one certificate JSON file per obligation instance to DIR",
+        help="write one .grc certificate file per obligation instance to DIR",
     )
     refine.add_argument(
         "--load-certs", default=None, metavar="DIR",
-        help="re-validate certificate files from DIR against fresh obligations",
-    )
-    refine.add_argument(
-        "--cert-format", default="json", choices=("json", "binary"),
-        help="with --dump-certs: certificate file encoding — json writes "
-        "one .json document per instance, binary writes the compact .grc "
-        "container (default: json)",
+        help="re-validate .grc certificate files from DIR against fresh obligations",
     )
     _add_exec_flags(refine)
     refine.set_defaults(fn=_cmd_refine)
@@ -768,8 +732,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     _add_exec_flags(serve)
     serve.set_defaults(fn=_cmd_serve)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     if getattr(args, "jobs", 1) < 1:
         print(f"error: --jobs must be >= 1 (got {args.jobs})", file=sys.stderr)
         return 2

@@ -15,10 +15,8 @@ from .hashing import (
     eval_unit_key,
     fingerprint,
     graph_fingerprint,
-    obligation_fingerprint,
     program_fingerprint,
     stimuli_fingerprint,
-    weak_sim_key,
 )
 from .metrics import ExecutorMetrics, UnitMetric
 
@@ -36,10 +34,8 @@ __all__ = [
     "eval_unit_key",
     "fingerprint",
     "graph_fingerprint",
-    "obligation_fingerprint",
     "program_fingerprint",
     "stimuli_fingerprint",
-    "weak_sim_key",
     "ExecutorMetrics",
     "UnitMetric",
 ]

@@ -116,6 +116,8 @@ def eval_unit_key(
     )
 
 
+# Unused by the library (obligations are decided only through
+# certificate_key); kept because e2ebench/layers.py wraps it by name.
 def obligation_fingerprint(name: str, instances: Sequence[tuple]) -> str:
     """Cache key for a rewrite's refinement-obligation discharge.
 
@@ -141,10 +143,9 @@ def certificate_key(
 ) -> str:
     """Cache key for a persisted simulation certificate.
 
-    Distinct from :func:`weak_sim_key` (which addresses a check's *verdict*
-    dict) because the payload shape differs: this key addresses the
-    serialised :class:`~repro.refinement.simulation.SimulationCertificate`
-    itself, which the reader re-validates rather than trusts.  Covers both
+    The key addresses the serialised
+    :class:`~repro.refinement.simulation.SimulationCertificate` itself,
+    which the reader re-validates rather than trusts.  Covers both
     graphs, the environment signature, the stimuli, the spec capacity and
     the tool version — any drift in what the certificate is evidence *for*
     misses the cache and forces a fresh search.
@@ -183,6 +184,8 @@ def sat_cross_check_key(name: str, instances: Sequence[tuple], bound: int) -> st
     return fingerprint(*parts)
 
 
+# Unused by the library (refinement checks are keyed by certificate_key);
+# kept because e2ebench/layers.py wraps it by name.
 def weak_sim_key(
     impl: ExprHigh,
     spec: ExprHigh,

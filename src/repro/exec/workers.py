@@ -3,17 +3,14 @@
 Each worker takes only picklable keyword arguments and returns a plain
 JSON-serialisable dict (the executor and the cache both require this), so
 the same function runs identically in-process and in a pool worker.  The
-three unit kinds mirror the serial entry points they wrap:
+unit kinds mirror the serial entry points they wrap:
 
 * :func:`eval_flow` — one (benchmark × flow) evaluation run
   (:func:`repro.eval.runner.run_flow`);
-* :func:`discharge_rewrite` — one rewrite's refinement-obligation
-  discharge (:meth:`repro.rewriting.engine.RewriteEngine.verify_rewrite`);
-* :func:`check_obligation_certified` — the same discharge through the
-  persistent-certificate fast path: stored certificates are re-validated
-  (O(relation)) instead of re-searching, with per-instance provenance;
-* :func:`check_graph_pair` — one weak-simulation check between two
-  ExprHigh graphs (:func:`repro.refinement.checker.check_rewrite_obligation`);
+* :func:`check_obligation_certified` — one rewrite's refinement-obligation
+  discharge through the persistent-certificate path: stored certificates
+  are re-validated (O(relation)) instead of re-searching, with
+  per-instance provenance;
 * :func:`run_fuzz_case` — one differential fuzz case
   (:func:`repro.interop.corpus.run_fuzz_case`);
 * :func:`cross_check_rewrite` — one rewrite's obligations decided by both
@@ -24,8 +21,8 @@ Environments are rebuilt inside the worker (they hold closures and are not
 picklable); graphs and IR programs pickle directly.
 
 Workers are instrumented like the serial entry points: each opens a span
-(``flow:…``, ``verify:…``, ``weak-sim``) on whatever tracer is active in
-its process.  In-process (serial) execution nests those spans under the
+(``flow:…``, ``obligation:…``, ``sat-check:…``, ``fuzz:case``) on
+whatever tracer is active in its process.  In-process (serial) execution nests those spans under the
 executor's unit span directly; in a pool worker the executor installs a
 private recording tracer around the call and grafts the resulting subtree
 back into the parent trace (see :func:`repro.exec.executor._call_unit`).
@@ -49,34 +46,6 @@ def eval_flow(*, name: str, flow: str, program=None, backend: str = "compiled") 
     return result.to_dict()
 
 
-def discharge_rewrite(*, module: str, factory: str, kwargs: dict | None = None) -> dict:
-    """Build a rewrite from its factory and discharge its obligation.
-
-    The factory indirection (module + attribute + keyword arguments) keeps
-    the unit picklable — rewrites themselves close over builder functions.
-    """
-    from ..errors import RefinementError
-    from ..rewriting.engine import RewriteEngine
-
-    rewrite = getattr(importlib.import_module(module), factory)(**(kwargs or {}))
-    engine = RewriteEngine()
-    start = perf_counter()
-    with obs.span(f"verify:{rewrite.name}") as sp:
-        try:
-            engine.verify_rewrite(rewrite)
-            holds, detail = True, ""
-        except RefinementError as exc:
-            holds, detail = False, str(exc)
-        sp.set(holds=holds)
-    return {
-        "rewrite": rewrite.name,
-        "verified_flag": bool(rewrite.verified),
-        "holds": holds,
-        "detail": detail,
-        "seconds": perf_counter() - start,
-    }
-
-
 def check_obligation_certified(
     *,
     module: str,
@@ -86,8 +55,7 @@ def check_obligation_certified(
 ) -> dict:
     """Discharge one rewrite's obligation through the certificate fast path.
 
-    Unlike :func:`discharge_rewrite` (which caches only the verdict), every
-    instance goes through
+    Every instance goes through
     :func:`repro.refinement.checker.check_rewrite_obligation` with a
     :class:`~repro.exec.cache.ResultCache` opened at *cache_dir*: a stored
     certificate is re-validated in one pass over its relation, and only on
@@ -211,26 +179,3 @@ def cross_check_rewrite(
         "detail": detail,
         "seconds": perf_counter() - start,
     }
-
-
-def check_graph_pair(
-    *,
-    lhs,
-    rhs,
-    capacity: int | None = 1,
-    values: tuple = (0, 1),
-    spec_capacity: int | None = 4,
-) -> dict:
-    """Check the weak-simulation obligation ``rhs ⊑ lhs`` for two graphs."""
-    from ..components import default_environment
-    from ..errors import RefinementError
-    from ..refinement.checker import check_rewrite_obligation
-
-    env = default_environment(capacity=capacity)
-    try:
-        report = check_rewrite_obligation(
-            lhs, rhs, env, values=values, spec_capacity=spec_capacity
-        )
-    except RefinementError as exc:
-        return {"holds": False, "detail": str(exc)}
-    return {"holds": True, **report.to_dict()}

@@ -29,7 +29,6 @@ from .simulation import (
     SimulationCertificate,
     SimulationResult,
     Violation,
-    decode_state,
     encode_state,
     find_weak_simulation,
     recheck_certificate,
@@ -62,7 +61,6 @@ __all__ = [
     "SimulationCertificate",
     "SimulationResult",
     "Violation",
-    "decode_state",
     "encode_state",
     "find_weak_simulation",
     "recheck_certificate",

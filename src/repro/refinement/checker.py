@@ -36,6 +36,7 @@ from ..core.module import Module, Value
 from ..core.ports import IOPort, Port
 from ..core.semantics import denote
 from ..errors import CertificateError, RefinementError
+from .codec import from_bytes, to_bytes
 from .simulation import (
     SimulationCertificate,
     SimulationResult,
@@ -190,30 +191,17 @@ def io_stimuli(values_per_port: Mapping[int, Iterable[Value]]) -> dict[Port, tup
 
 
 def _load_cached_certificate(cache, key: str) -> tuple[SimulationCertificate | None, bool]:
-    """Fetch and decode a cached certificate, trying binary first.
+    """Fetch and decode a cached binary certificate.
 
-    The compact binary entry (``.bin``, written by newer runs) is preferred
-    — smaller and ~5x faster to decode — with the JSON entry as the interop
-    fallback.  Returns ``(certificate, found)``: *found* is True whenever a
-    stored entry existed, even one that failed to decode (format drift,
-    hash mismatch, truncation — counted as recheck failures).
+    Returns ``(certificate, found)``: *found* is True whenever a stored
+    entry existed, even one that failed to decode (format drift, hash
+    mismatch, truncation — counted as recheck failures).
     """
-    found = False
-    blob = cache.get_bytes(key) if hasattr(cache, "get_bytes") else None
-    if blob is not None:
-        from .codec import from_bytes
-
-        found = True
-        try:
-            return from_bytes(blob), True
-        except CertificateError:
-            obs.count("refinement.cert_recheck_failures")
-            # fall through to the JSON entry, if any
-    entry = cache.get(key)
-    if entry is None:
-        return None, found
+    blob = cache.get_bytes(key)
+    if blob is None:
+        return None, False
     try:
-        return SimulationCertificate.from_dict(entry), True
+        return from_bytes(blob), True
     except CertificateError:
         obs.count("refinement.cert_recheck_failures")
         return None, True
@@ -286,9 +274,9 @@ def check_rewrite_obligation(
     that discard tokens (Sinks) would otherwise give the simulation game
     unboundedly many partially-drained spec states.
 
-    *cache* (a :class:`repro.exec.cache.ResultCache`-shaped object) enables
-    the certificate fast path: a prior successful check's certificate is
-    loaded (preferring the compact binary entry) and re-validated — via
+    *cache* (a :class:`repro.exec.cache.ResultCache`-shaped object with
+    ``get_bytes``/``put_bytes``) enables the certificate fast path: a prior
+    successful check's binary certificate is loaded and re-validated — via
     witness replay when witnesses are present, else the exhaustive pass; on
     success the report has ``mode="recheck"``, and on any re-validation
     failure the full search runs (``mode="search-fallback"``) and its fresh
@@ -328,20 +316,10 @@ def check_rewrite_obligation(
     certificate = result.certificate
     assert certificate is not None
     if cache is not None and key is not None:
-        _store_certificate(cache, key, certificate)
+        cache.put_bytes(key, to_bytes(certificate))
     return RefinementReport(
         certificate, mode="search-fallback" if had_candidate else "search"
     )
-
-
-def _store_certificate(cache, key: str, certificate: SimulationCertificate) -> None:
-    """Persist a fresh certificate, preferring the compact binary entry."""
-    if hasattr(cache, "put_bytes"):
-        from .codec import to_bytes
-
-        cache.put_bytes(key, to_bytes(certificate))
-    else:
-        cache.put(key, certificate.to_dict())
 
 
 def recheck_obligation_certificate(

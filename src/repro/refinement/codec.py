@@ -1,5 +1,11 @@
 """Compact binary container for simulation certificates.
 
+This is the one stored encoding: the result cache keeps certificates as
+``.bin`` entries and ``repro refine --dump-certs`` writes ``.grc`` files
+(a one-line JSON metadata header, then this container).
+:meth:`~.simulation.SimulationCertificate.to_dict` is only a read-only
+JSON dump; nothing decodes it.
+
 Layout (all multi-byte integers big-endian):
 
 ====================  ==========================================================
@@ -17,8 +23,7 @@ offset / size         field
 
 The canonical core is exactly the byte string hashed by
 :meth:`SimulationCertificate.content_hash` — a hash-consed node table plus
-int tables for the state roots, relation rows and stimuli — so the binary
-and JSON codecs agree on the content hash by construction.  Decoding
+int tables for the state roots, relation rows and stimuli.  Decoding
 verifies the digest against the decompressed core (not merely trusting the
 stored value), and the outer integrity hash rejects any bit flip or
 truncation anywhere in the container, witness section included.
@@ -30,10 +35,10 @@ covered by the integrity hash but *not* by the content digest: witnesses
 are advisory and two searches of the same obligation may record different
 (equally valid) responses.
 
-Size: state tables dominate JSON certificates because every deep state is
-re-serialised per occurrence; hash-consing stores each distinct subtree
-once and zlib squeezes the remaining varint tables, giving well over the
-targeted 5x reduction on the library obligations.
+Size: hash-consing stores each distinct state subtree once and zlib
+squeezes the remaining varint tables, so a container is well over 5x
+smaller than the JSON dump of the same certificate on the library
+obligations.
 """
 
 from __future__ import annotations
@@ -42,7 +47,8 @@ import hashlib
 import struct
 import zlib
 
-from ..errors import CertificateError
+from ..core.ports import parse_port
+from ..errors import CertificateError, PortError
 from .encoding import (
     NodeTable,
     decode_nodes,
@@ -50,12 +56,7 @@ from .encoding import (
     read_uvarint_list,
     write_uvarint,
 )
-from .simulation import (
-    CERTIFICATE_FORMAT,
-    ReplayWitnesses,
-    SimulationCertificate,
-    _decode_stimuli_values,
-)
+from .simulation import CERTIFICATE_FORMAT, ReplayWitnesses, SimulationCertificate
 
 MAGIC = b"GRC2"
 CONTAINER_VERSION = 1
@@ -222,7 +223,10 @@ def from_bytes(blob: bytes) -> SimulationCertificate:
     spec_count, pos = read_uvarint(core, pos)
     if pos != len(core):
         raise CertificateError("trailing bytes after certificate core")
-    stimuli = _decode_stimuli_values(stimuli_values)
+    try:
+        stimuli = {parse_port(name): tuple(values) for name, values in stimuli_values}
+    except PortError as exc:
+        raise CertificateError(f"malformed stimuli encoding: {exc}") from exc
     relation = frozenset((impl_states[i], spec_states[j]) for i, j in rows)
 
     # -- witness section (advisory: parse errors raise, since the integrity

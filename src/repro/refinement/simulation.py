@@ -34,9 +34,9 @@ winning positions) is a genuine weak simulation containing an initial pair
 for every implementation initial state; failure yields a counterexample
 with the violated diagram.
 
-Certificates are *persistent evidence*: they serialise (``to_dict`` /
-``from_dict``, or the compact binary container in
-:mod:`repro.refinement.codec`) with a stable content hash, and
+Certificates are *persistent evidence*: they serialise to the compact
+binary container of :mod:`repro.refinement.codec` with a stable content
+hash (``to_dict`` is a read-only JSON dump for people), and
 :func:`recheck_certificate` re-validates a stored relation far more cheaply
 than a fresh search.  Two validation strategies are layered:
 
@@ -62,17 +62,17 @@ from typing import Iterable, Mapping
 
 from .. import obs
 from ..core.module import Module, State, Value
-from ..core.ports import Port, parse_port
+from ..core.ports import Port
 from ..errors import CertificateError, RefinementError, SemanticsError
 from .encoding import NodeTable, state_bytes, write_uvarint
 
 Stimuli = Mapping[Port, Iterable[Value]]
 
 #: Bump when the serialised certificate layout changes; older stored
-#: certificates then fail :meth:`SimulationCertificate.from_dict` and the
+#: certificates then fail :func:`repro.refinement.codec.from_bytes` and the
 #: caller falls back to a fresh search.  Format 2 anchors the content hash
-#: on the canonical binary core (shared by the JSON and binary codecs) and
-#: adds the advisory replay-witness section.
+#: on the canonical binary core and adds the advisory replay-witness
+#: section.
 CERTIFICATE_FORMAT = 2
 
 #: Diagram tags used by the game and by replay witnesses (canonical move
@@ -81,21 +81,20 @@ _KIND_INPUT, _KIND_OUTPUT, _KIND_INTERNAL = 0, 1, 2
 _KIND_NAMES = ("input", "output", "internal")
 
 
-# -- state (de)serialisation --------------------------------------------------
+# -- state serialisation ------------------------------------------------------
 #
 # Module states are arbitrary hashable values built from tuples, frozensets
 # and scalar leaves (the queue/product combinators only ever nest tuples and
-# frozensets).  JSON cannot represent tuples or frozensets natively, and
-# bool/int must not be conflated, so every value is encoded as a small
-# tagged list; decoding is the exact inverse, giving ``decode(encode(s)) ==
-# s`` for every state the semantics can produce.  The binary view of the
-# same values lives in :mod:`repro.refinement.encoding`; frozenset elements
-# are ordered by their binary encodings in both views so the two codecs
-# agree on one canonical form.
+# frozensets).  The stored form is binary (:mod:`repro.refinement.encoding`);
+# the JSON dump of ``to_dict`` encodes every value as a small tagged list,
+# since JSON cannot represent tuples or frozensets natively and bool/int
+# must not be conflated.  Frozenset elements are ordered by their binary
+# encodings in both views, so the dump shows the canonical form.
 
 
 def encode_state(value) -> object:
-    """Encode a module state (or stimulus value) as JSON-serialisable data."""
+    """Encode a module state (or stimulus value) as JSON-serialisable data
+    for the :meth:`SimulationCertificate.to_dict` dump."""
     if value is None:
         return ["z"]
     if isinstance(value, bool):  # before int: bool is an int subclass
@@ -116,27 +115,6 @@ def encode_state(value) -> object:
     )
 
 
-def decode_state(data) -> object:
-    """Invert :func:`encode_state`; raises :class:`CertificateError` on junk."""
-    try:
-        tag = data[0]
-        if tag == "z":
-            return None
-        if tag in ("b", "i", "f", "s"):
-            value = data[1]
-            expected = {"b": bool, "i": int, "f": float, "s": str}[tag]
-            if type(value) is not expected and not (tag == "f" and type(value) is int):
-                raise CertificateError(f"tag {tag!r} carries a {type(value).__name__}")
-            return float(value) if tag == "f" else value
-        if tag == "t":
-            return tuple(decode_state(item) for item in data[1])
-        if tag == "fs":
-            return frozenset(decode_state(item) for item in data[1])
-    except (IndexError, TypeError, KeyError) as exc:
-        raise CertificateError(f"malformed encoded state {data!r}") from exc
-    raise CertificateError(f"unknown state tag in {data!r}")
-
-
 def _encode_stimuli(stimuli: Stimuli) -> list:
     rows = [
         [str(port), [encode_state(value) for value in values]]
@@ -144,77 +122,6 @@ def _encode_stimuli(stimuli: Stimuli) -> list:
     ]
     rows.sort(key=lambda row: row[0])
     return rows
-
-
-def _decode_stimuli(rows) -> dict[Port, tuple[Value, ...]]:
-    try:
-        return {
-            parse_port(name): tuple(decode_state(value) for value in values)
-            for name, values in rows
-        }
-    except (TypeError, ValueError) as exc:
-        raise CertificateError(f"malformed stimuli encoding: {exc}") from exc
-
-
-def _decode_stimuli_values(rows) -> dict[Port, tuple[Value, ...]]:
-    """Like :func:`_decode_stimuli` but for already-decoded values
-    (the binary codec hands plain states, not tagged JSON)."""
-    try:
-        return {parse_port(name): tuple(values) for name, values in rows}
-    except (TypeError, ValueError) as exc:
-        raise CertificateError(f"malformed stimuli encoding: {exc}") from exc
-
-
-def _core_bytes(
-    impl_states,
-    spec_states,
-    rows,
-    stimuli: Mapping[Port, tuple],
-    impl_count: int,
-    spec_count: int,
-    table: NodeTable,
-) -> bytes:
-    """The canonical binary *core* of a certificate's semantic content.
-
-    States are interned into *table* (hash-consed, children before parents)
-    and the core serialises the node records plus the two state tables, the
-    relation rows, the stimuli and the state counts.  The SHA-256 of this
-    byte string **is** the certificate's content hash — both codecs build
-    the identical core, so hashes agree across encodings.  Replay
-    witnesses are deliberately excluded: they are advisory, and their
-    choice may vary between processes.
-    """
-    impl_roots = [table.index(s) for s in impl_states]
-    spec_roots = [table.index(t) for t in spec_states]
-    stim_rows = []
-    for port in sorted(stimuli, key=str):
-        stim_rows.append(
-            (str(port).encode("utf-8"), [table.index(v) for v in stimuli[port]])
-        )
-    out = bytearray()
-    write_uvarint(out, CERTIFICATE_FORMAT)
-    write_uvarint(out, len(table))
-    out += table.blob()
-    write_uvarint(out, len(impl_roots))
-    for root in impl_roots:
-        write_uvarint(out, root)
-    write_uvarint(out, len(spec_roots))
-    for root in spec_roots:
-        write_uvarint(out, root)
-    write_uvarint(out, len(rows))
-    for i, j in rows:
-        write_uvarint(out, i)
-        write_uvarint(out, j)
-    write_uvarint(out, len(stim_rows))
-    for name, value_roots in stim_rows:
-        write_uvarint(out, len(name))
-        out += name
-        write_uvarint(out, len(value_roots))
-        for root in value_roots:
-            write_uvarint(out, root)
-    write_uvarint(out, int(impl_count))
-    write_uvarint(out, int(spec_count))
-    return bytes(out)
 
 
 @dataclass(frozen=True)
@@ -254,11 +161,11 @@ class SimulationCertificate:
     The certificate is self-contained evidence of ``impl ⊑ spec`` on one
     bounded instance: the winning relation, the stimulus domain it was
     decided under, and bookkeeping counts.  It serialises losslessly
-    (``to_dict``/``from_dict`` for the JSON interop codec,
-    :func:`repro.refinement.codec.to_bytes`/``from_bytes`` for the compact
-    binary container) and carries a stable SHA-256 content hash, so it can
-    be persisted in the content-addressed result cache or dumped to a file
-    and independently re-validated later with :func:`recheck_certificate`.
+    (:func:`repro.refinement.codec.to_bytes`/``from_bytes``; ``to_dict``
+    is a read-only JSON dump) and carries a stable SHA-256 content hash,
+    so it can be persisted in the content-addressed result cache or dumped
+    to a file and independently re-validated later with
+    :func:`recheck_certificate`.
     """
 
     relation: frozenset[tuple[State, State]]
@@ -274,12 +181,9 @@ class SimulationCertificate:
     # Memoised canonical forms: the relation repeats the same few hundred
     # distinct states across tens of thousands of pairs, so the canonical
     # encoding interns each state once into a table and stores the relation
-    # as index pairs — and every consumer (to_dict, the binary codec, the
-    # cache write, provenance hashes in worker results) shares one pass.
+    # as index pairs — and every consumer (the binary codec, the cache
+    # write, provenance hashes in worker results, to_dict) shares one pass.
     _canon: tuple | None = field(default=None, repr=False, compare=False, kw_only=True)
-    _encoded: tuple | None = field(
-        default=None, repr=False, compare=False, kw_only=True
-    )
     _hash: str | None = field(default=None, repr=False, compare=False, kw_only=True)
 
     def related(self, impl_state: State, spec_state: State) -> bool:
@@ -292,9 +196,9 @@ class SimulationCertificate:
 
         States are sorted by their standalone binary encodings — a total
         order independent of hash seeds and construction history — and the
-        relation becomes sorted ``(impl_index, spec_index)`` pairs.  Both
-        codecs, the content hash and witness replay all share this one
-        index space.
+        relation becomes sorted ``(impl_index, spec_index)`` pairs.  The
+        binary codec, the content hash and witness replay all share this
+        one index space.
         """
         if self._canon is None:
             memo: dict = {}
@@ -306,34 +210,51 @@ class SimulationCertificate:
             self._canon = (tuple(impl), tuple(spec), tuple(rows))
         return self._canon
 
-    def _encoded_parts(self) -> tuple[list, list, list]:
-        """``(impl_table, spec_table, relation_rows)`` — the JSON encoding
-        of :meth:`canonical_parts` (each distinct state encoded once)."""
-        if self._encoded is None:
-            impl_states, spec_states, rows = self.canonical_parts()
-            self._encoded = (
-                [encode_state(s) for s in impl_states],
-                [encode_state(t) for t in spec_states],
-                [list(row) for row in rows],
-            )
-        return self._encoded
-
     def core_bytes(self, table: NodeTable | None = None) -> bytes:
-        """The canonical binary core (see :func:`_core_bytes`).
+        """The canonical binary *core* of the certificate's semantic content.
 
-        Passing an empty *table* lets the binary codec keep interning past
-        the core (witness states reuse core substructure).
+        States are interned into *table* (hash-consed, children before
+        parents) and the core serialises the node records plus the two
+        state tables, the relation rows, the stimuli and the state counts.
+        The SHA-256 of this byte string **is** the content hash, and the
+        binary container stores it verbatim.  Replay witnesses are
+        deliberately excluded: they are advisory, and their choice may
+        vary between processes.  Passing an empty *table* lets the binary
+        codec keep interning past the core (witness states reuse core
+        substructure).
         """
         impl_states, spec_states, rows = self.canonical_parts()
-        return _core_bytes(
-            impl_states,
-            spec_states,
-            rows,
-            self.stimuli,
-            self.impl_states,
-            self.spec_states,
-            table if table is not None else NodeTable(),
-        )
+        table = table if table is not None else NodeTable()
+        impl_roots = [table.index(s) for s in impl_states]
+        spec_roots = [table.index(t) for t in spec_states]
+        stim_rows = [
+            (str(port).encode("utf-8"), [table.index(v) for v in values])
+            for port, values in sorted(self.stimuli.items(), key=lambda kv: str(kv[0]))
+        ]
+        out = bytearray()
+        write_uvarint(out, CERTIFICATE_FORMAT)
+        write_uvarint(out, len(table))
+        out += table.blob()
+        write_uvarint(out, len(impl_roots))
+        for root in impl_roots:
+            write_uvarint(out, root)
+        write_uvarint(out, len(spec_roots))
+        for root in spec_roots:
+            write_uvarint(out, root)
+        write_uvarint(out, len(rows))
+        for i, j in rows:
+            write_uvarint(out, i)
+            write_uvarint(out, j)
+        write_uvarint(out, len(stim_rows))
+        for name, value_roots in stim_rows:
+            write_uvarint(out, len(name))
+            out += name
+            write_uvarint(out, len(value_roots))
+            for root in value_roots:
+                write_uvarint(out, root)
+        write_uvarint(out, int(self.impl_states))
+        write_uvarint(out, int(self.spec_states))
+        return bytes(out)
 
     def content_hash(self) -> str:
         """A stable SHA-256 over the certificate's semantic content.
@@ -341,9 +262,9 @@ class SimulationCertificate:
         The hash is the digest of the canonical binary core — state
         tables and relation rows in canonical order, stimuli, state counts
         and the format version — so equal certificates hash equally
-        regardless of construction order *and* of codec, and any tampering
-        with the hashed content of a serialised certificate is detectable
-        before the diagrams are even re-checked.  Replay witnesses are
+        regardless of construction order, and any tampering with the
+        hashed content of a serialised certificate is detectable before
+        the diagrams are even re-checked.  Replay witnesses are
         advisory and excluded.
         """
         if self._hash is None:
@@ -351,13 +272,15 @@ class SimulationCertificate:
         return self._hash
 
     def to_dict(self) -> dict:
-        impl_table, spec_table, rows = self._encoded_parts()
+        """A read-only JSON dump for people (``GET /v1/certificates``);
+        nothing reads it back — the stored encoding is binary."""
+        impl_states, spec_states, rows = self.canonical_parts()
         payload = {
             "kind": "SimulationCertificate",
             "format": CERTIFICATE_FORMAT,
-            "impl_table": impl_table,
-            "spec_table": spec_table,
-            "relation": rows,
+            "impl_table": [encode_state(s) for s in impl_states],
+            "spec_table": [encode_state(t) for t in spec_states],
+            "relation": [list(row) for row in rows],
             "stimuli": _encode_stimuli(self.stimuli),
             "impl_states": int(self.impl_states),
             "spec_states": int(self.spec_states),
@@ -380,97 +303,6 @@ class SimulationCertificate:
             f"({self.impl_states} impl / {self.spec_states} spec states), "
             f"hash {self.content_hash()[:12]}"
         )
-
-    @classmethod
-    def from_dict(cls, data: object) -> "SimulationCertificate":
-        """Rebuild a certificate; raises :class:`CertificateError` when the
-        payload is malformed, from a different format version, or fails its
-        embedded content hash (tamper/corruption detection).
-
-        The hash is recomputed from the decoded content by rebuilding the
-        canonical binary core in payload order — so any reordering or
-        tampering of the hashed fields is a hash mismatch, while damage to
-        the advisory witness block silently drops the witnesses (replay
-        would reject them anyway; the exhaustive recheck takes over)."""
-        if not isinstance(data, dict):
-            raise CertificateError(f"certificate payload is {type(data).__name__}, not a dict")
-        if data.get("format") != CERTIFICATE_FORMAT:
-            raise CertificateError(
-                f"certificate format {data.get('format')!r} != {CERTIFICATE_FORMAT}"
-            )
-        try:
-            impl_table = list(data["impl_table"])
-            spec_table = list(data["spec_table"])
-            rows = [(int(i), int(j)) for i, j in data["relation"]]
-            stimuli_rows = sorted(data["stimuli"], key=lambda row: row[0])
-            impl_count = int(data["impl_states"])
-            spec_count = int(data["spec_states"])
-            impl_states = [decode_state(row) for row in impl_table]
-            spec_states = [decode_state(row) for row in spec_table]
-            stimuli = _decode_stimuli(stimuli_rows)
-        except CertificateError:
-            raise
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise CertificateError(f"malformed certificate payload: {exc}") from exc
-        core = _core_bytes(
-            impl_states, spec_states, rows, stimuli, impl_count, spec_count, NodeTable()
-        )
-        actual = hashlib.sha256(core).hexdigest()
-        stored = data.get("hash")
-        if stored != actual:
-            raise CertificateError(
-                f"certificate hash mismatch: stored {str(stored)[:12]}…, "
-                f"content {actual[:12]}… (tampered or corrupted)"
-            )
-        try:
-            if any(
-                i < 0 or j < 0 or i >= len(impl_states) or j >= len(spec_states)
-                for i, j in rows
-            ):
-                raise ValueError("relation row indexes outside the state tables")
-            relation = frozenset(
-                (impl_states[i], spec_states[j]) for i, j in rows
-            )
-        except (TypeError, ValueError, IndexError) as exc:
-            raise CertificateError(f"malformed certificate payload: {exc}") from exc
-        witnesses = _witnesses_from_json(
-            data.get("witnesses"), len(rows), len(spec_states)
-        )
-        return cls(
-            relation=relation,
-            impl_states=impl_count,
-            spec_states=spec_count,
-            iterations=int(data.get("iterations", 0)),
-            stimuli=stimuli,
-            witnesses=witnesses,
-            _canon=(tuple(impl_states), tuple(spec_states), tuple(rows)),
-            _encoded=(impl_table, spec_table, [list(row) for row in rows]),
-            _hash=actual,
-        )
-
-
-def _witnesses_from_json(block, row_count: int, primary: int) -> ReplayWitnesses | None:
-    """Parse the advisory witness block; any anomaly yields ``None``.
-
-    Witnesses are unhashed hints — a malformed block must never make a
-    certificate unusable, so parsing is strictly tolerant and the replay
-    pass re-validates every index it actually uses."""
-    if not isinstance(block, dict):
-        return None
-    try:
-        extra_spec = tuple(decode_state(row) for row in block["extra_spec"])
-        paths = tuple(
-            tuple(int(k) for k in path) for path in block["paths"]
-        )
-        rows = tuple(
-            tuple((int(k), int(p), int(r)) for k, p, r in row)
-            for row in block["rows"]
-        )
-    except (CertificateError, KeyError, TypeError, ValueError):
-        return None
-    if len(rows) != row_count:
-        return None
-    return ReplayWitnesses(extra_spec=extra_spec, paths=paths, rows=rows)
 
 
 @dataclass

@@ -111,10 +111,10 @@ class RewriteEngine:
 
         Returns True when every bounded instance of ``rhs ⊑ lhs`` holds;
         raises :class:`RefinementError` on a counterexample.  Results are
-        cached per rewrite name within this engine, and — when the engine
-        was given a result cache — across processes keyed by the content of
-        the obligation instances, so an already-discharged obligation is
-        never re-simulated.
+        remembered per rewrite name within this engine.  When the engine
+        was given a result cache, each instance goes through the
+        certificate path of :func:`check_rewrite_obligation`: a stored
+        certificate is rechecked, never trusted as a bare verdict.
         """
         if rewrite.name in self._discharged:
             return True
@@ -125,21 +125,8 @@ class RewriteEngine:
         with obs.span(f"obligation:{rewrite.name}") as sp:
             instances = list(rewrite.obligation())
             sp.set(instances=len(instances))
-            key = None
-            if self.cache is not None:
-                from ..exec.hashing import obligation_fingerprint
-
-                key = obligation_fingerprint(rewrite.name, instances)
-                entry = self.cache.get(key)
-                if isinstance(entry, dict) and entry.get("holds"):
-                    obs.count("engine.obligation_cache_hits")
-                    sp.set(cached=True)
-                    self._discharged.add(rewrite.name)
-                    return True
             for lhs, rhs, env, stimuli in instances:
-                check_rewrite_obligation(lhs, rhs, env, stimuli)
-            if key is not None:
-                self.cache.put(key, {"holds": True, "rewrite": rewrite.name})
+                check_rewrite_obligation(lhs, rhs, env, stimuli, cache=self.cache)
         self._discharged.add(rewrite.name)
         return True
 

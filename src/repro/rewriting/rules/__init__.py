@@ -42,8 +42,9 @@ def all_rewrites(tags: int = 4) -> list[Rewrite]:
     ]
 
 
-#: The obligation-discharge worklist of ``repro.cli verify`` and
-#: :meth:`repro.api.Session.verify`: (module, factory, kwargs) triples.
+#: The obligation-discharge worklist of ``repro.cli refine``/``sat-check``
+#: and :meth:`repro.api.Session.check_obligations`/``sat_check``:
+#: (module, factory, kwargs) triples.
 #: Factory references (rather than Rewrite objects, which close over
 #: builder functions) keep each discharge picklable as an executor unit.
 VERIFY_FACTORY_SPECS: tuple[tuple[str, str, dict], ...] = (

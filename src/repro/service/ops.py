@@ -16,9 +16,9 @@ The kinds mirror the CLI subcommands so the service and the command line
 stay behaviourally identical: ``transform`` accepts either a built-in
 benchmark kernel name or an explicit dot graph plus loop mark, ``simulate``
 reuses the ``repro sim`` flow selection (DF-IO / DF-OoO / GRAPHITI),
-``bench`` runs one benchmark through all four flows, and ``verify`` /
-``check_obligations`` discharge the rewrite obligations (the latter through
-the persistent-certificate fast path, which is what populates the
+``bench`` runs one benchmark through all four flows, and
+``check_obligations`` discharges the rewrite obligations through the
+persistent-certificate path (which is what populates the
 ``/v1/certificates/{hash}`` store).  ``sat_check`` cross-checks obligations
 against the independent SAT oracle (``repro sat-check``), and ``fuzz`` runs
 a seeded differential corpus (``repro fuzz``) returning its canonical
@@ -34,7 +34,6 @@ from ..errors import GraphitiError, ServiceError
 #: Every job kind the service accepts, in documentation order.
 JOB_KINDS = (
     "transform",
-    "verify",
     "check_obligations",
     "sat_check",
     "simulate",
@@ -159,7 +158,7 @@ def canonical_params(kind: str, params: Mapping | None) -> dict:
                 raise ServiceError(f"sat_check job requires bound >= 1 (got {bound})")
         return {"bound": bound, "rules": _check_rules(params, kind)}
 
-    # verify / check_obligations
+    # check_obligations
     _reject_unknown(params, ("rules",), kind)
     return {"rules": _check_rules(params, kind)}
 
@@ -230,9 +229,6 @@ def run_op(session, kind: str, params: Mapping) -> dict:
         return _op_simulate(session, params)
     if kind == "bench":
         return session.bench(name=params["name"]).to_dict()
-    if kind == "verify":
-        outcomes = session.verify(_specs_for(params.get("rules")))
-        return {"kind": "VerifyOutcomes", "outcomes": outcomes}
     if kind == "check_obligations":
         outcomes = session.check_obligations(_specs_for(params.get("rules")))
         return {"kind": "ObligationOutcomes", "outcomes": outcomes}

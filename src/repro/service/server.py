@@ -15,7 +15,7 @@ Architecture::
                                │ checkout Session, run_in_executor
                                ▼
                     ThreadPoolExecutor (N threads, scoped tracer each)
-                               │ Session.transform/verify/simulate/bench
+                               │ Session.transform/check_obligations/simulate/…
                                ▼
                             ResultStore (content-addressed dedupe)
 
@@ -40,7 +40,7 @@ Endpoints (all JSON; ``{hash}``/``{id}`` are path segments):
                                              terminal, 500 for failed jobs)
 ``DELETE /v1/jobs/{id}``                     cancel (also ``POST .../cancel``)
 ``GET /v1/certificates/{hash}``              recheck-validated certificate
-                                             (JSON; ``Accept:
+                                             (JSON dump; ``Accept:
                                              application/x-repro-certificate``
                                              selects the binary container)
 ``GET /v1/metrics``                          queue/store/session accounting

@@ -11,19 +11,15 @@ exactly like the executor cache.
 
 The store also indexes **simulation certificates** by content hash.
 Certificates land in the shared cache directory as a side effect of
-``check_obligations`` jobs (the certified fast path persists each
-:class:`~repro.refinement.simulation.SimulationCertificate`, as a compact
-binary ``.bin`` entry since format 2; older ``.json`` entries remain
-readable); the index is built by an incremental scan of the cache
-directory over both encodings, and ``GET /v1/certificates/{hash}`` serves
-an entry only after **recheck-validating** it —
-:func:`repro.refinement.codec.from_bytes` /
-:meth:`SimulationCertificate.from_dict` recompute the embedded content
-hash, so a tampered or truncated entry is reported missing rather than
-served.  Either representation can be served in either wire encoding:
-:meth:`ResultStore.certificate` returns the JSON payload,
-:meth:`ResultStore.certificate_bytes` the binary container, and each
-transcodes on the fly when the stored encoding differs.
+``check_obligations`` jobs (the certified path persists each
+:class:`~repro.refinement.simulation.SimulationCertificate` as a compact
+binary ``.bin`` entry); the index is built by an incremental scan of the
+``.bin`` files, and ``GET /v1/certificates/{hash}`` serves an entry only
+after **recheck-validating** it — :func:`repro.refinement.codec.from_bytes`
+recomputes the embedded content hash, so a tampered or truncated entry is
+reported missing rather than served.  :meth:`ResultStore.certificate_bytes`
+returns the binary container and :meth:`ResultStore.certificate` a
+read-only JSON dump of it.
 """
 
 from __future__ import annotations
@@ -83,15 +79,11 @@ class ResultStore:
     def _load_certificate(self, content_hash: str):
         """The re-validated :class:`SimulationCertificate`, or None.
 
-        Served entries are re-validated regardless of stored encoding: the
-        entry must rebuild into a certificate whose recomputed content hash
-        equals both its embedded hash and the requested one.  Binary
-        entries are tried first (the certified fast path stores them since
-        format 2), then legacy JSON entries.
+        The stored entry must decode into a certificate whose recomputed
+        content hash equals both its embedded hash and the requested one.
         """
         from ..errors import CertificateError
         from ..refinement.codec import from_bytes
-        from ..refinement.simulation import SimulationCertificate
 
         key = self._cert_index.get(content_hash)
         if key is None:
@@ -100,19 +92,10 @@ class ResultStore:
         if key is None:
             return None
         blob = self.cache.get_bytes(key)
-        if blob is not None:
-            try:
-                certificate = from_bytes(blob)
-            except CertificateError:
-                return None
-            if certificate.content_hash() != content_hash:
-                return None
-            return certificate
-        payload = self.cache.get(key)
-        if not isinstance(payload, dict):
+        if blob is None:
             return None
         try:
-            certificate = SimulationCertificate.from_dict(payload)
+            certificate = from_bytes(blob)
         except CertificateError:
             return None
         if certificate.content_hash() != content_hash:
@@ -120,7 +103,7 @@ class ResultStore:
         return certificate
 
     def certificate(self, content_hash: str) -> dict | None:
-        """The validated certificate for *content_hash* as a JSON payload."""
+        """The validated certificate for *content_hash* as a JSON dump."""
         certificate = self._load_certificate(content_hash)
         if certificate is None:
             return None
@@ -160,22 +143,6 @@ class ResultStore:
             except (OSError, CertificateError):
                 continue
             self._cert_index[content_hash] = path.stem
-        for path in Path(root).glob("*/*.json"):
-            name = f"{path.parent.name}/{path.name}"
-            if name in self._scanned:
-                continue
-            self._scanned.add(name)
-            try:
-                entry = json.loads(path.read_text())
-                payload = entry["payload"]
-            except (OSError, ValueError, KeyError, TypeError):
-                continue
-            if (
-                isinstance(payload, dict)
-                and payload.get("kind") == "SimulationCertificate"
-                and isinstance(payload.get("hash"), str)
-            ):
-                self._cert_index.setdefault(payload["hash"], entry.get("key", path.stem))
         return len(self._cert_index)
 
     # -- accounting ---------------------------------------------------------

@@ -178,7 +178,7 @@ class TestObservabilityFlags:
         assert all(r["parent"] in ids for r in records if r["parent"] is not None)
 
     def test_trace_with_missing_parent_rejected(self, capsys):
-        assert main(["verify", "--trace", "/no/such/dir/trace.jsonl"]) == 2
+        assert main(["refine", "--trace", "/no/such/dir/trace.jsonl"]) == 2
         assert "--trace parent directory" in capsys.readouterr().err
 
 
@@ -195,7 +195,7 @@ class TestExecFlagValidation:
 
     def test_cache_dir_with_missing_parent_rejected(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "cache"
-        assert main(["verify", "--cache-dir", str(missing)]) == 2
+        assert main(["refine", "--cache-dir", str(missing)]) == 2
         err = capsys.readouterr().err
         assert "--cache-dir parent directory" in err
         assert str(missing.parent) in err

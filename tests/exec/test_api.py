@@ -5,8 +5,7 @@ import pytest
 
 from repro.api import Session
 from repro.benchmarks import matvec
-from repro.components import default_environment, fork, mux
-from repro.core import ExprHigh
+from repro.components import default_environment
 from repro.errors import GraphitiError
 from repro.eval.runner import FLOWS, FlowResult, run_flow
 from repro.hls.frontend import LoopMark, compile_program
@@ -77,29 +76,21 @@ class TestSessionCaching:
         session.bench(name="matvec", program=edited)
         assert session.metrics().executed == len(FLOWS)
 
-    def test_verify_is_cached(self, tmp_path):
+    def test_obligations_are_certified_through_the_cache(self, tmp_path):
         specs = [("repro.rewriting.rules.combine", "mux_combine", {})]
-        cold = Session(cache_dir=tmp_path)
-        first = cold.verify(specs)
-        assert cold.metrics().executed == 1 and first[0]["holds"]
+        [first] = Session(cache_dir=tmp_path).check_obligations(specs)
+        assert first["holds"] and first["mode"] == "search"
 
-        warm = Session(cache_dir=tmp_path)
-        second = warm.verify(specs)
-        assert warm.metrics().executed == 0 and warm.metrics().hits == 1
-        assert second == first
+        # A warm run rechecks the stored certificate instead of trusting a
+        # verdict: same evidence, no game.
+        [second] = Session(cache_dir=tmp_path).check_obligations(specs)
+        assert second["holds"] and second["mode"] == "recheck"
+        assert second["certificate_hashes"] == first["certificate_hashes"]
 
-    def test_check_refinements_fans_out_and_caches(self, tmp_path):
-        graph = ExprHigh()
-        graph.add_node("f", fork(1))
-        graph.mark_input(0, "f", "in0")
-        graph.mark_output(0, "f", "out0")
-        env = default_environment(capacity=1)
-        session = Session(env, cache_dir=tmp_path)
-        [outcome] = session.check_refinements([(graph, graph.copy())])
-        assert outcome["holds"]
-        warm = Session(default_environment(capacity=1), cache_dir=tmp_path)
-        [again] = warm.check_refinements([(graph, graph.copy())])
-        assert warm.metrics().executed == 0 and again == outcome
+    def test_removed_obligation_entry_points_stay_removed(self):
+        session = Session(use_cache=False)
+        for name in ("verify", "check_refinements"):
+            assert not hasattr(session, name)
 
 
 class TestSessionTransform:

@@ -131,31 +131,32 @@ class TestPoolReparenting:
             ("repro.rewriting.rules.reduction", "split_join_elim", {}),
         ]
         session = Session(jobs=2, use_cache=False)
-        outcomes = session.verify(specs)
+        outcomes = session.check_obligations(specs)
         assert all(outcome["holds"] for outcome in outcomes)
 
-        [root] = [r for r in sink.spans if r.name == "verify"]
+        [root] = [r for r in sink.spans if r.name == "check-obligations"]
         grafted = [
             span
             for span in root.walk()
-            if span.attrs.get("reparented") and span.name.startswith("unit:verify:")
+            if span.attrs.get("reparented") and span.name.startswith("unit:obligation:")
         ]
         # Both units ran in pool workers and shipped their subtrees back.
         assert {span.name for span in grafted} == {
-            "unit:verify:mux-combine",
-            "unit:verify:split-join-elim",
+            "unit:obligation:mux_combine",
+            "unit:obligation:split_join_elim",
         }
         for span in grafted:
             assert span.attrs.get("mode") == "pool"
             inner = [s.name for s in span.walk()]
-            assert any(name.startswith("verify:") for name in inner)
+            assert any(name.startswith("obligation:") for name in inner)
+            assert "refine:weak-sim" in inner
 
     def test_trace_file_includes_reparented_worker_spans(self, tracer, tmp_path):
-        path = tmp_path / "verify.jsonl"
+        path = tmp_path / "obligations.jsonl"
         with JsonlSink(path) as sink:
             tracer.attach(sink)
             session = Session(jobs=2, use_cache=False)
-            session.verify(
+            session.check_obligations(
                 [
                     ("repro.rewriting.rules.combine", "mux_combine", {}),
                     ("repro.rewriting.rules.reduction", "split_join_elim", {}),

@@ -117,8 +117,9 @@ def test_obligations_discharged_cold_then_served_from_cache(tmp_path):
         runs[phase] = (result, dict(tracer.counters))
     (cold, cold_counters), (warm, warm_counters) = runs["cold"], runs["warm"]
     assert cold_counters.get("refinement.weak_sim_checks", 0) > 0
-    assert "engine.obligation_cache_hits" not in cold_counters
-    assert warm_counters.get("engine.obligation_cache_hits", 0) > 0
+    assert "refinement.cert_replay_hits" not in cold_counters
+    # warm: every stored certificate is rechecked by witness replay, no game
+    assert warm_counters.get("refinement.cert_replay_hits", 0) > 0
     assert "refinement.weak_sim_checks" not in warm_counters
     assert cold.to_dict() == warm.to_dict()
     assert cold.verified_applications == PINNED["matvec"][3]

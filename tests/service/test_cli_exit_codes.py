@@ -87,3 +87,43 @@ def test_unrecognised_strategy_flag_still_exits_2(tmp_path, capsys):
         )
     assert exc.value.code == 2
     assert "unrecognized arguments: --strategy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["verify"], "invalid choice: 'verify'"),
+        (["refine", "--cert-format", "binary"], "unrecognized arguments: --cert-format"),
+    ],
+)
+def test_removed_obligation_cli_exits_2(argv, message, capsys):
+    # `repro verify` and `refine --cert-format` were removed: `refine` is
+    # the one obligation subcommand and dumps are always .grc.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_load_certs_on_json_only_dumps_exits_2(tmp_path, capsys):
+    (tmp_path / "mux_combine-0.json").write_text("{}")
+    (tmp_path / "mux_combine-1.json").write_text("{}")
+    assert main(["refine", "--load-certs", str(tmp_path), "--no-cache"]) == 2
+    err = capsys.readouterr().err
+    assert "mux_combine-0.json, mux_combine-1.json" in err
+    assert "re-dump them with --dump-certs" in err
+
+
+def test_load_certs_on_empty_dir_exits_2(tmp_path, capsys):
+    assert main(["refine", "--load-certs", str(tmp_path), "--no-cache"]) == 2
+    assert "no certificate files" in capsys.readouterr().err
+
+
+def test_dumped_grc_certificates_revalidate(tmp_path, capsys):
+    certs = tmp_path / "certs"
+    argv = ["refine", "--rule", "mux_combine", "--no-cache"]
+    assert main([*argv, "--dump-certs", str(certs)]) == 0
+    dumped = sorted(path.name for path in certs.iterdir())
+    assert dumped and all(name.endswith(".grc") for name in dumped)
+    assert main(["refine", "--load-certs", str(certs), "--no-cache"]) == 0
+    assert f"all {len(dumped)} certificates re-validated" in capsys.readouterr().err

@@ -88,8 +88,8 @@ def test_no_cross_job_metric_bleed(make_server):
     # uncached server: every job recomputes, so per-job counters are exact
     _, client = make_server(workers=4, use_cache=False)
 
-    def verify_job(_):
-        job = client.submit("verify", {"rules": ["mux_combine"]}, dedup=False)
+    def obligation_job(_):
+        job = client.submit("check_obligations", {"rules": ["mux_combine"]}, dedup=False)
         return client.wait(job["id"])
 
     def simulate_job(_):
@@ -99,7 +99,7 @@ def test_no_cross_job_metric_bleed(make_server):
         return client.wait(job["id"])
 
     with ThreadPoolExecutor(max_workers=16) as pool:
-        verifies = pool.map(verify_job, range(6))
+        verifies = pool.map(obligation_job, range(6))
         simulates = pool.map(simulate_job, range(6))
         verify_finals = list(verifies)
         simulate_finals = list(simulates)
@@ -109,14 +109,14 @@ def test_no_cross_job_metric_bleed(make_server):
         for final in verify_finals
     }
     assert len(weak_sim_counts) == 1, (
-        f"concurrent verify jobs saw different counters: {weak_sim_counts}"
+        f"concurrent obligation jobs saw different counters: {weak_sim_counts}"
     )
     assert weak_sim_counts.pop() >= 1
 
     for final in simulate_finals:
         counters = final["metrics"]["counters"]
         assert counters.get("refinement.weak_sim_checks", 0) == 0, (
-            "a simulate job absorbed a concurrent verify job's counters"
+            "a simulate job absorbed a concurrent obligation job's counters"
         )
 
 

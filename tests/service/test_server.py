@@ -179,7 +179,7 @@ def test_stored_binary_certificate_survives_restart(make_server, tmp_path):
 
 def test_per_job_metrics_are_scoped(make_server):
     _, client = make_server()
-    job = client.submit("verify", {"rules": ["mux_combine"]})
+    job = client.submit("check_obligations", {"rules": ["mux_combine"]})
     final = client.wait(job["id"])
     assert final["state"] == "done"
     counters = final["metrics"]["counters"]

@@ -38,7 +38,7 @@ def test_close_is_idempotent():
         lambda s, ck: s.transform(graph=ck.graph, mark=ck.mark),
         lambda s, ck: s.simulate(graph_or_kernel=ck, stimuli=matvec(4).arrays),
         lambda s, ck: s.bench(name="matvec"),
-        lambda s, ck: s.verify(SPEC),
+        lambda s, ck: s.sat_check(SPEC),
         lambda s, ck: s.check_obligations(SPEC),
     ],
 )
@@ -52,7 +52,7 @@ def test_closed_session_refuses_work(call):
 
 def test_metrics_still_readable_after_close():
     session = Session(use_cache=False)
-    session.verify(SPEC)
+    session.check_obligations(SPEC)
     session.close()
     assert session.metrics().units >= 1  # inspection is not work dispatch
 

@@ -16,7 +16,6 @@ from repro.service.store import ResultStore, job_key
 def test_kind_catalogue():
     assert JOB_KINDS == (
         "transform",
-        "verify",
         "check_obligations",
         "sat_check",
         "simulate",
@@ -28,6 +27,11 @@ def test_kind_catalogue():
 def test_unknown_kind_rejected():
     with pytest.raises(ServiceError, match="unknown job kind"):
         canonical_params("explode", {})
+
+
+def test_removed_verify_kind_rejected():
+    with pytest.raises(ServiceError, match="unknown job kind 'verify'"):
+        canonical_params("verify", {"rules": ["mux_combine"]})
 
 
 def test_defaults_are_spelled_out_for_stable_keys():
@@ -59,8 +63,8 @@ def test_different_params_different_keys():
         ("simulate", {"kernel": "matvec", "jobs": 4}, "unknown parameter"),
         ("bench", {}, "name"),
         ("bench", {"name": "matvec", "extra": 1}, "unknown parameter"),
-        ("verify", {"rules": ["made_up_rule"]}, "unknown rule"),
-        ("verify", {"rules": "mux_combine"}, "list"),
+        ("check_obligations", {"rules": ["made_up_rule"]}, "unknown rule"),
+        ("check_obligations", {"rules": "mux_combine"}, "list"),
         ("check_obligations", {"rules": [42]}, "list"),
     ],
 )
@@ -69,8 +73,10 @@ def test_invalid_params_rejected(kind, params, match):
         canonical_params(kind, params)
 
 
-def test_verify_rules_are_sorted_and_deduped():
-    params = canonical_params("verify", {"rules": ["ooo_loop", "mux_combine", "ooo_loop"]})
+def test_obligation_rules_are_sorted_and_deduped():
+    params = canonical_params(
+        "check_obligations", {"rules": ["ooo_loop", "mux_combine", "ooo_loop"]}
+    )
     assert params == {"rules": ["mux_combine", "ooo_loop"]}
 
 
@@ -147,7 +153,9 @@ def test_certificate_tamper_rejected(tmp_path):
     assert store.certificate(content_hash) is None  # recheck-validation fails
 
 
-def test_legacy_json_certificate_served_and_tamper_rejected(tmp_path):
+def test_json_certificate_entry_is_not_served(tmp_path):
+    """Only ``.bin`` entries are indexed: a JSON certificate entry (the
+    pre-format-2 layout) is neither scanned nor served."""
     from repro.refinement.checker import check_rewrite_obligation
     from repro.rewriting.rules import build_rewrite
 
@@ -157,25 +165,13 @@ def test_legacy_json_certificate_served_and_tamper_rejected(tmp_path):
     report = check_rewrite_obligation(lhs, rhs, env, stimuli, cache=cache)
     content_hash = report.certificate.content_hash()
 
-    # re-store as a legacy JSON entry (pre-format-2 stores wrote these)
     [bin_path] = [p for p in tmp_path.glob("*/*.bin")]
     key = bin_path.stem
     bin_path.unlink()
     cache.put(key, report.certificate.to_dict())
 
     store = ResultStore(cache_dir=tmp_path)
-    payload = store.certificate(content_hash)
-    assert payload is not None and payload["hash"] == content_hash
-    # and its binary transcoding round-trips to the same hash
-    from repro.refinement.codec import content_hash_of
+    assert store.certificate(content_hash) is None
+    assert store.certificate_bytes(content_hash) is None
+    assert store.refresh_certificates() == 0
 
-    assert content_hash_of(store.certificate_bytes(content_hash)) == content_hash
-
-    # flip a relation entry inside the stored entry, keeping valid JSON
-    [path] = [p for p in tmp_path.glob("*/*.json") if key in p.name]
-    entry = json.loads(path.read_text())
-    entry["payload"]["relation"][0] = [999999, 999999]
-    path.write_text(json.dumps(entry))
-
-    fresh = ResultStore(cache_dir=tmp_path)
-    assert fresh.certificate(content_hash) is None  # recheck-validation fails

@@ -84,3 +84,43 @@ class TestExecution:
         assert tool.main([str(good), "-q"]) == 0
         assert tool.main([str(good), str(bad), "-q"]) == 1
         assert tool.main([str(tmp_path / "missing.md")]) == 2
+
+
+class TestCliLines:
+    def test_console_lines_are_extracted_with_line_numbers(self, tool):
+        text = (
+            "```console\n"
+            "$ python -m repro.cli refine --jobs 2   # certified\n"
+            "$ ls\n"
+            "$ python -m repro.cli serve --port 8750 &\n"
+            "```\n"
+            "```sh\n$ python -m repro.cli nope\n```\n"
+        )
+        assert tool.cli_lines(text) == [
+            (2, ["refine", "--jobs", "2"]),
+            (4, ["serve", "--port", "8750"]),
+        ]
+
+    def test_valid_line_parses(self, tool, tmp_path):
+        doc = tmp_path / "doc.md"
+        doc.write_text("```console\n$ python -m repro.cli refine --rule mux_combine\n```\n")
+        assert tool.check_cli_file(doc, verbose=False) == (1, [])
+
+    def test_removed_subcommand_fails_with_file_and_line(self, tool, tmp_path, capsys):
+        doc = tmp_path / "doc.md"
+        doc.write_text("intro\n\n```console\n$ python -m repro.cli verify\n```\n")
+        assert tool.check_cli_file(doc, verbose=False) == (0, [f"{doc}:4"])
+        assert "invalid choice: 'verify'" in capsys.readouterr().err
+
+    def test_unknown_flag_fails(self, tool, tmp_path, capsys):
+        doc = tmp_path / "doc.md"
+        doc.write_text(
+            "```console\n$ python -m repro.cli refine --cert-format binary\n```\n"
+        )
+        assert tool.check_cli_file(doc, verbose=False) == (0, [f"{doc}:2"])
+        assert "unrecognized arguments: --cert-format" in capsys.readouterr().err
+
+    def test_main_fails_on_a_bad_command_line(self, tool, tmp_path):
+        doc = tmp_path / "doc.md"
+        doc.write_text("```console\n$ python -m repro.cli bench\n```\n")
+        assert tool.main([str(doc), "-q"]) == 1

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Execute every fenced ``python`` block in the project's documentation.
+"""Execute every fenced ``python`` block in the project's documentation,
+and parse every documented ``repro`` command line.
 
 The docs are part of the tested surface: a code example that drifts from
 the real API is worse than no example, so CI runs this tool over README.md
-and docs/*.md and fails when any block raises.
+and docs/*.md and fails when any block raises or any command line no
+longer parses.
 
 Rules:
 
@@ -17,7 +19,12 @@ Rules:
 * ``<repo>/src`` is prepended to ``sys.path``, so examples ``import
   repro`` exactly as the README tells users to;
 * failures are reported as ``file:line`` of the opening fence, with the
-  traceback pointing at real line numbers inside the markdown file.
+  traceback pointing at real line numbers inside the markdown file;
+* every ``$ python -m repro.cli …`` line in a ``console`` fence is parsed
+  (never run) with :func:`repro.cli.build_parser`, after dropping a
+  trailing ``# comment`` and a trailing ``&``; a line that argparse
+  rejects — a removed subcommand, an unknown flag — is reported as
+  ``file:line`` of the command itself.
 
 Usage::
 
@@ -28,12 +35,16 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
+import shlex
 import sys
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+CLI_PREFIX = "$ python -m repro.cli"
 
 
 @dataclass
@@ -113,6 +124,48 @@ def run_file(path: Path, verbose: bool = True) -> tuple[int, int, list[str]]:
     return ran, skipped, failures
 
 
+def cli_lines(text: str) -> list[tuple[int, list[str]]]:
+    """``(line, argv)`` for every ``$ python -m repro.cli`` console line."""
+    found = []
+    for block in extract_blocks(text):
+        if block.info.split()[:1] != ["console"]:
+            continue
+        for offset, line in enumerate(block.source.splitlines(), start=1):
+            line = line.strip()
+            if line != CLI_PREFIX and not line.startswith(CLI_PREFIX + " "):
+                continue
+            argv = shlex.split(line[len(CLI_PREFIX):], comments=True)
+            if argv and argv[-1] == "&":
+                argv.pop()
+            found.append((block.line + offset, argv))
+    return found
+
+
+def check_cli_file(path: Path, verbose: bool = True) -> tuple[int, list[str]]:
+    """Parse a file's documented command lines; ``(parsed, failures)``."""
+    from repro.cli import build_parser
+
+    parsed = 0
+    failures: list[str] = []
+    for line, argv in cli_lines(path.read_text()):
+        location = f"{path}:{line}"
+        errors = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(errors):
+                build_parser().parse_args(argv)
+        except SystemExit as exc:
+            if exc.code:
+                failures.append(location)
+                message = errors.getvalue().strip().splitlines()[-1:]
+                print(f"FAIL {location}: repro {shlex.join(argv)}", file=sys.stderr)
+                print(f"     {''.join(message)}", file=sys.stderr)
+                continue
+        parsed += 1
+        if verbose:
+            print(f"ok   {location}: repro {shlex.join(argv)}")
+    return parsed, failures
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -127,20 +180,22 @@ def main(argv: list[str] | None = None) -> int:
     if src not in sys.path:
         sys.path.insert(0, src)
 
-    total_ran = total_skipped = 0
+    total_ran = total_skipped = total_parsed = 0
     all_failures: list[str] = []
     for path in paths:
         if not path.exists():
             print(f"error: {path} does not exist", file=sys.stderr)
             return 2
         ran, skipped, failures = run_file(path, verbose=not args.quiet)
+        parsed, cli_failures = check_cli_file(path, verbose=not args.quiet)
         total_ran += ran
         total_skipped += skipped
-        all_failures.extend(failures)
+        total_parsed += parsed
+        all_failures.extend(failures + cli_failures)
 
     summary = (
         f"{total_ran} blocks executed from {len(paths)} files"
-        f" ({total_skipped} tagged no-run)"
+        f" ({total_skipped} tagged no-run), {total_parsed} command lines parsed"
     )
     if all_failures:
         print(f"{summary}; {len(all_failures)} FAILED: {', '.join(all_failures)}")
