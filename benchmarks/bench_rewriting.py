@@ -119,6 +119,7 @@ def _best_of(repeats, fn):
 
 def collect_measurements(repeats: int = 5) -> dict:
     """Time match enumeration and the rewrite fixpoint per large benchmark."""
+    from repro import obs
     from repro.rewriting.engine import RewriteEngine
     from repro.rewriting.matcher import find_matches
 
@@ -135,12 +136,15 @@ def collect_measurements(repeats: int = 5) -> dict:
         match_seconds, match_count = _best_of(repeats, enumerate_all)
 
         def fixpoint(use_worklist):
-            engine = RewriteEngine()
-            engine.apply_exhaustively(graph.copy(), rules, use_worklist=use_worklist)
-            return engine.stats
+            """The fixpoint's ``rewriting.*`` counters, from a private tracer."""
+            with obs.scoped_tracer() as tracer:
+                RewriteEngine().apply_exhaustively(
+                    graph.copy(), rules, use_worklist=use_worklist
+                )
+            return tracer.counters
 
-        worklist_seconds, worklist_stats = _best_of(repeats, lambda: fixpoint(True))
-        scan_seconds, scan_stats = _best_of(repeats, lambda: fixpoint(False))
+        worklist_seconds, worklist = _best_of(repeats, lambda: fixpoint(True))
+        scan_seconds, scan = _best_of(repeats, lambda: fixpoint(False))
         results[name] = {
             "nodes": len(graph.nodes),
             "edges": len(graph.connections),
@@ -148,13 +152,13 @@ def collect_measurements(repeats: int = 5) -> dict:
             "matches_enumerated": match_count,
             "fixpoint_worklist_seconds": round(worklist_seconds, 6),
             "fixpoint_scan_seconds": round(scan_seconds, 6),
-            "rewrites_applied": worklist_stats.rewrites_applied,
-            "worklist_matches_tried": worklist_stats.matches_tried,
-            "scan_matches_tried": scan_stats.matches_tried,
-            "worklist_scans": worklist_stats.worklist_scans,
-            "full_scans": worklist_stats.full_scans,
+            "rewrites_applied": worklist.get("rewriting.applied", 0),
+            "worklist_matches_tried": worklist.get("rewriting.matches_tried", 0),
+            "scan_matches_tried": scan.get("rewriting.matches_tried", 0),
+            "worklist_scans": worklist.get("rewriting.worklist_scans", 0),
+            "full_scans": worklist.get("rewriting.full_scans", 0),
         }
-        assert worklist_stats.rewrites_applied == scan_stats.rewrites_applied
+        assert worklist.get("rewriting.applied") == scan.get("rewriting.applied")
     return results
 
 
@@ -173,8 +177,9 @@ def measure_overhead(repeats: int = 5) -> dict:
     share of it lasts at least ``_MIN_SAMPLE_SECONDS``), interleaved
     round-robin within each sample:
 
-    * ``stubbed`` — ``obs.span``/``count``/``gauge`` replaced by no-ops,
-      approximating the pre-instrumentation engine;
+    * ``stubbed`` — ``obs.span``/``count`` replaced by no-ops,
+      approximating the pre-instrumentation engine (the engine's
+      ``rewriting.*`` counting goes too);
     * ``nosink`` — the shipped default: real obs calls, no sink attached,
       so every span is the shared no-op span;
     * ``sink`` — an ``InMemorySink`` attached, full span trees recorded.
@@ -212,19 +217,18 @@ def measure_overhead(repeats: int = 5) -> dict:
         return perf_counter() - start
 
     def run_stubbed() -> float:
-        originals = (obs.span, obs.count, obs.gauge)
+        originals = (obs.span, obs.count)
         obs.span = lambda name, **attrs: _NOOP_SPAN
         obs.count = lambda name, n=1: None
-        obs.gauge = lambda name, value: None
         try:
             return timed(one_pass)
         finally:
-            obs.span, obs.count, obs.gauge = originals
+            obs.span, obs.count = originals
 
     def run_with_sink() -> float:
         tracer = obs.Tracer()
         tracer.attach(obs.InMemorySink())
-        with obs.use_tracer(tracer):
+        with obs.scoped_tracer(tracer):
             return timed(one_pass)
 
     one_pass()  # warm caches (match plans, imports) outside the timings

@@ -27,23 +27,26 @@ A Session owns:
   cross-checks, fuzz cases — over a process pool, with deterministic
   result ordering (output is byte-identical to a serial run) and serial
   fallback on worker failure;
-* the unified statistics surface: :meth:`Session.metrics` returns one
-  :class:`~repro.obs.MetricsSnapshot` rolling up the executor accounting,
-  the rewriting-engine counters accumulated across every ``transform``,
-  and the observability tracer's counters/gauges.  (The pre-v1.3
-  attribute facade — ``session.metrics.executed`` … — was removed in
-  v1.5; see the migration table in ``docs/api.md``.)
+* a :class:`~repro.obs.Tracer` of its own, the one accumulator of the
+  work the session did: executor, cache, rewriting, simulation and
+  refinement counters, pool workers' included.
+  :meth:`Session.metrics` returns them as a
+  :class:`~repro.obs.MetricsSnapshot`.
 
-Every public method runs under a :mod:`repro.obs` span (``transform``,
-``check-obligations``, ``bench``, ``report``), so attaching a sink — or
+Every public method runs under the session's counters
+(:func:`repro.obs.counting_scope`) and a :mod:`repro.obs` span
+(``transform``, ``check-obligations``, ``bench``, ``report``, …).  Spans
+and sinks stay those of the enclosing tracer, so attaching a sink — or
 passing ``--trace``/``--profile`` on the CLI — captures the whole
-hierarchy down to per-rewrite matching and pool-worker subtrees.
+hierarchy down to per-rewrite matching and pool-worker subtrees, and the
+enclosing tracer's counters still add up the work of every session.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import obs
 from .components import default_environment
@@ -53,9 +56,7 @@ from .errors import GraphitiError
 from .exec.cache import NullCache, ResultCache, default_cache_dir
 from .exec.executor import Executor, WorkUnit
 from .exec.hashing import eval_unit_key
-from .exec.metrics import ExecutorMetrics
 from .obs import MetricsSnapshot
-from .rewriting.engine import EngineStats
 from .rewriting.pipeline import GraphitiPipeline, TransformResult
 from .rewriting.rules import VERIFY_FACTORY_SPECS, build_rewrite
 
@@ -95,9 +96,8 @@ class Session:
             self.cache = ResultCache(Path(cache_dir) if cache_dir else default_cache_dir())
         else:
             self.cache = NullCache()
-        self._metrics = ExecutorMetrics()
-        self._engine_stats = EngineStats()
-        self.executor = Executor(jobs=jobs, cache=self.cache, metrics=self._metrics)
+        self.executor = Executor(jobs=jobs, cache=self.cache)
+        self._tracer = obs.Tracer()
         self._check_obligations = check_obligations
         self._closed = False
 
@@ -129,31 +129,30 @@ class Session:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    def _require_open(self, method: str) -> None:
+    @contextmanager
+    def _call(self, method: str, span: str, **attrs) -> Iterator:
+        """Run a public method: refuse when closed, count into the
+        session's tracer, and open the method's root span."""
         if self._closed:
             raise GraphitiError(
                 f"Session.{method}() called on a closed session "
                 "(close() already drained the executor pool)"
             )
+        with obs.counting_scope(self._tracer), obs.span(span, **attrs) as sp:
+            yield sp
 
     # -- metrics -------------------------------------------------------------
 
     def metrics(self) -> MetricsSnapshot:
-        """The unified stats surface: one :class:`MetricsSnapshot`.
+        """The work this session did, as one :class:`MetricsSnapshot`.
 
-        Rolls up the executor accounting, the rewriting-engine counters
-        accumulated across every :meth:`transform`, and the observability
-        tracer's counters and gauges.  (Until v1.5 this was a property
-        returning an attribute-compatible facade; the deprecated attribute
-        forms — ``session.metrics.executed`` … — are gone.)
+        Its single source is the session's own counters: another session's
+        work never shows here, and pool workers' counters are included.
+        (Until v1.5 this was a property returning an attribute-compatible
+        facade; the attribute forms — ``session.metrics.executed`` … — are
+        gone.)
         """
-        tracer = obs.get_tracer()
-        return MetricsSnapshot(
-            executor=self._metrics.to_dict(),
-            rewriting=self._engine_stats.to_dict(),
-            counters=dict(tracer.counters),
-            gauges=dict(tracer.gauges),
-        )
+        return MetricsSnapshot(counters=dict(self._tracer.counters))
 
     # -- transformation ------------------------------------------------------
 
@@ -170,19 +169,13 @@ class Session:
         """
         if graph is None or mark is None:
             raise TypeError("Session.transform() requires graph= and mark=")
-        self._require_open("transform")
         pipeline = GraphitiPipeline(
             self.env,
             check_obligations=self._check_obligations,
             cache=self.cache,
         )
-        with obs.span("transform", kernel=getattr(mark, "kernel", "?")):
-            try:
-                return pipeline.transform_kernel(graph, mark)
-            finally:
-                # Whatever happened — success, refusal, or an exception —
-                # the engine's counters roll up into session.metrics().
-                self._engine_stats.merge(pipeline.engine.stats)
+        with self._call("transform", "transform", kernel=getattr(mark, "kernel", "?")):
+            return pipeline.transform_kernel(graph, mark)
 
     # -- verification --------------------------------------------------------
 
@@ -207,7 +200,6 @@ SimulationCertificate` in the content-addressed result cache (compact
         ``"search-fallback"`` / ``"mixed"``),
         ``instances``, ``certificate_hashes``, ``detail`` and ``seconds``.
         """
-        self._require_open("check_obligations")
         specs = list(specs if specs is not None else VERIFY_FACTORY_SPECS)
         cache_dir = str(self.cache.root) if isinstance(self.cache, ResultCache) else None
         units = [
@@ -223,7 +215,7 @@ SimulationCertificate` in the content-addressed result cache (compact
             )
             for module, factory, kwargs in specs
         ]
-        with obs.span("check-obligations", obligations=len(units)):
+        with self._call("check_obligations", "check-obligations", obligations=len(units)):
             return self.executor.run(units)
 
     def sat_check(
@@ -244,7 +236,6 @@ SimulationCertificate` in the content-addressed result cache (compact
         pair exploration; verdicts truncated by the bound are indefinite
         and never count as disagreement.
         """
-        self._require_open("sat_check")
         from .exec.hashing import sat_cross_check_key
         from .refinement.sat import DEFAULT_BOUND
 
@@ -271,7 +262,7 @@ SimulationCertificate` in the content-addressed result cache (compact
                     cache_key=key,
                 )
             )
-        with obs.span("sat-check", obligations=len(units), bound=bound):
+        with self._call("sat_check", "sat-check", obligations=len(units), bound=bound):
             return self.executor.run(units)
 
     # -- netlist interop -----------------------------------------------------
@@ -284,14 +275,13 @@ SimulationCertificate` in the content-addressed result cache (compact
         from the file extension unless *fmt* is given.  See
         :mod:`repro.interop` and ``docs/interop.md``.
         """
-        self._require_open("load_graph")
         from .interop import infer_format, load_graph
 
         fmt = fmt or infer_format(path)
-        with obs.span("interop:load", path=str(path), format=fmt):
+        with self._call("load_graph", "interop:load", path=str(path), format=fmt):
             graph = load_graph(path, fmt=fmt)
-        obs.count("interop.imports")
-        return graph
+            obs.count("interop.imports")
+            return graph
 
     def export_graph(
         self,
@@ -307,13 +297,12 @@ SimulationCertificate` in the content-addressed result cache (compact
         round-trip through :meth:`load_graph` with ``import(export(g)) ==
         g``.
         """
-        self._require_open("export_graph")
         from .interop import save_graph
 
-        with obs.span("interop:export", path=str(path)):
+        with self._call("export_graph", "interop:export", path=str(path)):
             fmt = save_graph(graph, path, fmt=fmt, name=name)
-        obs.count("interop.exports")
-        return fmt
+            obs.count("interop.exports")
+            return fmt
 
     def fuzz(
         self,
@@ -337,7 +326,6 @@ SimulationCertificate` in the content-addressed result cache (compact
         is byte-identical for equal ``(seed, cases, backend)``; see
         :func:`repro.interop.corpus.corpus_manifest`.
         """
-        self._require_open("fuzz")
         from .exec.hashing import fuzz_case_key
         from .interop.corpus import case_seeds, corpus_manifest
 
@@ -353,7 +341,7 @@ SimulationCertificate` in the content-addressed result cache (compact
             )
             for case_seed in seeds
         ]
-        with obs.span("fuzz", cases=cases, seed=seed, backend=backend) as sp:
+        with self._call("fuzz", "fuzz", cases=cases, seed=seed, backend=backend) as sp:
             entries = self.executor.run(units)
             manifest = corpus_manifest(entries, seed=seed, backend=backend)
             sp.set(ok=manifest["ok"], divergences=manifest["ooo_divergences"])
@@ -415,7 +403,6 @@ SimulationCertificate` in the content-addressed result cache (compact
             raise TypeError("Session.simulate() requires graph_or_kernel=")
         if stimuli is None:
             raise TypeError("Session.simulate() requires stimuli=")
-        self._require_open("simulate")
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown simulation backend {backend!r}; expected one of {BACKENDS}"
@@ -454,8 +441,8 @@ SimulationCertificate` in the content-addressed result cache (compact
                 )
             runs.append(run)
 
-        with obs.span(
-            "simulate", kernel=kernel.name, backend=backend, runs=len(runs)
+        with self._call(
+            "simulate", "simulate", kernel=kernel.name, backend=backend, runs=len(runs)
         ):
             if backend == "compiled":
                 circuit = compile_circuit(
@@ -508,9 +495,8 @@ SimulationCertificate` in the content-addressed result cache (compact
         from .eval.runner import FLOWS, BenchmarkResult, FlowResult
         from .hls.frontend import compile_program
 
-        self._require_open("bench_many")
         names = list(names)
-        with obs.span("bench", benchmarks=len(names), backend=backend):
+        with self._call("bench_many", "bench", benchmarks=len(names), backend=backend):
             units = []
             for name in names:
                 program = (programs or {}).get(name)
@@ -558,6 +544,6 @@ SimulationCertificate` in the content-addressed result cache (compact
         from .eval.paper_data import BENCHMARKS
         from .eval.report import full_report
 
-        with obs.span("report"):
+        with self._call("report", "report"):
             results = self.bench_many(list(names) if names else list(BENCHMARKS), programs)
             return full_report(results)

@@ -2,13 +2,14 @@
 
 The executor subsystem behind :class:`repro.api.Session`: canonical
 fingerprints (:mod:`~repro.exec.hashing`), a content-addressed on-disk
-result cache (:mod:`~repro.exec.cache`), per-unit metrics
-(:mod:`~repro.exec.metrics`), and the process-pool orchestrator itself
-(:mod:`~repro.exec.executor`), plus the picklable worker functions it fans
-out (:mod:`~repro.exec.workers`).
+result cache (:mod:`~repro.exec.cache`), and the process-pool orchestrator
+itself (:mod:`~repro.exec.executor`), plus the picklable worker functions
+it fans out (:mod:`~repro.exec.workers`).  Both the executor and the cache
+account for their work in :mod:`repro.obs` counters (``executor.*``,
+``cache.*``), which ``session.metrics()`` reads.
 """
 
-from .cache import CacheError, CacheStats, NullCache, ResultCache, default_cache_dir
+from .cache import CacheError, NullCache, ResultCache, default_cache_dir
 from .executor import Executor, ExecutorError, WorkUnit, resolve_worker
 from .hashing import (
     TOOL_VERSION,
@@ -18,11 +19,9 @@ from .hashing import (
     program_fingerprint,
     stimuli_fingerprint,
 )
-from .metrics import ExecutorMetrics, UnitMetric
 
 __all__ = [
     "CacheError",
-    "CacheStats",
     "NullCache",
     "ResultCache",
     "default_cache_dir",
@@ -36,6 +35,4 @@ __all__ = [
     "graph_fingerprint",
     "program_fingerprint",
     "stimuli_fingerprint",
-    "ExecutorMetrics",
-    "UnitMetric",
 ]

@@ -6,7 +6,9 @@ cache does not put thousands of files in one directory.  Writes go through
 a temporary file plus :func:`os.replace`, so a concurrent reader never sees
 a half-written entry; a corrupted entry (truncated file, hand-edited JSON,
 wrong embedded key) is quarantined by deletion and reported as a miss, so
-the worst failure mode is recomputation.
+the worst failure mode is recomputation.  Lookups and writes are counted
+on the active :mod:`repro.obs` tracer: ``cache.hits``, ``cache.misses``,
+``cache.writes`` and ``cache.corrupt``.
 
 :class:`NullCache` is the ``--no-cache`` implementation: same interface,
 never stores anything.
@@ -17,9 +19,10 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
+from .. import obs
 from ..errors import GraphitiError
 
 #: Bump when the entry layout changes; older entries then read as misses.
@@ -31,27 +34,10 @@ class CacheError(GraphitiError):
 
 
 @dataclass
-class CacheStats:
-    hits: int = 0
-    misses: int = 0
-    writes: int = 0
-    corrupt: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "corrupt": self.corrupt,
-        }
-
-
-@dataclass
 class ResultCache:
     """A directory of content-addressed JSON entries."""
 
     root: Path
-    stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
@@ -73,7 +59,7 @@ class ResultCache:
         try:
             text = path.read_text()
         except OSError:
-            self.stats.misses += 1
+            obs.count("cache.misses")
             return None
         try:
             entry = json.loads(text)
@@ -82,17 +68,17 @@ class ResultCache:
             payload = entry["payload"]
         except (ValueError, KeyError, TypeError):
             # Corrupted or stale: quarantine by deletion, report a miss.
-            self.stats.corrupt += 1
-            self.stats.misses += 1
+            obs.count("cache.corrupt")
+            obs.count("cache.misses")
             try:
                 path.unlink()
             except OSError:
                 pass
             return None
         if payload is None:
-            self.stats.misses += 1
+            obs.count("cache.misses")
             return None
-        self.stats.hits += 1
+        obs.count("cache.hits")
         return payload
 
     def put(self, key: str, payload: object) -> None:
@@ -113,7 +99,7 @@ class ResultCache:
                     os.unlink(tmp)
         except OSError as exc:
             raise CacheError(f"cannot write cache entry {path}: {exc}") from exc
-        self.stats.writes += 1
+        obs.count("cache.writes")
 
     # -- binary entries ------------------------------------------------------
     #
@@ -132,9 +118,9 @@ class ResultCache:
         try:
             data = self.bin_path_for(key).read_bytes()
         except OSError:
-            self.stats.misses += 1
+            obs.count("cache.misses")
             return None
-        self.stats.hits += 1
+        obs.count("cache.hits")
         return data
 
     def put_bytes(self, key: str, payload: bytes) -> None:
@@ -152,7 +138,7 @@ class ResultCache:
                     os.unlink(tmp)
         except OSError as exc:
             raise CacheError(f"cannot write cache entry {path}: {exc}") from exc
-        self.stats.writes += 1
+        obs.count("cache.writes")
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*/*.json")) + sum(
@@ -175,18 +161,15 @@ class ResultCache:
 class NullCache:
     """The disabled cache: every lookup misses, nothing is stored."""
 
-    def __init__(self) -> None:
-        self.stats = CacheStats()
-
     def get(self, key: str) -> None:
-        self.stats.misses += 1
+        obs.count("cache.misses")
         return None
 
     def put(self, key: str, payload: object) -> None:
         pass
 
     def get_bytes(self, key: str) -> None:
-        self.stats.misses += 1
+        obs.count("cache.misses")
         return None
 
     def put_bytes(self, key: str, payload: bytes) -> None:

@@ -18,12 +18,17 @@ content-addressed cache key.  :meth:`Executor.run` evaluates a batch:
 Worker functions must return a JSON-serialisable value other than ``None``
 (``None`` is the cache-miss sentinel).
 
-Observability: when the global tracer has a sink attached, every unit gets
-a ``unit:<uid>`` span whose ``mode`` attribute records how it was answered
-(``cache`` / ``serial`` / ``pool``, plus ``retried``).  Serial units nest
-their callee spans naturally; pool workers record into a private tracer
-and ship the subtree back inside the outcome dict, which the parent grafts
-under its open span (see :meth:`repro.obs.Tracer.graft`).
+Observability: every unit is counted on the active tracer by how it was
+answered — ``executor.cache_hits`` / ``executor.serial`` /
+``executor.pool`` / ``executor.serial-retry`` (plus
+``executor.cache_misses``) — and its time is added to the float counter
+``executor.seconds``.  When a sink is attached, every unit also gets a
+``unit:<uid>`` span whose ``mode`` attribute records the same.  Serial
+units count and nest their callee spans naturally; pool workers record
+into a private tracer and ship its counters (and, when tracing, its span
+subtree) back inside the outcome dict, which the parent adds to its
+active tracer (see :meth:`repro.obs.Tracer.merge` and
+:meth:`repro.obs.Tracer.graft`).
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from typing import Any, Callable, Sequence
 from .. import obs
 from ..errors import GraphitiError
 from .cache import NullCache
-from .metrics import ExecutorMetrics, UnitMetric
 
 
 class ExecutorError(GraphitiError):
@@ -72,27 +76,23 @@ def resolve_worker(spec: str) -> Callable[..., Any]:
 
 
 def _call_unit(fn_spec: str, payload: dict, uid: str = "", trace: bool = False) -> dict:
-    """Pool entry point: run one unit, returning its in-worker wall time.
+    """Pool entry point: run one unit under a private tracer.
 
-    With *trace* the worker records spans into a private tracer and ships
-    the serialised subtree back under ``"spans"`` so the parent can graft
-    it into its own trace (durations are in-worker wall times).
+    Returns the value, the in-worker wall time and the tracer's counters,
+    which the parent adds to its own.  With *trace* the worker also
+    records spans and ships the serialised subtree back under ``"spans"``
+    so the parent can graft it into its own trace (durations are
+    in-worker wall times).
     """
-    if not trace:
-        start = perf_counter()
-        value = resolve_worker(fn_spec)(**payload)
-        return {"seconds": perf_counter() - start, "value": value}
     tracer = obs.Tracer()
-    sink = tracer.attach(obs.InMemorySink())
+    sink = tracer.attach(obs.InMemorySink()) if trace else None
     start = perf_counter()
-    with obs.use_tracer(tracer):
-        with tracer.span(f"unit:{uid}", mode="pool"):
-            value = resolve_worker(fn_spec)(**payload)
-    return {
-        "seconds": perf_counter() - start,
-        "value": value,
-        "spans": [root.to_dict() for root in sink.spans],
-    }
+    with obs.scoped_tracer(tracer), tracer.span(f"unit:{uid}", mode="pool"):
+        value = resolve_worker(fn_spec)(**payload)
+    outcome = {"seconds": perf_counter() - start, "value": value, "counters": tracer.counters}
+    if sink is not None:
+        outcome["spans"] = [root.to_dict() for root in sink.spans]
+    return outcome
 
 
 class Executor:
@@ -105,10 +105,9 @@ class Executor:
     discarded and transparently rebuilt on the next batch.
     """
 
-    def __init__(self, jobs: int = 1, cache=None, metrics: ExecutorMetrics | None = None):
+    def __init__(self, jobs: int = 1, cache=None):
         self.jobs = max(1, int(jobs))
         self.cache = cache if cache is not None else NullCache()
-        self.metrics = metrics if metrics is not None else ExecutorMetrics()
         self._pool: ProcessPoolExecutor | None = None
         self._closed = False
 
@@ -185,14 +184,12 @@ class Executor:
             return None
         seconds = perf_counter() - start
         obs.count("executor.cache_hits")
+        obs.count("executor.seconds", seconds)
         tracer = obs.get_tracer()
         if tracer.active:
             tracer.graft(
                 {"name": f"unit:{unit.uid}", "seconds": seconds}, mode="cache"
             )
-        self.metrics.record(
-            UnitMetric(uid=unit.uid, seconds=seconds, cached=True, mode="cache")
-        )
         return (payload,)
 
     def _store(self, unit: WorkUnit, value: Any) -> None:
@@ -207,15 +204,7 @@ class Executor:
         with obs.span(f"unit:{unit.uid}", mode=mode, retried=retried):
             start = perf_counter()
             value = resolve_worker(unit.fn)(**unit.payload)
-            self.metrics.record(
-                UnitMetric(
-                    uid=unit.uid,
-                    seconds=perf_counter() - start,
-                    cached=False,
-                    mode="serial",
-                    retried=retried,
-                )
-            )
+            obs.count("executor.seconds", perf_counter() - start)
         self._store(unit, value)
         return value
 
@@ -257,16 +246,10 @@ class Executor:
                     results[index] = outcome["value"]
                     completed.add(index)
                     obs.count("executor.pool")
+                    obs.count("executor.seconds", outcome["seconds"])
+                    tracer.merge(outcome["counters"])
                     for data in outcome.get("spans", ()):
                         tracer.graft(data, uid=units[index].uid)
-                    self.metrics.record(
-                        UnitMetric(
-                            uid=units[index].uid,
-                            seconds=outcome["seconds"],
-                            cached=False,
-                            mode="pool",
-                        )
-                    )
                     self._store(units[index], outcome["value"])
         except (BrokenProcessPool, OSError):
             # The pool itself died (a worker crashed hard, or fork failed):

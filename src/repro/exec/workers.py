@@ -22,10 +22,11 @@ picklable); graphs and IR programs pickle directly.
 
 Workers are instrumented like the serial entry points: each opens a span
 (``flow:…``, ``obligation:…``, ``sat-check:…``, ``fuzz:case``) on
-whatever tracer is active in its process.  In-process (serial) execution nests those spans under the
-executor's unit span directly; in a pool worker the executor installs a
-private recording tracer around the call and grafts the resulting subtree
-back into the parent trace (see :func:`repro.exec.executor._call_unit`).
+whatever tracer is active in its process, and counts there.  In-process
+(serial) execution nests those spans under the executor's unit span
+directly; in a pool worker the executor installs a private tracer around
+the call and ships its counters (and, when tracing, its span subtree) back
+to the parent (see :func:`repro.exec.executor._call_unit`).
 """
 
 from __future__ import annotations

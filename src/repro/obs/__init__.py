@@ -17,21 +17,21 @@ Typical use::
     print(obs.render_tree(sink.spans))
 
 The CLI exposes the same machinery as ``--trace FILE`` (JSONL export via
-:class:`JsonlSink`) and ``--profile`` (span tree via :func:`render_tree`);
-:meth:`repro.api.Session.metrics` rolls the counters into one
-:class:`MetricsSnapshot`.
+:class:`JsonlSink`) and ``--profile`` (span tree via :func:`render_tree`).
+Counters are the one accumulator of work done: each
+:class:`repro.api.Session` counts into a tracer of its own
+(:func:`counting_scope`), and :meth:`repro.api.Session.metrics` wraps
+those counters in a :class:`MetricsSnapshot`.
 """
 
 from .core import (
     Span,
     Tracer,
     count,
-    gauge,
+    counting_scope,
     get_tracer,
     scoped_tracer,
-    set_tracer,
     span,
-    use_tracer,
 )
 from .metrics import MetricsSnapshot
 from .sinks import InMemorySink, JsonlSink, render_tree
@@ -40,12 +40,10 @@ __all__ = [
     "Span",
     "Tracer",
     "count",
-    "gauge",
+    "counting_scope",
     "get_tracer",
     "scoped_tracer",
-    "set_tracer",
     "span",
-    "use_tracer",
     "MetricsSnapshot",
     "InMemorySink",
     "JsonlSink",

@@ -12,11 +12,16 @@ Concepts:
 * a :class:`Span` is a named, timed region with attributes and children —
   ``span("transform") > span("phase:purify") > span("rewrite:mux-combine")``;
 * a :class:`Tracer` owns the open-span stack, the attached sinks, and the
-  always-on counters/gauges; closed *root* spans are emitted to every sink;
+  always-on counters; closed *root* spans are emitted to every sink;
+* :func:`counting_scope` gives a tracer of its own counters while it
+  shares the enclosing tracer's spans and sinks — each
+  :class:`repro.api.Session` counts its own work that way;
 * worker processes record into their own tracer and serialise the subtree
-  back with their results; the parent re-attaches it with :meth:`Tracer.graft`
-  (the re-parented spans carry ``reparented: True`` and keep their in-worker
-  durations — wall clocks of different processes are not comparable).
+  and the counters back with their results; the parent re-attaches the
+  spans with :meth:`Tracer.graft` (the re-parented spans carry
+  ``reparented: True`` and keep their in-worker durations — wall clocks of
+  different processes are not comparable) and adds the counters with
+  :meth:`Tracer.merge`.
 
 Timing uses the monotonic :func:`time.perf_counter`; only durations are
 ever exported, never absolute timestamps.
@@ -145,19 +150,18 @@ _NOOP_SPAN = _NoopSpan()
 
 
 class Tracer:
-    """Owns the open-span stack, the sinks, and the counters/gauges.
+    """Owns the open-span stack, the sinks, and the counters.
 
     A tracer with no sinks is *inactive*: :meth:`span` returns the shared
-    no-op span and records nothing.  Counters and gauges are always on —
-    they are plain dict updates, cheap enough for every call site that
-    bothers to count.
+    no-op span and records nothing.  Counters are always on — they are
+    plain dict updates, cheap enough for every call site that bothers to
+    count.  A counter is an int, or a float for the ``*seconds*`` ones.
     """
 
     def __init__(self) -> None:
         self._stack: list[Span] = []
         self._sinks: list[Any] = []
-        self.counters: dict[str, int] = {}
-        self.gauges: dict[str, float] = {}
+        self.counters: dict[str, float] = {}
 
     # -- activation ---------------------------------------------------------
 
@@ -213,20 +217,20 @@ class Tracer:
             self._emit(span)
         return span
 
-    # -- counters / gauges ----------------------------------------------------
+    # -- counters -------------------------------------------------------------
 
-    def count(self, name: str, n: int = 1) -> None:
+    def count(self, name: str, n: float = 1) -> None:
         """Increment the named counter (always on, even with no sinks)."""
         self.counters[name] = self.counters.get(name, 0) + n
 
-    def gauge(self, name: str, value: float) -> None:
-        """Set the named gauge to its latest observed value."""
-        self.gauges[name] = value
+    def merge(self, counters: dict) -> None:
+        """Add every counter in *counters* (another tracer's) to this one."""
+        for name, n in counters.items():
+            self.count(name, n)
 
     def reset(self) -> None:
-        """Clear counters and gauges (the open-span stack is untouched)."""
+        """Clear the counters (the open-span stack is untouched)."""
         self.counters.clear()
-        self.gauges.clear()
 
 
 # -- the process-global and request-scoped tracers -----------------------------
@@ -250,38 +254,15 @@ def get_tracer() -> Tracer:
     return _TRACER if scoped is None else scoped
 
 
-def set_tracer(tracer: Tracer) -> Tracer:
-    """Swap the process-global tracer; returns the previous one.
-
-    Does not touch any :func:`scoped_tracer` override active in other
-    threads or tasks.
-    """
-    global _TRACER
-    previous = _TRACER
-    _TRACER = tracer
-    return previous
-
-
-@contextmanager
-def use_tracer(tracer: Tracer) -> Iterator[Tracer]:
-    """Temporarily install *tracer* as the global one (tests, workers)."""
-    previous = set_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_tracer(previous)
-
-
 @contextmanager
 def scoped_tracer(tracer: Tracer | None = None) -> Iterator[Tracer]:
     """Install a *context-local* tracer for the current thread or task.
 
-    Unlike :func:`use_tracer` (which swaps the process-global tracer and
-    is therefore visible to every thread), the scoped tracer shadows the
-    global one only within the installing context — other threads and
-    asyncio tasks keep whatever they were using.  The verification
-    service wraps every job execution in one of these, giving each
-    request its own counters and span tree.
+    The scoped tracer shadows the global one only within the installing
+    context — other threads and asyncio tasks keep whatever they were
+    using.  The verification service wraps every job execution in one of
+    these, giving each request its own counters and span tree; tests and
+    pool workers use it to record into a private tracer.
     """
     tracer = tracer if tracer is not None else Tracer()
     token = _SCOPED_TRACER.set(tracer)
@@ -289,6 +270,38 @@ def scoped_tracer(tracer: Tracer | None = None) -> Iterator[Tracer]:
         yield tracer
     finally:
         _SCOPED_TRACER.reset(token)
+
+
+@contextmanager
+def counting_scope(tracer: Tracer) -> Iterator[Tracer]:
+    """Count into *tracer* while spans go where they went before.
+
+    For the scope's duration *tracer* is the active one, but it shares
+    the enclosing tracer's open-span stack and sinks: a span opened inside
+    nests under the enclosing open span and reaches the enclosing sinks,
+    so ``--trace``/``--profile`` and attached sinks see one tree.  Only the
+    counters are *tracer*'s own; when the scope ends, the counts recorded
+    during it are added to the enclosing tracer too, which therefore still
+    sees all the work done under it.  Re-entering the scope of the active
+    tracer is a no-op, so nested calls add their counts once.
+    """
+    outer = get_tracer()
+    if outer is tracer:
+        yield tracer
+        return
+    tracer._stack, tracer._sinks = outer._stack, outer._sinks
+    before = dict(tracer.counters)
+    try:
+        with scoped_tracer(tracer):
+            yield tracer
+    finally:
+        outer.merge(
+            {
+                name: n - before.get(name, 0)
+                for name, n in tracer.counters.items()
+                if n != before.get(name, 0)
+            }
+        )
 
 
 def span(name: str, **attrs: Any):
@@ -300,13 +313,7 @@ def span(name: str, **attrs: Any):
     return Span(name, attrs, tracer=tracer)
 
 
-def count(name: str, n: int = 1) -> None:
+def count(name: str, n: float = 1) -> None:
     """Increment a counter on the active tracer."""
     scoped = _SCOPED_TRACER.get()
     (_TRACER if scoped is None else scoped).count(name, n)
-
-
-def gauge(name: str, value: float) -> None:
-    """Set a gauge on the active tracer."""
-    scoped = _SCOPED_TRACER.get()
-    (_TRACER if scoped is None else scoped).gauge(name, value)

@@ -1,83 +1,112 @@
-"""The unified metrics snapshot behind ``session.metrics()``.
+"""The metrics snapshot behind ``session.metrics()``.
 
-Before v1.3 the statistics of one run were scattered over three
-incompatible shapes — ``ExecutorMetrics`` (per-unit cache/pool accounting),
-``EngineStats``/``RewriteStats`` (rewriting counters) — each with its own
-accessors.  :class:`MetricsSnapshot` is the single surface they now roll up
-into: plain-dict sections (so this module stays dependency-free) plus the
-convenience properties the old accessors provided, implementing the
+A :class:`MetricsSnapshot` holds one thing: a copy of a tracer's counters
+(see :func:`repro.obs.counting_scope`).  The ``executor`` and
+``rewriting`` sections are read-only views computed from those counters,
+so there is a single source for every number; the convenience properties
+mirror the section keys.  The snapshot implements the
 ``to_dict()/summary()`` protocol of :mod:`repro.results`.
 
-A snapshot is immutable-by-convention: it is built on demand by
-:meth:`repro.api.Session.metrics` from the live accumulators and does not
-update afterwards — call ``session.metrics()`` again for fresh numbers.
+A snapshot does not update after it is taken — call ``session.metrics()``
+again for fresh numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-
-def _did_work(section: dict) -> bool:
-    """True when any counter or timing in a metrics *section* is non-zero."""
-    return any(value for value in section.values() if isinstance(value, (int, float)))
+#: ``rewriting`` section key → the counter it reads.
+_REWRITING = {
+    "rewrites_applied": "rewriting.applied",
+    "matches_tried": "rewriting.matches_tried",
+    "seconds": "rewriting.seconds",
+    "full_scans": "rewriting.full_scans",
+    "worklist_scans": "rewriting.worklist_scans",
+}
 
 
 @dataclass
 class MetricsSnapshot:
-    """One moment's unified view of executor, rewriting and obs counters.
+    """One moment's counters, with the executor and rewriting views.
 
-    Sections (all plain, JSON-serialisable dicts):
-
+    * ``counters`` — the tracer's counters (e.g. ``sim.runs``,
+      ``cache.hits``, ``rewriting.applied:mux-combine``);
     * ``executor`` — ``units``/``hits``/``executed``/``retries``/
-      ``total_seconds`` from the work-unit executor;
+      ``total_seconds`` from the ``executor.*`` counters;
     * ``rewriting`` — ``rewrites_applied``/``matches_tried``/``seconds``/
       ``full_scans``/``worklist_scans`` plus ``per_rewrite`` keyed by
-      rewrite name (``applied``/``matches_tried``/``match_seconds``);
-    * ``counters``/``gauges`` — the observability tracer's typed counters
-      (e.g. ``matcher.plan_cache_hits``) and gauges.
+      rewrite name (``applied``/``matches_tried``/``match_seconds``).
     """
 
-    executor: dict = field(default_factory=dict)
-    rewriting: dict = field(default_factory=dict)
     counters: dict = field(default_factory=dict)
-    gauges: dict = field(default_factory=dict)
 
-    # -- executor convenience (the old ExecutorMetrics surface) --------------
+    # -- views ------------------------------------------------------------------
+
+    @property
+    def executor(self) -> dict:
+        count = self.counters.get
+        hits = count("executor.cache_hits", 0)
+        retries = count("executor.serial-retry", 0)
+        executed = count("executor.serial", 0) + retries + count("executor.pool", 0)
+        return {
+            "units": hits + executed,
+            "hits": hits,
+            "executed": executed,
+            "retries": retries,
+            "total_seconds": float(count("executor.seconds", 0.0)),
+        }
+
+    @property
+    def rewriting(self) -> dict:
+        section = {key: self.counters.get(name, 0) for key, name in _REWRITING.items()}
+        section["seconds"] = float(section["seconds"])
+        per_rewrite: dict[str, dict] = {}
+        # Per-rewrite counters are named ``rewriting.<counter>:<rewrite>``.
+        for name, value in self.counters.items():
+            counter, sep, rewrite = name.partition(":")
+            if sep and counter.startswith("rewriting."):
+                entry = per_rewrite.setdefault(
+                    rewrite, {"applied": 0, "matches_tried": 0, "match_seconds": 0.0}
+                )
+                entry[counter.removeprefix("rewriting.")] = value
+        section["per_rewrite"] = dict(sorted(per_rewrite.items()))
+        return section
+
+    # -- executor convenience ------------------------------------------------
 
     @property
     def units(self) -> int:
-        return int(self.executor.get("units", 0))
+        return int(self.executor["units"])
 
     @property
     def hits(self) -> int:
-        return int(self.executor.get("hits", 0))
+        return int(self.executor["hits"])
 
     @property
     def executed(self) -> int:
-        return int(self.executor.get("executed", 0))
+        return int(self.executor["executed"])
 
     @property
     def retries(self) -> int:
-        return int(self.executor.get("retries", 0))
+        return int(self.executor["retries"])
 
     @property
     def total_seconds(self) -> float:
-        return float(self.executor.get("total_seconds", 0.0))
+        return self.executor["total_seconds"]
 
-    # -- rewriting convenience (the old EngineStats surface) ------------------
+    # -- rewriting convenience -------------------------------------------------
 
     @property
     def rewrites_applied(self) -> int:
-        return int(self.rewriting.get("rewrites_applied", 0))
+        return int(self.counters.get("rewriting.applied", 0))
 
     @property
     def matches_tried(self) -> int:
-        return int(self.rewriting.get("matches_tried", 0))
+        return int(self.counters.get("rewriting.matches_tried", 0))
 
     @property
     def per_rewrite(self) -> dict:
-        return dict(self.rewriting.get("per_rewrite", {}))
+        return self.rewriting["per_rewrite"]
 
     # -- result protocol / wire format (repro.results) -------------------------
 
@@ -87,40 +116,42 @@ class MetricsSnapshot:
         return {
             "kind": "MetricsSnapshot",
             "schema_version": SCHEMA_VERSION,
-            "executor": dict(self.executor),
-            "rewriting": dict(self.rewriting),
+            "executor": self.executor,
+            "rewriting": self.rewriting,
             "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
         }
 
     @staticmethod
     def from_dict(data: dict) -> "MetricsSnapshot":
+        """Rebuild from the counters; the sections are views of them.
+
+        A version-2 payload reads too: its ``gauges`` are ignored, and its
+        sections are recomputed from its counters.
+        """
         from ..results import check_schema
 
         entry = check_schema(data, "MetricsSnapshot")
-        return MetricsSnapshot(
-            executor=dict(entry.get("executor", {})),
-            rewriting=dict(entry.get("rewriting", {})),
-            counters=dict(entry.get("counters", {})),
-            gauges=dict(entry.get("gauges", {})),
-        )
+        return MetricsSnapshot(counters=dict(entry.get("counters", {})))
 
     def summary(self) -> str:
         """One line; the rewriting part appears only when that work
-        happened (a fresh session reports an all-zero section)."""
+        happened.  Counters shown in the executor or rewriting parts are
+        not repeated in the counter list."""
         parts = [
             f"{self.units} units: {self.hits} cached, {self.executed} executed"
             f" ({self.retries} retried), {self.total_seconds:.2f}s work"
         ]
-        if _did_work(self.rewriting):
+        if self.rewrites_applied or self.matches_tried:
             parts.append(
                 f"{self.rewrites_applied} rewrites applied"
                 f" ({self.matches_tried} candidates tried,"
-                f" {float(self.rewriting.get('seconds', 0.0)):.2f}s)"
+                f" {float(self.counters.get('rewriting.seconds', 0.0)):.2f}s)"
             )
-        if self.counters:
-            parts.append(
-                "counters: "
-                + ", ".join(f"{key}={value}" for key, value in sorted(self.counters.items()))
-            )
+        listed = sorted(
+            (name, value)
+            for name, value in self.counters.items()
+            if not name.startswith("rewriting.") and name != "executor.seconds"
+        )
+        if listed:
+            parts.append("counters: " + ", ".join(f"{k}={v}" for k, v in listed))
         return "; ".join(parts)

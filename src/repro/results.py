@@ -33,8 +33,10 @@ from .errors import GraphitiError, ResultSchemaError
 #: Bump on any change to a result type's dict shape; ``from_dict``
 #: readers reject versions they do not know.  Version 2 (v1.16) dropped
 #: the ``TransformResult`` strategy/frontier keys and the
-#: ``MetricsSnapshot`` ``saturation`` section.
-SCHEMA_VERSION = 2
+#: ``MetricsSnapshot`` ``saturation`` section.  Version 3 (v1.18) dropped
+#: the ``MetricsSnapshot`` ``gauges`` section; its ``executor`` and
+#: ``rewriting`` sections became views of its ``counters``.
+SCHEMA_VERSION = 3
 
 
 @runtime_checkable

@@ -16,11 +16,16 @@ worklist applies exactly the same rewrite sequence as the historical
 whole-graph scan — it just skips the provably matchless work.  A final
 full scan confirms the fixpoint before returning; ``use_worklist=False``
 selects the original scan-everything loop.
+
+The engine's work is counted on the active :mod:`repro.obs` tracer (cf.
+section 6.3): ``rewriting.applied``, ``rewriting.matches_tried``,
+``rewriting.full_scans``, ``rewriting.worklist_scans`` and
+``rewriting.seconds``, plus per-rewrite ``rewriting.applied:<name>``,
+``rewriting.matches_tried:<name>`` and ``rewriting.match_seconds:<name>``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Iterable, Sequence
 
@@ -33,75 +38,13 @@ from .matcher import MatchStats, find_matches, first_match, match_plan
 from .rewrite import Match, Rewrite
 
 
-@dataclass
-class RewriteStats:
-    """Per-rewrite counters within one engine's lifetime."""
-
-    applied: int = 0
-    matches_tried: int = 0  # candidate bindings attempted by the matcher
-    match_seconds: float = 0.0
-
-    def merge(self, other: "RewriteStats") -> None:
-        self.applied += other.applied
-        self.matches_tried += other.matches_tried
-        self.match_seconds += other.match_seconds
-
-    def to_dict(self) -> dict:
-        return {
-            "applied": self.applied,
-            "matches_tried": self.matches_tried,
-            "match_seconds": self.match_seconds,
-        }
-
-
-@dataclass
-class EngineStats:
-    """Counters describing a rewriting run (cf. section 6.3)."""
-
-    rewrites_applied: int = 0
-    matches_tried: int = 0  # total candidate bindings attempted
-    seconds: float = 0.0
-    per_rewrite: dict[str, RewriteStats] = field(default_factory=dict)
-    full_scans: int = 0  # whole-graph match scans during fixpoints
-    worklist_scans: int = 0  # dirty-region-restricted match scans
-
-    def for_rewrite(self, name: str) -> RewriteStats:
-        entry = self.per_rewrite.get(name)
-        if entry is None:
-            entry = self.per_rewrite[name] = RewriteStats()
-        return entry
-
-    def merge(self, other: "EngineStats") -> None:
-        """Fold *other* into this accumulator (session-level aggregation)."""
-        self.rewrites_applied += other.rewrites_applied
-        self.matches_tried += other.matches_tried
-        self.seconds += other.seconds
-        self.full_scans += other.full_scans
-        self.worklist_scans += other.worklist_scans
-        for name, entry in other.per_rewrite.items():
-            self.for_rewrite(name).merge(entry)
-
-    def to_dict(self) -> dict:
-        return {
-            "rewrites_applied": self.rewrites_applied,
-            "matches_tried": self.matches_tried,
-            "seconds": self.seconds,
-            "full_scans": self.full_scans,
-            "worklist_scans": self.worklist_scans,
-            "per_rewrite": {
-                name: entry.to_dict() for name, entry in sorted(self.per_rewrite.items())
-            },
-        }
-
-
 class RewriteEngine:
-    """Applies rewrites and tracks provenance and statistics."""
+    """Applies rewrites and tracks their provenance in :attr:`log`."""
 
     def __init__(self, check_obligations: bool = False, cache=None):
         self.check_obligations = check_obligations
         self.cache = cache  # a repro.exec cache (ResultCache/NullCache), or None
         self.log: list[Application] = []
-        self.stats = EngineStats()
         self._discharged: set[str] = set()
 
     # -- obligation discharge -------------------------------------------------
@@ -144,7 +87,6 @@ class RewriteEngine:
         anchored at those host nodes (the worklist's dirty region).
         """
         start = perf_counter()
-        entry = self.stats.for_rewrite(rewrite.name)
         with obs.span(
             f"rewrite:{rewrite.name}",
             scope="full" if anchors is None else "worklist",
@@ -156,24 +98,22 @@ class RewriteEngine:
                 match_start = perf_counter()
                 with obs.span("match"):
                     match = first_match(graph, rewrite, anchors=anchors, stats=mstats)
-                entry.match_seconds += perf_counter() - match_start
-                entry.matches_tried += mstats.candidates
-                self.stats.matches_tried += mstats.candidates
+                obs.count(f"rewriting.match_seconds:{rewrite.name}", perf_counter() - match_start)
+                obs.count(f"rewriting.matches_tried:{rewrite.name}", mstats.candidates)
+                obs.count("rewriting.matches_tried", mstats.candidates)
                 sp.set(matches_tried=mstats.candidates, applied=match is not None)
                 if anchors is None:
-                    self.stats.full_scans += 1
+                    obs.count("rewriting.full_scans")
                 else:
-                    self.stats.worklist_scans += 1
+                    obs.count("rewriting.worklist_scans")
                 if match is None:
                     return None
                 with obs.span("apply"):
                     new_graph, application = apply_rewrite(graph, rewrite, match)
-                self.log.append(application)
-                self.stats.rewrites_applied += 1
-                entry.applied += 1
+                self._log(application)
                 return new_graph
             finally:
-                self.stats.seconds += perf_counter() - start
+                obs.count("rewriting.seconds", perf_counter() - start)
 
     def apply_at(self, graph: ExprHigh, rewrite: Rewrite, match: Match) -> ExprHigh:
         """Apply *rewrite* at a specific, externally chosen match."""
@@ -183,12 +123,15 @@ class RewriteEngine:
                 if self.check_obligations and rewrite.verified and rewrite.obligation is not None:
                     self.verify_rewrite(rewrite)
                 new_graph, application = apply_rewrite(graph, rewrite, match)
-                self.log.append(application)
-                self.stats.rewrites_applied += 1
-                self.stats.for_rewrite(rewrite.name).applied += 1
+                self._log(application)
                 return new_graph
             finally:
-                self.stats.seconds += perf_counter() - start
+                obs.count("rewriting.seconds", perf_counter() - start)
+
+    def _log(self, application: Application) -> None:
+        self.log.append(application)
+        obs.count("rewriting.applied")
+        obs.count(f"rewriting.applied:{application.rewrite}")
 
     def apply_exhaustively(
         self,

@@ -158,7 +158,7 @@ class GraphitiPipeline:
             )
         with obs.span("pipeline:transform", kernel=mark.kernel, nodes=len(graph.nodes)) as root:
             working = graph.copy()
-            start_count = self.engine.stats.rewrites_applied
+            start_count = len(self.engine.log)
 
             # Phase 1: combine steering.
             with obs.span("phase:normalize"):
@@ -176,14 +176,14 @@ class GraphitiPipeline:
             ]
             with obs.span("phase:eliminate"):
                 while True:
-                    applied_before = self.engine.stats.rewrites_applied
+                    applied_before = len(self.engine.log)
                     working = self.engine.apply_exhaustively(
                         working, cleanup, use_worklist=self.use_worklist
                     )
                     nodes_before = len(working.nodes)
                     working = remove_identity_wires(working)
                     if (
-                        self.engine.stats.rewrites_applied == applied_before
+                        len(self.engine.log) == applied_before
                         and len(working.nodes) == nodes_before
                     ):
                         break
@@ -225,7 +225,7 @@ class GraphitiPipeline:
 
                 typecheck(working)
 
-            applied = self.engine.stats.rewrites_applied - start_count
+            applied = len(self.engine.log) - start_count
             verified = sum(1 for a in self.engine.log if a.verified)
             obs.count("pipeline.transforms")
             root.set(rewrites_applied=applied)

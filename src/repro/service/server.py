@@ -229,6 +229,11 @@ class ServiceServer:
                 pass
         finally:
             try:
+                # Half-close first: a pool worker forked while this
+                # connection was open holds a copy of its socket, so
+                # close() alone would leave the client waiting for EOF.
+                if writer.can_write_eof():
+                    writer.write_eof()
                 writer.close()
                 await writer.wait_closed()
             except ConnectionError:

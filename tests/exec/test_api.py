@@ -229,7 +229,7 @@ class TestUnifiedMetrics:
         snapshot = session.metrics()
         data = as_dict(snapshot)
         assert data["kind"] == "MetricsSnapshot"
-        assert set(data) >= {"kind", "executor", "rewriting", "counters", "gauges"}
+        assert set(data) == {"kind", "schema_version", "executor", "rewriting", "counters"}
         assert snapshot.units == len(FLOWS)
         assert "units" in summarize(snapshot)
 

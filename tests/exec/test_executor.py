@@ -4,12 +4,20 @@ import os
 
 import pytest
 
+from repro import obs
 from repro.exec.cache import ResultCache
 from repro.exec.executor import Executor, ExecutorError, WorkUnit, resolve_worker
 from repro.exec.hashing import fingerprint
-from repro.exec.metrics import ExecutorMetrics
+from repro.obs import MetricsSnapshot
 
 DOUBLE = "tests.exec.workertasks:double"
+
+
+def run_counted(executor, units):
+    """Run a batch under a private tracer; returns (results, snapshot)."""
+    with obs.scoped_tracer() as tracer:
+        results = executor.run(units)
+    return results, MetricsSnapshot(counters=tracer.counters)
 
 
 def double_units(count, cached=False):
@@ -43,8 +51,7 @@ class TestSerial:
         assert results == [{"value": 2 * i} for i in range(5)]
 
     def test_metrics_record_every_unit(self):
-        metrics = ExecutorMetrics()
-        Executor(jobs=1, metrics=metrics).run(double_units(3))
+        _, metrics = run_counted(Executor(jobs=1), double_units(3))
         assert metrics.executed == 3 and metrics.hits == 0
 
 
@@ -57,7 +64,6 @@ class TestParallel:
     def test_worker_crash_falls_back_to_serial(self):
         # The unit hard-kills any pool worker it lands in (BrokenProcessPool)
         # but succeeds in the parent: the batch must still complete.
-        metrics = ExecutorMetrics()
         units = [
             WorkUnit(
                 uid=f"crash:{i}",
@@ -66,12 +72,11 @@ class TestParallel:
             )
             for i in range(3)
         ]
-        results = Executor(jobs=2, metrics=metrics).run(units)
+        results, metrics = run_counted(Executor(jobs=2), units)
         assert results == [{"value": i} for i in range(3)]
         assert metrics.retries >= 1
 
     def test_worker_exception_retried_serially(self):
-        metrics = ExecutorMetrics()
         units = [
             WorkUnit(
                 uid=f"flaky:{i}",
@@ -80,7 +85,7 @@ class TestParallel:
             )
             for i in range(3)
         ]
-        results = Executor(jobs=2, metrics=metrics).run(units)
+        results, metrics = run_counted(Executor(jobs=2), units)
         assert results == [{"value": i} for i in range(3)]
         assert metrics.retries == 3
 
@@ -95,8 +100,9 @@ class TestCaching:
         cache = ResultCache(tmp_path)
         first = Executor(jobs=1, cache=cache).run(double_units(4, cached=True))
 
-        metrics = ExecutorMetrics()
-        second = Executor(jobs=1, cache=cache, metrics=metrics).run(double_units(4, cached=True))
+        second, metrics = run_counted(
+            Executor(jobs=1, cache=cache), double_units(4, cached=True)
+        )
         assert second == first
         assert metrics.executed == 0 and metrics.hits == 4
 
@@ -111,8 +117,7 @@ class TestCaching:
                 cache_key=fingerprint("double", "changed"),
             )
         ]
-        metrics = ExecutorMetrics()
-        results = Executor(jobs=1, cache=cache, metrics=metrics).run(changed)
+        results, metrics = run_counted(Executor(jobs=1, cache=cache), changed)
         assert results == [{"value": 10}]
         assert metrics.executed == 1
 
@@ -121,11 +126,9 @@ class TestCaching:
         units = double_units(1, cached=True)
         Executor(jobs=1, cache=cache).run(units)
         cache.path_for(units[0].cache_key).write_text("garbage")
-        metrics = ExecutorMetrics()
-        results = Executor(jobs=1, cache=cache, metrics=metrics).run(units)
+        results, metrics = run_counted(Executor(jobs=1, cache=cache), units)
         assert results == [{"value": 0}]
-        assert metrics.executed == 1 and cache.stats.corrupt == 1
+        assert metrics.executed == 1 and metrics.counters["cache.corrupt"] == 1
         # The recomputation rewrote the entry: a third run is a pure hit.
-        metrics2 = ExecutorMetrics()
-        Executor(jobs=1, cache=cache, metrics=metrics2).run(units)
+        _, metrics2 = run_counted(Executor(jobs=1, cache=cache), units)
         assert metrics2.hits == 1 and metrics2.executed == 0

@@ -1,80 +1,11 @@
-"""ExecutorMetrics must tolerate concurrent recording (jobs > 1)."""
-
-import threading
+"""Parallel sessions count every work unit exactly once (jobs > 1)."""
 
 from repro.api import Session
 from repro.benchmarks import matvec
 from repro.eval.runner import FLOWS
-from repro.exec.metrics import ExecutorMetrics, UnitMetric
 
 
 class TestConcurrentRecording:
-    def test_hammer_record_from_many_threads(self):
-        """Regression: list appends raced before record() took a lock."""
-        metrics = ExecutorMetrics()
-        threads, per_thread = 16, 500
-        barrier = threading.Barrier(threads)
-
-        def hammer(worker: int) -> None:
-            barrier.wait()
-            for index in range(per_thread):
-                metrics.record(
-                    UnitMetric(
-                        uid=f"{worker}:{index}",
-                        seconds=0.001,
-                        cached=index % 2 == 0,
-                        mode="pool",
-                        retried=index % 7 == 0,
-                    )
-                )
-
-        pool = [threading.Thread(target=hammer, args=(n,)) for n in range(threads)]
-        for thread in pool:
-            thread.start()
-        for thread in pool:
-            thread.join()
-
-        total = threads * per_thread
-        assert len(metrics.snapshot()) == total
-        assert metrics.hits + metrics.executed == total
-        assert metrics.hits == total // 2
-        data = metrics.to_dict()
-        assert data["units"] == total
-        assert data["retries"] == metrics.retries
-
-    def test_concurrent_readers_see_consistent_aggregates(self):
-        """Aggregates read a snapshot, so they never crash mid-append."""
-        metrics = ExecutorMetrics()
-        stop = threading.Event()
-        errors: list[BaseException] = []
-
-        def writer() -> None:
-            index = 0
-            while not stop.is_set():
-                metrics.record(UnitMetric(uid=str(index), seconds=0.0, cached=False))
-                index += 1
-
-        def reader() -> None:
-            try:
-                while not stop.is_set():
-                    data = metrics.to_dict()
-                    assert data["hits"] + data["executed"] == data["units"]
-                    metrics.summary()
-            except BaseException as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        pool = [threading.Thread(target=writer) for _ in range(4)] + [
-            threading.Thread(target=reader) for _ in range(4)
-        ]
-        for thread in pool:
-            thread.start()
-        timer = threading.Timer(0.5, stop.set)
-        timer.start()
-        for thread in pool:
-            thread.join()
-        timer.cancel()
-        assert not errors
-
     def test_parallel_session_counts_every_unit(self):
         """With jobs > 1 no unit's metric is lost or double-counted."""
         session = Session(jobs=2, use_cache=False)

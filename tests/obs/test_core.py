@@ -10,8 +10,8 @@ from repro.obs import InMemorySink, JsonlSink, MetricsSnapshot, Span, Tracer, re
 
 @pytest.fixture
 def tracer():
-    """A fresh tracer installed as the global one for the test's duration."""
-    with obs.use_tracer(Tracer()) as fresh:
+    """A fresh tracer, active in the test's context for its duration."""
+    with obs.scoped_tracer(Tracer()) as fresh:
         yield fresh
 
 
@@ -74,18 +74,51 @@ class TestSpanBasics:
         assert rebuilt.seconds == pytest.approx(root.seconds)
 
 
-class TestCountersAndGauges:
+class TestCounters:
     def test_counters_work_without_sinks(self, tracer):
         obs.count("x")
         obs.count("x", 2)
-        obs.gauge("depth", 3.5)
-        assert tracer.counters == {"x": 3}
-        assert tracer.gauges == {"depth": 3.5}
+        obs.count("t.seconds", 0.5)
+        assert tracer.counters == {"x": 3, "t.seconds": 0.5}
 
     def test_reset_clears_counters(self, tracer):
         obs.count("x")
         tracer.reset()
-        assert tracer.counters == {} and tracer.gauges == {}
+        assert tracer.counters == {}
+
+    def test_merge_adds_counters(self, tracer):
+        obs.count("x")
+        tracer.merge({"x": 2, "y": 1})
+        assert tracer.counters == {"x": 3, "y": 1}
+
+    def test_gauges_are_gone(self, tracer):
+        assert not hasattr(obs, "gauge") and not hasattr(tracer, "gauge")
+        assert not hasattr(obs, "use_tracer") and not hasattr(obs, "set_tracer")
+
+
+class TestCountingScope:
+    def test_counts_are_own_and_added_to_the_enclosing_tracer(self, tracer):
+        own = Tracer()
+        obs.count("outside")
+        with obs.counting_scope(own):
+            obs.count("inside", 2)
+            with obs.counting_scope(own):  # re-entered: counted once
+                obs.count("inside")
+        assert own.counters == {"inside": 3}
+        assert tracer.counters == {"outside": 1, "inside": 3}
+        with obs.counting_scope(own):
+            obs.count("inside")
+        assert own.counters == {"inside": 4}
+        assert tracer.counters == {"outside": 1, "inside": 4}
+
+    def test_spans_nest_into_the_enclosing_trace(self, tracer):
+        sink = tracer.attach(InMemorySink())
+        with obs.span("outer"):
+            with obs.counting_scope(Tracer()):
+                with obs.span("inner"):
+                    pass
+        [root] = sink.spans
+        assert [span.name for span in root.walk()] == ["outer", "inner"]
 
 
 class TestGraft:
@@ -153,17 +186,39 @@ class TestRenderTree:
 class TestMetricsSnapshot:
     def test_roundtrip_and_summary(self):
         snapshot = MetricsSnapshot(
-            executor={"units": 4, "hits": 1, "executed": 3, "retries": 0, "total_seconds": 1.5},
-            rewriting={"rewrites_applied": 7, "matches_tried": 40, "seconds": 0.3},
-            counters={"pipeline.transforms": 1},
+            counters={
+                "executor.cache_hits": 1,
+                "executor.serial": 2,
+                "executor.pool": 1,
+                "executor.seconds": 1.5,
+                "rewriting.applied": 7,
+                "rewriting.matches_tried": 40,
+                "rewriting.seconds": 0.3,
+                "rewriting.applied:mux-combine": 7,
+                "pipeline.transforms": 1,
+            }
         )
+        assert snapshot.executor == {
+            "units": 4, "hits": 1, "executed": 3, "retries": 0, "total_seconds": 1.5,
+        }
+        assert snapshot.rewriting["rewrites_applied"] == 7
+        assert snapshot.per_rewrite == {
+            "mux-combine": {"applied": 7, "matches_tried": 0, "match_seconds": 0.0}
+        }
         data = snapshot.to_dict()
         assert data["kind"] == "MetricsSnapshot"
+        assert "gauges" not in data
         again = MetricsSnapshot.from_dict(data)
         assert again.to_dict() == data
         text = snapshot.summary()
         assert "4 units" in text and "7 rewrites applied" in text
         assert "pipeline.transforms=1" in text
+        assert "rewriting.applied" not in text  # shown in the rewriting part
+
+    def test_reads_a_v2_payload(self):
+        data = MetricsSnapshot(counters={"executor.serial": 2}).to_dict()
+        v2 = {**data, "schema_version": 2, "gauges": {"depth": 3.5}}
+        assert MetricsSnapshot.from_dict(v2).to_dict() == data
 
     def test_empty_snapshot_summary(self):
         assert "0 units" in MetricsSnapshot().summary()

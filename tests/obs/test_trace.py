@@ -38,7 +38,7 @@ def gcd_program() -> Program:
 
 @pytest.fixture
 def tracer():
-    with obs.use_tracer(Tracer()) as fresh:
+    with obs.scoped_tracer(Tracer()) as fresh:
         yield fresh
 
 

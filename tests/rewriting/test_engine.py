@@ -2,14 +2,23 @@
 
 import pytest
 
+from repro import obs
 from repro.components import fork, join, pure, sink, split
 from repro.core.exprhigh import ExprHigh
 from repro.errors import RewriteError
+from repro.obs import MetricsSnapshot
 from repro.rewriting.engine import RewriteEngine
 from repro.rewriting.rewrite import Match, Rewrite
 from repro.rewriting.rules.common import graph_of
 from repro.rewriting.rules.pure_gen import pure_compose
 from repro.rewriting.rules.reduction import fork_sink_elim, split_join_elim
+
+
+@pytest.fixture
+def stats():
+    """Snapshots of what the engine counted during the test, on a private tracer."""
+    with obs.scoped_tracer() as tracer:
+        yield lambda: MetricsSnapshot(counters=dict(tracer.counters))
 
 
 def pure_chain(length):
@@ -27,49 +36,50 @@ def pure_chain(length):
 
 
 class TestApplyOnce:
-    def test_returns_none_without_match(self):
+    def test_returns_none_without_match(self, stats):
         engine = RewriteEngine()
         g = graph_of({"s": sink()}, [], {0: "s.in0"}, {})
         assert engine.apply_once(g, split_join_elim()) is None
-        assert engine.stats.rewrites_applied == 0
+        assert stats().rewrites_applied == 0
 
-    def test_logs_application(self):
+    def test_logs_application(self, stats):
         engine = RewriteEngine()
         g = pure_chain(2)
         result = engine.apply_once(g, pure_compose())
         assert result is not None
-        assert engine.stats.rewrites_applied == 1
+        assert stats().rewrites_applied == 1
         assert engine.log[0].rewrite == "pure-compose"
-        assert engine.stats.per_rewrite["pure-compose"].applied == 1
+        assert stats().per_rewrite["pure-compose"]["applied"] == 1
 
-    def test_matches_tried_counts_candidate_bindings(self):
+    def test_matches_tried_counts_candidate_bindings(self, stats):
         engine = RewriteEngine()
         g = pure_chain(3)  # three Pure nodes: anchor tries each of them
         engine.apply_once(g, pure_compose())
-        entry = engine.stats.per_rewrite["pure-compose"]
+        entry = stats().per_rewrite["pure-compose"]
         # The first anchor candidate (p0 in sorted order) already extends to
         # a full match, so exactly two bindings are attempted: p0 and its
         # adjacency-derived partner p1.
-        assert entry.matches_tried == 2
-        assert engine.stats.matches_tried == 2
-        assert entry.match_seconds >= 0.0
+        assert entry["matches_tried"] == 2
+        assert stats().matches_tried == 2
+        assert entry["match_seconds"] >= 0.0
 
-    def test_no_match_still_counts_candidates(self):
+    def test_no_match_still_counts_candidates(self, stats):
         engine = RewriteEngine()
         g = graph_of({"s": sink()}, [], {0: "s.in0"}, {})
         assert engine.apply_once(g, split_join_elim()) is None
-        entry = engine.stats.per_rewrite["split-join-elim"]
-        assert entry.applied == 0
-        assert entry.matches_tried == 0  # no Split in the graph: type index is empty
+        entry = stats().per_rewrite["split-join-elim"]
+        assert entry["applied"] == 0
+        assert entry["matches_tried"] == 0  # no Split in the graph: type index is empty
 
 
 class TestExhaustive:
-    def test_chain_collapses_to_one_pure(self):
+    def test_chain_collapses_to_one_pure(self, stats):
         engine = RewriteEngine()
         result = engine.apply_exhaustively(pure_chain(5), [pure_compose()])
         pures = [s for s in result.nodes.values() if s.typ == "Pure"]
         assert len(pures) == 1
-        assert engine.stats.rewrites_applied == 4
+        assert stats().rewrites_applied == 4
+        assert len(engine.log) == 4
 
     def test_composed_function_is_correct(self):
         from repro.components import default_environment
@@ -118,11 +128,11 @@ class TestExhaustive:
         with pytest.raises(RewriteError):
             engine.apply_exhaustively(pure_chain(1), [diverging], max_steps=25)
 
-    def test_stats_track_time(self):
+    def test_stats_track_time(self, stats):
         engine = RewriteEngine()
         engine.apply_exhaustively(pure_chain(3), [pure_compose()])
-        assert engine.stats.seconds >= 0.0
-        assert engine.stats.matches_tried >= 2
+        assert stats().rewriting["seconds"] >= 0.0
+        assert stats().matches_tried >= 2
 
     def test_worklist_matches_full_scan_output(self):
         from repro.exec.hashing import graph_fingerprint
@@ -139,20 +149,22 @@ class TestExhaustive:
         # split-join-elim fails its first full scan (no Split in a pure
         # chain) and is then only re-matched against the dirty region each
         # time pure-compose fires.
-        engine = RewriteEngine()
-        engine.apply_exhaustively(pure_chain(8), [split_join_elim(), pure_compose()])
-        assert engine.stats.worklist_scans > 0
-        scan_engine = RewriteEngine()
-        scan_engine.apply_exhaustively(
-            pure_chain(8), [split_join_elim(), pure_compose()], use_worklist=False
-        )
-        assert engine.stats.full_scans < scan_engine.stats.full_scans
+        with obs.scoped_tracer() as worklist:
+            RewriteEngine().apply_exhaustively(
+                pure_chain(8), [split_join_elim(), pure_compose()]
+            )
+        assert worklist.counters["rewriting.worklist_scans"] > 0
+        with obs.scoped_tracer() as scan:
+            RewriteEngine().apply_exhaustively(
+                pure_chain(8), [split_join_elim(), pure_compose()], use_worklist=False
+            )
+        assert worklist.counters["rewriting.full_scans"] < scan.counters["rewriting.full_scans"]
 
-    def test_escape_hatch_never_uses_worklist(self):
+    def test_escape_hatch_never_uses_worklist(self, stats):
         engine = RewriteEngine()
         engine.apply_exhaustively(pure_chain(5), [pure_compose()], use_worklist=False)
-        assert engine.stats.worklist_scans == 0
-        assert engine.stats.full_scans > 0
+        assert stats().rewriting["worklist_scans"] == 0
+        assert stats().rewriting["full_scans"] > 0
 
 
 class TestVerifiedFraction:

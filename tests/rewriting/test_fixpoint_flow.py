@@ -18,7 +18,7 @@ from repro.components import default_environment
 from repro.dot import print_dot
 from repro.exec.cache import ResultCache
 from repro.hls.frontend import compile_program
-from repro.obs.core import Tracer, use_tracer
+from repro.obs.core import Tracer, scoped_tracer
 from repro.rewriting.pipeline import GraphitiPipeline, TransformResult
 from repro.service.ops import canonical_params
 
@@ -95,7 +95,7 @@ def test_wire_round_trip_rebuilds_the_circuit(results, name):
 
 def test_bicg_refusal_returns_the_input_untouched():
     env, ck = compile_kernel("bicg")
-    with use_tracer(Tracer()) as tracer:
+    with scoped_tracer(Tracer()) as tracer:
         result = GraphitiPipeline(env).transform_kernel(ck.graph, ck.mark)
     assert not result.transformed
     assert "stores" in result.refusal
@@ -109,7 +109,7 @@ def test_obligations_discharged_cold_then_served_from_cache(tmp_path):
     env, ck = compile_kernel("matvec")
     runs = {}
     for phase in ("cold", "warm"):
-        with use_tracer(Tracer()) as tracer:
+        with scoped_tracer(Tracer()) as tracer:
             pipeline = GraphitiPipeline(
                 env, check_obligations=True, cache=ResultCache(tmp_path)
             )
@@ -142,7 +142,7 @@ def test_session_transform_rejects_saturation_knob(knob):
 def test_session_metrics_carry_no_saturation_section():
     session = Session(use_cache=False)
     ck = compile_program(load_benchmark("matvec"), session.env).kernels[0]
-    with use_tracer(Tracer()):
+    with scoped_tracer(Tracer()):
         result = session.transform(graph=ck.graph, mark=ck.mark)
         snapshot = session.metrics()
     assert result.transformed

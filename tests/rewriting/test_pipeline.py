@@ -215,14 +215,14 @@ class TestPurifier:
             ck2.graph, [combine.mux_combine(), combine.branch_combine()]
         )
         while True:
-            before = engine.stats.rewrites_applied
+            before = len(engine.log)
             g = engine.apply_exhaustively(
                 g,
                 [reduction.split_join_elim(), reduction.fork_sink_elim(), reduction.pure_id_elim()],
             )
             nodes_before = len(g.nodes)
             g = remove_identity_wires(g)
-            if engine.stats.rewrites_applied == before and len(g.nodes) == nodes_before:
+            if len(engine.log) == before and len(g.nodes) == nodes_before:
                 break
         mux = [n for n, s in g.nodes.items() if s.typ == "Mux"][0]
         branch = [n for n, s in g.nodes.items() if s.typ == "Branch"][0]

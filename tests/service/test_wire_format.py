@@ -49,7 +49,7 @@ def test_transform_result_round_trips(session, compiled):
 def test_v2_transform_result_has_no_strategy_keys(session, compiled):
     result = session.transform(graph=compiled.graph, mark=compiled.mark)
     wire = result.to_dict()
-    assert wire["schema_version"] == 2
+    assert wire["schema_version"] == SCHEMA_VERSION
     assert "strategy" not in wire and "saturation" not in wire
     assert TransformResult.from_dict(wire).to_dict() == wire
 
