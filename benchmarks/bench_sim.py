@@ -14,7 +14,10 @@ and append an entry to ``benchmarks/BENCH_sim.json``.  Every run starts
 from the program's pristine arrays, so both paths must report identical
 ``SimStats.to_dict()`` — cycles, tokens fired, ``peak_in_flight``,
 per-channel peaks and the store history — on every (circuit, placement)
-pair.
+pair.  Each unit also records the compiled sweep's ``sim.steps`` (node-step
+calls over all its placements) next to its cycles, so the history tells a
+scheduling change (steps move) from a per-step cost change (only seconds
+move).
 
 ``--guard --min-speedup 5`` is the CI mode: it exits 1 unless the
 aggregate sweep (total interpreted seconds over total compiled seconds)
@@ -82,6 +85,7 @@ def collect_measurements(repeats: int = 1) -> dict:
     backends, so the guard (and the JSON history) shows the two engines
     agree bit-for-bit, not just fast.
     """
+    from repro import obs
     from repro.hls.area import latency_of
     from repro.sim.compiled import BatchRun, compile_circuit
     from repro.sim.dispatch import simulate_graph
@@ -109,13 +113,18 @@ def collect_measurements(repeats: int = 1) -> dict:
                     capacities=placements[0], latency_of=latency_of,
                 )
                 runs = [BatchRun(arrays=fresh(), capacities=caps) for caps in placements]
-                return [stats.to_dict() for stats in circuit.run_batch(runs)]
+                with obs.scoped_tracer() as tracer:
+                    dicts = [stats.to_dict() for stats in circuit.run_batch(runs)]
+                return dicts, tracer.counters["sim.steps"]
 
             interp_seconds, interp_stats = _best_of(repeats, interp_sweep)
-            compiled_seconds, compiled_stats = _best_of(repeats, compiled_sweep)
+            compiled_seconds, (compiled_stats, steps) = _best_of(
+                repeats, compiled_sweep
+            )
             results[f"{name}/{flow}"] = {
                 "placements": len(placements),
                 "cycles": [stats["cycles"] for stats in compiled_stats],
+                "steps": steps,
                 "stats_match": compiled_stats == interp_stats,
                 "interp_seconds": round(interp_seconds, 6),
                 "compiled_seconds": round(compiled_seconds, 6),

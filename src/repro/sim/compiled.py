@@ -37,10 +37,13 @@ events are
 After a firing a node stays awake only while one of its inputs still holds
 a token or its pipeline head is due by the next cycle; Tagger and Driver
 stay awake after any firing, because their own state can enable a second
-firing with no new event.  Awake nodes are found with ``bytearray.find`` in
-topological order, so a node woken later in the order during the sweep
-still runs in the same cycle.  Most nodes sleep most of the time — during
-the long latency windows of pipelined floating-point loops nearly the
+firing with no new event.  Each cycle sweeps the awake flags once in
+topological order with ``itertools.compress`` over the live ``bytearray``,
+which reads a flag only when the sweep reaches it: a node woken later in
+the order during the sweep still runs in the same cycle, one woken earlier
+waits for the next, and the scan between awake nodes runs in C rather than
+as one Python-level call per visit.  Most nodes sleep most of the time —
+during the long latency windows of pipelined floating-point loops nearly the
 whole circuit does — which is where the interpreted
 :class:`~repro.sim.cycle.CycleSimulator` burns its time re-asking every
 node every cycle.
@@ -68,6 +71,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Mapping, Sequence
 
 from .. import obs
@@ -1506,7 +1510,7 @@ class CompiledCircuit:
         ctx.stats = stats = SimStats()
 
         active = self._active
-        find = active.find
+        nodes = range(len(active))
         steps = self._steps
         dirty = self._dirty
         due_at = self._timers.pop
@@ -1525,12 +1529,10 @@ class CompiledCircuit:
                 for i in due:
                     active[i] = 1
             fired = 0
-            i = find(1)
-            while i >= 0:
+            for i in compress(nodes, active):
                 active[i] = 0
                 fired += steps[i](cycle)
                 calls += 1
-                i = find(1, i + 1)
             if dirty:
                 for queue, staged, consumer in dirty:
                     queue.extend(staged)

@@ -1,5 +1,7 @@
 """Tests for the graph-compiled simulation engine (repro.sim.compiled)."""
 
+from itertools import compress
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,12 @@ from repro.sim.compiled import BatchRun, CompiledCircuit, compile_circuit
 from repro.sim.cycle import CycleSimulator
 from repro.sim.dispatch import BACKENDS, simulate_graph
 
-from ..property.test_sim_backend_equivalence import KERNELS
+from ..property.test_sim_backend_equivalence import (
+    KERNELS,
+    TRANSFORMS,
+    build,
+    default_placement,
+)
 from .test_cycle import countdown_program
 
 
@@ -234,6 +241,50 @@ class TestStepsCounter:
         # scheduler must do strictly less.
         assert first["sim.steps"] < len(graph.nodes) * stats.cycles
 
+    #: ``sim.steps`` (node-step calls) of one compiled run of every unit,
+    #: summed over a program's kernels, under the production placement.
+    #: SimStats, traces and arrays cannot see a visit that fires nothing,
+    #: so these pins are what catches a change in which nodes the
+    #: scheduler visits.
+    PINNED_STEPS = {
+        ("bicg", None): 872,
+        ("bicg", "ooo"): 570,
+        ("bicg", "graphiti"): 872,
+        ("gemm", None): 2445,
+        ("gemm", "ooo"): 1090,
+        ("gemm", "graphiti"): 1179,
+        ("gsum-many", None): 1795,
+        ("gsum-many", "ooo"): 1364,
+        ("gsum-many", "graphiti"): 1268,
+        ("gsum-single", None): 1355,
+        ("gsum-single", "ooo"): 1265,
+        ("gsum-single", "graphiti"): 1113,
+        ("matvec", None): 943,
+        ("matvec", "ooo"): 530,
+        ("matvec", "graphiti"): 507,
+        ("mvt", None): 1068,
+        ("mvt", "ooo"): 674,
+        ("mvt", "graphiti"): 632,
+    }
+
+    def test_pins_cover_every_kernel_and_transform(self):
+        assert set(self.PINNED_STEPS) == {
+            (name, transform) for name in KERNELS for transform in TRANSFORMS
+        }
+
+    @pytest.mark.parametrize("transform", TRANSFORMS)
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_steps_pinned(self, name, transform):
+        program, env, units = build(KERNELS[name], transform)
+        with obs.scoped_tracer() as tracer:
+            for ck, graph, tags in units:
+                simulate_graph(
+                    graph, env, ck.kernel, program.arrays,
+                    capacities=default_placement(graph, tags),
+                    latency_of=latency_of, backend="compiled",
+                )
+        assert tracer.counters["sim.steps"] == self.PINNED_STEPS[name, transform]
+
     def test_batch_counts_steps_of_every_run(self):
         program, env, ck, graph, caps = compile_countdown("ooo")
         pristine = {k: v.copy() for k, v in program.arrays.items()}
@@ -249,6 +300,32 @@ class TestStepsCounter:
                 ]
             )
         assert tracer.counters["sim.steps"] == 2 * single["sim.steps"]
+
+
+class TestSweepOrder:
+    """The run loop sweeps awake nodes with ``compress(range(n), flags)``
+    over the live flag ``bytearray``; its cycle semantics rest on
+    ``compress`` reading each flag only when the cursor reaches it."""
+
+    def test_flag_set_ahead_of_cursor_is_yielded(self):
+        flags = bytearray([1, 0, 0, 0])
+        seen = []
+        for i in compress(range(len(flags)), flags):
+            seen.append(i)
+            flags[i] = 0
+            if i == 0:
+                flags[2] = 1
+        assert seen == [0, 2]
+
+    def test_flag_set_behind_cursor_is_skipped(self):
+        flags = bytearray([0, 0, 1, 0])
+        seen = []
+        for i in compress(range(len(flags)), flags):
+            seen.append(i)
+            flags[i] = 0
+            flags[0] = 1
+        assert seen == [2]
+        assert flags == bytearray([1, 0, 0, 0])
 
 
 class TestDispatch:
