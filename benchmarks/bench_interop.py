@@ -135,9 +135,9 @@ def measure_fuzz(cases: int = _FUZZ_CASES, seed: int = _FUZZ_SEED) -> dict:
     from repro.interop.corpus import case_seeds, corpus_manifest, run_fuzz_case
 
     start = perf_counter()
-    entries = [run_fuzz_case(s, "compiled") for s in case_seeds(seed, cases)]
+    entries = [run_fuzz_case(s) for s in case_seeds(seed, cases)]
     seconds = perf_counter() - start
-    manifest = corpus_manifest(entries, seed=seed, backend="compiled")
+    manifest = corpus_manifest(entries, seed=seed)
     return {
         "seed": seed,
         "cases": cases,

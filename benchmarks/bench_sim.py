@@ -21,7 +21,7 @@ move).
 
 ``--guard --min-speedup 5`` is the CI mode: it exits 1 unless the
 aggregate sweep (total interpreted seconds over total compiled seconds)
-clears the given factor, or if any run's stats differ between backends.
+clears the given factor, or if any run's stats differ between the engines.
 """
 
 #: (benchmark, constructor kwargs, flows swept).  In-order circuits
@@ -54,23 +54,16 @@ def _build_unit(name, kwargs, flow):
     """(program, env, kernel, graph, placements) for one sweep unit."""
     from repro.benchmarks import gemm, gsum_many, matvec
     from repro.components import default_environment
+    from repro.eval.runner import flow_graph
     from repro.hls.buffers import place_buffers
     from repro.hls.frontend import compile_program
-    from repro.hls.ooo import transform_out_of_order
-    from repro.rewriting.pipeline import GraphitiPipeline
 
     factories = {"matvec": matvec, "gemm": gemm, "gsum-many": gsum_many}
     program = factories[name](**kwargs)
     env = default_environment()
     ck = compile_program(program, env).kernels[0]
-    if flow == "DF-OoO":
-        graph, tags = transform_out_of_order(ck.graph, ck.mark), ck.mark.tags
-    elif flow == "GRAPHITI":
-        outcome = GraphitiPipeline(env).transform_kernel(ck.graph, ck.mark)
-        assert outcome.transformed, f"pipeline refused {name}"
-        graph, tags = outcome.graph, ck.mark.tags
-    else:
-        graph, tags = ck.graph, None
+    graph, tags, outcome = flow_graph(ck, flow, env)
+    assert outcome is None or outcome.transformed, f"pipeline refused {name}"
     base = place_buffers(graph, tags).capacities
     placements = [
         {edge: cap + widen for edge, cap in base.items()} for widen in _WIDENINGS
@@ -79,16 +72,16 @@ def _build_unit(name, kwargs, flow):
 
 
 def collect_measurements(repeats: int = 1) -> dict:
-    """Time the placement sweep on both backends, unit by unit.
+    """Time the placement sweep on both engines, unit by unit.
 
     Each run's full ``SimStats.to_dict()`` is compared between the
-    backends, so the guard (and the JSON history) shows the two engines
-    agree bit-for-bit, not just fast.
+    engines, so the guard (and the JSON history) shows the two agree
+    bit-for-bit, not just fast.
     """
     from repro import obs
     from repro.hls.area import latency_of
     from repro.sim.compiled import BatchRun, compile_circuit
-    from repro.sim.dispatch import simulate_graph
+    from repro.sim.cycle import CycleSimulator
 
     results = {}
     for name, kwargs, flows in _SWEEP:
@@ -100,10 +93,10 @@ def collect_measurements(repeats: int = 1) -> dict:
 
             def interp_sweep():
                 return [
-                    simulate_graph(
+                    CycleSimulator(
                         graph, env, kernel, fresh(),
-                        capacities=caps, latency_of=latency_of, backend="interp",
-                    ).to_dict()
+                        capacities=caps, latency_of=latency_of,
+                    ).run().to_dict()
                     for caps in placements
                 ]
 
@@ -165,7 +158,7 @@ def main(argv=None) -> int:
         "--guard",
         action="store_true",
         help="exit 1 unless the aggregate sweep speedup clears --min-speedup "
-        "and every run's SimStats match between backends",
+        "and every run's SimStats match between the engines",
     )
     parser.add_argument(
         "--min-speedup",
@@ -187,7 +180,7 @@ def main(argv=None) -> int:
             mismatched = [
                 name for name, row in measurements.items() if not row["stats_match"]
             ]
-            print(f"FAIL: backends disagree on SimStats: {mismatched}")
+            print(f"FAIL: engines disagree on SimStats: {mismatched}")
             return 1
         if aggregate["speedup"] < args.min_speedup:
             print(

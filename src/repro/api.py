@@ -309,7 +309,6 @@ SimulationCertificate` in the content-addressed result cache (compact
         *,
         cases: int = 25,
         seed: int = 0,
-        backend: str = "compiled",
     ) -> dict:
         """Run a seeded differential fuzz corpus over the whole flow.
 
@@ -319,11 +318,11 @@ SimulationCertificate` in the content-addressed result cache (compact
         DF-IO / DF-OoO / GRAPHITI flows against the sequential reference,
         and the pipeline's effectful-loop refusal contract.  Cases fan out
         over the executor pool and cache individually (a case is a pure
-        function of ``(seed, backend)`` and the tool version), so a warm
-        rerun replays the corpus from the result cache.
+        function of its seed and the tool version), so a warm rerun
+        replays the corpus from the result cache.
 
         Returns the corpus manifest — a canonical dict whose serialisation
-        is byte-identical for equal ``(seed, cases, backend)``; see
+        is byte-identical for equal ``(seed, cases)``; see
         :func:`repro.interop.corpus.corpus_manifest`.
         """
         from .exec.hashing import fuzz_case_key
@@ -336,14 +335,14 @@ SimulationCertificate` in the content-addressed result cache (compact
             WorkUnit(
                 uid=f"fuzz:{case_seed}",
                 fn="repro.exec.workers:run_fuzz_case",
-                payload={"seed": case_seed, "backend": backend},
-                cache_key=fuzz_case_key(case_seed, backend),
+                payload={"seed": case_seed},
+                cache_key=fuzz_case_key(case_seed),
             )
             for case_seed in seeds
         ]
-        with self._call("fuzz", "fuzz", cases=cases, seed=seed, backend=backend) as sp:
+        with self._call("fuzz", "fuzz", cases=cases, seed=seed) as sp:
             entries = self.executor.run(units)
-            manifest = corpus_manifest(entries, seed=seed, backend=backend)
+            manifest = corpus_manifest(entries, seed=seed)
             sp.set(ok=manifest["ok"], divergences=manifest["ooo_divergences"])
         return manifest
 
@@ -354,7 +353,6 @@ SimulationCertificate` in the content-addressed result cache (compact
         *,
         graph_or_kernel=None,
         stimuli=None,
-        backend: str = "compiled",
         kernel=None,
         tags: int | None = None,
         capacities: Mapping | None = None,
@@ -363,7 +361,7 @@ SimulationCertificate` in the content-addressed result cache (compact
         max_cycles: int = 5_000_000,
         deadlock_window: int = 10_000,
     ):
-        """Cycle-simulate a circuit: the single simulation entry point.
+        """Cycle-simulate a circuit on the compiled engine.
 
         All arguments are keyword-only (since v1.7; positional calls,
         deprecated in v1.7, are a ``TypeError`` since v1.13).
@@ -381,11 +379,9 @@ SimulationCertificate` in the content-addressed result cache (compact
             :class:`~repro.sim.cycle.SimStats` — or a sequence of
             stimuli (arrays dicts, or :class:`~repro.sim.compiled.BatchRun`
             configs / equivalent mappings with per-run ``capacities``) —
-            returns a list of stats, one per stimulus.  Batches on the
-            compiled backend lower the graph once and reuse it across runs.
-        backend:
-            ``"compiled"`` (default) or ``"interp"`` — see
-            :func:`repro.sim.dispatch.simulate_graph`.
+            returns a list of stats, one per stimulus.  The graph is
+            lowered once (:func:`repro.sim.compiled.compile_circuit`) and
+            reused across the batch.
         tags:
             Widens tagged-region channels when deriving the default buffer
             placement (pass the transform's tag budget); ignored when
@@ -397,16 +393,11 @@ SimulationCertificate` in the content-addressed result cache (compact
         from .hls.area import latency_of as default_latency_of
         from .hls.buffers import place_buffers
         from .sim.compiled import BatchRun, compile_circuit
-        from .sim.dispatch import BACKENDS, simulate_graph
 
         if graph_or_kernel is None:
             raise TypeError("Session.simulate() requires graph_or_kernel=")
         if stimuli is None:
             raise TypeError("Session.simulate() requires stimuli=")
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown simulation backend {backend!r}; expected one of {BACKENDS}"
-            )
         graph = getattr(graph_or_kernel, "graph", graph_or_kernel)
         kernel = kernel if kernel is not None else getattr(graph_or_kernel, "kernel", None)
         if kernel is None:
@@ -441,28 +432,12 @@ SimulationCertificate` in the content-addressed result cache (compact
                 )
             runs.append(run)
 
-        with self._call(
-            "simulate", "simulate", kernel=kernel.name, backend=backend, runs=len(runs)
-        ):
-            if backend == "compiled":
-                circuit = compile_circuit(
-                    graph, self.env, kernel,
-                    capacities=capacities, latency_of=latency_of,
-                )
-                results = circuit.run_batch(runs)
-            else:
-                results = [
-                    simulate_graph(
-                        graph, self.env, kernel, run.arrays,
-                        capacities=run.capacities,
-                        latency_of=latency_of,
-                        backend=backend,
-                        max_cycles=run.max_cycles,
-                        deadlock_window=run.deadlock_window,
-                        trace=run.trace,
-                    )
-                    for run in runs
-                ]
+        with self._call("simulate", "simulate", kernel=kernel.name, runs=len(runs)):
+            circuit = compile_circuit(
+                graph, self.env, kernel,
+                capacities=capacities, latency_of=latency_of,
+            )
+            results = circuit.run_batch(runs)
         return results[0] if single else results
 
     def bench(
@@ -470,7 +445,6 @@ SimulationCertificate` in the content-addressed result cache (compact
         *,
         name: str | None = None,
         program=None,
-        backend: str = "compiled",
     ) -> "BenchmarkResult":
         """Run one benchmark through all four flows.
 
@@ -482,21 +456,19 @@ SimulationCertificate` in the content-addressed result cache (compact
         return self.bench_many(
             [name],
             {name: program} if program is not None else None,
-            backend=backend,
         )[name]
 
     def bench_many(
         self,
         names: Iterable[str],
         programs: Mapping[str, object] | None = None,
-        backend: str = "compiled",
     ) -> dict[str, "BenchmarkResult"]:
         """Run the (benchmark × flow) matrix as independent work units."""
         from .eval.runner import FLOWS, BenchmarkResult, FlowResult
         from .hls.frontend import compile_program
 
         names = list(names)
-        with self._call("bench_many", "bench", benchmarks=len(names), backend=backend):
+        with self._call("bench_many", "bench", benchmarks=len(names)):
             units = []
             for name in names:
                 program = (programs or {}).get(name)
@@ -513,15 +485,8 @@ SimulationCertificate` in the content-addressed result cache (compact
                         WorkUnit(
                             uid=f"{name}:{flow}",
                             fn="repro.exec.workers:eval_flow",
-                            payload={
-                                "name": name,
-                                "flow": flow,
-                                "program": program,
-                                "backend": backend,
-                            },
-                            cache_key=eval_unit_key(
-                                flow, program, compiled, key_env, backend
-                            ),
+                            payload={"name": name, "flow": flow, "program": program},
+                            cache_key=eval_unit_key(flow, program, compiled, key_env),
                         )
                     )
             raw = self.executor.run(units)

@@ -11,7 +11,7 @@ reproduction::
     python -m repro.cli refine --dump-certs certs/   # export .grc certificate files
     python -m repro.cli refine --load-certs certs/   # independently re-validate
     python -m repro.cli bench matvec      # one benchmark, all four flows
-    python -m repro.cli sim matvec --flow DF-OoO --backend compiled
+    python -m repro.cli sim matvec --flow DF-OoO
     python -m repro.cli report            # the full Tables 2-3 + Figure 8 run
     python -m repro.cli export matvec -o matvec.v    # netlist export (.json/.v/.dot)
     python -m repro.cli import matvec.v -o matvec.json   # parse + transcode
@@ -294,8 +294,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     print(f"{'flow':10s} {'cycles':>9s} {'CP(ns)':>8s} {'exec(ns)':>11s} {'LUT':>6s} {'FF':>6s} {'DSP':>4s} ok")
-    for flow in ("DF-IO", "DF-OoO", "GRAPHITI", "Vericert"):
-        fr = result[flow]
+    for flow, fr in result.flows.items():
         print(
             f"{flow:10s} {fr.cycles:>9d} {fr.area.clock_period:>8.2f} "
             f"{fr.execution_time:>11.0f} {fr.area.luts:>6d} {fr.area.ffs:>6d} "
@@ -306,9 +305,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_sim(args: argparse.Namespace) -> int:
+    from .eval.runner import flow_graph
     from .hls.frontend import compile_program
-    from .hls.ooo import transform_out_of_order
-    from .rewriting.pipeline import GraphitiPipeline
 
     try:
         from .benchmarks import load_benchmark
@@ -346,32 +344,17 @@ def _cmd_sim(args: argparse.Namespace) -> int:
                 return 2
     session = _session(args)
     ck = compile_program(program, session.env).kernels[0]
-    if args.flow == "DF-IO":
-        graph, tags = ck.graph, None
-    elif args.flow == "DF-OoO":
-        graph, tags = transform_out_of_order(ck.graph, ck.mark), ck.mark.tags
-    elif args.flow == "GRAPHITI":
-        outcome = GraphitiPipeline(session.env).transform_kernel(ck.graph, ck.mark)
-        if outcome.transformed:
-            graph, tags = outcome.graph, ck.mark.tags
-        else:
-            print(f"refused: {outcome.refusal}; simulating in-order", file=sys.stderr)
-            graph, tags = ck.graph, None
-    else:
-        print(
-            f"error: --flow must be one of DF-IO, DF-OoO, GRAPHITI (got {args.flow})",
-            file=sys.stderr,
-        )
-        return 2
+    graph, tags, outcome = flow_graph(ck, args.flow, session.env)
+    if outcome is not None and not outcome.transformed:
+        print(f"refused: {outcome.refusal}; simulating in-order", file=sys.stderr)
     with _observe(args):
         stats = session.simulate(
             graph_or_kernel=graph,
             kernel=ck.kernel,
             stimuli=program.arrays,
-            backend=args.backend,
             tags=tags,
         )
-    print(f"{args.name} [{args.flow}] backend={args.backend}")
+    print(f"{args.name} [{args.flow}]")
     print(f"cycles            {stats.cycles}")
     print(f"tokens fired      {stats.tokens_fired}")
     print(f"results collected {stats.results_collected}")
@@ -405,9 +388,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     from .errors import NetlistError
+    from .eval.runner import flow_graph
     from .hls.frontend import compile_program
-    from .hls.ooo import transform_out_of_order
-    from .rewriting.pipeline import GraphitiPipeline
 
     try:
         from .benchmarks import load_benchmark
@@ -418,21 +400,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
         return 2
     session = _session(args)
     ck = compile_program(program, session.env).kernels[0]
-    if args.flow == "DF-IO":
-        graph = ck.graph
-    elif args.flow == "DF-OoO":
-        graph = transform_out_of_order(ck.graph, ck.mark)
-    elif args.flow == "GRAPHITI":
-        outcome = GraphitiPipeline(session.env).transform_kernel(ck.graph, ck.mark)
-        if not outcome.transformed:
-            print(f"refused: {outcome.refusal}; exporting in-order", file=sys.stderr)
-        graph = outcome.graph
-    else:
-        print(
-            f"error: --flow must be one of DF-IO, DF-OoO, GRAPHITI (got {args.flow})",
-            file=sys.stderr,
-        )
-        return 2
+    graph, _, outcome = flow_graph(ck, args.flow, session.env)
+    if outcome is not None and not outcome.transformed:
+        print(f"refused: {outcome.refusal}; exporting in-order", file=sys.stderr)
     try:
         with _observe(args):
             fmt = session.export_graph(
@@ -481,9 +451,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
     session = _session(args)
     with _observe(args):
-        manifest = session.fuzz(
-            cases=args.cases, seed=args.seed, backend=args.backend
-        )
+        manifest = session.fuzz(cases=args.cases, seed=args.seed)
     for entry in manifest["cases"]:
         flags = []
         if entry["effectful"]:
@@ -572,6 +540,8 @@ def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro`` argument parser, every subcommand and flag included."""
+    from .eval.runner import DATAFLOW_FLOWS
+
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -618,12 +588,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("sim", help="cycle-simulate one benchmark kernel under one flow")
     sim.add_argument("name", help="bicg | gemm | gsum-many | gsum-single | matvec | mvt")
     sim.add_argument(
-        "--flow", default="DF-OoO", metavar="FLOW",
-        help="dataflow flow: DF-IO | DF-OoO | GRAPHITI (default: DF-OoO)",
-    )
-    sim.add_argument(
-        "--backend", default="compiled", metavar="NAME",
-        help="simulation backend: compiled | interp (default: compiled)",
+        "--flow", default="DF-OoO", choices=DATAFLOW_FLOWS,
+        help="dataflow flow (default: DF-OoO)",
     )
     sim.add_argument(
         "--stimuli", default=None, metavar="FILE",
@@ -647,8 +613,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="netlist format (default: inferred from the output extension)",
     )
     export.add_argument(
-        "--flow", default="DF-IO", metavar="FLOW",
-        help="export the circuit of this flow: DF-IO | DF-OoO | GRAPHITI (default: DF-IO)",
+        "--flow", default="DF-IO", choices=DATAFLOW_FLOWS,
+        help="export the circuit of this flow (default: DF-IO)",
     )
     _add_exec_flags(export)
     export.set_defaults(fn=_cmd_export)
@@ -681,10 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--seed", type=int, default=0, metavar="S",
         help="corpus seed; equal (seed, cases) replays identically (default: 0)",
-    )
-    fuzz.add_argument(
-        "--backend", default="compiled", metavar="NAME",
-        help="simulation backend: compiled | interp (default: compiled)",
     )
     fuzz.add_argument(
         "--manifest", default=None, metavar="FILE",
@@ -771,16 +733,6 @@ def main(argv: list[str] | None = None) -> int:
         if not parent.is_dir():
             print(
                 f"error: --trace parent directory {parent} does not exist",
-                file=sys.stderr,
-            )
-            return 2
-    backend = getattr(args, "backend", None)
-    if backend is not None:
-        from .sim.dispatch import BACKENDS
-
-        if backend not in BACKENDS:
-            print(
-                f"error: --backend must be one of {', '.join(BACKENDS)} (got {backend})",
                 file=sys.stderr,
             )
             return 2

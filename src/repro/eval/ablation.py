@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ..benchmarks import matvec
 from ..hls.ir import Kernel, Program
-from .runner import BenchmarkResult
+from .runner import BenchmarkResult, flow_graph
 
 
 @dataclass
@@ -116,7 +116,6 @@ def buffer_ablation(n: int = 12) -> list[BufferAblationPoint]:
     from ..hls.area import latency_of
     from ..hls.buffers import place_buffers
     from ..hls.frontend import compile_program
-    from ..hls.ooo import transform_out_of_order
     from ..sim.dispatch import simulate_graph
 
     points = []
@@ -126,10 +125,7 @@ def buffer_ablation(n: int = 12) -> list[BufferAblationPoint]:
             program = matvec(n)
             env = default_environment()
             ck = compile_program(program, env).kernels[0]
-            if flow == "DF-OoO":
-                graph, tags = transform_out_of_order(ck.graph, ck.mark), ck.mark.tags
-            else:
-                graph, tags = ck.graph, None
+            graph, tags, _ = flow_graph(ck, flow, env)
             placement = place_buffers(graph, tags)
             capacities = dict(placement.capacities)
             if sizing == "single":

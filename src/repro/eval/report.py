@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from . import paper_data
-from .runner import BenchmarkResult
+from .runner import DATAFLOW_FLOWS, BenchmarkResult
 
 FLOWS = paper_data.FLOWS
 
@@ -236,7 +236,7 @@ def shape_checks(results: Mapping[str, BenchmarkResult]) -> list[ShapeCheck]:
             ShapeCheck(
                 f"{name}: Vericert has the best clock period",
                 result["Vericert"].area.clock_period
-                <= min(result[f].area.clock_period for f in ("DF-IO", "DF-OoO", "GRAPHITI")),
+                <= min(result[f].area.clock_period for f in DATAFLOW_FLOWS),
                 f"Vericert {result['Vericert'].area.clock_period}ns",
             )
         )

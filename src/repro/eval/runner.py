@@ -21,19 +21,40 @@ import numpy as np
 from ..benchmarks import load_benchmark
 from ..components import default_environment
 from ..core.environment import Environment
+from ..core.exprhigh import ExprHigh
 from ..hls.area import AreaReport, analyze, latency_of
 from ..hls.buffers import place_buffers
-from ..hls.frontend import CompiledProgram, compile_program
+from ..hls.frontend import CompiledKernel, CompiledProgram, compile_program
 from ..hls.ir import Program, run_program
 from ..hls.ooo import transform_out_of_order
 from ..hls.static_sched import schedule_program
-from ..rewriting.pipeline import GraphitiPipeline
+from ..rewriting.pipeline import GraphitiPipeline, TransformResult
 from ..sim.dispatch import simulate_graph
 
-FLOWS = ("DF-IO", "DF-OoO", "GRAPHITI", "Vericert")
+#: The flows that simulate a dataflow circuit, in report order.
+DATAFLOW_FLOWS = ("DF-IO", "DF-OoO", "GRAPHITI")
+FLOWS = DATAFLOW_FLOWS + ("Vericert",)
 
-#: Flow name → transform argument of :func:`_run_dataflow`.
-_DATAFLOW_TRANSFORMS = {"DF-IO": None, "DF-OoO": "ooo", "GRAPHITI": "graphiti"}
+
+def flow_graph(
+    ck: CompiledKernel, flow: str, env: Environment
+) -> tuple[ExprHigh, int | None, TransformResult | None]:
+    """The circuit *flow* simulates for kernel *ck*: ``(graph, tags, outcome)``.
+
+    *tags* is the tag budget buffer placement widens tagged channels for
+    (``None`` for an in-order circuit).  *outcome* is the pipeline's
+    :class:`TransformResult` for GRAPHITI and ``None`` otherwise; when the
+    pipeline refuses, the graph is ``outcome.graph`` (the input circuit)
+    and *tags* is ``None``.
+    """
+    if flow == "DF-IO":
+        return ck.graph, None, None
+    if flow == "DF-OoO":
+        return transform_out_of_order(ck.graph, ck.mark), ck.mark.tags, None
+    if flow == "GRAPHITI":
+        outcome = GraphitiPipeline(env).transform_kernel(ck.graph, ck.mark)
+        return outcome.graph, ck.mark.tags if outcome.transformed else None, outcome
+    raise ValueError(f"unknown dataflow flow {flow!r}; expected one of {DATAFLOW_FLOWS}")
 
 
 @dataclass
@@ -139,7 +160,6 @@ def run_flow(
     name: str,
     flow: str,
     program: Program | None = None,
-    backend: str = "compiled",
 ) -> FlowResult:
     """Run *name* under a single flow — the executor's unit of work.
 
@@ -151,16 +171,12 @@ def run_flow(
     pristine = {key: array.copy() for key, array in program.arrays.items()}
     if flow == "Vericert":
         return _run_vericert(program, pristine)
-    if flow not in _DATAFLOW_TRANSFORMS:
+    if flow not in DATAFLOW_FLOWS:
         raise ValueError(f"unknown flow {flow!r}; expected one of {FLOWS}")
     reference = run_program(program, {key: array.copy() for key, array in pristine.items()})
     env = default_environment()
     compiled = compile_program(program, env)
-    return _run_dataflow(
-        flow, compiled, program, pristine, reference, env,
-        transform=_DATAFLOW_TRANSFORMS[flow],
-        backend=backend,
-    )
+    return _run_dataflow(flow, compiled, program, pristine, reference, env)
 
 
 def _restore_arrays(program: Program, pristine: dict) -> None:
@@ -177,33 +193,19 @@ def _run_dataflow(
     pristine: dict,
     reference,
     env: Environment,
-    transform: str | None,
-    backend: str = "compiled",
 ) -> FlowResult:
     _restore_arrays(program, pristine)
 
-    graphs = []
     refused = 0
     rewrite_steps = 0
-    for ck in compiled.kernels:
-        if transform is None:
-            graphs.append((ck, ck.graph, None))
-        elif transform == "ooo":
-            graphs.append((ck, transform_out_of_order(ck.graph, ck.mark), ck.mark.tags))
-        else:
-            pipeline = GraphitiPipeline(env)
-            outcome = pipeline.transform_kernel(ck.graph, ck.mark)
-            rewrite_steps += outcome.total_steps
-            if outcome.transformed:
-                graphs.append((ck, outcome.graph, ck.mark.tags))
-            else:
-                refused += 1
-                graphs.append((ck, ck.graph, None))
-
     total_cycles = 0
     area = AreaReport()
     history: list = []
-    for ck, graph, tags in graphs:
+    for ck in compiled.kernels:
+        graph, tags, outcome = flow_graph(ck, flow, env)
+        if outcome is not None:
+            rewrite_steps += outcome.total_steps
+            refused += not outcome.transformed
         placement = place_buffers(graph, tags)
         stats = simulate_graph(
             graph,
@@ -212,7 +214,6 @@ def _run_dataflow(
             program.arrays,
             capacities=placement.capacities,
             latency_of=latency_of,
-            backend=backend,
         )
         total_cycles += stats.cycles
         history.extend(stats.store_history)
@@ -276,14 +277,12 @@ def _arrays_match(actual: dict, expected: dict) -> bool:
     return True
 
 
-def simulate_flow(
-    program: Program, flow: str, kernel_index: int = 0, backend: str = "compiled"
-):
+def simulate_flow(program: Program, flow: str, kernel_index: int = 0):
     """Simulate one kernel under one dataflow flow, recording a firing trace.
 
     Returns ``(stats, trace, graph)`` — the instrumentation used by the
-    figure 2d/2e execution-trace views.  *flow* is one of ``"DF-IO"``,
-    ``"DF-OoO"``, ``"GRAPHITI"``.
+    figure 2d/2e execution-trace views.  *flow* is one of
+    :data:`DATAFLOW_FLOWS`.
     """
     from ..sim.trace import FiringTrace
 
@@ -291,18 +290,7 @@ def simulate_flow(
     env = default_environment()
     compiled = compile_program(program, env)
     ck = compiled.kernels[kernel_index]
-    if flow == "DF-IO":
-        graph, tags = ck.graph, None
-    elif flow == "DF-OoO":
-        graph, tags = transform_out_of_order(ck.graph, ck.mark), ck.mark.tags
-    elif flow == "GRAPHITI":
-        outcome = GraphitiPipeline(env).transform_kernel(ck.graph, ck.mark)
-        if outcome.transformed:
-            graph, tags = outcome.graph, ck.mark.tags
-        else:
-            graph, tags = ck.graph, None
-    else:
-        raise ValueError(f"unknown dataflow flow {flow!r}")
+    graph, tags, _ = flow_graph(ck, flow, env)
     _restore_arrays(program, pristine)
     placement = place_buffers(graph, tags)
     trace = FiringTrace()
@@ -313,7 +301,6 @@ def simulate_flow(
         program.arrays,
         capacities=placement.capacities,
         latency_of=latency_of,
-        backend=backend,
         trace=trace,
     )
     return stats, trace, graph

@@ -5,10 +5,12 @@ Entries are JSON files keyed by a fingerprint (see
 cache does not put thousands of files in one directory.  Writes go through
 a temporary file plus :func:`os.replace`, so a concurrent reader never sees
 a half-written entry; a corrupted entry (truncated file, hand-edited JSON,
-wrong embedded key) is quarantined by deletion and reported as a miss, so
-the worst failure mode is recomputation.  Lookups and writes are counted
-on the active :mod:`repro.obs` tracer: ``cache.hits``, ``cache.misses``,
-``cache.writes`` and ``cache.corrupt``.
+wrong embedded key) is quarantined by deletion and reported as a miss, and
+a write the filesystem refuses (a full disk, a file where a shard
+directory should be) is dropped, so the worst failure mode is
+recomputation.  Lookups and writes are counted on the active
+:mod:`repro.obs` tracer: ``cache.hits``, ``cache.misses``,
+``cache.writes``, ``cache.write_failures`` and ``cache.corrupt``.
 
 :class:`NullCache` is the ``--no-cache`` implementation: same interface,
 never stores anything.
@@ -30,7 +32,7 @@ CACHE_FORMAT = 1
 
 
 class CacheError(GraphitiError):
-    """The cache directory could not be created or written."""
+    """The cache directory could not be created, or a None payload was stored."""
 
 
 @dataclass
@@ -85,20 +87,29 @@ class ResultCache:
         """Store a JSON-serialisable, non-None payload atomically."""
         if payload is None:
             raise CacheError("cache payloads must not be None (None encodes a miss)")
-        path = self.path_for(key)
         entry = {"format": CACHE_FORMAT, "key": key, "payload": payload}
+        self._write(self.path_for(key), json.dumps(entry).encode())
+
+    def _write(self, path: Path, data: bytes) -> None:
+        """Write *data* to *path* through a temporary file and ``os.replace``.
+
+        The value being stored is already computed, so a write the
+        filesystem refuses only counts ``cache.write_failures`` and leaves
+        the entry absent: the next run recomputes it.
+        """
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             try:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(entry, handle)
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(data)
                 os.replace(tmp, path)
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-        except OSError as exc:
-            raise CacheError(f"cannot write cache entry {path}: {exc}") from exc
+        except OSError:
+            obs.count("cache.write_failures")
+            return
         obs.count("cache.writes")
 
     # -- binary entries ------------------------------------------------------
@@ -125,20 +136,7 @@ class ResultCache:
 
     def put_bytes(self, key: str, payload: bytes) -> None:
         """Store a raw binary payload atomically."""
-        path = self.bin_path_for(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(payload)
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        except OSError as exc:
-            raise CacheError(f"cannot write cache entry {path}: {exc}") from exc
-        obs.count("cache.writes")
+        self._write(self.bin_path_for(key), payload)
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*/*.json")) + sum(

@@ -89,17 +89,12 @@ def program_fingerprint(program) -> str:
     return fingerprint("program", program.name, repr(program.kernels), ";".join(arrays))
 
 
-def eval_unit_key(
-    flow: str, program, compiled, env: Environment, backend: str = "compiled"
-) -> str:
+def eval_unit_key(flow: str, program, compiled, env: Environment) -> str:
     """Cache key for one (benchmark × flow) evaluation run.
 
     *compiled* is the :class:`~repro.hls.frontend.CompiledProgram`; hashing
     the compiled kernel graphs (not just the IR) means any front-end change
-    that alters the circuits also invalidates the cache.  The simulation
-    *backend* is part of the key: backends are cycle-identical by contract,
-    but keeping their entries distinct means a differential rerun
-    (``backend="interp"``) never serves the other backend's cached result.
+    that alters the circuits also invalidates the cache.
     """
     kernel_parts: list[str] = []
     for ck in compiled.kernels:
@@ -109,7 +104,6 @@ def eval_unit_key(
         "eval",
         TOOL_VERSION,
         flow,
-        backend,
         program_fingerprint(program),
         env.signature(),
         *kernel_parts,
@@ -161,16 +155,16 @@ def certificate_key(
     )
 
 
-def fuzz_case_key(seed: int, backend: str = "compiled") -> str:
+def fuzz_case_key(seed: int) -> str:
     """Cache key for one differential fuzz case.
 
     A case is a pure function of its seed (the generator and the whole
-    flow under test are deterministic), so the key only needs the seed,
-    the simulation backend and the tool version — any change to the
+    flow under test are deterministic), so the key only needs the seed
+    and the tool version — any change to the
     generator, the transforms or the simulators ships as a new version
     and invalidates the corpus.
     """
-    return fingerprint("fuzz-case", TOOL_VERSION, str(int(seed)), backend)
+    return fingerprint("fuzz-case", TOOL_VERSION, str(int(seed)))
 
 
 def sat_cross_check_key(name: str, instances: Sequence[tuple], bound: int) -> str:

@@ -37,12 +37,12 @@ from time import perf_counter
 from .. import obs
 
 
-def eval_flow(*, name: str, flow: str, program=None, backend: str = "compiled") -> dict:
+def eval_flow(*, name: str, flow: str, program=None) -> dict:
     """Run one benchmark under one flow; returns ``FlowResult.to_dict()``."""
     from ..eval.runner import run_flow
 
-    with obs.span(f"flow:{flow}", benchmark=name, backend=backend) as sp:
-        result = run_flow(name, flow, program=program, backend=backend)
+    with obs.span(f"flow:{flow}", benchmark=name) as sp:
+        result = run_flow(name, flow, program=program)
         sp.set(cycles=result.cycles, correct=result.correct)
     return result.to_dict()
 
@@ -108,18 +108,18 @@ def check_obligation_certified(
     }
 
 
-def run_fuzz_case(*, seed: int, backend: str = "compiled") -> dict:
+def run_fuzz_case(*, seed: int) -> dict:
     """Run one differential fuzz case; returns the corpus-manifest entry.
 
     A thin instrumented wrapper over
     :func:`repro.interop.corpus.run_fuzz_case` — the case itself is a pure
-    function of ``(seed, backend)``, which is what makes its entry safe to
-    serve from the content-addressed cache.
+    function of its seed, which is what makes its entry safe to serve from
+    the content-addressed cache.
     """
     from ..interop.corpus import run_fuzz_case as run_case
 
-    with obs.span("fuzz:case", seed=seed, backend=backend) as sp:
-        entry = run_case(int(seed), backend=backend)
+    with obs.span("fuzz:case", seed=seed) as sp:
+        entry = run_case(int(seed))
         sp.set(ok=entry["ok"], effectful=entry["effectful"])
     obs.count("interop.fuzz_cases")
     if not entry["ok"]:

@@ -50,10 +50,6 @@ from ..hls.ir import (
     Var,
 )
 
-#: The dataflow flows every fuzz case runs (Vericert is the reference
-#: interpreter's twin and adds nothing to the differential check).
-FUZZ_FLOWS = ("DF-IO", "DF-OoO", "GRAPHITI")
-
 CORPUS_FORMAT = "graphiti-corpus"
 CORPUS_VERSION = 1
 
@@ -176,10 +172,10 @@ def case_seeds(seed: int, count: int) -> list[int]:
     return [stream.randrange(2**32) for _ in range(count)]
 
 
-def run_fuzz_case(seed: int, backend: str = "compiled") -> dict:
+def run_fuzz_case(seed: int) -> dict:
     """Run one differential fuzz case; returns a manifest entry dict."""
     from ..components import default_environment
-    from ..eval.runner import run_flow
+    from ..eval.runner import DATAFLOW_FLOWS, run_flow
     from ..hls.frontend import compile_program
     from .netlist import dumps_netlist, loads_netlist
     from .verilog import dump_verilog, parse_verilog
@@ -204,8 +200,9 @@ def run_fuzz_case(seed: int, backend: str = "compiled") -> dict:
             failures.append(f"Verilog round-trip broke on {ck.kernel.name}")
 
     flows: dict[str, dict] = {}
-    for flow in FUZZ_FLOWS:
-        result = run_flow(program.name, flow, program=program, backend=backend)
+    # Vericert is the reference interpreter's twin and adds nothing here.
+    for flow in DATAFLOW_FLOWS:
+        result = run_flow(program.name, flow, program=program)
         flows[flow] = {
             "cycles": int(result.cycles),
             "correct": bool(result.correct),
@@ -246,10 +243,10 @@ def run_fuzz_case(seed: int, backend: str = "compiled") -> dict:
     }
 
 
-def corpus_manifest(entries: list[dict], *, seed: int, backend: str = "compiled") -> dict:
+def corpus_manifest(entries: list[dict], *, seed: int) -> dict:
     """Fold case entries into the canonical corpus manifest.
 
-    The manifest is a pure function of ``(seed, count, backend)`` plus the
+    The manifest is a pure function of ``(seed, count)`` plus the
     tool version: equal inputs serialise byte-identically
     (``json.dumps(manifest, indent=2, sort_keys=True)``).
     """
@@ -264,7 +261,6 @@ def corpus_manifest(entries: list[dict], *, seed: int, backend: str = "compiled"
         "version": CORPUS_VERSION,
         "seed": int(seed),
         "count": len(entries),
-        "backend": backend,
         "ok": all(entry["ok"] for entry in entries),
         "ooo_divergences": sum(1 for entry in entries if entry["ooo_divergence"]),
         "effectful_cases": sum(1 for entry in entries if entry["effectful"]),

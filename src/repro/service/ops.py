@@ -41,9 +41,6 @@ JOB_KINDS = (
     "fuzz",
 )
 
-_SIM_FLOWS = ("DF-IO", "DF-OoO", "GRAPHITI")
-_BACKENDS = ("compiled", "interp")
-
 
 def _require_str(params: Mapping, key: str, kind: str) -> str:
     value = params.get(key)
@@ -117,14 +114,13 @@ def canonical_params(kind: str, params: Mapping | None) -> dict:
         return {"dot": dot, "mark": _canonical_mark(mark)}
 
     if kind == "simulate":
-        _reject_unknown(params, ("kernel", "flow", "backend"), kind)
+        from ..eval.runner import DATAFLOW_FLOWS
+
+        _reject_unknown(params, ("kernel", "flow"), kind)
         kernel = _require_str(params, "kernel", kind)
         _known_benchmark(kernel, kind)
-        flow = _check_choice(str(params.get("flow", "DF-OoO")), _SIM_FLOWS, "flow", kind)
-        backend = _check_choice(
-            str(params.get("backend", "compiled")), _BACKENDS, "backend", kind
-        )
-        return {"backend": backend, "flow": flow, "kernel": kernel}
+        flow = _check_choice(str(params.get("flow", "DF-OoO")), DATAFLOW_FLOWS, "flow", kind)
+        return {"flow": flow, "kernel": kernel}
 
     if kind == "bench":
         _reject_unknown(params, ("name",), kind)
@@ -133,7 +129,7 @@ def canonical_params(kind: str, params: Mapping | None) -> dict:
         return {"name": name}
 
     if kind == "fuzz":
-        _reject_unknown(params, ("cases", "seed", "backend"), kind)
+        _reject_unknown(params, ("cases", "seed"), kind)
         try:
             cases = int(params.get("cases", 25))
             seed = int(params.get("seed", 0))
@@ -141,10 +137,7 @@ def canonical_params(kind: str, params: Mapping | None) -> dict:
             raise ServiceError(f"fuzz job parameters must be integers: {exc}") from exc
         if cases < 1:
             raise ServiceError(f"fuzz job requires cases >= 1 (got {cases})")
-        backend = _check_choice(
-            str(params.get("backend", "compiled")), _BACKENDS, "backend", kind
-        )
-        return {"backend": backend, "cases": cases, "seed": seed}
+        return {"cases": cases, "seed": seed}
 
     if kind == "sat_check":
         _reject_unknown(params, ("rules", "bound"), kind)
@@ -238,9 +231,7 @@ def run_op(session, kind: str, params: Mapping) -> dict:
         )
         return {"kind": "SatCheckOutcomes", "outcomes": outcomes}
     if kind == "fuzz":
-        manifest = session.fuzz(
-            cases=params["cases"], seed=params["seed"], backend=params["backend"]
-        )
+        manifest = session.fuzz(cases=params["cases"], seed=params["seed"])
         return {"kind": "FuzzManifest", "manifest": manifest}
     raise ServiceError(f"unknown job kind {kind!r}")
 
@@ -274,26 +265,14 @@ def _op_transform(session, params: Mapping) -> dict:
 
 
 def _op_simulate(session, params: Mapping) -> dict:
-    from ..hls.ooo import transform_out_of_order
-    from ..rewriting.pipeline import GraphitiPipeline
+    from ..eval.runner import flow_graph
 
     program, ck = _compiled_kernel(session, params["kernel"])
-    flow = params["flow"]
-    if flow == "DF-IO":
-        graph, tags = ck.graph, None
-    elif flow == "DF-OoO":
-        graph, tags = transform_out_of_order(ck.graph, ck.mark), ck.mark.tags
-    else:  # GRAPHITI
-        outcome = GraphitiPipeline(session.env).transform_kernel(ck.graph, ck.mark)
-        if outcome.transformed:
-            graph, tags = outcome.graph, ck.mark.tags
-        else:
-            graph, tags = ck.graph, None
+    graph, tags, _ = flow_graph(ck, params["flow"], session.env)
     stats = session.simulate(
         graph_or_kernel=graph,
         kernel=ck.kernel,
         stimuli=program.arrays,
-        backend=params["backend"],
         tags=tags,
     )
     return stats.to_dict()

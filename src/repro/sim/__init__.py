@@ -1,18 +1,17 @@
 """Cycle-level simulation of elastic circuits (the ModelSim substitute).
 
-Two backends, one dispatch seam: :func:`simulate_graph` routes to either
-the graph-compiled engine (:mod:`repro.sim.compiled`, the default) or the
-per-component interpreter (:mod:`repro.sim.cycle`, the differential
-oracle).
+One engine: :func:`simulate_graph` runs the graph-compiled simulator
+(:mod:`repro.sim.compiled`).  The per-component interpreter
+(:class:`CycleSimulator`, :mod:`repro.sim.cycle`) is the reference the
+tests hold the compiled engine bit-identical to.
 """
 
 from .compiled import BatchRun, CompiledCircuit, compile_circuit
 from .cycle import Channel, CycleSimulator, SimStats, evaluation_order
-from .dispatch import BACKENDS, simulate_graph
+from .dispatch import simulate_graph
 from .trace import FiringEvent, FiringTrace, render_timeline
 
 __all__ = [
-    "BACKENDS",
     "BatchRun",
     "Channel",
     "CompiledCircuit",

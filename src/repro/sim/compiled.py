@@ -54,9 +54,10 @@ pushes of this cycle, committed at cycle end; combinational ``push_now``
 visibility), the same pipeline delivery rules (an entry started at cycle
 ``t`` with latency ``L`` is ready at ``t + max(1, L-1)``, delivered
 head-of-line when every destination has room), the tag aligner, and the
-Driver/Collector bridge, down to deadlock windows and error messages.  The
-interpreter stays as the differential-testing oracle behind the same
-interface (see ``tests/property/test_sim_backend_equivalence.py``).
+Driver/Collector bridge, down to deadlock windows and error messages.  It
+is the only engine production code runs; the interpreter stays as the
+reference the tests compare it against (see
+``tests/property/test_sim_backend_equivalence.py``).
 
 :meth:`CompiledCircuit.run` executes one stimulus; :meth:`CompiledCircuit.run_batch`
 executes many stimuli/buffer-placement variants without re-lowering —
@@ -1457,7 +1458,6 @@ class CompiledCircuit:
             "sim:run",
             kernel=self.kernel.name,
             nodes=len(self.graph.nodes),
-            backend="compiled",
         ) as sp:
             stats, steps = self._run_once(
                 arrays, capacities, max_cycles, deadlock_window, trace

@@ -22,6 +22,10 @@ Model:
 Functional values flow with the tokens, so a simulation also *computes* the
 kernel — results are checked against the sequential reference interpreter,
 which is how the bicg memory-reordering bug becomes observable.
+
+Production code simulates on the graph-compiled engine
+(:mod:`repro.sim.compiled`); this per-component interpreter is the
+reference the tests hold that engine bit-identical to.
 """
 
 from __future__ import annotations
@@ -44,8 +48,9 @@ def full_channel_message(
 ) -> str:
     """Diagnostic for a push into a full channel, naming the edge.
 
-    Both simulation backends raise this exact message, so deadlock triage
-    can locate the offending edge without re-running under ``--trace``.
+    The compiled engine and the interpreter raise this exact message, so
+    deadlock triage can locate the offending edge without re-running under
+    ``--trace``.
     """
     if src is None and dst is None:
         return f"push into a full channel ({occupancy}/{capacity} occupied)"
@@ -183,7 +188,7 @@ def evaluation_order(graph: ExprHigh, latency: Callable[[str], int]) -> list[str
     sub-relation is acyclic; a malformed purely-combinational loop falls
     back to name order for its members (and will deadlock visibly).
 
-    Shared by both backends — the compiled engine's flat op arrays are laid
+    Shared by both simulators — the compiled engine's flat op arrays are laid
     out in exactly this order, which is one precondition for cycle-identical
     behaviour.  *latency* maps a node name to its cycle latency.
     """

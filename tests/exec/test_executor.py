@@ -106,6 +106,19 @@ class TestCaching:
         assert second == first
         assert metrics.executed == 0 and metrics.hits == 4
 
+    def test_unwritable_shard_returns_the_value_and_counts_the_failure(self, tmp_path):
+        # A plain file where the entry's shard directory should be (chmod
+        # would not stop root) makes the write fail after the unit ran.
+        cache = ResultCache(tmp_path)
+        [unit] = double_units(1, cached=True)
+        (tmp_path / unit.cache_key[:2]).write_text("not a directory")
+        with obs.scoped_tracer() as tracer:
+            results = Executor(jobs=1, cache=cache).run([unit])
+        assert results == [{"value": 0}]
+        assert tracer.counters["cache.write_failures"] == 1
+        assert "cache.writes" not in tracer.counters
+        assert cache.get(unit.cache_key) is None
+
     def test_cache_miss_on_changed_key(self, tmp_path):
         cache = ResultCache(tmp_path)
         Executor(jobs=1, cache=cache).run(double_units(2, cached=True))

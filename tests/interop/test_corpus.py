@@ -1,14 +1,19 @@
 """Seeded fuzz corpus: determinism, prefix stability, and the bicg story.
 
-The manifest must be a pure function of ``(seed, cases, backend)`` —
+The manifest must be a pure function of ``(seed, cases)`` —
 byte-identical JSON on re-run — so corpus results can live in the result
 cache and CI can diff manifests across machines.
 """
 
 import json
 
+import numpy as np
+
 from repro.components import default_environment
+from repro.eval.runner import DATAFLOW_FLOWS
+from repro.hls.area import latency_of
 from repro.hls.frontend import compile_program
+from repro.hls.ir import run_program
 from repro.interop.corpus import (
     case_seeds,
     corpus_manifest,
@@ -18,10 +23,12 @@ from repro.interop.corpus import (
 )
 from repro.interop.netlist import dumps_netlist
 
+from ..property.test_sim_backend_equivalence import build, default_placement, run_backend
 
-def _manifest_for(seed, count, backend="compiled"):
-    entries = [run_fuzz_case(case_seed, backend) for case_seed in case_seeds(seed, count)]
-    return corpus_manifest(entries, seed=seed, backend=backend)
+
+def _manifest_for(seed, count):
+    entries = [run_fuzz_case(case_seed) for case_seed in case_seeds(seed, count)]
+    return corpus_manifest(entries, seed=seed)
 
 
 def test_same_seed_byte_identical_manifest():
@@ -58,7 +65,7 @@ def test_cases_pass_and_effectful_loops_are_refused():
     # (the paper's bicg refusal) while DF-OoO is allowed to diverge.
     effectful = 0
     for case_seed in case_seeds(0, 6):
-        entry = run_fuzz_case(case_seed, "compiled")
+        entry = run_fuzz_case(case_seed)
         assert entry["ok"], entry["failures"]
         assert entry["round_trip"] == {"json": True, "verilog": True}
         if entry["effectful"]:
@@ -75,7 +82,7 @@ def test_manifest_shape_and_ok_rollup():
     assert manifest["format"] == "graphiti-corpus"
     assert manifest["version"] == 1
     assert manifest["seed"] == 3
-    assert manifest["backend"] == "compiled"
+    assert "backend" not in manifest
     assert manifest["count"] == 3
     assert len(manifest["cases"]) == 3
     assert manifest["ok"] == all(entry["ok"] for entry in manifest["cases"])
@@ -86,12 +93,25 @@ def test_manifest_shape_and_ok_rollup():
 
 
 def test_interp_backend_agrees_on_a_pure_case():
-    # find a pure case and check the slower interpreter backend also passes
+    # find a pure case and check the interpreter oracle, run on each flow's
+    # circuits, reproduces the case's cycle counts and the reference arrays
     for case_seed in case_seeds(0, 8):
         case = generate_case(case_seed)
-        if not case.effectful:
-            entry = run_fuzz_case(case_seed, "interp")
-            assert entry["ok"], entry["failures"]
-            assert not entry["ooo_divergence"]
-            return
+        if case.effectful:
+            continue
+        entry = run_fuzz_case(case_seed)
+        assert entry["ok"], entry["failures"]
+        assert not entry["ooo_divergence"]
+        reference = run_program(generate_program(case_seed))
+        for flow in DATAFLOW_FLOWS:
+            program, env, units = build(lambda: generate_program(case_seed), flow)
+            observations, arrays = run_backend(
+                program, env, units, default_placement, "interp",
+                program.copy_arrays(), latency_of,
+            )
+            cycles = sum(observation[0] for observation in observations)
+            assert cycles == entry["flows"][flow]["cycles"], flow
+            for key, expected in reference.arrays.items():
+                assert np.allclose(arrays[key], expected, atol=1e-6), (flow, key)
+        return
     raise AssertionError("no pure case in the first 8 seeds")

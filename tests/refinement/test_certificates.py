@@ -234,6 +234,23 @@ class TestCacheFallback:
         assert warm.mode == "recheck"
         assert warm.certificate.content_hash() == cold.certificate.content_hash()
 
+    def test_unwritable_shard_still_returns_the_verdict(self, env, tmp_path):
+        # A plain file where the certificate's shard directory should be
+        # (chmod would not stop root): the search's certificate comes back,
+        # the dropped entry is counted, and the next check searches again.
+        cache = ResultCache(tmp_path)
+        lhs, rhs = wide_graph(2), chain_graph(2)
+        uncached = check_rewrite_obligation(lhs, rhs, env)
+        key = obligation_key(lhs, rhs, env)
+        (tmp_path / key[:2]).write_text("not a directory")
+        with obs.scoped_tracer() as tracer:
+            report = check_rewrite_obligation(lhs, rhs, env, cache=cache)
+        assert report.mode == "search"
+        assert report.certificate.content_hash() == uncached.certificate.content_hash()
+        assert tracer.counters["cache.write_failures"] == 1
+        assert cache.get_bytes(key) is None
+        assert check_rewrite_obligation(lhs, rhs, env, cache=cache).mode == "search"
+
     def test_serialized_tampering_falls_back_to_search(self, env, tmp_path):
         cache = ResultCache(tmp_path)
         lhs, rhs = wide_graph(2), chain_graph(2)

@@ -105,6 +105,27 @@ def test_removed_obligation_cli_exits_2(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["sim", "matvec", "--flow", "bogus"], "invalid choice: 'bogus'"),
+        (["export", "matvec", "-o", "x.json", "--flow", "bogus"], "invalid choice: 'bogus'"),
+        (["sim", "matvec", "--backend", "interp"], "unrecognized arguments: --backend"),
+        (["fuzz", "--backend", "interp"], "unrecognized arguments: --backend"),
+    ],
+)
+def test_flow_and_removed_backend_rejected_up_front(argv, message, tmp_path, capsys):
+    # --flow is checked by argparse against DATAFLOW_FLOWS, and --backend
+    # is gone (the compiled engine is the only simulator): both exit 2
+    # before a Session, and so its cache directory, exists.
+    cache = tmp_path / "cache"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--cache-dir", str(cache)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not cache.exists()
+
+
 def test_load_certs_on_json_only_dumps_exits_2(tmp_path, capsys):
     (tmp_path / "mux_combine-0.json").write_text("{}")
     (tmp_path / "mux_combine-1.json").write_text("{}")

@@ -32,7 +32,7 @@ def _expected_results():
         for name in SIM_KERNELS:
             expected[("simulate", name)] = run_op(
                 session, "simulate",
-                {"backend": "compiled", "flow": "DF-IO", "kernel": name},
+                {"flow": "DF-IO", "kernel": name},
             )
         for name in TRANSFORM_KERNELS:
             expected[("transform", name)] = run_op(

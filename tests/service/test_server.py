@@ -70,9 +70,7 @@ def test_default_spelling_dedupes_with_explicit_spelling(make_server):
     _, client = make_server()
     first = client.submit("simulate", {"kernel": "matvec"})
     client.wait(first["id"])
-    second = client.submit(
-        "simulate", {"kernel": "matvec", "flow": "DF-OoO", "backend": "compiled"}
-    )
+    second = client.submit("simulate", {"kernel": "matvec", "flow": "DF-OoO"})
     assert second["from_store"]
 
 
@@ -83,6 +81,7 @@ def test_bad_submissions_answer_400(make_server):
         ("bench", {"name": "not-a-benchmark"}),
         ("transform", {}),
         ("simulate", {"kernel": "matvec", "flow": "sideways"}),
+        ("simulate", {"kernel": "matvec", "backend": "interp"}),
     ]:
         with pytest.raises(ServiceError, match="400"):
             client.submit(kind, params)

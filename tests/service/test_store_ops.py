@@ -37,9 +37,7 @@ def test_removed_verify_kind_rejected():
 def test_defaults_are_spelled_out_for_stable_keys():
     # omitting a default and spelling it must fingerprint identically
     sim_a = canonical_params("simulate", {"kernel": "mvt"})
-    sim_b = canonical_params(
-        "simulate", {"kernel": "mvt", "flow": "DF-OoO", "backend": "compiled"}
-    )
+    sim_b = canonical_params("simulate", {"kernel": "mvt", "flow": "DF-OoO"})
     assert job_key("simulate", sim_a) == job_key("simulate", sim_b)
 
 
@@ -59,8 +57,9 @@ def test_different_params_different_keys():
         ("transform", {"kernel": "matvec", "dot": "x", "mark": {}}, "not both"),
         ("transform", {"dot": "digraph {}"}, "mark"),
         ("simulate", {"kernel": "matvec", "flow": "sideways"}, "flow"),
-        ("simulate", {"kernel": "matvec", "backend": "quantum"}, "backend"),
+        ("simulate", {"kernel": "matvec", "backend": "compiled"}, "unknown parameter"),
         ("simulate", {"kernel": "matvec", "jobs": 4}, "unknown parameter"),
+        ("fuzz", {"backend": "interp"}, "unknown parameter"),
         ("bench", {}, "name"),
         ("bench", {"name": "matvec", "extra": 1}, "unknown parameter"),
         ("check_obligations", {"rules": ["made_up_rule"]}, "unknown rule"),

@@ -8,21 +8,17 @@ import pytest
 from repro import obs
 from repro.components import default_environment, join
 from repro.errors import DeadlockError, SimulationError
-from repro.eval.runner import simulate_flow
+from repro.eval.runner import DATAFLOW_FLOWS, flow_graph, simulate_flow
 from repro.hls.area import latency_of
 from repro.hls.buffers import place_buffers
 from repro.hls.frontend import compile_program
 from repro.hls.ooo import transform_out_of_order
 from repro.sim.compiled import BatchRun, CompiledCircuit, compile_circuit
 from repro.sim.cycle import CycleSimulator
-from repro.sim.dispatch import BACKENDS, simulate_graph
+from repro.sim.dispatch import simulate_graph
+from repro.sim.trace import FiringTrace
 
-from ..property.test_sim_backend_equivalence import (
-    KERNELS,
-    TRANSFORMS,
-    build,
-    default_placement,
-)
+from ..property.test_sim_backend_equivalence import KERNELS, build, default_placement
 from .test_cycle import countdown_program
 
 
@@ -75,15 +71,15 @@ class TestCompileOnceRunMany:
         pristine = {k: v.copy() for k, v in program.arrays.items()}
         compiled_stats = simulate_graph(
             graph, env, ck.kernel, program.arrays,
-            capacities=caps, latency_of=latency_of, backend="compiled",
+            capacities=caps, latency_of=latency_of,
         )
         compiled_out = program.arrays["out"].copy()
         for k, v in pristine.items():
             program.arrays[k][...] = v
-        interp_stats = simulate_graph(
+        interp_stats = CycleSimulator(
             graph, env, ck.kernel, program.arrays,
-            capacities=caps, latency_of=latency_of, backend="interp",
-        )
+            capacities=caps, latency_of=latency_of,
+        ).run()
         assert stats_tuple(compiled_stats) == stats_tuple(interp_stats)
         assert np.array_equal(compiled_out, program.arrays["out"])
 
@@ -205,16 +201,30 @@ class TestFullChannelDiagnostic:
         assert f"({ring.cap}/{ring.cap} occupied)" in message
 
 
+def interpret_flow(program, flow, kernel_index):
+    """:func:`simulate_flow` on the interpreter: ``(stats, trace)``."""
+    env = default_environment()
+    ck = compile_program(program, env).kernels[kernel_index]
+    graph, tags, _ = flow_graph(ck, flow, env)
+    trace = FiringTrace()
+    stats = CycleSimulator(
+        graph, env, ck.kernel, program.arrays,
+        capacities=place_buffers(graph, tags).capacities,
+        latency_of=latency_of, trace=trace,
+    ).run()
+    return stats, trace
+
+
 class TestFiringTraceParity:
     """The compiled engine records every firing the interpreter does, at
     the same cycle, with the same latency, in the same order."""
 
-    @pytest.mark.parametrize("flow", ["DF-IO", "DF-OoO", "GRAPHITI"])
+    @pytest.mark.parametrize("flow", DATAFLOW_FLOWS)
     @pytest.mark.parametrize("name", sorted(KERNELS))
     def test_traces_identical(self, name, flow):
         for index in range(len(KERNELS[name]().kernels)):
-            c_stats, c_trace, _ = simulate_flow(KERNELS[name](), flow, index, backend="compiled")
-            i_stats, i_trace, _ = simulate_flow(KERNELS[name](), flow, index, backend="interp")
+            c_stats, c_trace, _ = simulate_flow(KERNELS[name](), flow, index)
+            i_stats, i_trace = interpret_flow(KERNELS[name](), flow, index)
             assert c_trace.events, f"{name}/{flow}/{index}: empty trace"
             assert c_trace.events == i_trace.events, f"{name}/{flow}/{index}"
             assert stats_tuple(c_stats) == stats_tuple(i_stats)
@@ -247,43 +257,43 @@ class TestStepsCounter:
     #: so these pins are what catches a change in which nodes the
     #: scheduler visits.
     PINNED_STEPS = {
-        ("bicg", None): 872,
-        ("bicg", "ooo"): 570,
-        ("bicg", "graphiti"): 872,
-        ("gemm", None): 2445,
-        ("gemm", "ooo"): 1090,
-        ("gemm", "graphiti"): 1179,
-        ("gsum-many", None): 1795,
-        ("gsum-many", "ooo"): 1364,
-        ("gsum-many", "graphiti"): 1268,
-        ("gsum-single", None): 1355,
-        ("gsum-single", "ooo"): 1265,
-        ("gsum-single", "graphiti"): 1113,
-        ("matvec", None): 943,
-        ("matvec", "ooo"): 530,
-        ("matvec", "graphiti"): 507,
-        ("mvt", None): 1068,
-        ("mvt", "ooo"): 674,
-        ("mvt", "graphiti"): 632,
+        ("bicg", "DF-IO"): 872,
+        ("bicg", "DF-OoO"): 570,
+        ("bicg", "GRAPHITI"): 872,
+        ("gemm", "DF-IO"): 2445,
+        ("gemm", "DF-OoO"): 1090,
+        ("gemm", "GRAPHITI"): 1179,
+        ("gsum-many", "DF-IO"): 1795,
+        ("gsum-many", "DF-OoO"): 1364,
+        ("gsum-many", "GRAPHITI"): 1268,
+        ("gsum-single", "DF-IO"): 1355,
+        ("gsum-single", "DF-OoO"): 1265,
+        ("gsum-single", "GRAPHITI"): 1113,
+        ("matvec", "DF-IO"): 943,
+        ("matvec", "DF-OoO"): 530,
+        ("matvec", "GRAPHITI"): 507,
+        ("mvt", "DF-IO"): 1068,
+        ("mvt", "DF-OoO"): 674,
+        ("mvt", "GRAPHITI"): 632,
     }
 
     def test_pins_cover_every_kernel_and_transform(self):
         assert set(self.PINNED_STEPS) == {
-            (name, transform) for name in KERNELS for transform in TRANSFORMS
+            (name, flow) for name in KERNELS for flow in DATAFLOW_FLOWS
         }
 
-    @pytest.mark.parametrize("transform", TRANSFORMS)
+    @pytest.mark.parametrize("flow", DATAFLOW_FLOWS)
     @pytest.mark.parametrize("name", sorted(KERNELS))
-    def test_steps_pinned(self, name, transform):
-        program, env, units = build(KERNELS[name], transform)
+    def test_steps_pinned(self, name, flow):
+        program, env, units = build(KERNELS[name], flow)
         with obs.scoped_tracer() as tracer:
             for ck, graph, tags in units:
                 simulate_graph(
                     graph, env, ck.kernel, program.arrays,
                     capacities=default_placement(graph, tags),
-                    latency_of=latency_of, backend="compiled",
+                    latency_of=latency_of,
                 )
-        assert tracer.counters["sim.steps"] == self.PINNED_STEPS[name, transform]
+        assert tracer.counters["sim.steps"] == self.PINNED_STEPS[name, flow]
 
     def test_batch_counts_steps_of_every_run(self):
         program, env, ck, graph, caps = compile_countdown("ooo")
@@ -329,17 +339,6 @@ class TestSweepOrder:
 
 
 class TestDispatch:
-    def test_backends_tuple(self):
-        assert BACKENDS == ("compiled", "interp")
-
-    def test_unknown_backend_raises_value_error(self):
-        program, env, ck, graph, caps = compile_countdown()
-        with pytest.raises(ValueError, match="unknown simulation backend"):
-            simulate_graph(
-                graph, env, ck.kernel, program.arrays,
-                capacities=caps, latency_of=latency_of, backend="bogus",
-            )
-
     def test_unknown_component_type_rejected_at_compile(self):
         from repro.core import ExprHigh, NodeSpec
 

@@ -1,10 +1,10 @@
 """Differential tests for the rare branches of the compiled engine's
 shape-specialised steps.
 
-Each case runs one circuit on both backends and requires identical
+Each case runs one circuit on both engines and requires identical
 ``SimStats.to_dict()``, firing traces and arrays.  The interpreter run is
 probed (:class:`ProbedSimulator`) to show that the circuit really takes the
-branch under test: since both backends agree event for event, a branch the
+branch under test: since both engines agree event for event, a branch the
 interpreter takes is one the compiled step took as well.
 """
 
@@ -16,6 +16,7 @@ import pytest
 from repro.components import branch, default_environment, fork, join, merge, operator, tagger
 from repro.core import ExprHigh, NodeSpec
 from repro.errors import SemanticsError
+from repro.eval.runner import DATAFLOW_FLOWS
 from repro.hls.area import latency_of
 from repro.hls.ir import BinOp, Const, DoWhile, Kernel, OuterLoop, Program, Select, StoreOp, Var
 from repro.sim.compiled import compile_circuit
@@ -286,9 +287,9 @@ def select_program():
 
 
 class TestThreeInputSelect:
-    @pytest.mark.parametrize("transform", [None, "ooo", "graphiti"])
-    def test_backends_agree(self, transform):
-        _, _, units = build(select_program, transform)
+    @pytest.mark.parametrize("flow", DATAFLOW_FLOWS)
+    def test_backends_agree(self, flow):
+        _, _, units = build(select_program, flow)
         arities = [
             len(spec.in_ports)
             for _, graph, _ in units
@@ -296,12 +297,12 @@ class TestThreeInputSelect:
             if spec.typ == "Operator"
         ]
         assert 3 in arities
-        assert_backends_agree(select_program, transform, default_placement)
+        assert_backends_agree(select_program, flow, default_placement)
 
 
 class TestUnresolvedOperator:
     def test_fails_at_the_firing_point_with_the_interpreters_message(self):
-        program, env, units = build(KERNELS["matvec"], None)
+        program, env, units = build(KERNELS["matvec"], "DF-IO")
         [(ck, graph, _)] = units
         graph = graph.copy()
         name = next(n for n, spec in graph.nodes.items() if spec.typ == "Operator")
