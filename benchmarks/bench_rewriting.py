@@ -135,30 +135,22 @@ def collect_measurements(repeats: int = 5) -> dict:
 
         match_seconds, match_count = _best_of(repeats, enumerate_all)
 
-        def fixpoint(use_worklist):
+        def fixpoint():
             """The fixpoint's ``rewriting.*`` counters, from a private tracer."""
             with obs.scoped_tracer() as tracer:
-                RewriteEngine().apply_exhaustively(
-                    graph.copy(), rules, use_worklist=use_worklist
-                )
+                RewriteEngine().apply_exhaustively(graph.copy(), rules)
             return tracer.counters
 
-        worklist_seconds, worklist = _best_of(repeats, lambda: fixpoint(True))
-        scan_seconds, scan = _best_of(repeats, lambda: fixpoint(False))
+        fixpoint_seconds, counters = _best_of(repeats, fixpoint)
         results[name] = {
             "nodes": len(graph.nodes),
             "edges": len(graph.connections),
             "match_enumeration_seconds": round(match_seconds, 6),
             "matches_enumerated": match_count,
-            "fixpoint_worklist_seconds": round(worklist_seconds, 6),
-            "fixpoint_scan_seconds": round(scan_seconds, 6),
-            "rewrites_applied": worklist.get("rewriting.applied", 0),
-            "worklist_matches_tried": worklist.get("rewriting.matches_tried", 0),
-            "scan_matches_tried": scan.get("rewriting.matches_tried", 0),
-            "worklist_scans": worklist.get("rewriting.worklist_scans", 0),
-            "full_scans": worklist.get("rewriting.full_scans", 0),
+            "fixpoint_seconds": round(fixpoint_seconds, 6),
+            "rewrites_applied": counters.get("rewriting.applied", 0),
+            "matches_tried": counters.get("rewriting.matches_tried", 0),
         }
-        assert worklist.get("rewriting.applied") == scan.get("rewriting.applied")
     return results
 
 
@@ -172,7 +164,7 @@ _MIN_SAMPLE_SECONDS = 0.1
 def measure_overhead(repeats: int = 5) -> dict:
     """Cost of the observability instrumentation on the rewrite fixpoint.
 
-    Three configurations of the same workload (the worklist fixpoint on the
+    Three configurations of the same workload (the rewrite fixpoint on the
     largest graphs, repeated within a sample until each configuration's
     share of it lasts at least ``_MIN_SAMPLE_SECONDS``), interleaved
     round-robin within each sample:
@@ -209,7 +201,7 @@ def measure_overhead(repeats: int = 5) -> dict:
     def one_pass() -> None:
         engine = RewriteEngine()
         for graph, rules in workload:
-            engine.apply_exhaustively(graph.copy(), rules, use_worklist=True)
+            engine.apply_exhaustively(graph.copy(), rules)
 
     def timed(fn) -> float:
         start = perf_counter()

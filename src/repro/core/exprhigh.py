@@ -250,19 +250,6 @@ class ExprHigh:
         for dst in self._in_edges.get(node, ()):
             yield self.connections[dst], dst
 
-    def adjacent_nodes(self, node: str) -> Iterator[str]:
-        """Yield each distinct neighbour of *node* (either direction) once."""
-        seen = {node}
-        for dst in self._out_edges.get(node, ()):
-            if dst.node not in seen:
-                seen.add(dst.node)
-                yield dst.node
-        for dst in self._in_edges.get(node, ()):
-            src = self.connections[dst].node
-            if src not in seen:
-                seen.add(src)
-                yield src
-
     def nodes_of_type(self, typ: str) -> list[str]:
         """Node names with component type *typ*, in insertion order."""
         return list(self._by_type.get(typ, ()))

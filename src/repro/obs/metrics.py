@@ -20,8 +20,6 @@ _REWRITING = {
     "rewrites_applied": "rewriting.applied",
     "matches_tried": "rewriting.matches_tried",
     "seconds": "rewriting.seconds",
-    "full_scans": "rewriting.full_scans",
-    "worklist_scans": "rewriting.worklist_scans",
 }
 
 
@@ -33,9 +31,9 @@ class MetricsSnapshot:
       ``cache.hits``, ``rewriting.applied:mux-combine``);
     * ``executor`` — ``units``/``hits``/``executed``/``retries``/
       ``total_seconds`` from the ``executor.*`` counters;
-    * ``rewriting`` — ``rewrites_applied``/``matches_tried``/``seconds``/
-      ``full_scans``/``worklist_scans`` plus ``per_rewrite`` keyed by
-      rewrite name (``applied``/``matches_tried``/``match_seconds``).
+    * ``rewriting`` — ``rewrites_applied``/``matches_tried``/``seconds``
+      plus ``per_rewrite`` keyed by rewrite name
+      (``applied``/``matches_tried``/``match_seconds``).
     """
 
     counters: dict = field(default_factory=dict)

@@ -74,7 +74,7 @@ class EGraph:
         self._node_of: list[tuple | None] = []
         self._memo: dict[tuple, int] = {}  # hash-cons: e-node -> birth id
         self._uses: list[list[int]] = []  # class -> birth ids of e-nodes using it
-        self._dirty: list[int] = []  # classes merged since the last rebuild
+        self._pending: list[int] = []  # classes merged since the last rebuild
 
     def __len__(self) -> int:
         """Number of hash-consed e-nodes (canonical right after a rebuild)."""
@@ -123,7 +123,7 @@ class EGraph:
         self._parent[b] = a
         self._uses[a].extend(self._uses[b])
         self._uses[b] = []
-        self._dirty.append(a)
+        self._pending.append(a)
         return a
 
     def rebuild(self) -> None:
@@ -134,9 +134,9 @@ class EGraph:
         rebuilding).  Of two congruent e-nodes the older one survives.
         """
         find = self.find
-        while self._dirty:
-            todo = dict.fromkeys(find(cls) for cls in self._dirty)
-            self._dirty = []
+        while self._pending:
+            todo = dict.fromkeys(find(cls) for cls in self._pending)
+            self._pending = []
             for cls in todo:
                 self._repair(find(cls))
 

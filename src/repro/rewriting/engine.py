@@ -7,19 +7,13 @@ refinement obligation has been discharged are tagged ``verified`` in the
 log, so a pipeline's output carries the same guarantee structure as the
 paper's (a verified core rewrite within a partially-unverified pipeline).
 
-``apply_exhaustively`` runs a *dirty-region worklist*: once a rewrite has
-been scanned against the whole graph without matching, it is only
-re-matched against anchors in or near the nodes a subsequent application
-touched.  Because any new match must involve a changed node (and the
-matcher enumerates anchors in the same sorted order either way), the
-worklist applies exactly the same rewrite sequence as the historical
-whole-graph scan — it just skips the provably matchless work.  A final
-full scan confirms the fixpoint before returning; ``use_worklist=False``
-selects the original scan-everything loop.
+``apply_exhaustively`` scans the rewrites in priority order, applies the
+first one that matches anywhere in the graph, and restarts from the top
+until none matches.  Each scan is cheap because the matcher anchors its
+search on the graph's type and adjacency indexes.
 
 The engine's work is counted on the active :mod:`repro.obs` tracer (cf.
-section 6.3): ``rewriting.applied``, ``rewriting.matches_tried``,
-``rewriting.full_scans``, ``rewriting.worklist_scans`` and
+section 6.3): ``rewriting.applied``, ``rewriting.matches_tried`` and
 ``rewriting.seconds``, plus per-rewrite ``rewriting.applied:<name>``,
 ``rewriting.matches_tried:<name>`` and ``rewriting.match_seconds:<name>``.
 """
@@ -27,14 +21,14 @@ section 6.3): ``rewriting.applied``, ``rewriting.matches_tried``,
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .. import obs
 from ..core.exprhigh import ExprHigh
 from ..errors import RefinementError, RewriteError
 from ..refinement.checker import check_rewrite_obligation
 from .apply import Application, apply_rewrite
-from .matcher import MatchStats, find_matches, first_match, match_plan
+from .matcher import MatchStats, first_match
 from .rewrite import Match, Rewrite
 
 
@@ -75,37 +69,21 @@ class RewriteEngine:
 
     # -- application ----------------------------------------------------------
 
-    def apply_once(
-        self,
-        graph: ExprHigh,
-        rewrite: Rewrite,
-        anchors: Iterable[str] | None = None,
-    ) -> ExprHigh | None:
-        """Apply *rewrite* at its first match; None when it does not match.
-
-        *anchors*, when given, restricts the match search to occurrences
-        anchored at those host nodes (the worklist's dirty region).
-        """
+    def apply_once(self, graph: ExprHigh, rewrite: Rewrite) -> ExprHigh | None:
+        """Apply *rewrite* at its first match; None when it does not match."""
         start = perf_counter()
-        with obs.span(
-            f"rewrite:{rewrite.name}",
-            scope="full" if anchors is None else "worklist",
-        ) as sp:
+        with obs.span(f"rewrite:{rewrite.name}") as sp:
             try:
                 if self.check_obligations and rewrite.verified and rewrite.obligation is not None:
                     self.verify_rewrite(rewrite)
                 mstats = MatchStats()
                 match_start = perf_counter()
                 with obs.span("match"):
-                    match = first_match(graph, rewrite, anchors=anchors, stats=mstats)
+                    match = first_match(graph, rewrite, stats=mstats)
                 obs.count(f"rewriting.match_seconds:{rewrite.name}", perf_counter() - match_start)
                 obs.count(f"rewriting.matches_tried:{rewrite.name}", mstats.candidates)
                 obs.count("rewriting.matches_tried", mstats.candidates)
                 sp.set(matches_tried=mstats.candidates, applied=match is not None)
-                if anchors is None:
-                    obs.count("rewriting.full_scans")
-                else:
-                    obs.count("rewriting.worklist_scans")
                 if match is None:
                     return None
                 with obs.span("apply"):
@@ -138,111 +116,29 @@ class RewriteEngine:
         graph: ExprHigh,
         rewrites: Sequence[Rewrite],
         max_steps: int = 10_000,
-        use_worklist: bool = True,
     ) -> ExprHigh:
         """Apply the given rewrites to fixpoint, first-match-first order.
 
         This is the "exhaustively apply the applicable rewrites in that
-        phase" strategy of section 3.1.  Raises :class:`RewriteError` when
-        *max_steps* applications do not reach a fixpoint (a diverging rule
-        set).  With *use_worklist* (the default) matching after the first
-        full scan is restricted to dirty regions; the applied sequence and
-        the result are identical to the whole-graph scan.
+        phase" strategy of section 3.1: after every application the scan
+        restarts from the highest-priority rewrite.  Raises
+        :class:`RewriteError` when a rewrite still matches after
+        *max_steps* applications (a diverging rule set).
         """
-        if not use_worklist:
-            return self._apply_exhaustively_scan(graph, rewrites, max_steps)
-
-        # One BFS radius covers every rewrite: a match involves nodes within
-        # pattern-diameter hops of its anchor, plus one hop of boundary
-        # context, so pattern-size + 1 hops of the changed nodes is enough
-        # to reach every anchor whose matchability could have changed.
-        radius = max((len(r.lhs.nodes) for r in rewrites), default=1) + 1
-        # None: no cleanliness knowledge, scan everything.  A set: every
-        # possible match is anchored inside it (empty = provably matchless).
-        # Disconnected patterns always rescan — a far-away change can
-        # complete a match anchored at an untouched node.
-        track = [match_plan(r).connected for r in rewrites]
-        dirty: list[set[str] | None] = [None] * len(rewrites)
-        steps = 0
-        confirming = False  # True while running the final full-scan sweep
-        while True:
-            for index, rewrite in enumerate(rewrites):
-                anchors = dirty[index]
-                if anchors is not None and not anchors:
-                    continue  # provably matchless since the last scan
-                new_graph = self.apply_once(graph, rewrite, anchors=anchors)
-                if new_graph is None:
-                    if track[index]:
-                        dirty[index] = set()
-                    continue
-                graph = new_graph
-                steps += 1
-                if steps >= max_steps:
-                    raise RewriteError(
-                        f"no fixpoint after {max_steps} rewrite applications; "
-                        f"rule set {[r.name for r in rewrites]} may diverge"
-                    )
-                application = self.log[-1]
-                region = self._dirty_region(graph, application.new_nodes, radius)
-                for j in range(len(rewrites)):
-                    if dirty[j] is not None:
-                        alive = {a for a in dirty[j] if a in graph.nodes}
-                        dirty[j] = alive | region
-                confirming = False
-                break  # restart from the highest-priority rewrite
-            else:
-                # A full sweep without an application: every rewrite is
-                # matchless.  Confirm once with unrestricted scans (defence
-                # in depth for the dirty-region bookkeeping), then return.
-                if confirming or all(d is None for d in dirty):
-                    return graph
-                dirty = [None] * len(rewrites)
-                confirming = True
-
-    def _apply_exhaustively_scan(
-        self,
-        graph: ExprHigh,
-        rewrites: Sequence[Rewrite],
-        max_steps: int,
-    ) -> ExprHigh:
-        """The pre-worklist strategy: re-scan the whole graph every step."""
         for _ in range(max_steps):
             for rewrite in rewrites:
                 new_graph = self.apply_once(graph, rewrite)
                 if new_graph is not None:
                     graph = new_graph
-                    break
+                    break  # restart from the highest-priority rewrite
             else:
                 return graph
-        raise RewriteError(
-            f"no fixpoint after {max_steps} rewrite applications; "
-            f"rule set {[r.name for r in rewrites]} may diverge"
-        )
-
-    @staticmethod
-    def _dirty_region(graph: ExprHigh, seeds: Iterable[str], radius: int) -> set[str]:
-        """Nodes within *radius* hops of *seeds* (which are all dirty).
-
-        Every crossing edge of an application re-attaches to a replacement
-        node, so the replacement's ``new_nodes`` seed the BFS: any node
-        whose neighbourhood changed is adjacent to one of them.
-        """
-        region = {name for name in seeds if name in graph.nodes}
-        frontier = set(region)
-        for _ in range(radius):
-            if not frontier:
-                break
-            grown = set()
-            for node in frontier:
-                for neighbour in graph.adjacent_nodes(node):
-                    if neighbour not in region:
-                        region.add(neighbour)
-                        grown.add(neighbour)
-            frontier = grown
-        return region
-
-    def matches(self, graph: ExprHigh, rewrite: Rewrite) -> Iterable[Match]:
-        return find_matches(graph, rewrite)
+        if any(first_match(graph, rewrite) is not None for rewrite in rewrites):
+            raise RewriteError(
+                f"no fixpoint after {max_steps} rewrite applications; "
+                f"rule set {[r.name for r in rewrites]} may diverge"
+            )
+        return graph
 
     def verified_fraction(self) -> float:
         """Fraction of logged applications that used verified rewrites."""

@@ -22,15 +22,15 @@ draws its candidates from the component-type index, and every subsequent
 pattern node derives its (at most one, since ports are single-use)
 candidate from the host adjacency of an already-mapped neighbour.  The
 per-pattern matching order and anchoring plan are computed once per
-:class:`Rewrite` and cached on it.  Enumeration order is unchanged from the
-historical scan — matches are still yielded in sorted-host-name order — so
-``first_match`` picks the same occurrence the full scan would.
+:class:`Rewrite` and cached on it.  Matches are yielded in sorted
+host-name order, so ``first_match`` picks the same occurrence on every run,
+and the rewrite engine's fixpoint loop applies a deterministic sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .. import obs
 from ..core.exprhigh import Endpoint, ExprHigh, NodeSpec
@@ -68,7 +68,6 @@ class _MatchPlan:
     order: list[str]
     anchors: list[_Anchor]
     specs: list[NodeSpec]
-    connected: bool = True  # False when the pattern has >1 component
     stale_guard: tuple = field(default_factory=tuple)
 
 
@@ -90,19 +89,14 @@ def match_plan(rewrite: Rewrite) -> _MatchPlan:
     if not order:
         raise MatchError(f"rewrite {rewrite.name!r} has an empty pattern")
     anchors: list[_Anchor] = []
-    connected = True
     placed: set[str] = set()
     for name in order:
-        anchor = _anchor_for(pattern, name, placed)
-        if anchor.via is None and placed:
-            connected = False
-        anchors.append(anchor)
+        anchors.append(_anchor_for(pattern, name, placed))
         placed.add(name)
     plan = _MatchPlan(
         order=order,
         anchors=anchors,
         specs=[pattern.nodes[name] for name in order],
-        connected=connected,
         stale_guard=guard,
     )
     rewrite._match_plan = plan  # type: ignore[attr-defined]
@@ -123,30 +117,25 @@ def _anchor_for(pattern: ExprHigh, name: str, placed: set[str]) -> _Anchor:
 def find_matches(
     graph: ExprHigh,
     rewrite: Rewrite,
-    anchors: Iterable[str] | None = None,
     stats: MatchStats | None = None,
 ) -> Iterator[Match]:
     """Yield every match of *rewrite*'s lhs in *graph*, deterministically.
 
-    *anchors*, when given, restricts the host nodes considered for the
-    first pattern node — the dirty-region hook used by the rewrite engine's
-    worklist fixpoint.  *stats* collects candidate-binding counts.
+    *stats* collects candidate-binding counts.
     """
     plan = match_plan(rewrite)
     if stats is None:
         stats = MatchStats()
-    anchor_set = None if anchors is None else set(anchors)
-    yield from _extend(graph, rewrite.lhs, plan, 0, {}, {}, anchor_set, stats)
+    yield from _extend(graph, rewrite.lhs, plan, 0, {}, {}, stats)
 
 
 def first_match(
     graph: ExprHigh,
     rewrite: Rewrite,
-    anchors: Iterable[str] | None = None,
     stats: MatchStats | None = None,
 ) -> Match | None:
     """The first match in deterministic order, or None."""
-    return next(find_matches(graph, rewrite, anchors=anchors, stats=stats), None)
+    return next(find_matches(graph, rewrite, stats=stats), None)
 
 
 def _matching_order(pattern: ExprHigh) -> list[str]:
@@ -185,15 +174,11 @@ def _candidates(
     plan: _MatchPlan,
     depth: int,
     node_map: dict[str, str],
-    anchor_set: set[str] | None,
 ) -> list[str]:
     """Host candidates for the pattern node at *depth*, in sorted order."""
     anchor = plan.anchors[depth]
     if anchor.via is None:
-        names = graph.nodes_of_type(plan.specs[depth].typ)
-        if depth == 0 and anchor_set is not None:
-            names = [name for name in names if name in anchor_set]
-        return sorted(names)
+        return sorted(graph.nodes_of_type(plan.specs[depth].typ))
     host_via = node_map[anchor.via]
     if anchor.forward:
         # Pattern edge via.via_port -> this.own_port: the host candidate is
@@ -216,7 +201,6 @@ def _extend(
     depth: int,
     node_map: dict[str, str],
     params: dict[str, object],
-    anchor_set: set[str] | None,
     stats: MatchStats,
 ) -> Iterator[Match]:
     if depth == len(plan.order):
@@ -226,7 +210,7 @@ def _extend(
         return
     pattern_name = plan.order[depth]
     pattern_spec = plan.specs[depth]
-    for host_name in _candidates(graph, plan, depth, node_map, anchor_set):
+    for host_name in _candidates(graph, plan, depth, node_map):
         if host_name in node_map.values():
             continue
         stats.candidates += 1
@@ -235,7 +219,7 @@ def _extend(
             continue
         node_map[pattern_name] = host_name
         if _connections_consistent(graph, pattern, node_map):
-            yield from _extend(graph, pattern, plan, depth + 1, node_map, bound, anchor_set, stats)
+            yield from _extend(graph, pattern, plan, depth + 1, node_map, bound, stats)
         del node_map[pattern_name]
 
 

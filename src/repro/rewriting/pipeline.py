@@ -136,7 +136,6 @@ class GraphitiPipeline:
     check_obligations: bool = False
     check_types: bool = False
     cache: object | None = None  # a repro.exec result cache for obligation discharges
-    use_worklist: bool = True  # dirty-region fixpoints; False forces whole-graph scans
     engine: RewriteEngine = field(init=False)
 
     def __post_init__(self) -> None:
@@ -163,9 +162,7 @@ class GraphitiPipeline:
             # Phase 1: combine steering.
             with obs.span("phase:normalize"):
                 working = self.engine.apply_exhaustively(
-                    working,
-                    [combine.mux_combine(), combine.branch_combine()],
-                    use_worklist=self.use_worklist,
+                    working, [combine.mux_combine(), combine.branch_combine()]
                 )
             # Phase 2: eliminate leftovers.  Identity-wire removal exposes new
             # Split/Join adjacencies, so the two interleave to a fixpoint.
@@ -177,9 +174,7 @@ class GraphitiPipeline:
             with obs.span("phase:eliminate"):
                 while True:
                     applied_before = len(self.engine.log)
-                    working = self.engine.apply_exhaustively(
-                        working, cleanup, use_worklist=self.use_worklist
-                    )
+                    working = self.engine.apply_exhaustively(working, cleanup)
                     nodes_before = len(working.nodes)
                     working = remove_identity_wires(working)
                     if (

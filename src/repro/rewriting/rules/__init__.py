@@ -42,7 +42,7 @@ def all_rewrites(tags: int = 4) -> list[Rewrite]:
     ]
 
 
-#: The obligation-discharge worklist of ``repro.cli refine``/``sat-check``
+#: The obligations discharged by ``repro.cli refine``/``sat-check``
 #: and :meth:`repro.api.Session.check_obligations`/``sat_check``:
 #: (module, factory, kwargs) triples.
 #: Factory references (rather than Rewrite objects, which close over

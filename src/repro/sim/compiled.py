@@ -110,7 +110,7 @@ class _Channel:
         "consumer",
         "commit",
         "active",
-        "dirty",
+        "pending",
         "ctx",
     )
 
@@ -127,7 +127,7 @@ class _Channel:
         self.commit = (self.queue, self.staged, consumer)
         # Shared run state of the owning CompiledCircuit.
         self.active: bytearray = rt._active
-        self.dirty: list = rt._dirty
+        self.pending: list = rt._pending
         self.ctx: _Ctx = rt._ctx
 
     def _overflow(self) -> SimulationError:
@@ -141,7 +141,7 @@ class _Channel:
         if not room:
             raise self._overflow()
         if not self.staged:
-            self.dirty.append(self.commit)
+            self.pending.append(self.commit)
         self.staged.append(value)
         room -= 1
         self.room = room
@@ -269,7 +269,7 @@ class CompiledCircuit:
         # Shared run state, captured by channels and step closures.
         self._active = bytearray(len(self.order))
         #: commit triples of the channels holding staged pushes this cycle.
-        self._dirty: list[tuple] = []
+        self._pending: list[tuple] = []
         self._ctx = _Ctx()
         #: ready cycle -> nodes to wake then; ``_armed[i]`` is the cycle node
         #: i was last armed for, so re-arming the same deadline is a no-op.
@@ -515,7 +515,7 @@ class CompiledCircuit:
         out, staged, commit, drain, start = self._single_out(name, "out0", latency, pipeline)
         queue, producer = channel.queue, channel.producer
         cap, delay = max(1, latency), max(1, latency - 1)
-        ctx, active, arm, dirty = self._ctx, self._active, self._arm, self._dirty
+        ctx, active, arm, pending = self._ctx, self._active, self._arm, self._pending
 
         def step(cycle: int) -> int:
             fired = 0
@@ -526,7 +526,7 @@ class CompiledCircuit:
                     room = out.room
                     if room:
                         if not staged:
-                            dirty.append(commit)
+                            pending.append(commit)
                         staged.append(pipeline.popleft()[1])
                         room -= 1
                         out.room = room
@@ -566,7 +566,7 @@ class CompiledCircuit:
         a, b = channels
         qa, qb, pa, pb = a.queue, b.queue, a.producer, b.producer
         cap, delay = max(1, latency), max(1, latency - 1)
-        ctx, active, arm, dirty = self._ctx, self._active, self._arm, self._dirty
+        ctx, active, arm, pending = self._ctx, self._active, self._arm, self._pending
 
         def step(cycle: int) -> int:
             fired = 0
@@ -577,7 +577,7 @@ class CompiledCircuit:
                     room = out.room
                     if room:
                         if not staged:
-                            dirty.append(commit)
+                            pending.append(commit)
                         staged.append(pipeline.popleft()[1])
                         room -= 1
                         out.room = room
@@ -755,7 +755,7 @@ class CompiledCircuit:
         pair = [a, b]
         qa, qb, pa, pb = a.queue, b.queue, a.producer, b.producer
         cap = max(1, latency)
-        ctx, active, arm, dirty = self._ctx, self._active, self._arm, self._dirty
+        ctx, active, arm, pending = self._ctx, self._active, self._arm, self._pending
 
         def step(cycle: int) -> int:
             fired = 0
@@ -766,7 +766,7 @@ class CompiledCircuit:
                     room = out.room
                     if room:
                         if not staged:
-                            dirty.append(commit)
+                            pending.append(commit)
                         staged.append(pipeline.popleft()[1])
                         room -= 1
                         out.room = room
@@ -892,7 +892,7 @@ class CompiledCircuit:
         queue0 = in0.queue if in0 is not None else ()
         queue1 = in1.queue if in1 is not None else ()
         cap, delay = max(1, latency), max(1, latency - 1)
-        ctx, active, arm, dirty = self._ctx, self._active, self._arm, self._dirty
+        ctx, active, arm, pending = self._ctx, self._active, self._arm, self._pending
 
         def step(cycle: int) -> int:
             fired = 0
@@ -903,7 +903,7 @@ class CompiledCircuit:
                     room = out.room
                     if room:
                         if not staged:
-                            dirty.append(commit)
+                            pending.append(commit)
                         staged.append(pipeline.popleft()[1])
                         room -= 1
                         out.room = room
@@ -961,7 +961,7 @@ class CompiledCircuit:
         cond_queue, data_queue = cond.queue, data.queue
         pc, pd = cond.producer, data.producer
         cap, delay = max(1, latency), max(1, latency - 1)
-        ctx, active, arm, dirty = self._ctx, self._active, self._arm, self._dirty
+        ctx, active, arm, pending = self._ctx, self._active, self._arm, self._pending
 
         def step(cycle: int) -> int:
             fired = 0
@@ -976,7 +976,7 @@ class CompiledCircuit:
                         if room:
                             staged = target.staged
                             if not staged:
-                                dirty.append(target.commit)
+                                pending.append(target.commit)
                             staged.append(value)
                             room -= 1
                             target.room = room
@@ -1032,7 +1032,7 @@ class CompiledCircuit:
         queue0 = in0.queue if in0 is not None else ()
         queue1 = in1.queue if in1 is not None else ()
         cap, delay = max(1, latency), max(1, latency - 1)
-        ctx, active, arm, dirty = self._ctx, self._active, self._arm, self._dirty
+        ctx, active, arm, pending = self._ctx, self._active, self._arm, self._pending
         rr = 0  # round-robin count: an even count tries in0 first
 
         def step(cycle: int) -> int:
@@ -1045,7 +1045,7 @@ class CompiledCircuit:
                     room = out.room
                     if room:
                         if not staged:
-                            dirty.append(commit)
+                            pending.append(commit)
                         staged.append(pipeline.popleft()[1])
                         room -= 1
                         out.room = room
@@ -1434,7 +1434,7 @@ class CompiledCircuit:
         for reset in self._resets:
             reset()
         self._active[:] = b"\x01" * len(self._active)
-        self._dirty.clear()
+        self._pending.clear()
         self._timers.clear()
         self._armed[:] = [-1] * len(self._armed)
         self._ctx.tokens = 0
@@ -1512,7 +1512,7 @@ class CompiledCircuit:
         active = self._active
         nodes = range(len(active))
         steps = self._steps
-        dirty = self._dirty
+        pending = self._pending
         due_at = self._timers.pop
         pipelines = self._pipelines
         expected = self._expected_results
@@ -1533,12 +1533,12 @@ class CompiledCircuit:
                 active[i] = 0
                 fired += steps[i](cycle)
                 calls += 1
-            if dirty:
-                for queue, staged, consumer in dirty:
+            if pending:
+                for queue, staged, consumer in pending:
                     queue.extend(staged)
                     staged.clear()
                     active[consumer] = 1
-                dirty.clear()
+                pending.clear()
             cycle += 1
             if completed is not None:
                 # Drain phase (matches the interpreter): all results are in,

@@ -134,37 +134,30 @@ class TestExhaustive:
         assert stats().rewriting["seconds"] >= 0.0
         assert stats().matches_tried >= 2
 
-    def test_worklist_matches_full_scan_output(self):
-        from repro.exec.hashing import graph_fingerprint
-
-        worklist = RewriteEngine().apply_exhaustively(
-            pure_chain(6), [fork_sink_elim(), pure_compose()]
-        )
-        scan = RewriteEngine().apply_exhaustively(
-            pure_chain(6), [fork_sink_elim(), pure_compose()], use_worklist=False
-        )
-        assert graph_fingerprint(worklist) == graph_fingerprint(scan)
-
-    def test_worklist_restricts_rescans(self):
-        # split-join-elim fails its first full scan (no Split in a pure
-        # chain) and is then only re-matched against the dirty region each
-        # time pure-compose fires.
-        with obs.scoped_tracer() as worklist:
-            RewriteEngine().apply_exhaustively(
-                pure_chain(8), [split_join_elim(), pure_compose()]
-            )
-        assert worklist.counters["rewriting.worklist_scans"] > 0
-        with obs.scoped_tracer() as scan:
-            RewriteEngine().apply_exhaustively(
-                pure_chain(8), [split_join_elim(), pure_compose()], use_worklist=False
-            )
-        assert worklist.counters["rewriting.full_scans"] < scan.counters["rewriting.full_scans"]
-
-    def test_escape_hatch_never_uses_worklist(self, stats):
+    @pytest.mark.parametrize("length", [1, 4])
+    def test_fixpoint_reached_in_exactly_max_steps(self, length):
+        # A chain of n Pures composes into one in n - 1 applications.
         engine = RewriteEngine()
-        engine.apply_exhaustively(pure_chain(5), [pure_compose()], use_worklist=False)
-        assert stats().rewriting["worklist_scans"] == 0
-        assert stats().rewriting["full_scans"] > 0
+        result = engine.apply_exhaustively(
+            pure_chain(length), [pure_compose()], max_steps=length - 1
+        )
+        assert len(result.nodes) == 1
+        assert len(engine.log) == length - 1
+
+    def test_one_step_short_of_the_fixpoint_raises(self):
+        engine = RewriteEngine()
+        with pytest.raises(RewriteError, match="no fixpoint after 2 rewrite applications"):
+            engine.apply_exhaustively(pure_chain(4), [pure_compose()], max_steps=2)
+        assert len(engine.log) == 2
+
+    def test_removed_worklist_knobs_are_rejected(self):
+        engine = RewriteEngine()
+        with pytest.raises(TypeError):
+            engine.apply_exhaustively(pure_chain(3), [pure_compose()], use_worklist=False)
+        with pytest.raises(TypeError):
+            engine.apply_once(pure_chain(3), pure_compose(), anchors=["p0"])
+        assert not hasattr(engine, "matches")
+        assert not hasattr(ExprHigh, "adjacent_nodes")
 
 
 class TestVerifiedFraction:

@@ -2,9 +2,10 @@
 
 Pins what that path produces on the six paper kernels — the exact output
 circuit, its step counts and its wire form — checks that obligation
-discharges are cached across pipelines, and that the knobs of the removed
-saturation explorer (``strategy``, ``budget``, ``--pareto``) are rejected
-at every surface instead of being silently ignored.
+discharges are cached across pipelines, and that removed knobs (the
+saturation explorer's ``strategy``, ``budget`` and ``--pareto``, and the
+worklist fixpoint's ``use_worklist``) are rejected at every surface
+instead of being silently ignored.
 """
 
 import hashlib
@@ -35,6 +36,27 @@ PINNED = {
     "mvt": (True, 12, 1071, 7, 29, "a8f5ea019cdc54c17a03986b062ecf86a7479b3f32fcb806a21d2893ed85373b"),
 }
 
+_CLOSE = ["purify-body", "ooo-loop", "expand-body"]
+
+
+def _steering(n):
+    return ["mux-combine"] * n + ["branch-combine"] * n + ["split-join-elim"] * n + _CLOSE
+
+
+#: kernel -> (rewrite names of ``engine.log`` in order, sha256 of every
+#: application's rewrite, matched nodes and new nodes).  Recorded from the
+#: pipeline as it stood before the dirty-region worklist was deleted; the
+#: one remaining fixpoint loop must apply the same rewrites at the same
+#: places.
+PINNED_SEQUENCES = {
+    "bicg": ([], "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "gemm": (_steering(5), "942ebb0d359f3b940a1983b1b37de03a856f8729bacddb5c27153e1fd0372217"),
+    "gsum-many": (_steering(3), "ad617cf9f460ea8a7666a3808146820ef22a4158768e27776b4e370ebde55d4f"),
+    "gsum-single": (_steering(2), "67c038bec5de4dc7609de2fe45d87f079f134b24b259ee46721125809b655fca"),
+    "matvec": (_steering(3), "68f22a8ae96cabd256cb9b06654ff9e7f1138137847aa9a105eea3d77c1309e3"),
+    "mvt": (_steering(3), "69d1f5eb37cd551f2d7e12468ea7a4536227e90947ff44f58050b5b9433b8b0e"),
+}
+
 #: Wire keys that only the saturate strategy wrote (schema 1).
 SATURATE_KEYS = ("strategy", "pareto", "best_cost", "fixpoint_cost", "saturation")
 
@@ -55,7 +77,7 @@ def results():
 
 
 def test_pins_cover_every_benchmark():
-    assert sorted(PINNED) == sorted(BENCHMARKS)
+    assert sorted(PINNED) == sorted(PINNED_SEQUENCES) == sorted(BENCHMARKS)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -70,6 +92,21 @@ def test_output_circuit_is_pinned(results, name):
         len(result.graph.nodes),
         digest,
     ) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SEQUENCES))
+def test_applied_sequence_is_pinned(name):
+    env, ck = compile_kernel(name)
+    pipeline = GraphitiPipeline(env)
+    pipeline.transform_kernel(ck.graph, ck.mark)
+    log = pipeline.engine.log
+    text = "".join(
+        f"{a.rewrite} {sorted(a.matched_nodes)} {sorted(a.new_nodes)}\n" for a in log
+    )
+    assert (
+        [a.rewrite for a in log],
+        hashlib.sha256(text.encode()).hexdigest(),
+    ) == PINNED_SEQUENCES[name]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -125,8 +162,8 @@ def test_obligations_discharged_cold_then_served_from_cache(tmp_path):
     assert cold.verified_applications == PINNED["matvec"][3]
 
 
-@pytest.mark.parametrize("knob", ["strategy", "budget"])
-def test_pipeline_has_no_saturation_knob(knob):
+@pytest.mark.parametrize("knob", ["strategy", "budget", "use_worklist"])
+def test_pipeline_has_no_removed_knob(knob):
     with pytest.raises(TypeError, match=knob):
         GraphitiPipeline(default_environment(), **{knob: None})
 

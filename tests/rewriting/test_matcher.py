@@ -57,6 +57,12 @@ class TestBasicMatching:
         second_run = [m.nodes for m in find_matches(host_two_mux_loop(), mux_combine())]
         assert first_run == second_run
 
+    def test_removed_anchors_parameter_is_rejected(self):
+        with pytest.raises(TypeError):
+            first_match(host_two_mux_loop(), mux_combine(), anchors=["cfork"])
+        with pytest.raises(TypeError):
+            find_matches(host_two_mux_loop(), mux_combine(), anchors=["cfork"])
+
     def test_empty_pattern_rejected(self):
         bad = Rewrite(name="empty", lhs=ExprHigh(), rhs=lambda m: ExprHigh())
         with pytest.raises(MatchError):
