@@ -23,7 +23,7 @@ A Session owns:
   stimuli/tool-version fingerprints (see :mod:`repro.exec.hashing`), so a
   warm rerun recomputes nothing;
 * the :class:`~repro.exec.executor.Executor` that fans independent work
-  units — (benchmark × flow) runs, obligation discharges, SAT
+  units — one benchmark's four flows, obligation discharges, SAT
   cross-checks, fuzz cases — over a process pool, with deterministic
   result ordering (output is byte-identical to a serial run) and serial
   fallback on worker failure;
@@ -463,8 +463,10 @@ SimulationCertificate` in the content-addressed result cache (compact
         names: Iterable[str],
         programs: Mapping[str, object] | None = None,
     ) -> dict[str, "BenchmarkResult"]:
-        """Run the (benchmark × flow) matrix as independent work units."""
-        from .eval.runner import FLOWS, BenchmarkResult, FlowResult
+        """Run each benchmark through all four flows, one work unit per
+        benchmark: one compile and one reference run serve every flow
+        (:func:`repro.eval.runner.evaluate_program`)."""
+        from .eval.runner import BenchmarkResult
         from .hls.frontend import compile_program
 
         names = list(names)
@@ -477,28 +479,24 @@ SimulationCertificate` in the content-addressed result cache (compact
 
                     program = load_benchmark(name)
                 # Compile once per benchmark, in-process, purely to derive the
-                # content-addressed keys; workers recompile deterministically.
+                # content-addressed key; the unit recompiles deterministically.
                 key_env = default_environment()
                 compiled = compile_program(program, key_env)
-                for flow in FLOWS:
-                    units.append(
-                        WorkUnit(
-                            uid=f"{name}:{flow}",
-                            fn="repro.exec.workers:eval_flow",
-                            payload={"name": name, "flow": flow, "program": program},
-                            cache_key=eval_unit_key(flow, program, compiled, key_env),
-                        )
+                units.append(
+                    WorkUnit(
+                        uid=f"bench:{name}",
+                        fn="repro.exec.workers:eval_benchmark",
+                        payload={"name": name, "program": program},
+                        cache_key=eval_unit_key(program, compiled, key_env),
                     )
+                )
             raw = self.executor.run(units)
-            results: dict[str, BenchmarkResult] = {}
-            cursor = 0
-            for name in names:
-                result = BenchmarkResult(name)
-                for flow in FLOWS:
-                    result.flows[flow] = FlowResult.from_dict(raw[cursor])
-                    cursor += 1
-                results[name] = result
-            return results
+            # The cache key covers the program, not the name it is benched
+            # under, so label each result with the caller's name.
+            return {
+                name: BenchmarkResult(name, BenchmarkResult.from_dict(entry).flows)
+                for name, entry in zip(names, raw)
+            }
 
     def report(
         self,

@@ -24,7 +24,7 @@ refusal, e.g. for effectful loop bodies).
 
 Every subcommand goes through the :class:`repro.api.Session` facade and
 accepts the executor flags: ``--jobs N`` fans independent work units
-(benchmark × flow runs, rewrite obligations) over a process pool;
+(one per benchmark, rewrite obligations, fuzz cases) over a process pool;
 ``--cache-dir`` points the content-addressed result cache somewhere
 specific; ``--no-cache`` disables it.  Output is deterministic: a parallel
 or warm-cache run prints the same bytes as a cold serial one.

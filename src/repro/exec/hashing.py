@@ -89,8 +89,8 @@ def program_fingerprint(program) -> str:
     return fingerprint("program", program.name, repr(program.kernels), ";".join(arrays))
 
 
-def eval_unit_key(flow: str, program, compiled, env: Environment) -> str:
-    """Cache key for one (benchmark × flow) evaluation run.
+def eval_unit_key(program, compiled, env: Environment) -> str:
+    """Cache key for one benchmark's evaluation through all four flows.
 
     *compiled* is the :class:`~repro.hls.frontend.CompiledProgram`; hashing
     the compiled kernel graphs (not just the IR) means any front-end change
@@ -103,7 +103,6 @@ def eval_unit_key(flow: str, program, compiled, env: Environment) -> str:
     return fingerprint(
         "eval",
         TOOL_VERSION,
-        flow,
         program_fingerprint(program),
         env.signature(),
         *kernel_parts,

@@ -5,8 +5,9 @@ JSON-serialisable dict (the executor and the cache both require this), so
 the same function runs identically in-process and in a pool worker.  The
 unit kinds mirror the serial entry points they wrap:
 
-* :func:`eval_flow` — one (benchmark × flow) evaluation run
-  (:func:`repro.eval.runner.run_flow`);
+* :func:`eval_benchmark` — one benchmark through all four flows
+  (:func:`repro.eval.runner.evaluate_program`: one compile, one
+  reference run);
 * :func:`check_obligation_certified` — one rewrite's refinement-obligation
   discharge through the persistent-certificate path: stored certificates
   are re-validated (O(relation)) instead of re-searching, with
@@ -21,7 +22,7 @@ Environments are rebuilt inside the worker (they hold closures and are not
 picklable); graphs and IR programs pickle directly.
 
 Workers are instrumented like the serial entry points: each opens a span
-(``flow:…``, ``obligation:…``, ``sat-check:…``, ``fuzz:case``) on
+(``bench:…``, ``obligation:…``, ``sat-check:…``, ``fuzz:case``) on
 whatever tracer is active in its process, and counts there.  In-process
 (serial) execution nests those spans under the executor's unit span
 directly; in a pool worker the executor installs a private tracer around
@@ -37,13 +38,14 @@ from time import perf_counter
 from .. import obs
 
 
-def eval_flow(*, name: str, flow: str, program=None) -> dict:
-    """Run one benchmark under one flow; returns ``FlowResult.to_dict()``."""
-    from ..eval.runner import run_flow
+def eval_benchmark(*, name: str, program) -> dict:
+    """Evaluate one benchmark through all four flows; returns
+    ``BenchmarkResult.to_dict()``."""
+    from ..eval.runner import evaluate_program
 
-    with obs.span(f"flow:{flow}", benchmark=name) as sp:
-        result = run_flow(name, flow, program=program)
-        sp.set(cycles=result.cycles, correct=result.correct)
+    with obs.span(f"bench:{name}") as sp:
+        result, _ = evaluate_program(program)
+        sp.set(wrong=",".join(flow for flow, run in result.flows.items() if not run.correct))
     return result.to_dict()
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from ..errors import SchedulingError
 from .area import AreaReport, OP_PROFILES, base_op
-from .ir import BinOp, Const, Expr, Load, Program, Select, UnOp, Var, run_program
+from .ir import BinOp, Const, ExecutionTrace, Expr, Load, Program, Select, UnOp, Var, run_program
 
 #: Latency scale: Vericert's units are pipelined deeper to close at a lower
 #: clock; combined with no loop pipelining this is the paper's cycle-count /
@@ -140,14 +140,18 @@ class StaticScheduleReport:
     iterations: int
 
 
-def schedule_program(program: Program, arrays: dict | None = None) -> StaticScheduleReport:
+def schedule_program(
+    program: Program, trace: ExecutionTrace | None = None
+) -> StaticScheduleReport:
     """Schedule and 'run' the program on the FSM architecture.
 
-    Trip counts come from the reference interpreter run on *arrays* (in
-    place; default: a copy of the program's), so a loop bound that reads
-    an earlier kernel's or an earlier instance's store sees that store.
+    Trip counts come from *trace*, the reference interpreter's run of
+    *program* (default: a fresh :func:`run_program` on a copy of its
+    arrays), so a loop bound that reads an earlier kernel's or an earlier
+    instance's store sees that store.
     """
-    trace = run_program(program, arrays)
+    if trace is None:
+        trace = run_program(program)
     total_cycles = 0
     total_iterations = 0
     worst_iteration = 0

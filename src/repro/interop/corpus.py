@@ -13,9 +13,9 @@ pure function of the case seed, so a corpus is reproducible from
 * round-tripped through both netlist formats (JSON + structural Verilog),
   requiring byte-identical re-serialisation;
 * run through DF-IO, DF-OoO, and GRAPHITI
-  (:func:`repro.eval.runner.run_flow`), each simulation checked against
-  the sequential reference interpreter — values *and* per-array store
-  order;
+  (:func:`repro.eval.runner.evaluate_program`, whose one compile the
+  round-trips reuse), each simulation checked against the sequential
+  reference interpreter — values *and* per-array store order;
 * checked against the pipeline's refusal contract: the Graphiti transform
   must refuse exactly the effectful loops.
 
@@ -174,9 +174,7 @@ def case_seeds(seed: int, count: int) -> list[int]:
 
 def run_fuzz_case(seed: int) -> dict:
     """Run one differential fuzz case; returns a manifest entry dict."""
-    from ..components import default_environment
-    from ..eval.runner import DATAFLOW_FLOWS, run_flow
-    from ..hls.frontend import compile_program
+    from ..eval.runner import DATAFLOW_FLOWS, evaluate_program
     from .netlist import dumps_netlist, loads_netlist
     from .verilog import dump_verilog, parse_verilog
 
@@ -184,8 +182,8 @@ def run_fuzz_case(seed: int) -> dict:
     program = case.program
     failures: list[str] = []
 
-    env = default_environment()
-    compiled = compile_program(program, env)
+    # Vericert is the reference interpreter's twin and adds nothing here.
+    result, compiled = evaluate_program(program, DATAFLOW_FLOWS)
     round_trip = {"json": True, "verilog": True}
     for ck in compiled.kernels:
         text = dumps_netlist(ck.graph, name=ck.kernel.name)
@@ -199,16 +197,15 @@ def run_fuzz_case(seed: int) -> dict:
             round_trip["verilog"] = False
             failures.append(f"Verilog round-trip broke on {ck.kernel.name}")
 
-    flows: dict[str, dict] = {}
-    # Vericert is the reference interpreter's twin and adds nothing here.
-    for flow in DATAFLOW_FLOWS:
-        result = run_flow(program.name, flow, program=program)
-        flows[flow] = {
-            "cycles": int(result.cycles),
-            "correct": bool(result.correct),
-            "stores_in_order": bool(result.stores_in_order),
-            "refused_loops": int(result.refused_loops),
+    flows = {
+        flow: {
+            "cycles": int(run.cycles),
+            "correct": bool(run.correct),
+            "stores_in_order": bool(run.stores_in_order),
+            "refused_loops": int(run.refused_loops),
         }
+        for flow, run in result.flows.items()
+    }
 
     if not flows["DF-IO"]["correct"] or not flows["DF-IO"]["stores_in_order"]:
         failures.append("DF-IO diverged from the sequential reference")

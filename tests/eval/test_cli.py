@@ -113,17 +113,17 @@ class TestTransform:
 
 class TestBench:
     def test_bench_prints_all_flows(self, capsys, monkeypatch):
-        # Shrink the benchmark so the CLI smoke test stays fast.  bench now
+        # Shrink the benchmark so the CLI smoke test stays fast.  bench
         # goes through the Session/executor path, whose unit of work is
-        # run_flow (one benchmark under one flow).
+        # evaluate_program (one benchmark through all four flows).
         import repro.eval.runner as runner
         from repro.benchmarks import matvec
 
-        original = runner.run_flow
+        original = runner.evaluate_program
         monkeypatch.setattr(
             runner,
-            "run_flow",
-            lambda name, flow, program=None, **kw: original(name, flow, matvec(6), **kw),
+            "evaluate_program",
+            lambda program, *args: original(matvec(6), *args),
         )
         code = main(["bench", "matvec", "--no-cache"])
         assert code == 0
@@ -205,11 +205,11 @@ class TestExecFlagValidation:
         import repro.eval.runner as runner
         from repro.benchmarks import matvec
 
-        original = runner.run_flow
+        original = runner.evaluate_program
         monkeypatch.setattr(
             runner,
-            "run_flow",
-            lambda name, flow, program=None, **kw: original(name, flow, matvec(6), **kw),
+            "evaluate_program",
+            lambda program, *args: original(matvec(6), *args),
         )
         code = main(["bench", "matvec", "--cache-dir", str(tmp_path / "cache")])
         assert code == 0

@@ -96,3 +96,17 @@ def test_non_dataflow_flow_rejected(flow):
     env, compiled = compile_benchmark("matvec")
     with pytest.raises(ValueError, match="unknown dataflow flow"):
         flow_graph(compiled.kernels[0], flow, env)
+
+
+@pytest.mark.parametrize("name", BENCHMARKS)
+def test_flows_leave_the_shared_compiled_program_unchanged(name):
+    """Every flow of one evaluation reads the same ``CompiledProgram``, so
+    deriving the DF-OoO and GRAPHITI circuits must not touch its graphs."""
+    env, compiled = compile_benchmark(name)
+    for ck in compiled.kernels:
+        flow_graph(ck, "DF-OoO", env)
+        flow_graph(ck, "GRAPHITI", env)
+    _, fresh = compile_benchmark(name)
+    assert [graph_fingerprint(ck.graph) for ck in compiled.kernels] == [
+        graph_fingerprint(ck.graph) for ck in fresh.kernels
+    ]

@@ -7,7 +7,7 @@ from repro.api import Session
 from repro.benchmarks import matvec
 from repro.components import default_environment
 from repro.errors import GraphitiError
-from repro.eval.runner import FLOWS, FlowResult, run_flow
+from repro.eval.runner import FLOWS, FlowResult, evaluate_program
 from repro.hls.frontend import LoopMark, compile_program
 from repro.hls.ir import BinOp, DoWhile, Kernel, Load, OuterLoop, Program, StoreOp, UnOp, Var
 from repro.results import as_dict, summarize
@@ -38,11 +38,11 @@ def gcd_program() -> Program:
 
 
 class TestFlowEquivalence:
-    def test_run_flow_matches_session_bench_on_full_matrix(self):
+    def test_single_flow_evaluation_matches_session_bench(self):
         combined = Session(jobs=1, use_cache=False).bench(name="matvec", program=matvec(5))
         for flow in FLOWS:
-            single = run_flow("matvec", flow, matvec(5))
-            assert single.to_dict() == combined[flow].to_dict()
+            single, _ = evaluate_program(matvec(5), (flow,))
+            assert single[flow].to_dict() == combined[flow].to_dict()
 
     def test_parallel_report_is_byte_identical_to_serial(self, tmp_path):
         programs = {"matvec": matvec(5), "gsum-single": None}
@@ -60,13 +60,13 @@ class TestSessionCaching:
         programs = {"matvec": matvec(5)}
         cold = Session(jobs=1, cache_dir=tmp_path)
         first = cold.report(["matvec"], programs)
-        assert cold.metrics().executed == len(FLOWS)
+        assert cold.metrics().executed == 1  # one unit per benchmark
 
         warm = Session(jobs=1, cache_dir=tmp_path)
         second = warm.report(["matvec"], {"matvec": matvec(5)})
         assert second == first
         assert warm.metrics().executed == 0
-        assert warm.metrics().hits == len(FLOWS)
+        assert warm.metrics().hits == 1
 
     def test_program_edit_invalidates_cache(self, tmp_path):
         Session(cache_dir=tmp_path).bench(name="matvec", program=matvec(5))
@@ -74,7 +74,7 @@ class TestSessionCaching:
         edited.arrays["x"][0] += 1.0
         session = Session(cache_dir=tmp_path)
         session.bench(name="matvec", program=edited)
-        assert session.metrics().executed == len(FLOWS)
+        assert session.metrics().executed == 1
 
     def test_obligations_are_certified_through_the_cache(self, tmp_path):
         specs = [("repro.rewriting.rules.combine", "mux_combine", {})]
@@ -185,7 +185,7 @@ class TestLoopMarkFromGraph:
 
 class TestResultProtocol:
     def test_flow_result_roundtrip(self):
-        result = run_flow("matvec", "Vericert", matvec(4))
+        result = evaluate_program(matvec(4), ("Vericert",))[0]["Vericert"]
         data = as_dict(result)
         assert data["kind"] == "FlowResult"
         assert FlowResult.from_dict(data).to_dict() == data
@@ -230,7 +230,7 @@ class TestUnifiedMetrics:
         data = as_dict(snapshot)
         assert data["kind"] == "MetricsSnapshot"
         assert set(data) == {"kind", "schema_version", "executor", "rewriting", "counters"}
-        assert snapshot.units == len(FLOWS)
+        assert snapshot.units == 1
         assert "units" in summarize(snapshot)
 
     def test_transform_counts_roll_into_snapshot(self):

@@ -109,17 +109,20 @@ class TestProgramAndStimuli:
 
 
 class TestUnitKeys:
-    def test_eval_unit_key_distinguishes_flows_and_programs(self):
+    def test_eval_unit_key_is_stable_and_distinguishes_programs(self):
         env = default_environment()
         program = matvec(4)
-        compiled = compile_program(program, env)
-        keys = {flow: eval_unit_key(flow, program, compiled, env) for flow in ("DF-IO", "GRAPHITI")}
-        assert keys["DF-IO"] != keys["GRAPHITI"]
+        key = eval_unit_key(program, compile_program(program, env), env)
+        again = matvec(4)
+        assert eval_unit_key(again, compile_program(again, env), env) == key
 
         other = matvec(4)
         other.arrays["x"][...] = np.arange(len(other.arrays["x"]))
         other_compiled = compile_program(other, default_environment())
-        assert eval_unit_key("DF-IO", other, other_compiled, env) != keys["DF-IO"]
+        assert eval_unit_key(other, other_compiled, env) != key
+
+        larger = matvec(5)
+        assert eval_unit_key(larger, compile_program(larger, env), env) != key
 
     def test_obligation_fingerprint_stable_per_rewrite(self):
         first = obligation_fingerprint("mux-combine", list(mux_combine().obligation()))

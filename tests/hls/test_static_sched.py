@@ -122,14 +122,29 @@ class TestTripCountsSeeStores:
         assert run_program(program).trip_counts == [[1, 3, 3]]
         assert schedule_program(program).iterations == 7
 
+    def test_given_trace_is_used_without_running_the_program(self, monkeypatch):
+        import repro.hls.static_sched as static_sched
+
+        program = matvec(6)
+        trace = run_program(program)
+        expected = schedule_program(program)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("schedule_program ran the program again")
+
+        monkeypatch.setattr(static_sched, "run_program", refuse)
+        report = schedule_program(program, trace)
+        assert (report.cycles, report.iterations) == (expected.cycles, expected.iterations)
+        assert report.area.to_dict() == expected.area.to_dict()
+
 
 class TestComparisonShape:
     def test_vericert_cycles_dominate_dataflow(self):
         """The architectural claim: static scheduling with shared units has
         a much higher cycle count on irregular-latency loops."""
-        from repro.eval.runner import run_flow
+        from repro.eval.runner import evaluate_program
 
-        vericert = run_flow("matvec", "Vericert", matvec(8))
-        df_io = run_flow("matvec", "DF-IO", matvec(8))
+        result, _ = evaluate_program(matvec(8), ("Vericert", "DF-IO"))
+        vericert, df_io = result["Vericert"], result["DF-IO"]
         assert vericert.cycles > 1.5 * df_io.cycles
         assert vericert.area.clock_period < df_io.area.clock_period

@@ -10,7 +10,7 @@ and every dataflow flow of the program below then came out incorrect.
 import numpy as np
 import pytest
 
-from repro.eval.runner import DATAFLOW_FLOWS, run_flow
+from repro.eval.runner import DATAFLOW_FLOWS, evaluate_program
 from repro.hls.area import latency_of
 from repro.hls.ir import BinOp, Const, DoWhile, Kernel, OuterLoop, Program, StoreOp, Var, run_program
 
@@ -47,7 +47,7 @@ def test_reference_binds_exit_values_over_outer_values():
 @pytest.mark.parametrize("flow", DATAFLOW_FLOWS)
 def test_every_dataflow_flow_agrees_with_the_reference(flow, backend):
     if backend == "compiled":
-        result = run_flow("shadow", flow, program=shadowing_program())
+        result = evaluate_program(shadowing_program(), (flow,))[0][flow]
         assert result.correct
         assert result.stores_in_order
         return

@@ -50,15 +50,16 @@ def test_bench_counts_the_graphiti_flows_rewrites(matvec_bench):
     assert matvec_bench.rewrites_applied == expected
 
 
-def test_bench_counters_do_not_depend_on_jobs(matvec_bench):
+def test_bench_counters_do_not_depend_on_jobs():
     """Pool workers ship their counters back: jobs=2 counts what jobs=1 does."""
-    with Session(jobs=2, use_cache=False) as parallel:
-        parallel.bench(name="matvec")
-    counters = parallel.metrics().counters
-    assert counters["executor.pool"] > 0
-    assert scheduling_independent(counters) == (
-        scheduling_independent(matvec_bench.counters)
-    )
+    # Two benchmarks are two units, so jobs=2 runs them in the pool.
+    counters = {}
+    for jobs in (1, 2):
+        with Session(jobs=jobs, use_cache=False) as session:
+            session.bench_many(["bicg", "matvec"])
+        counters[jobs] = session.metrics().counters
+    assert counters[2]["executor.pool"] == 2
+    assert scheduling_independent(counters[2]) == scheduling_independent(counters[1])
 
 
 @pytest.mark.parametrize(
@@ -121,21 +122,28 @@ def test_sessions_on_two_threads_count_only_their_own_work():
 
 def test_service_job_counters_include_pool_workers(make_server):
     _, client = make_server(jobs=2)
-    job = client.submit("bench", {"name": "matvec"})
+    # A bench job is one unit and runs in-process; two fuzz cases fan out.
+    job = client.submit("fuzz", {"cases": 2, "seed": 0})
     final = client.wait(job["id"])
     assert final["state"] == "done"
     counters = final["metrics"]["counters"]
-    assert counters["executor.pool"] > 0
+    assert counters["executor.pool"] == 2
     assert counters["sim.runs"] > 0
 
 
 def test_corrupt_cache_entry_is_counted_and_recomputed(tmp_path):
+    names = ["matvec", "small"]
+
+    def bench(session):
+        results = session.bench_many(names, {"matvec": matvec(4), "small": matvec(3)})
+        return {name: result.to_dict() for name, result in results.items()}
+
     with Session(cache_dir=tmp_path) as cold:
-        expected = cold.bench(name="matvec", program=matvec(4)).to_dict()
+        expected = bench(cold)
     [entry, *_] = sorted(tmp_path.glob("*/*.json"))
     entry.write_text("garbage")
     with Session(cache_dir=tmp_path) as warm:
-        assert warm.bench(name="matvec", program=matvec(4)).to_dict() == expected
+        assert bench(warm) == expected
         snapshot = warm.metrics()
     assert snapshot.counters["cache.corrupt"] == 1
-    assert (snapshot.hits, snapshot.executed) == (3, 1)
+    assert (snapshot.hits, snapshot.executed) == (1, 1)

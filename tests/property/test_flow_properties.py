@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.components import default_environment
-from repro.eval.runner import run_flow
+from repro.eval.runner import evaluate_program
 from repro.hls.ir import (
     BinOp,
     Const,
@@ -76,9 +76,9 @@ class TestRandomLoops:
     @settings(max_examples=10, deadline=None)
     def test_all_flows_compute_reference(self, body, points, start):
         program = build_program(body, points, start)
-        for flow in ("DF-IO", "GRAPHITI", "DF-OoO"):
-            result = run_flow("fuzz", flow, program)
-            assert result.correct, f"{flow} diverged from the reference"
+        result, _ = evaluate_program(program, ("DF-IO", "GRAPHITI", "DF-OoO"))
+        for flow, run in result.flows.items():
+            assert run.correct, f"{flow} diverged from the reference"
 
     @given(int_exprs(), st.integers(2, 3))
     @settings(max_examples=6, deadline=None)
@@ -86,5 +86,5 @@ class TestRandomLoops:
         """Tagging overhead is bounded: the transformed loop is within a
         constant factor of the in-order circuit even when it cannot win."""
         program = build_program(body, points, 2)
-        graphiti = run_flow("fuzz", "GRAPHITI", program)
-        assert graphiti.cycles <= 6 * run_flow("fuzz", "DF-IO", program).cycles
+        result, _ = evaluate_program(program, ("DF-IO", "GRAPHITI"))
+        assert result["GRAPHITI"].cycles <= 6 * result["DF-IO"].cycles

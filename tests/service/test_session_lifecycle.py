@@ -122,7 +122,7 @@ def test_missing_required_keywords_raise_typeerror():
 
 def test_executor_pool_persists_across_runs():
     units = [
-        WorkUnit(uid=f"u{i}", fn="repro.exec.workers:eval_flow", payload={})
+        WorkUnit(uid=f"u{i}", fn="repro.exec.workers:eval_benchmark", payload={})
         for i in range(0)
     ]
     executor = Executor(jobs=2)
