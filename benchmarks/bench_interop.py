@@ -6,7 +6,7 @@ Run standalone (``python benchmarks/bench_interop.py``) to measure
   re-parsed through the JSON netlist schema and the structural-Verilog
   subset, asserting byte-identical re-serialisation;
 * **SAT oracle vs certificate recheck** — for every library-rule
-  obligation, the SAT decision (:func:`check_obligation_sat`) timed
+  obligation, the SAT decision (:func:`check_refinement_sat`) timed
   against the weak-simulation game (:func:`find_weak_simulation`), and
   the cross-check (:func:`cross_check_obligation`) asserting the two
   never disagree definitively;

@@ -49,8 +49,6 @@ from .core import (
 from .dot import parse_dot, print_dot
 from .errors import GraphitiError, ResultSchemaError, ServiceError
 from .refinement import (
-    check_graph_refinement,
-    check_refinement,
     check_rewrite_obligation,
     find_weak_simulation,
     refines,
@@ -72,8 +70,6 @@ __all__ = [
     "GraphitiError",
     "ResultSchemaError",
     "ServiceError",
-    "check_graph_refinement",
-    "check_refinement",
     "check_rewrite_obligation",
     "find_weak_simulation",
     "refines",

@@ -105,8 +105,12 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         print(f"invalid loop mark: {exc}", file=sys.stderr)
         return 2
     session = _session(args, check_obligations=args.check)
-    with _observe(args):
-        result = session.transform(graph=graph, mark=mark)
+    try:
+        with _observe(args):
+            result = session.transform(graph=graph, mark=mark)
+    except GraphitiError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if not result.transformed:
         print(f"refused: {result.refusal}", file=sys.stderr)
         return 2
@@ -174,8 +178,11 @@ def _refine_dump(args: argparse.Namespace) -> int:
                         lhs, rhs, env, stimuli, cache=session.cache
                     )
                 except RefinementError as exc:
-                    print(f"{rewrite.name}[{index}] FAILED: {exc}", file=sys.stderr)
-                    failures += 1
+                    if rewrite.verified:
+                        print(f"{rewrite.name}[{index}] FAILED: {exc}", file=sys.stderr)
+                        failures += 1
+                    else:
+                        print(f"{rewrite.name}[{index}] REFUTED: {exc}")
                     continue
                 meta = {
                     "kind": "ObligationCertificate",

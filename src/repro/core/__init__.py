@@ -28,7 +28,6 @@ from .types import (
     TypeVar,
     UnitType,
     parse_type,
-    unify,
 )
 
 __all__ = [
@@ -68,5 +67,4 @@ __all__ = [
     "TypeVar",
     "UnitType",
     "parse_type",
-    "unify",
 ]

@@ -16,7 +16,7 @@ is a structural substitution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from ..errors import GraphError
 from .ports import InternalPort, Port, PortMap
@@ -346,24 +346,3 @@ def rename_ports(
                 )
             )
     return done[0]
-
-
-def instance_names(expr: ExprLow) -> frozenset[str]:
-    """All instance names appearing in internal port names of *expr*."""
-    names: set[str] = set()
-    for base in expr.bases():
-        for port in list(base.inputs.targets()) + list(base.outputs.targets()):
-            if isinstance(port, InternalPort):
-                names.add(port.instance)
-    return frozenset(names)
-
-
-def fresh_instance(existing: Iterable[str], prefix: str) -> str:
-    """Return a name with the given prefix not present in *existing*."""
-    taken = set(existing)
-    if prefix not in taken:
-        return prefix
-    counter = 1
-    while f"{prefix}_{counter}" in taken:
-        counter += 1
-    return f"{prefix}_{counter}"

@@ -244,59 +244,6 @@ def first(queue: Queue) -> Value | None:
     return queue[-1]
 
 
-@dataclass
-class ExplorationStats:
-    """Counters filled in by state-space exploration utilities."""
-
-    states: int = 0
-    transitions: int = 0
-
-
-def reachable_states(
-    module: Module,
-    stimuli: Mapping[Port, Iterable[Value]],
-    limit: int = 200_000,
-    stats: ExplorationStats | None = None,
-) -> frozenset[State]:
-    """Explore all states reachable under any interleaving of the stimuli.
-
-    *stimuli* gives, for each input port, the finite set of values the
-    environment may offer at any time.  Output transitions are fired and
-    their values discarded (the environment is always ready).  Exploration is
-    exhaustive up to *limit* states, beyond which :class:`SemanticsError` is
-    raised — refinement checking requires the bounded instance to be small.
-    """
-    stimuli = {port: tuple(values) for port, values in stimuli.items()}
-    seen: set[State] = set(module.init)
-    frontier = list(module.init)
-    count = 0
-    while frontier:
-        state = frontier.pop()
-        successors: list[State] = []
-        for port, values in stimuli.items():
-            transition = module.inputs.get(port)
-            if transition is None:
-                raise SemanticsError(f"stimulus for unknown input port {port}")
-            for value in values:
-                successors.extend(transition.fire(state, value))
-        for transition in module.outputs.values():
-            successors.extend(nxt for _, nxt in transition.fire(state))
-        successors.extend(module.internal_steps(state))
-        count += len(successors)
-        for nxt in successors:
-            if nxt not in seen:
-                seen.add(nxt)
-                if len(seen) > limit:
-                    raise SemanticsError(
-                        f"state space exceeded the exploration limit of {limit}"
-                    )
-                frontier.append(nxt)
-    if stats is not None:
-        stats.states = len(seen)
-        stats.transitions = count
-    return frozenset(seen)
-
-
 def io_module(
     inputs: Mapping[Port, tuple[Type, Callable[[State, Value], Iterable[State]]]],
     outputs: Mapping[Port, tuple[Type, Callable[[State], Iterable[tuple[Value, State]]]]],

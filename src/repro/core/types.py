@@ -4,8 +4,8 @@ Section 6.3 of the paper introduces *well-typed graphs* — graphs where every
 connection joins an output and an input of the same type — to bridge the
 parametric environment used when proving the loop rewrite and the concrete
 environment of a particular input graph.  We mirror that with a small type
-language: concrete wire types plus type variables for parametric rewrites,
-with one-sided unification (pattern types against concrete types).
+language: concrete wire types plus type variables for parametric rewrites;
+:mod:`repro.core.typecheck` unifies them over a whole graph.
 """
 
 from __future__ import annotations
@@ -128,40 +128,6 @@ UNIT = UnitType()
 BOOL = BoolType()
 I32 = IntType(32)
 F32 = FloatType(32)
-
-
-def unify(pattern: Type, concrete: Type, assignment: dict[str, Type] | None = None) -> dict[str, Type]:
-    """One-sided unification of a *pattern* type against a *concrete* type.
-
-    Returns the (possibly extended) assignment mapping type-variable names to
-    concrete types, or raises :class:`TypeCheckError` when no assignment
-    exists.  Only the pattern may contain variables.
-    """
-    assignment = {} if assignment is None else assignment
-    if isinstance(pattern, TypeVar):
-        bound = assignment.get(pattern.name)
-        if bound is None:
-            assignment[pattern.name] = concrete
-            return assignment
-        if bound != concrete:
-            raise TypeCheckError(
-                f"type variable {pattern} bound to both {bound} and {concrete}"
-            )
-        return assignment
-    if isinstance(pattern, TupleType) and isinstance(concrete, TupleType):
-        unify(pattern.left, concrete.left, assignment)
-        unify(pattern.right, concrete.right, assignment)
-        return assignment
-    if isinstance(pattern, TaggedType) and isinstance(concrete, TaggedType):
-        if pattern.tag_bits != concrete.tag_bits:
-            raise TypeCheckError(
-                f"tag width mismatch: {pattern} vs {concrete}"
-            )
-        unify(pattern.inner, concrete.inner, assignment)
-        return assignment
-    if pattern == concrete:
-        return assignment
-    raise TypeCheckError(f"cannot unify {pattern} with {concrete}")
 
 
 def parse_type(text: str) -> Type:

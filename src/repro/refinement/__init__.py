@@ -2,8 +2,6 @@
 
 from .checker import (
     RefinementReport,
-    check_graph_refinement,
-    check_refinement,
     check_rewrite_obligation,
     io_stimuli,
     recheck_obligation_certificate,
@@ -17,7 +15,6 @@ from .sat import (
     CrossCheckReport,
     SatResult,
     SatVerdict,
-    check_obligation_sat,
     check_refinement_sat,
     cross_check_obligation,
     encode_refinement,
@@ -37,8 +34,6 @@ from .traces import can_perform, enumerate_traces, trace_inclusion
 
 __all__ = [
     "RefinementReport",
-    "check_graph_refinement",
-    "check_refinement",
     "check_rewrite_obligation",
     "io_stimuli",
     "recheck_obligation_certificate",
@@ -51,7 +46,6 @@ __all__ = [
     "CrossCheckReport",
     "SatResult",
     "SatVerdict",
-    "check_obligation_sat",
     "check_refinement_sat",
     "cross_check_obligation",
     "encode_refinement",

@@ -3,9 +3,7 @@
 This module turns the low-level simulation machinery into the API the rest
 of the library uses:
 
-* :func:`check_refinement` — ``impl ⊑ spec`` for two modules;
-* :func:`check_graph_refinement` — the same for two ExprHigh graphs,
-  denoted in a given environment (definition 4.5 instantiated on graphs);
+* :func:`refines` — ``impl ⊑ spec`` for two modules;
 * :func:`check_rewrite_obligation` — discharge a rewrite's ``rhs ⊑ lhs``
   obligation on a bounded instance, the executable stand-in for the Lean
   proof that theorem 4.6 then propagates to whole graphs.
@@ -39,7 +37,6 @@ from ..errors import CertificateError, RefinementError
 from .codec import from_bytes, to_bytes
 from .simulation import (
     SimulationCertificate,
-    SimulationResult,
     find_weak_simulation,
     recheck_certificate,
 )
@@ -147,36 +144,10 @@ class RefinementReport:
         )
 
 
-def check_refinement(impl: Module, spec: Module, stimuli: Stimuli) -> RefinementReport:
-    """Check ``impl ⊑ spec``; raises :class:`RefinementError` on failure."""
-    with obs.span("refine:weak-sim") as sp:
-        result: SimulationResult = find_weak_simulation(impl, spec, stimuli)
-        sp.set(holds=result.holds)
-        if result.certificate is not None:
-            sp.set(
-                impl_states=result.certificate.impl_states,
-                spec_states=result.certificate.spec_states,
-            )
-    obs.count("refinement.weak_sim_checks")
-    return RefinementReport(result.raise_on_failure())
-
-
 def refines(impl: Module, spec: Module, stimuli: Stimuli) -> bool:
-    """Boolean form of :func:`check_refinement` (no certificate is kept,
-    so no replay witnesses are minted)."""
+    """Does ``impl ⊑ spec`` hold?  No certificate is kept, so no replay
+    witnesses are minted."""
     return find_weak_simulation(impl, spec, stimuli, mint_witnesses=False).holds
-
-
-def check_graph_refinement(
-    impl: ExprHigh,
-    spec: ExprHigh,
-    env: Environment,
-    stimuli: Stimuli,
-) -> RefinementReport:
-    """Check ⟦impl⟧ε ⊑ ⟦spec⟧ε for two ExprHigh graphs."""
-    impl_module = denote(impl.lower(), env)
-    spec_module = denote(spec.lower(), env)
-    return check_refinement(impl_module, spec_module, stimuli)
 
 
 def uniform_stimuli(module: Module, values: Iterable[Value]) -> dict[Port, tuple[Value, ...]]:

@@ -361,31 +361,6 @@ def check_refinement_sat(
     )
 
 
-def check_obligation_sat(
-    lhs: ExprHigh,
-    rhs: ExprHigh,
-    env: Environment,
-    stimuli: Stimuli | None = None,
-    values: Iterable[Value] = (0, 1),
-    spec_capacity: int | None = 4,
-    bound: int = DEFAULT_BOUND,
-) -> SatVerdict:
-    """The SAT oracle's verdict on a rewrite's ``rhs ⊑ lhs`` obligation.
-
-    Denotes both sides exactly as
-    :func:`~repro.refinement.checker.check_rewrite_obligation` does (the
-    rhs under *env*, the lhs under the roomier *spec_capacity*), then
-    decides refinement through the CNF encoding.  Unlike the game checker
-    this never raises on a negative verdict — the caller inspects
-    :class:`SatVerdict`.
-    """
-    impl = denote(rhs.lower(), env)
-    spec = denote(lhs.lower(), env.with_capacity(spec_capacity))
-    if stimuli is None:
-        stimuli = uniform_stimuli(impl, values)
-    return check_refinement_sat(impl, spec, stimuli, bound=bound)
-
-
 @dataclass
 class CrossCheckReport:
     """Both oracles' verdicts on one obligation, plus the comparison."""

@@ -139,9 +139,3 @@ class RewriteEngine:
                 f"rule set {[r.name for r in rewrites]} may diverge"
             )
         return graph
-
-    def verified_fraction(self) -> float:
-        """Fraction of logged applications that used verified rewrites."""
-        if not self.log:
-            return 1.0
-        return sum(1 for a in self.log if a.verified) / len(self.log)

@@ -15,6 +15,8 @@ pipeline applies:
 5. **Expand** — splice the saved body back in tagged form, undoing the
    Pure generation (the oracle's term is replaced, never simulated).
 
+Every transformed graph is then type-checked (section 6.3).
+
 The engine log records which applications were backed by a discharged
 refinement obligation, mirroring the paper's verified-core/unverified-minor
 split.
@@ -27,6 +29,7 @@ from dataclasses import dataclass, field
 from .. import obs
 from ..core.environment import Environment
 from ..core.exprhigh import Endpoint, ExprHigh, NodeSpec
+from ..core.typecheck import typecheck
 from ..errors import GraphitiError, RewriteError
 from .engine import RewriteEngine
 from .purify import PurityError, discover_region, purify_rewrite
@@ -127,14 +130,14 @@ class GraphitiPipeline:
     """Drives the verified rewriting flow of figure 1 over kernel graphs.
 
     With *check_obligations* every verified rewrite's refinement obligation
-    is discharged (once, cached) before its first application; with
-    *check_types* the output graph must be well-typed in the section 6.3
-    sense (every connection joins ports of one deducible type).
+    is discharged (once, cached) before its first application.  Every
+    transformed graph must be well-typed in the section 6.3 sense (every
+    connection joins ports of one deducible type), or the transform raises
+    :class:`~repro.errors.TypeCheckError`.
     """
 
     env: Environment
     check_obligations: bool = False
-    check_types: bool = False
     cache: object | None = None  # a repro.exec result cache for obligation discharges
     engine: RewriteEngine = field(init=False)
 
@@ -215,10 +218,7 @@ class GraphitiPipeline:
             with obs.span("phase:expand"):
                 working = self._expand_body(working, saved_body)
 
-            if self.check_types:
-                from ..core.typecheck import typecheck
-
-                typecheck(working)
+            typecheck(working)
 
             applied = len(self.engine.log) - start_count
             verified = sum(1 for a in self.engine.log if a.verified)

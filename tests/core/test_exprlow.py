@@ -9,8 +9,6 @@ from repro.core.exprlow import (
     build,
     build_around,
     check_well_formed,
-    fresh_instance,
-    instance_names,
     isolate,
     product_fold,
     rename_ports,
@@ -149,15 +147,6 @@ class TestIsolate:
 
 
 class TestNames:
-    def test_instance_names_collected(self):
-        expr = Product(base("a"), base("b"))
-        assert instance_names(expr) == frozenset({"a", "b"})
-
-    def test_fresh_instance_avoids_collisions(self):
-        assert fresh_instance({"x"}, "x") == "x_1"
-        assert fresh_instance({"x", "x_1"}, "x") == "x_2"
-        assert fresh_instance(set(), "x") == "x"
-
     def test_rename_internals(self):
         expr = Connect(
             InternalPort("a", "out0"),
@@ -165,7 +154,10 @@ class TestNames:
             Product(base("a"), base("b")),
         )
         renamed = expr.rename_internals({"a": "alpha"})
-        assert instance_names(renamed) == frozenset({"alpha", "b"})
+        assert {port.instance for pair in renamed.connections() for port in pair} == {
+            "alpha",
+            "b",
+        }
         assert (InternalPort("alpha", "out0"), InternalPort("b", "in0")) in set(
             renamed.connections()
         )

@@ -9,7 +9,6 @@ from repro.core.module import (
     enq,
     first,
     product,
-    reachable_states,
     rename,
 )
 from repro.core.ports import InternalPort, IOPort, PortMap
@@ -142,22 +141,3 @@ class TestConnect:
         fork = env.lookup("Fork{n=2}")
         with pytest.raises(SemanticsError):
             connect_ports(fork, IOPort(9), IOPort(0))
-
-
-class TestReachableStates:
-    def test_bounded_exploration_terminates(self, env):
-        fork = env.lookup("Fork{n=2}")
-        states = reachable_states(fork, {IOPort(0): (0, 1)})
-        # Queues bounded at 2 with two possible values: finite, non-trivial.
-        assert 1 < len(states) < 200
-
-    def test_limit_enforced(self):
-        env_unbounded = default_environment(capacity=None)
-        fork = env_unbounded.lookup("Fork{n=2}")
-        with pytest.raises(SemanticsError):
-            reachable_states(fork, {IOPort(0): (0, 1)}, limit=50)
-
-    def test_unknown_stimulus_port_rejected(self, env):
-        fork = env.lookup("Fork{n=2}")
-        with pytest.raises(SemanticsError):
-            reachable_states(fork, {IOPort(7): (0,)})

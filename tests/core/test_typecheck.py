@@ -4,7 +4,7 @@ import pytest
 
 from repro.components import branch, fork, init, join, merge, mux, pure, split, tagger
 from repro.core.exprhigh import Endpoint, ExprHigh
-from repro.core.typecheck import typecheck
+from repro.core.typecheck import _unify_into, typecheck
 from repro.core.types import BOOL, I32, TaggedType, TupleType, TypeVar
 from repro.errors import TypeCheckError
 
@@ -149,3 +149,43 @@ class TestWholePipelineGraphs:
         compiled = compile_program(program, default_environment())
         types = typecheck(compiled.kernels[0].graph)
         assert types  # deduction succeeds on the full DF-IO circuit
+
+
+class TestUnify:
+    """The unifier behind :func:`typecheck`, one equation at a time."""
+
+    @staticmethod
+    def unify(left, right, subst=None):
+        subst = {} if subst is None else subst
+        _unify_into(left, right, subst, "here")
+        return subst
+
+    def test_var_binds_to_concrete(self):
+        assert self.unify(TypeVar("T"), I32) == {"T": I32}
+
+    def test_var_binds_on_either_side(self):
+        assert self.unify(I32, TypeVar("T")) == {"T": I32}
+
+    def test_consistent_rebinding_allowed(self):
+        pattern = TupleType(TypeVar("T"), TypeVar("T"))
+        assert self.unify(pattern, TupleType(I32, I32)) == {"T": I32}
+
+    def test_inconsistent_binding_rejected(self):
+        pattern = TupleType(TypeVar("T"), TypeVar("T"))
+        with pytest.raises(TypeCheckError, match="here: cannot unify"):
+            self.unify(pattern, TupleType(I32, BOOL))
+
+    def test_structural_mismatch_rejected(self):
+        with pytest.raises(TypeCheckError):
+            self.unify(I32, BOOL)
+
+    def test_tagged_structure(self):
+        assert self.unify(TaggedType(TypeVar("T")), TaggedType(BOOL)) == {"T": BOOL}
+
+    def test_tag_width_mismatch_rejected(self):
+        with pytest.raises(TypeCheckError, match="tag width"):
+            self.unify(TaggedType(TypeVar("T"), tag_bits=4), TaggedType(BOOL, tag_bits=8))
+
+    def test_occurs_check(self):
+        with pytest.raises(TypeCheckError, match="occurs check"):
+            self.unify(TypeVar("T"), TupleType(TypeVar("T"), I32))

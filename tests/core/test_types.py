@@ -1,4 +1,4 @@
-"""Tests for the wire type language and unification."""
+"""Tests for the wire type language."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from repro.core.types import (
     TupleType,
     TypeVar,
     parse_type,
-    unify,
 )
 from repro.errors import TypeCheckError
 
@@ -47,33 +46,6 @@ class TestSubstitution:
 
     def test_unbound_var_left_alone(self):
         assert TypeVar("T").substitute({}) == TypeVar("T")
-
-
-class TestUnify:
-    def test_var_binds_to_concrete(self):
-        assignment = unify(TypeVar("T"), I32)
-        assert assignment == {"T": I32}
-
-    def test_consistent_rebinding_allowed(self):
-        pattern = TupleType(TypeVar("T"), TypeVar("T"))
-        assert unify(pattern, TupleType(I32, I32)) == {"T": I32}
-
-    def test_inconsistent_binding_rejected(self):
-        pattern = TupleType(TypeVar("T"), TypeVar("T"))
-        with pytest.raises(TypeCheckError):
-            unify(pattern, TupleType(I32, BOOL))
-
-    def test_structural_mismatch_rejected(self):
-        with pytest.raises(TypeCheckError):
-            unify(I32, BOOL)
-
-    def test_tagged_structure(self):
-        assignment = unify(TaggedType(TypeVar("T")), TaggedType(BOOL))
-        assert assignment == {"T": BOOL}
-
-    def test_tag_width_mismatch_rejected(self):
-        with pytest.raises(TypeCheckError):
-            unify(TaggedType(TypeVar("T"), tag_bits=4), TaggedType(BOOL, tag_bits=8))
 
 
 class TestParseType:

@@ -110,6 +110,40 @@ class TestTransform:
         assert code == 2
         assert "refused" in capsys.readouterr().err
 
+    @staticmethod
+    def _mark_args(mark):
+        args = [arg for node in mark.mux_nodes for arg in ("--mux", node)]
+        args += [arg for node in mark.branch_nodes for arg in ("--branch", node)]
+        args += ["--init", mark.init_node, "--cond-fork", mark.cond_fork]
+        args += ["--driver", mark.driver, "--collector", mark.collector]
+        return args + ["--tags", str(mark.tags), "--no-cache"]
+
+    def test_library_error_exits_1_without_traceback(self, tmp_path, capsys):
+        # matvec's body reads an array through a function the front end
+        # registers in its own environment; the CLI's fresh one lacks it.
+        from repro.benchmarks import load_benchmark
+
+        ck = compile_program(load_benchmark("matvec"), default_environment()).kernels[0]
+        path = tmp_path / "matvec.dot"
+        path.write_text(print_dot(ck.graph))
+        code = main(["transform", str(path), *self._mark_args(ck.mark)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown function 'read.A' and it is not a combinator form\n"
+
+    def test_ill_typed_output_exits_1(self, loop_dot, tmp_path, monkeypatch, capsys):
+        from ..rewriting.test_pipeline import make_phase5_ill_typed
+
+        make_phase5_ill_typed(monkeypatch)
+        path, mark = loop_dot
+        out = tmp_path / "out.dot"
+        code = main(["transform", str(path), "-o", str(out), *self._mark_args(mark)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: connection stray_source.out0") and "cannot unify" in err
+        assert not out.exists()
+
 
 class TestBench:
     def test_bench_prints_all_flows(self, capsys, monkeypatch):

@@ -262,6 +262,28 @@ class TestRemovedShims:
         assert not hasattr(repro, "run_benchmark")
         assert "run_benchmark" not in repro.__all__
 
+    @pytest.mark.parametrize(
+        ("module", "name"),
+        [
+            ("repro", "check_refinement"),
+            ("repro", "check_graph_refinement"),
+            ("repro.refinement", "check_obligation_sat"),
+            ("repro.rewriting.rules", "all_rewrites"),
+            ("repro.rewriting.rules", "extra"),
+            ("repro.core", "unify"),
+            ("repro.core.module", "reachable_states"),
+            ("repro.core.exprlow", "instance_names"),
+            ("repro.core.exprlow", "fresh_instance"),
+        ],
+    )
+    def test_names_without_a_production_caller_removed(self, module, name):
+        # docs/api.md's migration table names each replacement (v1.23).
+        import importlib
+
+        imported = importlib.import_module(module)
+        assert not hasattr(imported, name)
+        assert name not in getattr(imported, "__all__", ())
+
 
 class TestSessionSimulate:
     def make(self):

@@ -22,9 +22,10 @@ from repro.refinement import (
     uniform_stimuli,
 )
 from repro.rewriting.engine import RewriteEngine
-from repro.rewriting.rules.extra import buffer_elim
 from repro.rewriting.rules.pure_gen import fork_lift_pure, pure_compose
 from repro.rewriting.rules.reduction import fork_sink_elim, pure_id_elim
+
+from ..rewriting.normalizers import buffer_elim
 
 
 @st.composite

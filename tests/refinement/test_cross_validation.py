@@ -11,7 +11,9 @@ import pytest
 
 from repro.errors import RefinementError
 from repro.refinement.checker import check_rewrite_obligation, check_rewrite_obligation_traces
-from repro.rewriting.rules import combine, extra, pure_gen, reduction, shuffle
+from repro.rewriting.rules import combine, pure_gen, reduction, shuffle
+
+from ..rewriting.normalizers import buffer_elim
 
 AGREEING_RULES = [
     combine.mux_combine,
@@ -30,10 +32,7 @@ AGREEING_RULES = [
     shuffle.split_pure_right,
     shuffle.join_assoc,
     shuffle.join_swap,
-    extra.split_swap,
-    extra.fork_assoc,
-    extra.merge_swap,
-    extra.buffer_elim,
+    buffer_elim,
 ]
 
 

@@ -20,7 +20,6 @@ from repro.refinement.checker import uniform_stimuli
 from repro.refinement.sat import (
     DEFAULT_BOUND,
     CnfFormula,
-    check_obligation_sat,
     check_refinement_sat,
     cross_check_obligation,
     encode_refinement,
@@ -154,7 +153,7 @@ def obligations_of(factory):
 
 def test_positive_obligation_holds_definitively():
     lhs, rhs, env, stimuli = obligations_of("mux_combine")[0]
-    verdict = check_obligation_sat(lhs, rhs, env, stimuli)
+    verdict = cross_check_obligation(lhs, rhs, env, stimuli).sat
     assert verdict.holds and verdict.complete and verdict.definitive
     assert verdict.relation_size >= 1
     assert verdict.pairs_explored > 0
@@ -163,7 +162,7 @@ def test_positive_obligation_holds_definitively():
 
 def test_negative_obligation_fails_definitively():
     lhs, rhs, env, stimuli = obligations_of("branch_combine")[0]
-    verdict = check_obligation_sat(lhs, rhs, env, stimuli)
+    verdict = cross_check_obligation(lhs, rhs, env, stimuli).sat
     assert not verdict.holds
     assert verdict.definitive  # UNSAT is definitive even under a bound
     assert verdict.relation_size is None
@@ -172,7 +171,7 @@ def test_negative_obligation_fails_definitively():
 
 def test_truncated_bound_is_indefinite_and_never_disagrees():
     lhs, rhs, env, stimuli = obligations_of("mux_combine")[0]
-    verdict = check_obligation_sat(lhs, rhs, env, stimuli, bound=10)
+    verdict = cross_check_obligation(lhs, rhs, env, stimuli, bound=10).sat
     assert verdict.holds  # optimistically unconstrained beyond the bound
     assert not verdict.complete
     assert not verdict.definitive
@@ -227,7 +226,7 @@ def test_default_bound_covers_every_library_obligation():
         if rewrite.obligation is None:
             continue
         for lhs, rhs, env, stimuli in rewrite.obligation():
-            verdict = check_obligation_sat(lhs, rhs, env, stimuli)
+            verdict = cross_check_obligation(lhs, rhs, env, stimuli).sat
             assert verdict.definitive
             largest = max(largest, verdict.pairs_explored)
     assert largest * 2 < DEFAULT_BOUND

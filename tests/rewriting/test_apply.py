@@ -20,9 +20,9 @@ from repro.rewriting.pipeline import GraphitiPipeline
 from repro.rewriting.rewrite import Match, Rewrite
 from repro.rewriting.rules.combine import mux_combine
 from repro.rewriting.rules.common import graph_of
-from repro.rewriting.rules.extra import buffer_elim
 from repro.rewriting.rules.reduction import split_join_elim
 
+from .normalizers import buffer_elim
 from .test_matcher import host_two_mux_loop
 
 

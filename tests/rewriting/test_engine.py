@@ -157,14 +157,5 @@ class TestExhaustive:
         with pytest.raises(TypeError):
             engine.apply_once(pure_chain(3), pure_compose(), anchors=["p0"])
         assert not hasattr(engine, "matches")
+        assert not hasattr(engine, "verified_fraction")
         assert not hasattr(ExprHigh, "adjacent_nodes")
-
-
-class TestVerifiedFraction:
-    def test_empty_log_is_fully_verified(self):
-        assert RewriteEngine().verified_fraction() == 1.0
-
-    def test_mixed_log(self):
-        engine = RewriteEngine()
-        engine.apply_exhaustively(pure_chain(3), [pure_compose()])
-        assert engine.verified_fraction() == 1.0

@@ -162,7 +162,7 @@ def test_obligations_discharged_cold_then_served_from_cache(tmp_path):
     assert cold.verified_applications == PINNED["matvec"][3]
 
 
-@pytest.mark.parametrize("knob", ["strategy", "budget", "use_worklist"])
+@pytest.mark.parametrize("knob", ["strategy", "budget", "use_worklist", "check_types"])
 def test_pipeline_has_no_removed_knob(knob):
     with pytest.raises(TypeError, match=knob):
         GraphitiPipeline(default_environment(), **{knob: None})

@@ -5,7 +5,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.components import default_environment
+from repro.components import default_environment, init, source
+from repro.core.typecheck import typecheck
+from repro.errors import TypeCheckError
 from repro.hls.frontend import compile_program
 from repro.hls.ir import BinOp, DoWhile, Kernel, Load, OuterLoop, Program, StoreOp, UnOp, Var
 from repro.rewriting.pipeline import GraphitiPipeline, remove_identity_wires
@@ -37,6 +39,20 @@ def gcd_program(n=4):
         },
         [kernel],
     )
+
+
+def make_phase5_ill_typed(monkeypatch):
+    """Make phase 5 add a stray Source feeding an Init: unit into bool."""
+    expand = GraphitiPipeline._expand_body
+
+    def ill_typed_expand(self, graph, saved_body):
+        graph = expand(self, graph, saved_body)
+        graph.add_node("stray_source", source())
+        graph.add_node("stray_init", init())
+        graph.connect("stray_source", "out0", "stray_init", "in0")
+        return graph
+
+    monkeypatch.setattr(GraphitiPipeline, "_expand_body", ill_typed_expand)
 
 
 @pytest.fixture
@@ -93,7 +109,6 @@ class TestFullPipeline:
         assert names["ooo-loop"] is True
         assert names["mux-combine"] is True
         assert names["purify-body"] is False  # checked selectively, not by default
-        assert 0.0 < pipeline.engine.verified_fraction() <= 1.0
 
 
 class TestCheckedPipeline:
@@ -108,12 +123,20 @@ class TestCheckedPipeline:
         assert {"mux-combine", "ooo-loop"} <= pipeline.engine._discharged
 
     def test_pipeline_output_is_well_typed(self, compiled_gcd):
-        """check_types=True: the transformed graph passes the section 6.3
-        well-typedness deduction (tags wrap consistently everywhere)."""
+        """Every transformed graph passes the section 6.3 well-typedness
+        deduction (tags wrap consistently everywhere)."""
         env, ck = compiled_gcd
-        pipeline = GraphitiPipeline(env, check_types=True)
-        result = pipeline.transform_kernel(ck.graph, ck.mark)
+        result = GraphitiPipeline(env).transform_kernel(ck.graph, ck.mark)
         assert result.transformed
+        typecheck(result.graph)
+
+    def test_ill_typed_output_is_rejected(self, compiled_gcd, monkeypatch):
+        """A phase-5 output with an ill-typed connection never leaves the
+        pipeline: the section 6.3 check runs on every transform."""
+        env, ck = compiled_gcd
+        make_phase5_ill_typed(monkeypatch)
+        with pytest.raises(TypeCheckError, match="stray_source"):
+            GraphitiPipeline(env).transform_kernel(ck.graph, ck.mark)
 
 
 class TestEffectfulRefusal:

@@ -148,3 +148,31 @@ def test_dumped_grc_certificates_revalidate(tmp_path, capsys):
     assert dumped and all(name.endswith(".grc") for name in dumped)
     assert main(["refine", "--load-certs", str(certs), "--no-cache"]) == 0
     assert f"all {len(dumped)} certificates re-validated" in capsys.readouterr().err
+
+
+def test_dump_certs_counts_a_refutation_like_refine(tmp_path, capsys):
+    # branch-combine is documented-unverified: its refuted obligation is
+    # REFUTED and exit 0 with or without --dump-certs; only a verified
+    # rewrite that fails makes the work fail.
+    argv = ["refine", "--rule", "branch_combine", "--rule", "mux_combine", "--no-cache"]
+    assert main(argv) == 0
+    assert "REFUTED" in capsys.readouterr().out
+    assert main([*argv, "--dump-certs", str(tmp_path / "certs")]) == 0
+    captured = capsys.readouterr()
+    assert "branch-combine[0] REFUTED" in captured.out
+    assert "FAILED" not in captured.out + captured.err
+    dumped = sorted(path.name for path in (tmp_path / "certs").iterdir())
+    assert dumped and all(name.startswith("mux_combine-") for name in dumped)
+
+
+def test_dump_certs_exits_1_when_a_verified_rewrite_fails(tmp_path, monkeypatch, capsys):
+    import repro.refinement.checker as checker
+    from repro.errors import RefinementError
+
+    def refute(*args, **kwargs):
+        raise RefinementError("injected")
+
+    monkeypatch.setattr(checker, "check_rewrite_obligation", refute)
+    argv = ["refine", "--rule", "mux_combine", "--no-cache"]
+    assert main([*argv, "--dump-certs", str(tmp_path / "certs")]) == 1
+    assert "mux-combine[0] FAILED: injected" in capsys.readouterr().err
