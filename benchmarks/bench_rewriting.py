@@ -47,26 +47,16 @@ def test_benchmark_verify_all_rewrites(benchmark):
     """Time the full verification pass: every obligation ``repro refine``
     discharges, including the theorem 5.3 instance (the 'one person-year
     of Lean' counterpart runs in seconds here, on bounded instances)."""
-    from repro.errors import RefinementError
-    from repro.rewriting.engine import RewriteEngine
-    from repro.rewriting.rules import VERIFY_FACTORY_SPECS, build_rewrite
+    from repro.api import Session
 
     def verify():
-        engine = RewriteEngine()
-        discharged = 0
-        refuted = 0
-        for rewrite in (build_rewrite(*spec) for spec in VERIFY_FACTORY_SPECS):
-            try:
-                engine.verify_rewrite(rewrite)
-                discharged += 1
-            except RefinementError:
-                assert not rewrite.verified  # only the documented two refute
-                refuted += 1
-        return discharged, refuted
+        return Session(use_cache=False).check_obligations()
 
-    discharged, refuted = benchmark.pedantic(verify, rounds=1, iterations=1)
-    assert discharged == 17
-    assert refuted == 2
+    outcomes = benchmark.pedantic(verify, rounds=1, iterations=1)
+    assert sum(o["holds"] for o in outcomes) == 17
+    refuted = [o for o in outcomes if not o["holds"]]
+    assert len(refuted) == 2
+    assert not any(o["verified_flag"] for o in refuted)  # only the documented two refute
 
 
 @pytest.mark.benchmark(group="rewriting")

@@ -1,9 +1,9 @@
 """The public facade: one Session owning environment, executor and cache.
 
 Everything the scattered entry points did — ``GraphitiPipeline`` for
-transforms, ``RewriteEngine.verify_rewrite`` for obligations,
-per-flow evaluation loops, the hand-rolled loops in ``cli.py`` —
-is reachable through one object::
+transforms, per-flow evaluation loops, the hand-rolled loops in
+``cli.py`` — is reachable through one object, which is also the one
+driver of rewrite obligations (:meth:`Session.check_obligations`)::
 
     from repro import Session
 
@@ -76,10 +76,6 @@ class Session:
     use_cache:
         ``False`` disables the on-disk cache entirely (the ``--no-cache``
         CLI flag).
-    check_obligations:
-        Passed through to :class:`GraphitiPipeline`: discharge each
-        verified rewrite's obligation before its first use, rechecking a
-        cached certificate where one exists.
     """
 
     def __init__(
@@ -89,7 +85,6 @@ class Session:
         jobs: int = 1,
         cache_dir: str | Path | None = None,
         use_cache: bool = True,
-        check_obligations: bool = False,
     ):
         self.env = env if env is not None else default_environment()
         if use_cache:
@@ -98,7 +93,6 @@ class Session:
             self.cache = NullCache()
         self.executor = Executor(jobs=jobs, cache=self.cache)
         self._tracer = obs.Tracer()
-        self._check_obligations = check_obligations
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -169,11 +163,7 @@ class Session:
         """
         if graph is None or mark is None:
             raise TypeError("Session.transform() requires graph= and mark=")
-        pipeline = GraphitiPipeline(
-            self.env,
-            check_obligations=self._check_obligations,
-            cache=self.cache,
-        )
+        pipeline = GraphitiPipeline(self.env)
         with self._call("transform", "transform", kernel=getattr(mark, "kernel", "?")):
             return pipeline.transform_kernel(graph, mark)
 

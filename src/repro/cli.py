@@ -20,7 +20,11 @@ reproduction::
 
 ``transform`` reads a dot graph, runs the five-phase out-of-order pipeline
 on the marked loop, and writes the rewritten dot graph (or reports the
-refusal, e.g. for effectful loop bodies).
+refusal, e.g. for effectful loop bodies).  ``--check`` first discharges
+the whole library's obligations as ``refine`` does, and exits 1 with no
+graph if a verified rewrite fails.  A dot graph carries no function
+definitions, so a kernel that reads arrays (``read.<array>``) needs
+``Session.transform`` on the compiled kernel instead.
 
 Every subcommand goes through the :class:`repro.api.Session` facade and
 accepts the executor flags: ``--jobs N`` fans independent work units
@@ -46,14 +50,13 @@ import sys
 from pathlib import Path
 
 
-def _session(args: argparse.Namespace, **kwargs):
+def _session(args: argparse.Namespace):
     from .api import Session
 
     return Session(
         jobs=getattr(args, "jobs", 1),
         cache_dir=getattr(args, "cache_dir", None),
         use_cache=not getattr(args, "no_cache", False),
-        **kwargs,
     )
 
 
@@ -104,9 +107,16 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     except GraphitiError as exc:
         print(f"invalid loop mark: {exc}", file=sys.stderr)
         return 2
-    session = _session(args, check_obligations=args.check)
+    session = _session(args)
     try:
         with _observe(args):
+            if args.check:  # the whole library, as ``refine`` checks it
+                outcomes = session.check_obligations()
+                failed = [o for o in outcomes if o["verified_flag"] and not o["holds"]]
+                for o in failed:
+                    print(f"error: verified rewrite {o['rewrite']} failed: {o['detail']}", file=sys.stderr)
+                if failed:
+                    return 1
             result = session.transform(graph=graph, mark=mark)
     except GraphitiError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -563,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     transform.add_argument("--driver", help="driver pseudo-node, if present")
     transform.add_argument("--collector", help="collector pseudo-node, if present")
     transform.add_argument("--tags", type=int, default=4, help="tag budget")
-    transform.add_argument("--check", action="store_true", help="discharge obligations before applying")
+    transform.add_argument("--check", action="store_true", help="run refine's obligation check first")
     _add_exec_flags(transform)
     transform.set_defaults(fn=_cmd_transform)
 

@@ -1,11 +1,15 @@
-"""The rewriting engine: obligation checking, application, fixpoints.
+"""The rewriting engine: application and fixpoints.
 
 The engine drives rewrites the way figure 1 of the paper describes: pick a
 rewrite, run its matcher on the ExprHigh graph, apply it through ExprLow,
-lift the result back, repeat.  Every application is logged; rewrites whose
-refinement obligation has been discharged are tagged ``verified`` in the
+lift the result back, repeat.  Every application is logged, and an
+application of a rewrite marked ``verified`` is tagged ``verified`` in the
 log, so a pipeline's output carries the same guarantee structure as the
 paper's (a verified core rewrite within a partially-unverified pipeline).
+The engine does not discharge obligations itself: as in the paper, where
+each rewrite's proof is checked once, apart from any rewriting run,
+:meth:`repro.api.Session.check_obligations` (``repro refine``) discharges
+the library's obligations.
 
 ``apply_exhaustively`` scans the rewrites in priority order, applies the
 first one that matches anywhere in the graph, and restarts from the top
@@ -25,8 +29,7 @@ from typing import Sequence
 
 from .. import obs
 from ..core.exprhigh import ExprHigh
-from ..errors import RefinementError, RewriteError
-from ..refinement.checker import check_rewrite_obligation
+from ..errors import RewriteError
 from .apply import Application, apply_rewrite
 from .matcher import MatchStats, first_match
 from .rewrite import Match, Rewrite
@@ -35,37 +38,8 @@ from .rewrite import Match, Rewrite
 class RewriteEngine:
     """Applies rewrites and tracks their provenance in :attr:`log`."""
 
-    def __init__(self, check_obligations: bool = False, cache=None):
-        self.check_obligations = check_obligations
-        self.cache = cache  # a repro.exec cache (ResultCache/NullCache), or None
+    def __init__(self):
         self.log: list[Application] = []
-        self._discharged: set[str] = set()
-
-    # -- obligation discharge -------------------------------------------------
-
-    def verify_rewrite(self, rewrite: Rewrite) -> bool:
-        """Discharge the rewrite's refinement obligation on its instances.
-
-        Returns True when every bounded instance of ``rhs ⊑ lhs`` holds;
-        raises :class:`RefinementError` on a counterexample.  Results are
-        remembered per rewrite name within this engine.  When the engine
-        was given a result cache, each instance goes through the
-        certificate path of :func:`check_rewrite_obligation`: a stored
-        certificate is rechecked, never trusted as a bare verdict.
-        """
-        if rewrite.name in self._discharged:
-            return True
-        if rewrite.obligation is None:
-            raise RefinementError(
-                f"rewrite {rewrite.name!r} has no obligation instances to check"
-            )
-        with obs.span(f"obligation:{rewrite.name}") as sp:
-            instances = list(rewrite.obligation())
-            sp.set(instances=len(instances))
-            for lhs, rhs, env, stimuli in instances:
-                check_rewrite_obligation(lhs, rhs, env, stimuli, cache=self.cache)
-        self._discharged.add(rewrite.name)
-        return True
 
     # -- application ----------------------------------------------------------
 
@@ -74,8 +48,6 @@ class RewriteEngine:
         start = perf_counter()
         with obs.span(f"rewrite:{rewrite.name}") as sp:
             try:
-                if self.check_obligations and rewrite.verified and rewrite.obligation is not None:
-                    self.verify_rewrite(rewrite)
                 mstats = MatchStats()
                 match_start = perf_counter()
                 with obs.span("match"):
@@ -98,8 +70,6 @@ class RewriteEngine:
         start = perf_counter()
         with obs.span(f"rewrite:{rewrite.name}", scope="at", applied=True):
             try:
-                if self.check_obligations and rewrite.verified and rewrite.obligation is not None:
-                    self.verify_rewrite(rewrite)
                 new_graph, application = apply_rewrite(graph, rewrite, match)
                 self._log(application)
                 return new_graph

@@ -17,9 +17,9 @@ pipeline applies:
 
 Every transformed graph is then type-checked (section 6.3).
 
-The engine log records which applications were backed by a discharged
-refinement obligation, mirroring the paper's verified-core/unverified-minor
-split.
+The engine log records which applications were of rewrites marked
+verified (their obligations are discharged by ``repro refine``, apart from
+any transform), mirroring the paper's verified-core/unverified-minor split.
 """
 
 from __future__ import annotations
@@ -129,20 +129,13 @@ class TransformResult:
 class GraphitiPipeline:
     """Drives the verified rewriting flow of figure 1 over kernel graphs.
 
-    With *check_obligations* every verified rewrite's refinement obligation
-    is discharged (once, cached) before its first application.  Every
-    transformed graph must be well-typed in the section 6.3 sense (every
-    connection joins ports of one deducible type), or the transform raises
-    :class:`~repro.errors.TypeCheckError`.
+    Every transformed graph must be well-typed in the section 6.3 sense
+    (every connection joins ports of one deducible type), or the transform
+    raises :class:`~repro.errors.TypeCheckError`.
     """
 
     env: Environment
-    check_obligations: bool = False
-    cache: object | None = None  # a repro.exec result cache for obligation discharges
-    engine: RewriteEngine = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.engine = RewriteEngine(check_obligations=self.check_obligations, cache=self.cache)
+    engine: RewriteEngine = field(init=False, default_factory=RewriteEngine)
 
     # -- public API ---------------------------------------------------------
 
@@ -221,7 +214,7 @@ class GraphitiPipeline:
             typecheck(working)
 
             applied = len(self.engine.log) - start_count
-            verified = sum(1 for a in self.engine.log if a.verified)
+            verified = sum(1 for a in self.engine.log[start_count:] if a.verified)
             obs.count("pipeline.transforms")
             root.set(rewrites_applied=applied)
             return TransformResult(

@@ -118,6 +118,44 @@ class TestTransform:
         args += ["--driver", mark.driver, "--collector", mark.collector]
         return args + ["--tags", str(mark.tags), "--no-cache"]
 
+    def test_check_discharges_the_library_and_prints_the_same_graph(self, loop_dot, capsys):
+        from repro.obs.core import Tracer, scoped_tracer
+        from repro.rewriting.rules import VERIFY_FACTORY_SPECS
+
+        path, mark = loop_dot
+        args = ["transform", str(path), *self._mark_args(mark)]
+        assert main(args) == 0
+        plain = capsys.readouterr().out
+        with scoped_tracer(Tracer()) as tracer:
+            assert main([*args, "--check"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == plain
+        assert "error:" not in captured.err
+        # One unit per library obligation, the two refuted unverified
+        # rewrites included; their refutations do not block the transform.
+        assert tracer.counters["executor.serial"] == len(VERIFY_FACTORY_SPECS)
+        assert tracer.counters["refinement.weak_sim_checks"] > 0
+
+    def test_check_failure_exits_1_without_a_graph(self, loop_dot, monkeypatch, capsys):
+        import repro.api
+
+        monkeypatch.setattr(
+            repro.api,
+            "VERIFY_FACTORY_SPECS",
+            (
+                ("repro.rewriting.rules.combine", "mux_combine", {}),
+                ("repro.rewriting.rules.combine", "branch_combine", {}),
+                ("tests.exec.workertasks", "refuted_but_marked_verified", {}),
+            ),
+        )
+        path, mark = loop_dot
+        assert main(["transform", str(path), *self._mark_args(mark), "--check"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith("error: verified rewrite join-split-elim failed: ")
+
     def test_library_error_exits_1_without_traceback(self, tmp_path, capsys):
         # matvec's body reads an array through a function the front end
         # registers in its own environment; the CLI's fresh one lacks it.

@@ -78,14 +78,32 @@ class TestSessionCaching:
 
     def test_obligations_are_certified_through_the_cache(self, tmp_path):
         specs = [("repro.rewriting.rules.combine", "mux_combine", {})]
-        [first] = Session(cache_dir=tmp_path).check_obligations(specs)
+        cold = Session(cache_dir=tmp_path)
+        [first] = cold.check_obligations(specs)
         assert first["holds"] and first["mode"] == "search"
+        cold_counters = cold.metrics().counters
+        assert cold_counters.get("refinement.weak_sim_checks", 0) > 0
+        assert "refinement.cert_replay_hits" not in cold_counters
 
-        # A warm run rechecks the stored certificate instead of trusting a
-        # verdict: same evidence, no game.
-        [second] = Session(cache_dir=tmp_path).check_obligations(specs)
+        # A warm run rechecks the stored certificate by witness replay
+        # instead of trusting a verdict: same evidence, no game.
+        warm = Session(cache_dir=tmp_path)
+        [second] = warm.check_obligations(specs)
         assert second["holds"] and second["mode"] == "recheck"
         assert second["certificate_hashes"] == first["certificate_hashes"]
+        warm_counters = warm.metrics().counters
+        assert warm_counters.get("refinement.cert_replay_hits", 0) > 0
+        assert "refinement.weak_sim_checks" not in warm_counters
+
+    def test_rewrite_without_obligation_does_not_hold(self):
+        from repro.exec.workers import check_obligation_certified
+
+        outcome = check_obligation_certified(
+            module="tests.exec.workertasks", factory="rewrite_without_obligation"
+        )
+        assert (outcome["rewrite"], outcome["holds"], outcome["instances"]) == ("bare", False, 0)
+        assert outcome["mode"] == "none"
+        assert "has no obligation instances" in outcome["detail"]
 
     def test_removed_obligation_entry_points_stay_removed(self):
         session = Session(use_cache=False)

@@ -34,3 +34,20 @@ def fail_in_worker_only(*, parent_pid: int, x: int) -> dict:
     if os.getpid() != parent_pid:
         raise RuntimeError("transient worker failure")
     return {"value": x}
+
+
+def rewrite_without_obligation():
+    """A rewrite factory whose rewrite carries no obligation instances."""
+    from repro.core.exprhigh import ExprHigh
+    from repro.rewriting.rewrite import Rewrite
+
+    return Rewrite(name="bare", lhs=ExprHigh(), rhs=lambda match: ExprHigh())
+
+
+def refuted_but_marked_verified():
+    """``join_split_elim``, whose obligation is refuted, flagged verified."""
+    from dataclasses import replace
+
+    from repro.rewriting.rules import reduction
+
+    return replace(reduction.join_split_elim(), verified=True)

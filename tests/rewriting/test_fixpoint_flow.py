@@ -1,11 +1,12 @@
 """The five-phase fixpoint pipeline is the only transform path.
 
 Pins what that path produces on the six paper kernels — the exact output
-circuit, its step counts and its wire form — checks that obligation
-discharges are cached across pipelines, and that removed knobs (the
-saturation explorer's ``strategy``, ``budget`` and ``--pareto``, and the
-worklist fixpoint's ``use_worklist``) are rejected at every surface
-instead of being silently ignored.
+circuit, its step counts and its wire form, also when one pipeline is
+reused — and checks that removed knobs (the saturation explorer's
+``strategy``, ``budget`` and ``--pareto``, the worklist fixpoint's
+``use_worklist``, and the inline obligation check's ``check_obligations``
+and ``cache``) are rejected at every surface instead of being silently
+ignored.
 """
 
 import hashlib
@@ -17,9 +18,9 @@ from repro.benchmarks import BENCHMARKS, load_benchmark
 from repro.cli import main
 from repro.components import default_environment
 from repro.dot import print_dot
-from repro.exec.cache import ResultCache
 from repro.hls.frontend import compile_program
 from repro.obs.core import Tracer, scoped_tracer
+from repro.rewriting.engine import RewriteEngine
 from repro.rewriting.pipeline import GraphitiPipeline, TransformResult
 from repro.service.ops import canonical_params
 
@@ -116,6 +117,15 @@ def test_independent_runs_are_identical(results, name):
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
+def test_reused_pipeline_repeats_its_result(name):
+    """A second transform on the same pipeline counts only its own steps."""
+    env, ck = compile_kernel(name)
+    pipeline = GraphitiPipeline(env)
+    first = pipeline.transform_kernel(ck.graph, ck.mark).to_dict()
+    assert pipeline.transform_kernel(ck.graph, ck.mark).to_dict() == first
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
 def test_wire_round_trip_rebuilds_the_circuit(results, name):
     result = results[name]
     data = result.to_dict()
@@ -142,30 +152,25 @@ def test_bicg_refusal_returns_the_input_untouched():
     assert "pipeline.transforms" not in tracer.counters
 
 
-def test_obligations_discharged_cold_then_served_from_cache(tmp_path):
-    env, ck = compile_kernel("matvec")
-    runs = {}
-    for phase in ("cold", "warm"):
-        with scoped_tracer(Tracer()) as tracer:
-            pipeline = GraphitiPipeline(
-                env, check_obligations=True, cache=ResultCache(tmp_path)
-            )
-            result = pipeline.transform_kernel(ck.graph, ck.mark)
-        runs[phase] = (result, dict(tracer.counters))
-    (cold, cold_counters), (warm, warm_counters) = runs["cold"], runs["warm"]
-    assert cold_counters.get("refinement.weak_sim_checks", 0) > 0
-    assert "refinement.cert_replay_hits" not in cold_counters
-    # warm: every stored certificate is rechecked by witness replay, no game
-    assert warm_counters.get("refinement.cert_replay_hits", 0) > 0
-    assert "refinement.weak_sim_checks" not in warm_counters
-    assert cold.to_dict() == warm.to_dict()
-    assert cold.verified_applications == PINNED["matvec"][3]
-
-
-@pytest.mark.parametrize("knob", ["strategy", "budget", "use_worklist", "check_types"])
+@pytest.mark.parametrize(
+    "knob", ["strategy", "budget", "use_worklist", "check_types", "check_obligations", "cache"]
+)
 def test_pipeline_has_no_removed_knob(knob):
     with pytest.raises(TypeError, match=knob):
         GraphitiPipeline(default_environment(), **{knob: None})
+
+
+@pytest.mark.parametrize("knob", ["check_obligations", "cache"])
+def test_engine_has_no_obligation_knob(knob):
+    with pytest.raises(TypeError, match=knob):
+        RewriteEngine(**{knob: None})
+    assert not hasattr(RewriteEngine(), "verify_rewrite")
+
+
+def test_session_has_no_obligation_knob():
+    # Session.check_obligations() (or ``repro refine``) is the one driver.
+    with pytest.raises(TypeError, match="check_obligations"):
+        Session(use_cache=False, check_obligations=True)
 
 
 @pytest.mark.parametrize("knob", ["strategy", "budget"])

@@ -112,16 +112,6 @@ class TestFullPipeline:
 
 
 class TestCheckedPipeline:
-    def test_pipeline_with_inline_obligation_checking(self, compiled_gcd):
-        """check_obligations=True discharges every verified rewrite's
-        obligation before its first application — the fully-checked flow."""
-        env, ck = compiled_gcd
-        pipeline = GraphitiPipeline(env, check_obligations=True)
-        result = pipeline.transform_kernel(ck.graph, ck.mark)
-        assert result.transformed
-        # The engine must have discharged at least mux-combine and ooo-loop.
-        assert {"mux-combine", "ooo-loop"} <= pipeline.engine._discharged
-
     def test_pipeline_output_is_well_typed(self, compiled_gcd):
         """Every transformed graph passes the section 6.3 well-typedness
         deduction (tags wrap consistently everywhere)."""
