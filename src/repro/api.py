@@ -345,11 +345,6 @@ SimulationCertificate` in the content-addressed result cache (compact
         stimuli=None,
         kernel=None,
         tags: int | None = None,
-        capacities: Mapping | None = None,
-        latency_of=None,
-        trace=None,
-        max_cycles: int = 5_000_000,
-        deadlock_window: int = 10_000,
     ):
         """Cycle-simulate a circuit on the compiled engine.
 
@@ -374,13 +369,13 @@ SimulationCertificate` in the content-addressed result cache (compact
             reused across the batch.
         tags:
             Widens tagged-region channels when deriving the default buffer
-            placement (pass the transform's tag budget); ignored when
-            *capacities* is given.
-        capacities:
-            Per-edge channel capacities; defaults to
-            :func:`repro.hls.buffers.place_buffers` on the graph.
+            placement, :func:`repro.hls.buffers.place_buffers` on the graph
+            (pass the transform's tag budget).  A run that carries its own
+            ``capacities`` uses those instead.
         """
-        from .hls.area import latency_of as default_latency_of
+        from dataclasses import replace
+
+        from .hls.area import latency_of
         from .hls.buffers import place_buffers
         from .sim.compiled import BatchRun, compile_circuit
 
@@ -395,9 +390,7 @@ SimulationCertificate` in the content-addressed result cache (compact
                 "simulate() needs the mini-IR kernel: pass a CompiledKernel "
                 "or supply kernel= alongside the graph"
             )
-        latency_of = latency_of or default_latency_of
-        if capacities is None:
-            capacities = place_buffers(graph, tags).capacities
+        capacities = place_buffers(graph, tags).capacities
 
         single = isinstance(stimuli, Mapping)
         runs: list[BatchRun] = []
@@ -407,19 +400,9 @@ SimulationCertificate` in the content-addressed result cache (compact
             elif isinstance(entry, Mapping) and "arrays" in entry:
                 run = BatchRun(**entry)
             else:
-                run = BatchRun(
-                    arrays=entry,
-                    max_cycles=max_cycles,
-                    deadlock_window=deadlock_window,
-                )
+                run = BatchRun(arrays=entry)
             if run.capacities is None:
-                run = BatchRun(
-                    arrays=run.arrays,
-                    capacities=capacities,
-                    max_cycles=run.max_cycles,
-                    deadlock_window=run.deadlock_window,
-                    trace=run.trace if run.trace is not None else trace,
-                )
+                run = replace(run, capacities=capacities)
             runs.append(run)
 
         with self._call("simulate", "simulate", kernel=kernel.name, runs=len(runs)):

@@ -8,8 +8,6 @@ reproduction::
     python -m repro.cli transform circuit.dot --mux mux_a --mux mux_b \
         --branch br_a --branch br_b --init init0 --cond-fork cf0 --tags 8
     python -m repro.cli refine            # discharge every rewrite obligation, certified
-    python -m repro.cli refine --dump-certs certs/   # export .grc certificate files
-    python -m repro.cli refine --load-certs certs/   # independently re-validate
     python -m repro.cli bench matvec      # one benchmark, all four flows
     python -m repro.cli sim matvec --flow DF-OoO
     python -m repro.cli report            # the full Tables 2-3 + Figure 8 run
@@ -155,122 +153,7 @@ def _refine_specs(args: argparse.Namespace):
     return specs
 
 
-def _refine_dump(args: argparse.Namespace) -> int:
-    """Discharge obligations serially, writing one ``.grc`` file each.
-
-    A ``.grc`` file is a one-line JSON metadata header followed by the
-    binary certificate container (see :mod:`repro.refinement.codec`).
-    """
-    import json
-
-    from .errors import GraphitiError, RefinementError
-    from .refinement.checker import check_rewrite_obligation
-    from .refinement.codec import to_bytes
-    from .rewriting.rules import build_rewrite
-
-    try:
-        specs = _refine_specs(args)
-    except GraphitiError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out_dir = Path(args.dump_certs).expanduser()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    session = _session(args)
-    failures = written = 0
-    with _observe(args):
-        for module, factory, kwargs in specs:
-            rewrite = build_rewrite(module, factory, kwargs)
-            if rewrite.obligation is None:
-                continue
-            for index, (lhs, rhs, env, stimuli) in enumerate(rewrite.obligation()):
-                try:
-                    report = check_rewrite_obligation(
-                        lhs, rhs, env, stimuli, cache=session.cache
-                    )
-                except RefinementError as exc:
-                    if rewrite.verified:
-                        print(f"{rewrite.name}[{index}] FAILED: {exc}", file=sys.stderr)
-                        failures += 1
-                    else:
-                        print(f"{rewrite.name}[{index}] REFUTED: {exc}")
-                    continue
-                meta = {
-                    "kind": "ObligationCertificate",
-                    "rewrite": rewrite.name,
-                    "module": module,
-                    "factory": factory,
-                    "kwargs": kwargs,
-                    "instance": index,
-                    "mode": report.mode,
-                }
-                path = out_dir / f"{factory}-{index}.grc"
-                path.write_bytes(
-                    json.dumps(meta).encode("utf-8") + b"\n" + to_bytes(report.certificate)
-                )
-                written += 1
-                print(f"{rewrite.name}[{index}] {report.summary()} -> {path}")
-    print(f"{written} certificates written to {out_dir}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def _refine_load(args: argparse.Namespace) -> int:
-    """Re-validate dumped ``.grc`` certificate files against fresh obligations."""
-    import json
-
-    from .errors import GraphitiError
-    from .refinement.checker import recheck_obligation_certificate
-    from .refinement.codec import from_bytes
-    from .rewriting.rules import build_rewrite
-
-    cert_dir = Path(args.load_certs).expanduser()
-    files = sorted(cert_dir.glob("*.grc"))
-    if not files:
-        legacy = sorted(path.name for path in cert_dir.glob("*.json"))
-        if legacy:
-            print(
-                f"error: {cert_dir} holds only JSON certificate dumps "
-                f"({', '.join(legacy)}), which cannot be re-validated; "
-                "re-dump them with --dump-certs to get .grc files",
-                file=sys.stderr,
-            )
-        else:
-            print(f"error: no certificate files in {cert_dir}", file=sys.stderr)
-        return 2
-    failures = 0
-    with _observe(args):
-        for path in files:
-            try:
-                header, _, blob = path.read_bytes().partition(b"\n")
-                data = json.loads(header.decode("utf-8"))
-                certificate = from_bytes(blob)
-                rewrite = build_rewrite(
-                    data["module"], data["factory"], data.get("kwargs") or {}
-                )
-                instances = list(rewrite.obligation() or [])
-                lhs, rhs, env, stimuli = instances[int(data["instance"])]
-                report = recheck_obligation_certificate(
-                    lhs, rhs, env, certificate, stimuli
-                )
-            except (GraphitiError, KeyError, IndexError, ValueError) as exc:
-                print(f"{path.name:30s} FAILED: {exc}")
-                failures += 1
-                continue
-            print(f"{path.name:30s} {report.summary()}")
-    if failures:
-        print(f"{failures} certificates failed re-validation", file=sys.stderr)
-        return 1
-    print(f"all {len(files)} certificates re-validated", file=sys.stderr)
-    return 0
-
-
 def _cmd_refine(args: argparse.Namespace) -> int:
-    if args.dump_certs and args.load_certs:
-        print("error: --dump-certs and --load-certs are mutually exclusive", file=sys.stderr)
-        return 2
-    if args.dump_certs:
-        return _refine_dump(args)
-    if args.load_certs:
-        return _refine_load(args)
     from .errors import GraphitiError
 
     try:
@@ -586,14 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--rule", action="append", metavar="FACTORY",
         help="restrict to these rewrite factories (repeatable; default: all)",
     )
-    refine.add_argument(
-        "--dump-certs", default=None, metavar="DIR",
-        help="write one .grc certificate file per obligation instance to DIR",
-    )
-    refine.add_argument(
-        "--load-certs", default=None, metavar="DIR",
-        help="re-validate .grc certificate files from DIR against fresh obligations",
-    )
     _add_exec_flags(refine)
     refine.set_defaults(fn=_cmd_refine)
 
@@ -735,26 +610,21 @@ def main(argv: list[str] | None = None) -> int:
     if job_timeout is not None and job_timeout <= 0:
         print(f"error: --job-timeout must be > 0 (got {job_timeout})", file=sys.stderr)
         return 2
-    cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir is not None:
-        parent = Path(cache_dir).expanduser().parent
-        if not parent.is_dir():
+    # Expand ``~`` once, so the path checked here is the path used later
+    # (a shell leaves ``--cache-dir=~/x`` unexpanded).
+    for dest in ("cache_dir", "trace", "stimuli"):
+        if getattr(args, dest, None) is not None:
+            setattr(args, dest, str(Path(getattr(args, dest)).expanduser()))
+    for dest, flag in (("cache_dir", "--cache-dir"), ("trace", "--trace")):
+        path = getattr(args, dest, None)
+        if path is not None and not Path(path).parent.is_dir():
             print(
-                f"error: --cache-dir parent directory {parent} does not exist",
-                file=sys.stderr,
-            )
-            return 2
-    trace = getattr(args, "trace", None)
-    if trace is not None:
-        parent = Path(trace).expanduser().parent
-        if not parent.is_dir():
-            print(
-                f"error: --trace parent directory {parent} does not exist",
+                f"error: {flag} parent directory {Path(path).parent} does not exist",
                 file=sys.stderr,
             )
             return 2
     stimuli = getattr(args, "stimuli", None)
-    if stimuli is not None and not Path(stimuli).expanduser().is_file():
+    if stimuli is not None and not Path(stimuli).is_file():
         print(f"error: --stimuli file {stimuli} does not exist", file=sys.stderr)
         return 2
     cases = getattr(args, "cases", None)

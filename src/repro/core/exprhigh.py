@@ -326,52 +326,6 @@ class ExprHigh:
             raise GraphError(f"input port {dst} is not connected")
         return self._unlink(dst)
 
-    def rename_node(self, old: str, new: str) -> None:
-        """Rename a node, rewriting every endpoint that mentions it.
-
-        Atomic: both name checks run before any state changes, so a failed
-        rename leaves the graph untouched.  Only the O(degree) edges incident
-        to the node are re-keyed; the rest of the connection map is not
-        rebuilt.
-        """
-        if new in self.nodes:
-            raise GraphError(f"node name {new!r} already in use")
-        spec = self.nodes.get(old)
-        if spec is None:
-            raise GraphError(f"unknown node {old!r}")
-
-        def fix(endpoint: Endpoint) -> Endpoint:
-            return Endpoint(new, endpoint.port) if endpoint.node == old else endpoint
-
-        pairs = [
-            (dst, self.connections[dst])
-            for dst in {**self._out_edges[old], **self._in_edges[old]}
-        ]
-        for dst, _ in pairs:
-            self._unlink(dst)
-        del self.nodes[old]
-        self.nodes[new] = spec
-        del self._by_type[spec.typ][old]
-        self._by_type[spec.typ][new] = None
-        self._out_edges[new] = self._out_edges.pop(old)  # both empty now
-        self._in_edges[new] = self._in_edges.pop(old)
-        for dst, src in pairs:
-            self._link(fix(src), fix(dst))
-        for index, endpoint in self.inputs.items():
-            if endpoint.node == old:
-                self.inputs[index] = fix(endpoint)
-        for index, endpoint in self.outputs.items():
-            if endpoint.node == old:
-                self.outputs[index] = fix(endpoint)
-
-    def fresh_name(self, prefix: str) -> str:
-        if prefix not in self.nodes:
-            return prefix
-        counter = 1
-        while f"{prefix}_{counter}" in self.nodes:
-            counter += 1
-        return f"{prefix}_{counter}"
-
     def copy(self) -> "ExprHigh":
         clone = ExprHigh()
         clone.nodes = dict(self.nodes)

@@ -83,17 +83,16 @@ def check_obligation_certified(
     hashes: list[str] = []
     holds, detail = True, ""
     with obs.span(f"obligation:{rewrite.name}", certified=True) as sp:
-        if rewrite.obligation is None:
+        for lhs, rhs, env, stimuli in rewrite.obligation() if rewrite.obligation else ():
+            try:
+                report = check_rewrite_obligation(lhs, rhs, env, stimuli, cache=cache)
+            except RefinementError as exc:
+                holds, detail = False, str(exc)
+                break
+            modes.append(report.mode)
+            hashes.append(report.certificate.content_hash())
+        if holds and not modes:  # no instance was checked, so nothing is proven
             holds, detail = False, f"rewrite {rewrite.name!r} has no obligation instances"
-        else:
-            for lhs, rhs, env, stimuli in rewrite.obligation():
-                try:
-                    report = check_rewrite_obligation(lhs, rhs, env, stimuli, cache=cache)
-                except RefinementError as exc:
-                    holds, detail = False, str(exc)
-                    break
-                modes.append(report.mode)
-                hashes.append(report.certificate.content_hash())
         sp.set(holds=holds, modes=",".join(modes))
     mode = "none"
     if modes:

@@ -186,21 +186,6 @@ def var_occurrences(expr: Expr, counts: dict[str, int] | None = None) -> dict[st
     return counts
 
 
-def binop_count(expr: Expr) -> int:
-    """Number of operator nodes in an expression (used by area/scheduling)."""
-    if isinstance(expr, (Var, Const)):
-        return 0
-    if isinstance(expr, BinOp):
-        return 1 + binop_count(expr.left) + binop_count(expr.right)
-    if isinstance(expr, UnOp):
-        return 1 + binop_count(expr.operand)
-    if isinstance(expr, Load):
-        return 1 + binop_count(expr.index)
-    if isinstance(expr, Select):
-        return 1 + binop_count(expr.cond) + binop_count(expr.if_true) + binop_count(expr.if_false)
-    raise FrontendError(f"unknown expression {expr!r}")
-
-
 # -- statements / structure -----------------------------------------------------
 
 

@@ -4,12 +4,11 @@ from .checker import (
     RefinementReport,
     check_rewrite_obligation,
     io_stimuli,
-    recheck_obligation_certificate,
     refines,
     uniform_stimuli,
 )
 from .codec import from_bytes as certificate_from_bytes
-from .codec import looks_binary, to_bytes as certificate_to_bytes
+from .codec import to_bytes as certificate_to_bytes
 from .sat import (
     CnfFormula,
     CrossCheckReport,
@@ -36,12 +35,10 @@ __all__ = [
     "RefinementReport",
     "check_rewrite_obligation",
     "io_stimuli",
-    "recheck_obligation_certificate",
     "refines",
     "uniform_stimuli",
     "certificate_from_bytes",
     "certificate_to_bytes",
-    "looks_binary",
     "CnfFormula",
     "CrossCheckReport",
     "SatResult",

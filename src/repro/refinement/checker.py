@@ -46,7 +46,7 @@ Stimuli = Mapping[Port, Iterable[Value]]
 
 @dataclass
 class RefinementReport:
-    """A successful refinement check with its witness and statistics.
+    """A successful refinement check: its certificate and provenance.
 
     *mode* records the provenance of the verdict: ``"search"`` when the
     weak-simulation game was solved from scratch (cold), ``"recheck"``
@@ -54,94 +54,10 @@ class RefinementReport:
     exhaustive diagram pass), and ``"search-fallback"`` when a
     stored certificate existed but failed re-validation and the game was
     re-solved from scratch — corruption costs time, never soundness.
-
-    On the wire the certificate travels by *content hash*, not by value
-    (certificates run to megabytes; the service stores them
-    content-addressed and serves them from ``GET /v1/certificates/{hash}``),
-    so a report rebuilt by :meth:`from_dict` is *detached*: ``certificate``
-    is None and the statistics come from the recorded ``stats`` dict.
     """
 
-    certificate: SimulationCertificate | None
+    certificate: SimulationCertificate
     mode: str = "search"  # "search" | "recheck" | "search-fallback"
-    #: Detached-form statistics (``impl_states``/``spec_states``/
-    #: ``relation_size``/``certificate_hash``), populated by
-    #: :meth:`from_dict` when the certificate itself did not travel.
-    stats: dict | None = None
-
-    @property
-    def detached(self) -> bool:
-        """True when this report carries only the certificate's hash."""
-        return self.certificate is None
-
-    @property
-    def impl_states(self) -> int:
-        if self.certificate is not None:
-            return self.certificate.impl_states
-        return int(self.stats["impl_states"])
-
-    @property
-    def spec_states(self) -> int:
-        if self.certificate is not None:
-            return self.certificate.spec_states
-        return int(self.stats["spec_states"])
-
-    @property
-    def relation_size(self) -> int:
-        if self.certificate is not None:
-            return len(self.certificate.relation)
-        return int(self.stats["relation_size"])
-
-    @property
-    def certificate_hash(self) -> str:
-        if self.certificate is not None:
-            return self.certificate.content_hash()
-        return str(self.stats["certificate_hash"])
-
-    # -- result protocol / wire format (repro.results) ------------------------
-
-    def to_dict(self) -> dict:
-        from ..results import SCHEMA_VERSION
-
-        return {
-            "kind": "RefinementReport",
-            "schema_version": SCHEMA_VERSION,
-            "holds": True,  # a report only exists for a successful check
-            "mode": self.mode,
-            "impl_states": int(self.impl_states),
-            "spec_states": int(self.spec_states),
-            "relation_size": int(self.relation_size),
-            "certificate_hash": self.certificate_hash,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "RefinementReport":
-        """Rebuild the detached form; raises ``ResultSchemaError`` on drift."""
-        from ..errors import ResultSchemaError
-        from ..results import check_schema
-
-        entry = check_schema(data, "RefinementReport")
-        try:
-            return RefinementReport(
-                certificate=None,
-                mode=str(entry["mode"]),
-                stats={
-                    "impl_states": int(entry["impl_states"]),
-                    "spec_states": int(entry["spec_states"]),
-                    "relation_size": int(entry["relation_size"]),
-                    "certificate_hash": str(entry["certificate_hash"]),
-                },
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ResultSchemaError(
-                f"malformed RefinementReport wire dict: {exc}"
-            ) from exc
-
-    def summary(self) -> str:
-        return (
-            f"refinement holds [{self.mode}] ({self.impl_states} impl states, "
-            f"{self.spec_states} spec states)"
-        )
 
 
 def refines(impl: Module, spec: Module, stimuli: Stimuli) -> bool:
@@ -291,41 +207,6 @@ def check_rewrite_obligation(
     return RefinementReport(
         certificate, mode="search-fallback" if had_candidate else "search"
     )
-
-
-def recheck_obligation_certificate(
-    lhs: ExprHigh,
-    rhs: ExprHigh,
-    env: Environment,
-    certificate: SimulationCertificate,
-    stimuli: Stimuli | None = None,
-    spec_capacity: int | None = 4,
-) -> RefinementReport:
-    """Re-validate a persisted certificate against a freshly denoted obligation.
-
-    The file-based counterpart of the cache fast path (``repro refine
-    --load-certs``): both graphs are denoted exactly as
-    :func:`check_rewrite_obligation` would denote them, and the
-    certificate's relation is replayed diagram by diagram.  Raises
-    :class:`RefinementError` if the certificate no longer constitutes
-    evidence — because it was tampered with, or because the rewrite's
-    obligation drifted since the certificate was minted.
-    """
-    rhs_module = denote(rhs.lower(), env)
-    lhs_module = denote(lhs.lower(), env.with_capacity(spec_capacity))
-    if stimuli is None:
-        stimuli = uniform_stimuli(rhs_module, (0, 1))
-    with obs.span("refine:recheck", obligation=True) as sp:
-        result = recheck_certificate(rhs_module, lhs_module, certificate, stimuli)
-        sp.set(holds=result.holds, relation=len(certificate.relation))
-    if not result.holds:
-        obs.count("refinement.cert_recheck_failures")
-        raise RefinementError(
-            f"certificate re-validation failed: {result.violation}",
-            counterexample=result.violation,
-        )
-    obs.count("refinement.cert_cache_hits")
-    return RefinementReport(certificate, mode="recheck")
 
 
 def check_rewrite_obligation_traces(

@@ -1,8 +1,7 @@
 """Compact binary container for simulation certificates.
 
 This is the one stored encoding: the result cache keeps certificates as
-``.bin`` entries and ``repro refine --dump-certs`` writes ``.grc`` files
-(a one-line JSON metadata header, then this container).
+``.bin`` entries holding this container, and nothing else stores them.
 :meth:`~.simulation.SimulationCertificate.to_dict` is only a read-only
 JSON dump; nothing decodes it.
 
@@ -284,8 +283,3 @@ def from_bytes(blob: bytes) -> SimulationCertificate:
         _canon=(tuple(impl_states), tuple(spec_states), tuple(rows)),
         _hash=digest.hex(),
     )
-
-
-def looks_binary(blob: bytes) -> bool:
-    """True when *blob* starts with the binary container magic."""
-    return blob[:4] == MAGIC

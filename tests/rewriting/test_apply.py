@@ -133,9 +133,8 @@ class TestSemanticPreservation:
 
 class TestFreshNaming:
     def test_replacement_names_do_not_collide(self):
-        host = host_two_mux_loop()
-        # Pre-claim the replacement's natural names.
-        host.rename_node("jn", "jt")
+        # The host's join pre-claims the replacement's natural name.
+        host = host_two_mux_loop(join_name="jt")
         rewrite = mux_combine()
         match = first_match(host, rewrite)
         result, record = apply_rewrite(host, rewrite, match)

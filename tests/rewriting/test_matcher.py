@@ -11,19 +11,19 @@ from repro.rewriting.rules.combine import mux_combine
 from repro.rewriting.rules.common import graph_of
 
 
-def host_two_mux_loop():
+def host_two_mux_loop(join_name="jn"):
     """A host graph containing the mux-combine lhs plus surroundings."""
     g = ExprHigh()
     g.add_node("cfork", fork(2))
     g.add_node("m_a", mux())
     g.add_node("m_b", mux())
     g.add_node("body", pure("id"))
-    g.add_node("jn", join())
+    g.add_node(join_name, join())
     g.connect("cfork", "out0", "m_a", "cond")
     g.connect("cfork", "out1", "m_b", "cond")
-    g.connect("m_a", "out0", "jn", "in0")
-    g.connect("m_b", "out0", "jn", "in1")
-    g.connect("jn", "out0", "body", "in0")
+    g.connect("m_a", "out0", join_name, "in0")
+    g.connect("m_b", "out0", join_name, "in1")
+    g.connect(join_name, "out0", "body", "in0")
     g.mark_input(0, "cfork", "in0")
     g.mark_input(1, "m_a", "in0")
     g.mark_input(2, "m_a", "in1")

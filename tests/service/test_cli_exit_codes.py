@@ -19,14 +19,6 @@ def test_unknown_rule_exits_2(capsys):
     assert "unknown rule" in err and "no_such_rule" in err
 
 
-def test_unknown_rule_with_dump_certs_exits_2(tmp_path, capsys):
-    code = main(
-        ["refine", "--rule", "no_such_rule", "--dump-certs", str(tmp_path / "certs")]
-    )
-    assert code == 2
-    assert "unknown rule" in capsys.readouterr().err
-
-
 def test_missing_stimuli_file_exits_2(capsys):
     assert main(["sim", "matvec", "--stimuli", "/no/such/file.npz"]) == 2
     assert "--stimuli" in capsys.readouterr().err
@@ -94,11 +86,14 @@ def test_unrecognised_strategy_flag_still_exits_2(tmp_path, capsys):
     [
         (["verify"], "invalid choice: 'verify'"),
         (["refine", "--cert-format", "binary"], "unrecognized arguments: --cert-format"),
+        (["refine", "--dump-certs", "certs"], "unrecognized arguments: --dump-certs"),
+        (["refine", "--load-certs", "certs"], "unrecognized arguments: --load-certs"),
     ],
 )
 def test_removed_obligation_cli_exits_2(argv, message, capsys):
-    # `repro verify` and `refine --cert-format` were removed: `refine` is
-    # the one obligation subcommand and dumps are always .grc.
+    # `repro verify` and the certificate-file flags were removed: `refine`
+    # is the one obligation subcommand, and the result cache
+    # (`--cache-dir`) is the one certificate store.
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -126,53 +121,53 @@ def test_flow_and_removed_backend_rejected_up_front(argv, message, tmp_path, cap
     assert not cache.exists()
 
 
-def test_load_certs_on_json_only_dumps_exits_2(tmp_path, capsys):
-    (tmp_path / "mux_combine-0.json").write_text("{}")
-    (tmp_path / "mux_combine-1.json").write_text("{}")
-    assert main(["refine", "--load-certs", str(tmp_path), "--no-cache"]) == 2
-    err = capsys.readouterr().err
-    assert "mux_combine-0.json, mux_combine-1.json" in err
-    assert "re-dump them with --dump-certs" in err
-
-
-def test_load_certs_on_empty_dir_exits_2(tmp_path, capsys):
-    assert main(["refine", "--load-certs", str(tmp_path), "--no-cache"]) == 2
-    assert "no certificate files" in capsys.readouterr().err
-
-
-def test_dumped_grc_certificates_revalidate(tmp_path, capsys):
-    certs = tmp_path / "certs"
-    argv = ["refine", "--rule", "mux_combine", "--no-cache"]
-    assert main([*argv, "--dump-certs", str(certs)]) == 0
-    dumped = sorted(path.name for path in certs.iterdir())
-    assert dumped and all(name.endswith(".grc") for name in dumped)
-    assert main(["refine", "--load-certs", str(certs), "--no-cache"]) == 0
-    assert f"all {len(dumped)} certificates re-validated" in capsys.readouterr().err
-
-
-def test_dump_certs_counts_a_refutation_like_refine(tmp_path, capsys):
-    # branch-combine is documented-unverified: its refuted obligation is
-    # REFUTED and exit 0 with or without --dump-certs; only a verified
-    # rewrite that fails makes the work fail.
-    argv = ["refine", "--rule", "branch_combine", "--rule", "mux_combine", "--no-cache"]
+def test_tampered_cached_certificate_falls_back_to_search(tmp_path, capsys):
+    # A rerun on one --cache-dir re-validates every stored certificate; a
+    # corrupted one costs a fresh search, never the verdict (exit 0).
+    cache = tmp_path / "cache"
+    argv = [
+        "refine", "--rule", "mux_combine", "--rule", "branch_combine",
+        "--rule", "split_join_elim", "--cache-dir", str(cache),
+    ]
     assert main(argv) == 0
-    assert "REFUTED" in capsys.readouterr().out
-    assert main([*argv, "--dump-certs", str(tmp_path / "certs")]) == 0
-    captured = capsys.readouterr()
-    assert "branch-combine[0] REFUTED" in captured.out
-    assert "FAILED" not in captured.out + captured.err
-    dumped = sorted(path.name for path in (tmp_path / "certs").iterdir())
-    assert dumped and all(name.startswith("mux_combine-") for name in dumped)
+    capsys.readouterr()
+    assert main(argv) == 0
+    warm = capsys.readouterr().out
+    assert warm.count(" holds [recheck]") == 2 and warm.count(" REFUTED (") == 1
+
+    stored = sorted(cache.glob("*/*.bin"))
+    assert len(stored) == 2
+    blob = bytearray(stored[0].read_bytes())
+    blob[80] ^= 0xFF  # a byte of the compressed certificate core
+    stored[0].write_bytes(bytes(blob))
+
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.count(" holds [") == 2 and out.count(" REFUTED (") == 1
+    assert out.count(" holds [search-fallback]") == 1
+    assert out.count(" holds [recheck]") == 1
+    assert "FAILED" not in out
 
 
-def test_dump_certs_exits_1_when_a_verified_rewrite_fails(tmp_path, monkeypatch, capsys):
-    import repro.refinement.checker as checker
-    from repro.errors import RefinementError
+def test_home_relative_cache_dir_is_expanded(tmp_path, monkeypatch):
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    (tmp_path / "home").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(["refine", "--rule", "mux_combine", "--cache-dir", "~/cc"]) == 0
+    assert list((tmp_path / "home" / "cc").glob("*/*.bin"))
+    assert not (tmp_path / "~").exists()
 
-    def refute(*args, **kwargs):
-        raise RefinementError("injected")
 
-    monkeypatch.setattr(checker, "check_rewrite_obligation", refute)
-    argv = ["refine", "--rule", "mux_combine", "--no-cache"]
-    assert main([*argv, "--dump-certs", str(tmp_path / "certs")]) == 1
-    assert "mux-combine[0] FAILED: injected" in capsys.readouterr().err
+def test_home_relative_trace_is_expanded(tmp_path, monkeypatch):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    argv = ["refine", "--rule", "mux_combine", "--no-cache", "--trace", "~/t.jsonl"]
+    assert main(argv) == 0
+    assert (tmp_path / "t.jsonl").read_text().strip()
+
+
+def test_home_relative_stimuli_is_expanded(tmp_path, monkeypatch, capsys):
+    # The archive is read, so the error names its array, not a missing file.
+    monkeypatch.setenv("HOME", str(tmp_path))
+    np.savez(tmp_path / "s.npz", not_an_array=np.zeros(3))
+    assert main(["sim", "matvec", "--stimuli", "~/s.npz"]) == 2
+    assert "--stimuli array 'not_an_array'" in capsys.readouterr().err

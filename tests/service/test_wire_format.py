@@ -97,26 +97,6 @@ def test_benchmark_result_round_trips(session):
     assert rebuilt["DF-OoO"].cycles == result["DF-OoO"].cycles
 
 
-def test_refinement_report_round_trips_detached(session):
-    from repro.refinement.checker import RefinementReport, check_rewrite_obligation
-    from repro.rewriting.rules import build_rewrite
-
-    rewrite = build_rewrite("repro.rewriting.rules.combine", "mux_combine", {})
-    lhs, rhs, env, stimuli = next(iter(rewrite.obligation()))
-    report = check_rewrite_obligation(lhs, rhs, env, stimuli)
-    wire = report.to_dict()
-    assert wire["kind"] == "RefinementReport"
-    assert "certificate" not in wire  # detached: the certificate travels by hash
-    assert wire["certificate_hash"] == report.certificate.content_hash()
-
-    rebuilt = RefinementReport.from_dict(wire)
-    assert rebuilt.detached and rebuilt.certificate is None
-    assert rebuilt.certificate_hash == report.certificate_hash
-    assert rebuilt.impl_states == report.impl_states
-    assert rebuilt.relation_size == report.relation_size
-    assert rebuilt.to_dict() == wire
-
-
 def test_metrics_snapshot_round_trips(session):
     snapshot = session.metrics()
     wire = snapshot.to_dict()
