@@ -31,52 +31,43 @@ pieces, which remain importable::
 (The deprecated ``repro.run_benchmark`` shim was removed in v1.5 — use
 ``Session(...).bench(name=...)``; see the migration table in ``docs/api.md``.)
 
+The exports are lazy (PEP 562): ``import repro`` loads only
+:mod:`repro._version` and the helper :mod:`repro._lazy`, and each name
+above imports its defining module on first access (``repro.Session``
+loads :mod:`repro.api`, not the rewriting pipeline, the simulator or
+numpy).  ``from repro import *`` and ``from repro import Session`` work
+as for any module.
+
 See README.md for the architecture overview and examples/ for runnable
 walkthroughs.
 """
 
+from ._lazy import lazy_exports
 from ._version import __version__
-from .api import Session
-from .components import default_environment
-from .core import (
-    Environment,
-    ExprHigh,
-    ExprLow,
-    Module,
-    NodeSpec,
-    denote,
-)
-from .dot import parse_dot, print_dot
-from .errors import GraphitiError, ResultSchemaError, ServiceError
-from .refinement import (
-    check_rewrite_obligation,
-    find_weak_simulation,
-    refines,
-    trace_inclusion,
-)
-from .rewriting import GraphitiPipeline, Rewrite, RewriteEngine, Var
 
-__all__ = [
-    "Session",
-    "default_environment",
-    "Environment",
-    "ExprHigh",
-    "ExprLow",
-    "Module",
-    "NodeSpec",
-    "denote",
-    "parse_dot",
-    "print_dot",
-    "GraphitiError",
-    "ResultSchemaError",
-    "ServiceError",
-    "check_rewrite_obligation",
-    "find_weak_simulation",
-    "refines",
-    "trace_inclusion",
-    "GraphitiPipeline",
-    "Rewrite",
-    "RewriteEngine",
-    "Var",
-    "__version__",
-]
+#: Each public name and the module that defines it.
+_EXPORTS = {
+    "Session": ".api",
+    "default_environment": ".components",
+    "Environment": ".core.environment",
+    "ExprHigh": ".core.exprhigh",
+    "ExprLow": ".core.exprlow",
+    "Module": ".core.module",
+    "NodeSpec": ".core.exprhigh",
+    "denote": ".core.semantics",
+    "parse_dot": ".dot.parser",
+    "print_dot": ".dot.printer",
+    "GraphitiError": ".errors",
+    "ResultSchemaError": ".errors",
+    "ServiceError": ".errors",
+    "check_rewrite_obligation": ".refinement.checker",
+    "find_weak_simulation": ".refinement.simulation",
+    "refines": ".refinement.checker",
+    "GraphitiPipeline": ".rewriting.pipeline",
+    "Rewrite": ".rewriting.rewrite",
+    "RewriteEngine": ".rewriting.engine",
+    "Var": ".rewriting.rewrite",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -5,4 +5,4 @@ subsystems — notably :mod:`repro.exec.hashing`, whose cache keys embed the
 tool version — can import it without pulling in the whole package.
 """
 
-__version__ = "1.25.0"
+__version__ = "1.26.0"

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from . import obs
 from .components import default_environment
@@ -57,8 +57,10 @@ from .exec.cache import NullCache, ResultCache, default_cache_dir
 from .exec.executor import Executor, WorkUnit
 from .exec.hashing import eval_unit_key
 from .obs import MetricsSnapshot
-from .rewriting.pipeline import GraphitiPipeline, TransformResult
 from .rewriting.rules import VERIFY_FACTORY_SPECS, build_rewrite
+
+if TYPE_CHECKING:
+    from .rewriting.pipeline import TransformResult
 
 
 class Session:
@@ -161,6 +163,8 @@ class Session:
         All arguments are keyword-only (since v1.7; positional calls,
         deprecated in v1.7, are a ``TypeError`` since v1.13).
         """
+        from .rewriting.pipeline import GraphitiPipeline
+
         if graph is None or mark is None:
             raise TypeError("Session.transform() requires graph= and mark=")
         pipeline = GraphitiPipeline(self.env)

@@ -440,7 +440,7 @@ def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro`` argument parser, every subcommand and flag included."""
-    from .eval.runner import DATAFLOW_FLOWS
+    from .eval.paper_data import DATAFLOW_FLOWS
 
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

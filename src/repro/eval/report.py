@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from . import paper_data
-from .runner import DATAFLOW_FLOWS, BenchmarkResult
-
-FLOWS = paper_data.FLOWS
+from .paper_data import DATAFLOW_FLOWS, FLOWS
+from .runner import BenchmarkResult
 
 
 @dataclass

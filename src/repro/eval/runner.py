@@ -33,10 +33,7 @@ from ..hls.ooo import transform_out_of_order
 from ..hls.static_sched import schedule_program
 from ..rewriting.pipeline import GraphitiPipeline, TransformResult
 from ..sim.dispatch import simulate_graph
-
-#: The flows that simulate a dataflow circuit, in report order.
-DATAFLOW_FLOWS = ("DF-IO", "DF-OoO", "GRAPHITI")
-FLOWS = DATAFLOW_FLOWS + ("Vericert",)
+from .paper_data import DATAFLOW_FLOWS, FLOWS
 
 
 def flow_graph(

@@ -181,10 +181,14 @@ class NullCache:
 
 
 def default_cache_dir() -> Path:
-    """``$REPRO_CACHE_DIR``, else ``$XDG_CACHE_HOME/graphiti-repro``."""
+    """``$REPRO_CACHE_DIR``, else ``$XDG_CACHE_HOME/graphiti-repro``.
+
+    A leading ``~`` in either variable is expanded, as the shell would
+    have done for an unquoted ``--cache-dir``.
+    """
     override = os.environ.get("REPRO_CACHE_DIR")
     if override:
-        return Path(override)
+        return Path(override).expanduser()
     base = os.environ.get("XDG_CACHE_HOME")
-    root = Path(base) if base else Path.home() / ".cache"
+    root = Path(base).expanduser() if base else Path.home() / ".cache"
     return root / "graphiti-repro"

@@ -34,16 +34,16 @@ active tracer (see :meth:`repro.obs.Tracer.merge` and
 from __future__ import annotations
 
 import importlib
-import multiprocessing
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .. import obs
 from ..errors import GraphitiError
 from .cache import NullCache
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 
 class ExecutorError(GraphitiError):
@@ -134,6 +134,10 @@ class Executor:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
+            # Imported here, so a serial (jobs=1) process never loads them.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             context = multiprocessing.get_context(
                 "fork" if "fork" in multiprocessing.get_all_start_methods() else None
             )
@@ -211,6 +215,9 @@ class Executor:
     # -- pool path ------------------------------------------------------------
 
     def _run_pool(self, units: list[WorkUnit], pending: list[int], results: list[Any]) -> None:
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         completed: set[int] = set()
         fallback: list[int] = []
         tracer = obs.get_tracer()

@@ -21,13 +21,14 @@ differently.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .._version import __version__ as TOOL_VERSION
 from ..core.environment import Environment
 from ..core.exprhigh import ExprHigh
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _SEP = "\x1f"  # ASCII unit separator: cannot occur in the rendered parts
 
@@ -75,6 +76,8 @@ def stimuli_fingerprint(stimuli: Mapping | None) -> str:
 
 
 def array_fingerprint(name: str, array: np.ndarray) -> str:
+    import numpy as np  # only program keys hash arrays; obligations never load numpy
+
     digest = hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
     return f"{name}:{array.dtype.str}:{array.shape}:{digest}"
 

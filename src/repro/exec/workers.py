@@ -151,27 +151,24 @@ def cross_check_rewrite(
     instances = []
     agreed, detail = True, ""
     with obs.span(f"sat-check:{rewrite.name}") as sp:
-        if rewrite.obligation is None:
+        for lhs, rhs, env, stimuli in rewrite.obligation() if rewrite.obligation else ():
+            try:
+                report = cross_check_obligation(lhs, rhs, env, stimuli=stimuli, bound=bound)
+            except OracleDisagreement as exc:
+                agreed, detail = False, str(exc)
+                break
+            instances.append(
+                {
+                    "holds": bool(report.game_holds),
+                    "sat_holds": bool(report.sat.holds),
+                    "complete": bool(report.sat.complete),
+                    "pairs": int(report.sat.pairs_explored),
+                    "variables": int(report.sat.variables),
+                    "clauses": int(report.sat.clauses),
+                }
+            )
+        if agreed and not instances:  # nothing was cross-checked, so nothing agreed
             agreed, detail = False, f"rewrite {rewrite.name!r} has no obligation instances"
-        else:
-            for index, (lhs, rhs, env, stimuli) in enumerate(rewrite.obligation()):
-                try:
-                    report = cross_check_obligation(
-                        lhs, rhs, env, stimuli=stimuli, bound=bound
-                    )
-                except OracleDisagreement as exc:
-                    agreed, detail = False, str(exc)
-                    break
-                instances.append(
-                    {
-                        "holds": bool(report.game_holds),
-                        "sat_holds": bool(report.sat.holds),
-                        "complete": bool(report.sat.complete),
-                        "pairs": int(report.sat.pairs_explored),
-                        "variables": int(report.sat.variables),
-                        "clauses": int(report.sat.clauses),
-                    }
-                )
         sp.set(agreed=agreed, instances=len(instances))
     return {
         "rewrite": rewrite.name,

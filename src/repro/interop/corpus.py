@@ -174,7 +174,8 @@ def case_seeds(seed: int, count: int) -> list[int]:
 
 def run_fuzz_case(seed: int) -> dict:
     """Run one differential fuzz case; returns a manifest entry dict."""
-    from ..eval.runner import DATAFLOW_FLOWS, evaluate_program
+    from ..eval.paper_data import DATAFLOW_FLOWS
+    from ..eval.runner import evaluate_program
     from .netlist import dumps_netlist, loads_netlist
     from .verilog import dump_verilog, parse_verilog
 

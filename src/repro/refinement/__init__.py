@@ -29,7 +29,6 @@ from .simulation import (
     find_weak_simulation,
     recheck_certificate,
 )
-from .traces import can_perform, enumerate_traces, trace_inclusion
 
 __all__ = [
     "RefinementReport",
@@ -55,7 +54,4 @@ __all__ = [
     "encode_state",
     "find_weak_simulation",
     "recheck_certificate",
-    "can_perform",
-    "enumerate_traces",
-    "trace_inclusion",
 ]

@@ -207,30 +207,3 @@ def check_rewrite_obligation(
     return RefinementReport(
         certificate, mode="search-fallback" if had_candidate else "search"
     )
-
-
-def check_rewrite_obligation_traces(
-    lhs: ExprHigh,
-    rhs: ExprHigh,
-    env: Environment,
-    stimuli: Stimuli,
-    depth: int = 4,
-    spec_capacity: int | None = 4,
-) -> None:
-    """Cross-validate an obligation through the trace semantics.
-
-    Refinement implies trace inclusion (section 4.4), so every rhs trace of
-    bounded length must be an lhs trace.  This is an independent check of
-    the simulation game — slower (trace enumeration is exponential in
-    *depth*) but conceptually simpler, which is exactly what makes it a
-    good oracle for the checker itself.
-    """
-    from .traces import trace_inclusion
-
-    rhs_module = denote(rhs.lower(), env)
-    lhs_module = denote(lhs.lower(), env.with_capacity(spec_capacity))
-    witness = trace_inclusion(rhs_module, lhs_module, stimuli, depth)
-    if witness is not None:
-        raise RefinementError(
-            f"rhs trace not reproducible by lhs: {witness}", counterexample=witness
-        )

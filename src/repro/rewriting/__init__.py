@@ -1,30 +1,37 @@
 """The verified rewriting framework: patterns, matching, application,
 the term-level e-graph behind the purify step, and the five-phase
-out-of-order pipeline."""
+out-of-order pipeline.
 
-from .apply import Application, apply_rewrite
-from .engine import RewriteEngine
-from .matcher import find_matches, first_match
-from .pipeline import GraphitiPipeline, TransformResult, remove_identity_wires
-from .purify import PurityError, Region, compose_region, discover_region, purify_rewrite
-from .rewrite import Match, Rewrite, Var, pattern
+The exports are lazy (see :mod:`repro._lazy`): importing this package, or
+a rule module under :mod:`repro.rewriting.rules`, loads none of them, so
+discharging rewrite obligations never loads the pipeline
+(:mod:`~repro.rewriting.pipeline`) or the purify e-graph
+(:mod:`~repro.rewriting.egraph`).  Each name imports its defining module
+on first access.
+"""
 
-__all__ = [
-    "Application",
-    "apply_rewrite",
-    "RewriteEngine",
-    "find_matches",
-    "first_match",
-    "GraphitiPipeline",
-    "TransformResult",
-    "remove_identity_wires",
-    "PurityError",
-    "Region",
-    "compose_region",
-    "discover_region",
-    "purify_rewrite",
-    "Match",
-    "Rewrite",
-    "Var",
-    "pattern",
-]
+from .._lazy import lazy_exports
+
+#: Each public name and the module that defines it.
+_EXPORTS = {
+    "Application": ".apply",
+    "apply_rewrite": ".apply",
+    "RewriteEngine": ".engine",
+    "find_matches": ".matcher",
+    "first_match": ".matcher",
+    "GraphitiPipeline": ".pipeline",
+    "TransformResult": ".pipeline",
+    "remove_identity_wires": ".pipeline",
+    "PurityError": ".purify",
+    "Region": ".purify",
+    "compose_region": ".purify",
+    "discover_region": ".purify",
+    "purify_rewrite": ".purify",
+    "Match": ".rewrite",
+    "Rewrite": ".rewrite",
+    "Var": ".rewrite",
+    "pattern": ".rewrite",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

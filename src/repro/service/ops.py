@@ -114,7 +114,7 @@ def canonical_params(kind: str, params: Mapping | None) -> dict:
         return {"dot": dot, "mark": _canonical_mark(mark)}
 
     if kind == "simulate":
-        from ..eval.runner import DATAFLOW_FLOWS
+        from ..eval.paper_data import DATAFLOW_FLOWS
 
         _reject_unknown(params, ("kernel", "flow"), kind)
         kernel = _require_str(params, "kernel", kind)

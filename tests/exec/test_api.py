@@ -116,6 +116,18 @@ class TestSessionCaching:
         assert "has no obligation instances" in outcome["detail"]
         assert cross_check_rewrite(**spec)["holds"] is False
 
+    @pytest.mark.parametrize(
+        "factory", ["rewrite_with_empty_obligation", "rewrite_without_obligation"]
+    )
+    def test_cross_check_without_instances_does_not_agree(self, factory):
+        # Nothing was decided by either oracle, so nothing agreed, just as
+        # check_obligation_certified proves nothing for such a rewrite.
+        from repro.exec.workers import cross_check_rewrite
+
+        outcome = cross_check_rewrite(module="tests.exec.workertasks", factory=factory)
+        assert (outcome["agreed"], outcome["holds"], outcome["instances"]) == (False, False, [])
+        assert "has no obligation instances" in outcome["detail"]
+
     def test_removed_obligation_entry_points_stay_removed(self):
         session = Session(use_cache=False)
         for name in ("verify", "check_refinements"):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro import obs
-from repro.exec.cache import CACHE_FORMAT, CacheError, NullCache, ResultCache
+from repro.exec.cache import CACHE_FORMAT, CacheError, NullCache, ResultCache, default_cache_dir
 
 KEY = "ab" + "0" * 62
 
@@ -80,3 +80,21 @@ class TestNullCache:
         assert cache.get(KEY) is None
         assert len(cache) == 0
         assert counters == {"cache.misses": 1}
+
+
+class TestDefaultCacheDir:
+    @pytest.mark.parametrize(
+        "variable, value, expected",
+        [
+            ("REPRO_CACHE_DIR", "~/cc", "cc"),
+            ("XDG_CACHE_HOME", "~/xdg", "xdg/graphiti-repro"),
+        ],
+    )
+    def test_tilde_expands_to_home(self, tmp_path, monkeypatch, variable, value, expected):
+        # A quoted '~' reaches the environment unexpanded; it must not
+        # become a directory named '~' under the working directory.
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setenv(variable, value)
+        assert default_cache_dir() == tmp_path / expected

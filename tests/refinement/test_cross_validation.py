@@ -10,10 +10,11 @@ of the two semantics — this suite is the library checking itself.
 import pytest
 
 from repro.errors import RefinementError
-from repro.refinement.checker import check_rewrite_obligation, check_rewrite_obligation_traces
+from repro.refinement.checker import check_rewrite_obligation
 from repro.rewriting.rules import combine, pure_gen, reduction, shuffle
 
 from ..rewriting.normalizers import buffer_elim
+from .traces import check_rewrite_obligation_traces
 
 AGREEING_RULES = [
     combine.mux_combine,

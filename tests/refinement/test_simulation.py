@@ -6,13 +6,9 @@ from repro.components import buffer, default_environment, fork, merge, pure
 from repro.core import ExprHigh, denote
 from repro.core.ports import IOPort
 from repro.errors import RefinementError
-from repro.refinement import (
-    enumerate_traces,
-    find_weak_simulation,
-    refines,
-    trace_inclusion,
-    uniform_stimuli,
-)
+from repro.refinement import find_weak_simulation, refines, uniform_stimuli
+
+from .traces import enumerate_traces, trace_inclusion
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Trace semantics and trace-inclusion testing.
+"""Trace semantics and trace-inclusion testing: the tests' third oracle.
 
 The paper defines behaviours of a graph as traces of input/output values and
 proves that refinement implies trace inclusion.  Here traces are enumerated
@@ -6,15 +6,20 @@ directly: an *event* is ``("in", port, value)`` or ``("out", port, value)``;
 internal transitions are invisible.  :func:`trace_inclusion` bounded-checks
 that every implementation trace is also a specification trace — the property
 the test-suite uses to validate the simulation checker against an
-independent semantics.
+independent semantics.  No library path decides an obligation this way, so
+the oracle lives with the tests that use it.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
-from ..core.module import Module, State, Value
-from ..core.ports import Port
+from repro.core.environment import Environment
+from repro.core.exprhigh import ExprHigh
+from repro.core.module import Module, State, Value
+from repro.core.ports import Port
+from repro.core.semantics import denote
+from repro.errors import RefinementError
 
 Event = tuple[str, Port, Value]
 Trace = tuple[Event, ...]
@@ -137,3 +142,28 @@ def trace_inclusion(
         if not can_perform(spec, trace):
             return trace
     return None
+
+
+def check_rewrite_obligation_traces(
+    lhs: ExprHigh,
+    rhs: ExprHigh,
+    env: Environment,
+    stimuli: Mapping[Port, Iterable[Value]],
+    depth: int = 4,
+    spec_capacity: int | None = 4,
+) -> None:
+    """Cross-validate an obligation through the trace semantics.
+
+    Refinement implies trace inclusion (section 4.4), so every rhs trace of
+    bounded length must be an lhs trace.  This is an independent check of
+    the simulation game — slower (trace enumeration is exponential in
+    *depth*) but conceptually simpler, which is exactly what makes it a
+    good oracle for the checker itself.
+    """
+    rhs_module = denote(rhs.lower(), env)
+    lhs_module = denote(lhs.lower(), env.with_capacity(spec_capacity))
+    witness = trace_inclusion(rhs_module, lhs_module, stimuli, depth)
+    if witness is not None:
+        raise RefinementError(
+            f"rhs trace not reproducible by lhs: {witness}", counterexample=witness
+        )
