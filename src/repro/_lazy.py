@@ -12,7 +12,9 @@ Importing the package then loads none of those submodules.  The first
 access to a name imports its submodule and stores the value in the
 package's globals, so every later access is a plain attribute hit that
 never reaches ``__getattr__``.  A name mapped to the submodule of the
-same name (``"paper_data": ".paper_data"``) exports that submodule.
+same name (``"paper_data": ".paper_data"``) exports that submodule, and
+``".codec:from_bytes"`` exports the submodule's ``from_bytes`` under the
+table's name.
 """
 
 from __future__ import annotations
@@ -27,16 +29,20 @@ def lazy_exports(
     """The ``__getattr__`` and ``__dir__`` of a package with lazy *exports*.
 
     *namespace* is the package's ``globals()``; *exports* maps each public
-    name to its defining submodule, relative to *package*.
+    name to its defining submodule, relative to *package*, optionally
+    followed by ``:attribute`` when the submodule names it differently.
     """
 
     def __getattr__(name: str) -> Any:
         try:
-            submodule = exports[name]
+            submodule, _, attribute = exports[name].partition(":")
         except KeyError:
             raise AttributeError(f"module {package!r} has no attribute {name!r}") from None
         module = importlib.import_module(submodule, package)
-        value = module if module.__name__ == f"{package}.{name}" else getattr(module, name)
+        if module.__name__ == f"{package}.{name}":
+            value = module
+        else:
+            value = getattr(module, attribute or name)
         namespace[name] = value
         return value
 

@@ -87,7 +87,7 @@ def _observe(args: argparse.Namespace):
 def _cmd_transform(args: argparse.Namespace) -> int:
     from .dot import parse_dot, print_dot
     from .errors import GraphitiError
-    from .hls.frontend import LoopMark
+    from .hls.marks import LoopMark
 
     graph = parse_dot(Path(args.input).read_text())
     try:

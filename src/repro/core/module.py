@@ -19,7 +19,7 @@ The three combinators of section 4.5 are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from ..errors import SemanticsError
@@ -62,6 +62,11 @@ class Module:
     outputs: Mapping[Port, OutputTransition]
     internals: tuple[InternalTransition, ...]
     init: frozenset[State]
+    #: What the module was built from: ``("product", first, second)`` for
+    #: :func:`product`, ``("connect", inner, output, input)`` for
+    #: :func:`connect_ports`, and None for a *leaf* — a module built any
+    #: other way.  :mod:`repro.refinement.table` lowers a module through it.
+    origin: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.inputs, dict):
@@ -187,7 +192,7 @@ def product(first: Module, second: Module) -> Module:
         + [_lift_internal_right(t) for t in second.internals]
     )
     init = frozenset((l, r) for l in first.init for r in second.init)
-    return Module(inputs, outputs, internals, init)
+    return Module(inputs, outputs, internals, init, ("product", first, second))
 
 
 def connect_ports(module: Module, output: Port, input_: Port) -> Module:
@@ -211,7 +216,10 @@ def connect_ports(module: Module, output: Port, input_: Port) -> Module:
     internal = InternalTransition(f"conn({output}⇝{input_})", fire)
     inputs = {p: t for p, t in module.inputs.items() if p != input_}
     outputs = {p: t for p, t in module.outputs.items() if p != output}
-    return Module(inputs, outputs, module.internals + (internal,), module.init)
+    return Module(
+        inputs, outputs, module.internals + (internal,), module.init,
+        ("connect", module, output, input_),
+    )
 
 
 # -- queue helpers used by component definitions -----------------------------

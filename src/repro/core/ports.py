@@ -28,6 +28,16 @@ class IOPort:
     def __post_init__(self) -> None:
         if self.index < 0:
             raise PortError(f"I/O port index must be a natural number, got {self.index}")
+        object.__setattr__(self, "_hash", hash((self.index,)))
+
+    # Ports key every successor cache of the refinement layer, so the hash
+    # is computed once; it equals the generated ``hash((index,))``, which
+    # keeps set iteration order — and everything derived from it — as is.
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return IOPort, (self.index,)
 
     def __str__(self) -> str:
         return f"io:{self.index}"
@@ -43,6 +53,15 @@ class InternalPort:
     def __post_init__(self) -> None:
         if not self.instance or not self.wire:
             raise PortError("internal port requires non-empty instance and wire names")
+        object.__setattr__(self, "_hash", hash((self.instance, self.wire)))
+
+    # Cached like IOPort's.  String hashes are salted per process, so a
+    # pickled port is rebuilt through the constructor, never copied.
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return InternalPort, (self.instance, self.wire)
 
     def __str__(self) -> str:
         return f"{self.instance}.{self.wire}"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from ..core.exprhigh import Endpoint, ExprHigh, NodeSpec
 from ..errors import RewriteError
-from .frontend import LoopMark
+from .marks import LoopMark
 
 
 def transform_out_of_order(graph: ExprHigh, mark: LoopMark) -> ExprHigh:

@@ -250,7 +250,7 @@ def encode_refinement(
 
     *cache* is a successor cache already built for exactly these modules
     and stimuli (:func:`cross_check_obligation` shares one with the game
-    so that each module is fired once); by default a fresh one is used.
+    so that each module is lowered once); by default a fresh one is used.
     Only successor enumeration is shared: the encoding reads nothing of
     the game's positions, choices or refutations.
     """
@@ -284,9 +284,9 @@ def encode_refinement(
             body = bodies[key] = formula.checked_body(body)
         return body
 
-    spec_init = tuple(cache.spec_id(t0) for t0 in sorted(spec.init, key=repr))
+    spec_init = tuple(cache.spec_table.intern(t0) for t0 in sorted(spec.init, key=repr))
     for s0 in sorted(impl.init, key=repr):
-        clauses.append((0, body_of(cache.impl_id(s0), spec_init)))
+        clauses.append((0, body_of(cache.impl_table.intern(s0), spec_init)))
 
     impl_moves = cache.impl_moves
     input_responses = cache.spec_input_responses
@@ -398,8 +398,9 @@ def cross_check_obligation(
     spec = denote(lhs.lower(), env.with_capacity(spec_capacity))
     if stimuli is None:
         stimuli = uniform_stimuli(impl, values)
-    # One successor cache serves both procedures, so each module is fired
-    # once per state; with mismatched interfaces both return early.
+    # One successor cache serves both procedures, so each module is
+    # lowered once and each leaf fires once per local state; with
+    # mismatched interfaces both return early.
     cache = None
     if _interface_violation(impl, spec) is None:
         stimuli = _normalise_stimuli(impl, stimuli)

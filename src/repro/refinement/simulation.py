@@ -65,6 +65,7 @@ from ..core.module import Module, State, Value
 from ..core.ports import Port
 from ..errors import CertificateError, RefinementError, SemanticsError
 from .encoding import NodeTable, state_bytes, write_uvarint
+from .table import SuccessorTable
 
 Stimuli = Mapping[Port, Iterable[Value]]
 
@@ -338,36 +339,30 @@ class SimulationResult:
 
 
 class _GameCache:
-    """Id-indexed successor cache shared by the game search and the recheck.
+    """The successor cache shared by the game search, the SAT encoder and
+    the exhaustive recheck, over one :class:`SuccessorTable` per module.
 
-    Module states are deep nested tuples, and both consumers hash them
-    enormously often: every product position (search) or relation pair
-    (recheck) is a (state, state) pair used as a dict/set key, and the
-    same state recurs across thousands of pairs.  Interning each side's
-    states into dense integer ids — the big tuple is hashed once, when
-    first seen — lets every downstream cache, the game's position table
-    and the recheck's relation-membership set key on small ints, which
-    cuts both the hashing time and the memory retained.  Firing is paid
-    once per unique state: successor sets, τ-closures (walked over the
-    memoised one-step ids) and per-(state, port) spec output emissions
-    are all cached by id.
+    The tables intern states into dense ids and step them without
+    ``Module.fire`` (see :mod:`repro.refinement.table`), so every
+    downstream cache, the game's position table and the recheck's
+    relation-membership set key on small ints.  On top of them this cache
+    memoises, per id, what the diagrams ask for: implementation move
+    sets, spec one-step internal successors, τ-closures (walked over the
+    memoised one-step ids), and per-(state, port) spec input and output
+    responses.
     """
 
     __slots__ = (
-        "impl", "spec", "stimuli", "impl_states", "spec_states",
-        "_impl_ids", "_spec_ids", "_impl_moves", "_internal_succ", "_closures",
+        "stimuli", "impl_table", "spec_table",
+        "_impl_moves", "_internal_succ", "_closures",
         "_spec_inputs", "_spec_in_mids", "_spec_emits", "_spec_outputs",
         "_tau_parents",
     )
 
     def __init__(self, impl: Module, spec: Module, stimuli: Mapping[Port, tuple]):
-        self.impl = impl
-        self.spec = spec
         self.stimuli = stimuli
-        self.impl_states: list[State] = []
-        self.spec_states: list[State] = []
-        self._impl_ids: dict[State, int] = {}
-        self._spec_ids: dict[State, int] = {}
+        self.impl_table = SuccessorTable(impl)
+        self.spec_table = SuccessorTable(spec)
         self._impl_moves: dict[int, tuple] = {}
         self._internal_succ: dict[int, tuple[int, ...]] = {}
         self._closures: dict[int, tuple[int, ...]] = {}
@@ -377,39 +372,16 @@ class _GameCache:
         self._spec_outputs: dict[tuple, tuple[int, ...]] = {}
         self._tau_parents: dict[int, dict[int, int]] = {}
 
-    def impl_id(self, state: State) -> int:
-        idx = self._impl_ids.get(state)
-        if idx is None:
-            idx = len(self.impl_states)
-            self._impl_ids[state] = idx
-            self.impl_states.append(state)
-        return idx
-
-    def spec_id(self, state: State) -> int:
-        idx = self._spec_ids.get(state)
-        if idx is None:
-            idx = len(self.spec_states)
-            self._spec_ids[state] = idx
-            self.spec_states.append(state)
-        return idx
-
     def internal_succ(self, tid: int) -> tuple[int, ...]:
         """Spec ids reachable in exactly one internal step."""
         cached = self._internal_succ.get(tid)
         if cached is None:
-            spec_id = self.spec_id
-            cached = tuple(spec_id(t) for t in self.spec.internal_steps(self.spec_states[tid]))
-            self._internal_succ[tid] = cached
+            cached = self._internal_succ[tid] = self.spec_table.internals(tid)
         return cached
 
     def closure(self, tid: int) -> tuple[int, ...]:
-        """Spec ids reachable by zero or more internal steps.
-
-        Walks the memoised one-step successor ids instead of calling
-        ``Module.tau_closure``: overlapping closures re-fire the same
-        states' internal transitions from scratch there, and internal
-        firing dominates the game's profile.
-        """
+        """Spec ids reachable by zero or more internal steps, walked over
+        the memoised one-step successor ids."""
         cached = self._closures.get(tid)
         if cached is None:
             internal_succ = self.internal_succ
@@ -458,21 +430,19 @@ class _GameCache:
         with successors given as impl ids."""
         cached = self._impl_moves.get(sid)
         if cached is None:
-            state = self.impl_states[sid]
-            impl_id = self.impl_id
+            table = self.impl_table
             inputs = tuple(
-                (port, value, impl_id(s_next))
+                (port, value, s_next)
                 for port, values in self.stimuli.items()
                 for value in values
-                for s_next in self.impl.inputs[port].fire(state, value)
+                for s_next in table.inputs(sid, port, value)
             )
             outputs = tuple(
-                (port, value, impl_id(s_next))
-                for port, transition in self.impl.outputs.items()
-                for value, s_next in transition.fire(state)
+                (port, value, s_next)
+                for port in table.module.outputs
+                for value, s_next in table.outputs(sid, port)
             )
-            internals = tuple(impl_id(s_next) for s_next in self.impl.internal_steps(state))
-            cached = (inputs, outputs, internals)
+            cached = (inputs, outputs, table.internals(sid))
             self._impl_moves[sid] = cached
         return cached
 
@@ -481,12 +451,7 @@ class _GameCache:
         key = (tid, port, value)
         cached = self._spec_in_mids.get(key)
         if cached is None:
-            spec_id = self.spec_id
-            cached = tuple(
-                spec_id(t_mid)
-                for t_mid in self.spec.inputs[port].fire(self.spec_states[tid], value)
-            )
-            self._spec_in_mids[key] = cached
+            cached = self._spec_in_mids[key] = self.spec_table.inputs(tid, port, value)
         return cached
 
     def spec_input_responses(self, tid: int, port: Port, value: Value) -> tuple[int, ...]:
@@ -514,13 +479,9 @@ class _GameCache:
         if cached is None:
             emits = self._spec_emits.get((tid, port))
             if emits is None:
-                fire = self.spec.outputs[port].fire
-                spec_id = self.spec_id
-                states = self.spec_states
+                outputs = self.spec_table.outputs
                 emits = tuple(
-                    (spec_value, spec_id(t_next))
-                    for mid in self.closure(tid)
-                    for spec_value, t_next in fire(states[mid])
+                    emit for mid in self.closure(tid) for emit in outputs(mid, port)
                 )
                 self._spec_emits[(tid, port)] = emits
             cached = tuple(dict.fromkeys(t for spec_value, t in emits if spec_value == value))
@@ -562,7 +523,11 @@ def _successor_cache(
     stimuli, or a fresh cache when it is None."""
     if cache is None:
         return _GameCache(impl, spec, stimuli)
-    if cache.impl is not impl or cache.spec is not spec or cache.stimuli != stimuli:
+    if (
+        cache.impl_table.module is not impl
+        or cache.spec_table.module is not spec
+        or cache.stimuli != stimuli
+    ):
         raise ValueError("the successor cache was built for other modules or stimuli")
     return cache
 
@@ -611,17 +576,18 @@ def find_weak_simulation(
 
     game = _LocalGame(succ, limit)
     exhausted = game.solve(
-        [succ.impl_id(s0) for s0 in impl_init], [succ.spec_id(t0) for t0 in spec_init]
+        [succ.impl_table.intern(s0) for s0 in impl_init],
+        [succ.spec_table.intern(t0) for t0 in spec_init],
     )
     obs.count("refinement.game_positions", len(game.pairs))
     if exhausted is not None:
         return SimulationResult(False, violation=game.diagnose(exhausted))
 
     pairs, lost = game.pairs, game.lost
-    impl_states, spec_states = succ.impl_states, succ.spec_states
+    impl_state, spec_state = succ.impl_table.state, succ.spec_table.state
     certificate = SimulationCertificate(
         relation=frozenset(
-            (impl_states[sid], spec_states[tid])
+            (impl_state(sid), spec_state(tid))
             for idx, (sid, tid) in enumerate(pairs)
             if not lost[idx]
         ),
@@ -812,15 +778,15 @@ class _LocalGame:
         succ = self.succ
         sid = self.root_sid[r]
         if not self.root_cands[r]:
-            s0 = succ.impl_states[sid]
+            s0 = succ.impl_table.state(sid)
             return Violation("init", s0, None, f"initial state {s0!r} is not simulated")
         tid = self.root_cands[r][0]
         idx = self.index_of[(sid << 32) | tid]
         kind, port, value, _ = self.moves[idx][self.reason[idx]]
         return Violation(
             _KIND_NAMES[kind],
-            succ.impl_states[sid],
-            succ.spec_states[tid],
+            succ.impl_table.state(sid),
+            succ.spec_table.state(tid),
             f"{_move_detail(kind, port, value)} has no winning spec response",
         )
 
@@ -834,8 +800,8 @@ def _extract_witnesses(
     through the exhaustive pass)."""
     succ = game.succ
     impl_states, spec_states, rows = certificate.canonical_parts()
-    impl_sid_of = [succ.impl_id(s) for s in impl_states]
-    spec_tid_of = [succ.spec_id(t) for t in spec_states]
+    impl_sid_of = [succ.impl_table.intern(s) for s in impl_states]
+    spec_tid_of = [succ.spec_table.intern(t) for t in spec_states]
     spec_canon_of_tid = {tid: j for j, tid in enumerate(spec_tid_of)}
     impl_canon_of_sid = {sid: i for i, sid in enumerate(impl_sid_of)}
     primary = len(spec_states)
@@ -851,7 +817,7 @@ def _extract_witnesses(
         if j is None:
             j = primary + len(extra_states)
             extra_of_tid[tid] = j
-            extra_states.append(succ.spec_states[tid])
+            extra_states.append(succ.spec_table.state(tid))
         return j
 
     paths: list[tuple[int, ...]] = []
@@ -904,10 +870,9 @@ def _extract_witnesses(
                 emap = emit_mids.get(emap_key)
                 if emap is None:
                     emap = {}
-                    fire = succ.spec.outputs[port].fire
                     for mid in succ.closure(tid):
-                        for spec_value, t_next in fire(succ.spec_states[mid]):
-                            emap.setdefault((spec_value, succ.spec_id(t_next)), mid)
+                        for emit in succ.spec_table.outputs(mid, port):
+                            emap.setdefault(emit, mid)
                     emit_mids[emap_key] = emap
                 mid = emap.get((value, resp_tid))
                 if mid is None:
@@ -1172,13 +1137,23 @@ def _exhaustive_recheck(
 ) -> SimulationResult:
     """The witness-free recheck: replay all three diagrams for every pair.
 
-    Interns the relation's states into dense ids once — the diagram checks
-    then test membership on packed int pairs instead of re-hashing deep
-    state tuples per candidate response, and the successor caches key on
-    small ints the same way the game search does."""
-    relation = certificate.relation
+    Interns the relation's states into the successor tables' dense ids
+    once — the diagram checks then test membership on packed int pairs
+    instead of re-hashing deep state tuples per candidate response, and
+    the successor caches key on small ints the same way the game search
+    does.  A relation state not shaped like the module's states fails."""
     succ = _GameCache(impl, spec, cert_stimuli)
-    id_pairs = [(succ.impl_id(s), succ.spec_id(t)) for s, t in relation]
+    impl_id, spec_id = succ.impl_table.intern, succ.spec_table.intern
+    try:
+        id_pairs = [(impl_id(s), spec_id(t)) for s, t in certificate.relation]
+    except SemanticsError as exc:
+        return SimulationResult(
+            False,
+            violation=Violation(
+                "interface", None, None, f"relation is not over these modules: {exc}"
+            ),
+            method="exhaustive",
+        )
     related = {(sid << 32) | tid for sid, tid in id_pairs}
     for sid, tid in id_pairs:
         inputs, outputs, internals = succ.impl_moves(sid)
@@ -1191,7 +1166,7 @@ def _exhaustive_recheck(
                 return SimulationResult(
                     False,
                     violation=Violation(
-                        "input", succ.impl_states[sid], succ.spec_states[tid],
+                        "input", succ.impl_table.state(sid), succ.spec_table.state(tid),
                         f"input {port}={value!r} has no response inside the relation",
                     ),
                     method="exhaustive",
@@ -1205,7 +1180,7 @@ def _exhaustive_recheck(
                 return SimulationResult(
                     False,
                     violation=Violation(
-                        "output", succ.impl_states[sid], succ.spec_states[tid],
+                        "output", succ.impl_table.state(sid), succ.spec_table.state(tid),
                         f"output {port} emits {value!r} with no response inside the relation",
                     ),
                     method="exhaustive",
@@ -1216,7 +1191,7 @@ def _exhaustive_recheck(
                 return SimulationResult(
                     False,
                     violation=Violation(
-                        "internal", succ.impl_states[sid], succ.spec_states[tid],
+                        "internal", succ.impl_table.state(sid), succ.spec_table.state(tid),
                         "internal step has no response inside the relation",
                     ),
                     method="exhaustive",

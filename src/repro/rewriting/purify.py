@@ -228,7 +228,10 @@ def purify_rewrite(graph: ExprHigh, region: Region, env) -> tuple[Rewrite, Match
         name="purify-body",
         lhs=lhs,
         rhs=rhs,
-        verified=False,  # per-instance obligations are checked selectively
+        # purify-body carries no obligation, so no instance of it is ever
+        # checked automatically; a caller may check one instance's
+        # ``rhs ⊑ lhs`` by hand, as the GCD tests do.
+        verified=False,
         obligation=None,
         description="Region composed into a single Pure via the e-graph oracle",
     )

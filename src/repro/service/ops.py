@@ -238,7 +238,7 @@ def run_op(session, kind: str, params: Mapping) -> dict:
 
 def _op_transform(session, params: Mapping) -> dict:
     from ..dot import parse_dot
-    from ..hls.frontend import LoopMark
+    from ..hls.marks import LoopMark
 
     if "kernel" in params:
         _, ck = _compiled_kernel(session, params["kernel"])

@@ -91,6 +91,51 @@ def test_verifying_a_rule_loads_no_evaluation_stack():
     assert loaded_after(code, EVALUATION_STACK) == []
 
 
+def test_checking_obligations_loads_no_sat_oracle():
+    code = """
+        import repro
+        spec = [("repro.rewriting.rules.combine", "mux_combine", {})]
+        with repro.Session(jobs=1, use_cache=False) as session:
+            [outcome] = session.check_obligations(spec)
+            assert outcome["holds"]
+    """
+    assert loaded_after(code, ("repro.refinement.sat",)) == []
+
+
+def test_transform_of_a_dot_graph_loads_no_numerics(tmp_path):
+    from repro.components import default_environment
+    from repro.dot import print_dot
+    from repro.hls.frontend import compile_program
+    from repro.hls.ir import BinOp, DoWhile, Kernel, Load, OuterLoop, Program, StoreOp, UnOp, Var
+
+    loop = DoWhile(
+        "gcd", ("a", "b"), {"a": Var("b"), "b": BinOp("mod", Var("a"), Var("b"))},
+        UnOp("ne0", Var("b")), ("a",),
+    )
+    kernel = Kernel(
+        "gcd", loop, (OuterLoop("i", 2),), {"a": Load("x", Var("i")), "b": Load("y", Var("i"))},
+        (StoreOp("out", Var("i"), Var("a")),), tags=2,
+    )
+    program = Program("gcd", {"x": [12, 9], "y": [8, 6], "out": [0, 0]}, [kernel])
+    [compiled] = compile_program(program, default_environment()).kernels
+    mark = compiled.mark
+    dot = tmp_path / "gcd.dot"
+    dot.write_text(print_dot(compiled.graph))
+    argv = ["transform", str(dot), "-o", str(tmp_path / "out.dot"), "--no-cache"]
+    argv += [arg for node in mark.mux_nodes for arg in ("--mux", node)]
+    argv += [arg for node in mark.branch_nodes for arg in ("--branch", node)]
+    argv += ["--init", mark.init_node, "--cond-fork", mark.cond_fork, "--tags", "2"]
+    code = f"""
+        import contextlib, io
+        from repro.cli import main
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main({argv!r}) == 0
+    """
+    watched = ("numpy", "repro.hls.ir", "repro.hls.frontend", "repro.sim", "repro.eval.runner")
+    assert loaded_after(code, watched) == []
+    assert "Tagger" in (tmp_path / "out.dot").read_text()
+
+
 def test_exports_resolve_lazily_to_their_defining_objects():
     code = """
         import importlib, sys
@@ -109,6 +154,20 @@ def test_exports_resolve_lazily_to_their_defining_objects():
                 assert vars(module)[name] is value, name  # cached for the next access
             assert not hasattr(module, "no_such_export")
 
+        # Every export is its defining module's object, renamed ones and
+        # constants included.
+        for package in ("repro.refinement", "repro.hls"):
+            module = importlib.import_module(package)
+            assert not set(module.__all__) & set(vars(module)), package
+            for name in module.__all__:
+                value = getattr(module, name)
+                submodule, _, attribute = module._EXPORTS[name].partition(":")
+                defining = importlib.import_module(submodule, package)
+                assert getattr(defining, attribute or name) is value, (package, name)
+                if hasattr(value, "__module__"):
+                    assert value.__module__ == defining.__name__, (package, name)
+                assert vars(module)[name] is value, name
+
         namespace = {}
         exec("from repro import *", namespace)
         import repro
@@ -119,9 +178,13 @@ def test_exports_resolve_lazily_to_their_defining_objects():
 
 def test_dir_lists_exports_without_loading_them():
     code = """
-        import repro, repro.eval, repro.rewriting
-        for package in (repro, repro.eval, repro.rewriting):
+        import repro, repro.eval, repro.hls, repro.refinement, repro.rewriting
+        for package in (repro, repro.eval, repro.hls, repro.refinement, repro.rewriting):
             assert set(package.__all__) <= set(dir(package)), package.__name__
     """
-    watched = EVALUATION_STACK + ("repro.api", "repro.core", "repro.eval.report")
+    # The probe imports the repro.hls package itself; none of its modules.
+    watched = tuple(m for m in EVALUATION_STACK if m != "repro.hls") + (
+        "repro.hls.ir", "repro.hls.frontend", "repro.refinement.simulation",
+        "repro.api", "repro.core", "repro.eval.report",
+    )
     assert loaded_after(code, watched) == []
