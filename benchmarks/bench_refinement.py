@@ -6,7 +6,8 @@ the bundled heavyweight rewrite obligations,
 * the full weak-simulation **search** (solve the game from scratch),
 * the certificate fast path — **recheck** (``check_rewrite_obligation``
   with a cache holding the stored certificate: decode the compact binary
-  container, then replay its witnesses against freshly fired moves), the
+  container, then replay its witnesses against the successor table of the
+  freshly denoted modules), the
   **decode** share of it, and **fallback** (the same call on a certificate
   without witnesses, which takes the exhaustive O(relation x moves) pass),
 * the **binary container** (the stored encoding) against the read-only
@@ -19,9 +20,9 @@ and append an entry to ``benchmarks/BENCH_refinement.json``.
 ``--guard`` is the CI mode: it exits 1 unless the end-to-end recheck path
 (decode + witness replay) beats a fresh search on **every** bundled obligation
 by at least ``--floor`` (default 1.0x).  The search is the local game
-solver, which explores only the positions its chosen responses need, so
-the margin is a few times, not the order of magnitude the certificate's
-size alone would suggest.
+solver, which explores little beyond the positions its chosen responses
+need, so a witness-free recheck is no cheaper than a witness-free search:
+the margin comes from the search paying to mint the replay witnesses.
 """
 
 _OBLIGATIONS = [

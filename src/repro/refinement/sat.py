@@ -288,10 +288,8 @@ def encode_refinement(
     for s0 in sorted(impl.init, key=repr):
         clauses.append((0, body_of(cache.impl_table.intern(s0), spec_init)))
 
-    impl_moves = cache.impl_moves
-    input_responses = cache.spec_input_responses
-    output_responses = cache.spec_output_responses
-    closure = cache.closure
+    impl_moves = cache.moves
+    responses = cache.responders()
     truncated = False
     explored = 0
     while explored < len(pairs):
@@ -301,13 +299,8 @@ def encode_refinement(
         sid, tid = pairs[explored]
         explored += 1
         p = explored
-        inputs, outputs, internals = impl_moves(sid)
-        for port, value, s_next in inputs:
-            clauses.append((p, body_of(s_next, input_responses(tid, port, value))))
-        for port, value, s_next in outputs:
-            clauses.append((p, body_of(s_next, output_responses(tid, port, value))))
-        for s_next in internals:
-            clauses.append((p, body_of(s_next, closure(tid))))
+        for kind, port, value, s_next in impl_moves(sid):
+            clauses.append((p, body_of(s_next, responses[kind](tid, port, value))))
 
     return formula, pairs, explored, truncated
 
