@@ -26,7 +26,7 @@ _FORBIDDEN = set("{};=")
 
 def encode_component(typ: str, params: Mapping[str, object]) -> str:
     """Encode *typ* and *params* into the canonical component string."""
-    if any(ch in typ for ch in _FORBIDDEN):
+    if not _FORBIDDEN.isdisjoint(typ):
         raise GraphError(f"component type name {typ!r} contains reserved characters")
     if not params:
         return typ
@@ -34,7 +34,7 @@ def encode_component(typ: str, params: Mapping[str, object]) -> str:
     for key in sorted(params):
         value = params[key]
         text = _encode_value(value)
-        if any(ch in key for ch in _FORBIDDEN) or any(ch in text for ch in _FORBIDDEN):
+        if not (_FORBIDDEN.isdisjoint(key) and _FORBIDDEN.isdisjoint(text)):
             raise GraphError(f"parameter {key}={value!r} contains reserved characters")
         parts.append(f"{key}={text}")
     return f"{typ}{{{';'.join(parts)}}}"

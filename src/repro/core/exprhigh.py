@@ -11,7 +11,7 @@ ExprLow expression.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from ..errors import GraphError
 from . import exprlow
@@ -60,9 +60,12 @@ class NodeSpec:
         return NodeSpec(typ, self.in_ports, self.out_ports, self.params)
 
 
-@dataclass(frozen=True)
-class Endpoint:
-    """One end of a connection: an instance name and one of its port names."""
+class Endpoint(NamedTuple):
+    """One end of a connection: an instance name and one of its port names.
+
+    A named tuple, so making, hashing and comparing one runs in C: graph
+    construction, validation and lowering make one per port.
+    """
 
     node: str
     port: str
@@ -263,24 +266,22 @@ class ExprHigh:
         return sorted(self.connections.items(), key=lambda kv: (str(kv[0]), str(kv[1])))
 
     def unconnected_inputs(self) -> list[Endpoint]:
-        result = []
-        external = set(self.inputs.values())
-        for name, spec in self.nodes.items():
-            for port in spec.in_ports:
-                endpoint = Endpoint(name, port)
-                if endpoint not in self.connections and endpoint not in external:
-                    result.append(endpoint)
-        return result
+        bound = {(e.node, e.port) for e in (*self.connections, *self.inputs.values())}
+        return [
+            Endpoint(name, port)
+            for name, spec in self.nodes.items()
+            for port in spec.in_ports
+            if (name, port) not in bound
+        ]
 
     def unconnected_outputs(self) -> list[Endpoint]:
-        external = set(self.outputs.values())
-        result = []
-        for name, spec in self.nodes.items():
-            for port in spec.out_ports:
-                endpoint = Endpoint(name, port)
-                if endpoint not in self._rev and endpoint not in external:
-                    result.append(endpoint)
-        return result
+        bound = {(e.node, e.port) for e in (*self._rev, *self.outputs.values())}
+        return [
+            Endpoint(name, port)
+            for name, spec in self.nodes.items()
+            for port in spec.out_ports
+            if (name, port) not in bound
+        ]
 
     def validate(self) -> None:
         """Check the graph is closed: every port connected or marked I/O."""

@@ -19,7 +19,7 @@ The three combinators of section 4.5 are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from ..errors import SemanticsError
@@ -54,27 +54,95 @@ class InternalTransition:
     fire: Callable[[State], Iterable[State]]
 
 
-@dataclass(frozen=True)
 class Module:
-    """An executable module 𝓜(S); see figure 7 of the paper."""
+    """An executable module 𝓜(S); see figure 7 of the paper.
 
-    inputs: Mapping[Port, InputTransition]
-    outputs: Mapping[Port, OutputTransition]
-    internals: tuple[InternalTransition, ...]
-    init: frozenset[State]
-    #: What the module was built from: ``("product", first, second)`` for
-    #: :func:`product`, ``("connect", inner, output, input)`` for
-    #: :func:`connect_ports`, and None for a *leaf* — a module built any
-    #: other way.  :mod:`repro.refinement.table` lowers a module through it.
-    origin: tuple | None = field(default=None, compare=False, repr=False)
+    *origin* records what the module was built from: ``("product", first,
+    second)`` for :func:`product`, ``("connect", inner, output, input)``
+    for :func:`connect_ports`, and None for a *leaf* — a module built any
+    other way.  :mod:`repro.refinement.table` lowers a module through it.
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.inputs, dict):
-            object.__setattr__(self, "inputs", dict(self.inputs))
-        if not isinstance(self.outputs, dict):
-            object.__setattr__(self, "outputs", dict(self.outputs))
-        if not self.init:
+    The two combinators keep only their origin, port names and initial
+    states; a composite's lifted transitions are built from its origin on
+    first access to :attr:`inputs`, :attr:`outputs` or :attr:`internals`.
+    The refinement checkers step the leaves, so denoting an obligation
+    builds no lifted transition at all.
+    """
+
+    __slots__ = ("init", "origin", "_inputs", "_outputs", "_internals", "_in_ports", "_out_ports")
+
+    def __init__(
+        self,
+        inputs: Mapping[Port, InputTransition],
+        outputs: Mapping[Port, OutputTransition],
+        internals: tuple[InternalTransition, ...],
+        init: frozenset[State],
+        origin: tuple | None = None,
+    ):
+        if not init:
             raise SemanticsError("module requires at least one initial state")
+        self._inputs = inputs if isinstance(inputs, dict) else dict(inputs)
+        self._outputs = outputs if isinstance(outputs, dict) else dict(outputs)
+        self._internals = internals
+        # Dicts keyed by the ports in the module's order; only keys count.
+        self._in_ports = self._inputs
+        self._out_ports = self._outputs
+        self.init = init
+        self.origin = origin
+
+    @classmethod
+    def _composite(
+        cls, in_ports: dict, out_ports: dict, init: frozenset[State], origin: tuple
+    ) -> "Module":
+        module = cls.__new__(cls)
+        module._inputs = module._outputs = module._internals = None
+        module._in_ports, module._out_ports = in_ports, out_ports
+        module.init, module.origin = init, origin
+        return module
+
+    @property
+    def inputs(self) -> dict[Port, InputTransition]:
+        if self._inputs is None:
+            self._lift()
+        return self._inputs
+
+    @property
+    def outputs(self) -> dict[Port, OutputTransition]:
+        if self._outputs is None:
+            self._lift()
+        return self._outputs
+
+    @property
+    def internals(self) -> tuple[InternalTransition, ...]:
+        if self._internals is None:
+            self._lift()
+        return self._internals
+
+    def _lift(self) -> None:
+        """Build a composite's transitions from its origin."""
+        if self.origin[0] == "product":
+            _, first, second = self.origin
+            inputs = {port: _lift_input_left(t) for port, t in first.inputs.items()}
+            inputs.update((port, _lift_input_right(t)) for port, t in second.inputs.items())
+            outputs = {port: _lift_output_left(t) for port, t in first.outputs.items()}
+            outputs.update((port, _lift_output_right(t)) for port, t in second.outputs.items())
+            internals = tuple(
+                [_lift_internal_left(t) for t in first.internals]
+                + [_lift_internal_right(t) for t in second.internals]
+            )
+        else:
+            _, inner, output, input_ = self.origin
+            out_t = inner.outputs[output]
+            in_t = inner.inputs[input_]
+
+            def fire(state: State) -> Iterator[State]:
+                for value, intermediate in out_t.fire(state):
+                    yield from in_t.fire(intermediate, value)
+
+            inputs = {p: t for p, t in inner.inputs.items() if p != input_}
+            outputs = {p: t for p, t in inner.outputs.items() if p != output}
+            internals = inner.internals + (InternalTransition(f"conn({output}⇝{input_})", fire),)
+        self._inputs, self._outputs, self._internals = inputs, outputs, internals
 
     # -- exploration helpers -------------------------------------------------
 
@@ -96,10 +164,10 @@ class Module:
         return frozenset(seen)
 
     def input_ports(self) -> frozenset[Port]:
-        return frozenset(self.inputs)
+        return frozenset(self._in_ports)
 
     def output_ports(self) -> frozenset[Port]:
-        return frozenset(self.outputs)
+        return frozenset(self._out_ports)
 
 
 def rename(module: Module, in_map: PortMap, out_map: PortMap) -> Module:
@@ -171,28 +239,18 @@ def product(first: Module, second: Module) -> Module:
     Port names must be disjoint — in a well-formed graph they are, because
     each instance owns its port namespace.
     """
-    in_overlap = first.input_ports() & second.input_ports()
-    out_overlap = first.output_ports() & second.output_ports()
+    in_overlap = first._in_ports.keys() & second._in_ports.keys()
+    out_overlap = first._out_ports.keys() & second._out_ports.keys()
     if in_overlap or out_overlap:
         raise SemanticsError(
             f"product of modules with overlapping ports: {sorted(map(str, in_overlap | out_overlap))}"
         )
-    inputs: dict[Port, InputTransition] = {}
-    for port, transition in first.inputs.items():
-        inputs[port] = _lift_input_left(transition)
-    for port, transition in second.inputs.items():
-        inputs[port] = _lift_input_right(transition)
-    outputs: dict[Port, OutputTransition] = {}
-    for port, transition in first.outputs.items():
-        outputs[port] = _lift_output_left(transition)
-    for port, transition in second.outputs.items():
-        outputs[port] = _lift_output_right(transition)
-    internals = tuple(
-        [_lift_internal_left(t) for t in first.internals]
-        + [_lift_internal_right(t) for t in second.internals]
+    return Module._composite(
+        {**first._in_ports, **second._in_ports},
+        {**first._out_ports, **second._out_ports},
+        frozenset((l, r) for l in first.init for r in second.init),
+        ("product", first, second),
     )
-    init = frozenset((l, r) for l in first.init for r in second.init)
-    return Module(inputs, outputs, internals, init, ("product", first, second))
 
 
 def connect_ports(module: Module, output: Port, input_: Port) -> Module:
@@ -202,24 +260,15 @@ def connect_ports(module: Module, output: Port, input_: Port) -> Module:
     internal transition that emits the value and immediately consumes it —
     with no internal steps allowed in between.
     """
-    if output not in module.outputs:
+    if output not in module._out_ports:
         raise SemanticsError(f"module has no output port {output}")
-    if input_ not in module.inputs:
+    if input_ not in module._in_ports:
         raise SemanticsError(f"module has no input port {input_}")
-    out_t = module.outputs[output]
-    in_t = module.inputs[input_]
-
-    def fire(state: State) -> Iterator[State]:
-        for value, intermediate in out_t.fire(state):
-            yield from in_t.fire(intermediate, value)
-
-    internal = InternalTransition(f"conn({output}⇝{input_})", fire)
-    inputs = {p: t for p, t in module.inputs.items() if p != input_}
-    outputs = {p: t for p, t in module.outputs.items() if p != output}
-    return Module(
-        inputs, outputs, module.internals + (internal,), module.init,
-        ("connect", module, output, input_),
-    )
+    inputs = dict(module._in_ports)
+    del inputs[input_]
+    outputs = dict(module._out_ports)
+    del outputs[output]
+    return Module._composite(inputs, outputs, module.init, ("connect", module, output, input_))
 
 
 # -- queue helpers used by component definitions -----------------------------

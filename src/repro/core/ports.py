@@ -95,7 +95,10 @@ class PortMap(Mapping[Port, Port]):
     __slots__ = ("_forward", "_backward")
 
     def __init__(self, entries: Mapping[Port, Port] | Iterable[tuple[Port, Port]] = ()):
-        items = list(entries.items()) if isinstance(entries, Mapping) else list(entries)
+        if isinstance(entries, dict):  # the usual case, without typing's slow ABC check
+            items = entries.items()
+        else:
+            items = list(entries.items()) if isinstance(entries, Mapping) else list(entries)
         forward: dict[Port, Port] = {}
         backward: dict[Port, Port] = {}
         for src, dst in items:

@@ -32,6 +32,7 @@ to the parent (see :func:`repro.exec.executor._call_unit`).
 
 from __future__ import annotations
 
+import functools
 import importlib
 from time import perf_counter
 
@@ -70,14 +71,7 @@ def check_obligation_certified(
     from ..refinement.checker import check_rewrite_obligation
 
     rewrite = getattr(importlib.import_module(module), factory)(**(kwargs or {}))
-    if cache_dir:
-        from pathlib import Path
-
-        from .cache import ResultCache
-
-        cache = ResultCache(Path(cache_dir))
-    else:
-        cache = None
+    cache = _open_cache(cache_dir) if cache_dir else None
     start = perf_counter()
     modes: list[str] = []
     hashes: list[str] = []
@@ -107,6 +101,17 @@ def check_obligation_certified(
         "detail": detail,
         "seconds": perf_counter() - start,
     }
+
+
+@functools.lru_cache(maxsize=8)
+def _open_cache(cache_dir: str):
+    """The :class:`~repro.exec.cache.ResultCache` at *cache_dir*, opened
+    (and its directory created) once per process, not once per unit."""
+    from pathlib import Path
+
+    from .cache import ResultCache
+
+    return ResultCache(Path(cache_dir))
 
 
 def run_fuzz_case(*, seed: int) -> dict:

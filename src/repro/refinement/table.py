@@ -49,7 +49,7 @@ class SuccessorTable:
     """
 
     __slots__ = (
-        "module", "states", "_ids", "_nested", "_built", "_shape", "_leaf_states",
+        "module", "output_ports", "states", "_ids", "_nested", "_built", "_shape", "_leaf_states",
         "_leaf_ids", "_inputs", "_outputs", "_internals",
     )
 
@@ -63,6 +63,8 @@ class SuccessorTable:
         self._built: dict[State, int] = {}
         leaves: list[Module] = []
         self._shape, inputs, outputs, internals = _lower(module, leaves)
+        #: The module's output ports, in its order.
+        self.output_ports: tuple[Port, ...] = tuple(outputs)
         self._leaf_states: list[list[State]] = [[] for _ in leaves]
         self._leaf_ids: list[dict[State, int]] = [{} for _ in leaves]
         # Each transition once, with its leaf and its memo table.
@@ -111,31 +113,26 @@ class SuccessorTable:
         if sid is not None:
             return sid
         flat: list[int] = []
-
-        def flatten(shape: Shape, part: State) -> None:
-            if isinstance(shape, int):
-                flat.append(self._local(shape, part))
-            elif type(part) is tuple and len(part) == 2:
-                flatten(shape[0], part[0])
-                flatten(shape[1], part[1])
-            else:
-                raise SemanticsError(f"{part!r} is not a state of this module")
-
-        flatten(self._shape, state)
+        self._flatten(self._shape, state, flat)
         return self._id(tuple(flat))
+
+    def _flatten(self, shape: Shape, part: State, flat: list[int]) -> None:
+        # A method, not a closure: a recursive nested function refers to
+        # itself through its cell, and every such cycle would keep this
+        # table alive until the cyclic collector runs.
+        if isinstance(shape, int):
+            flat.append(self._local(shape, part))
+        elif type(part) is tuple and len(part) == 2:
+            self._flatten(shape[0], part[0], flat)
+            self._flatten(shape[1], part[1], flat)
+        else:
+            raise SemanticsError(f"{part!r} is not a state of this module")
 
     def state(self, sid: int) -> State:
         """The nested state of id *sid*, built on first use."""
         nested = self._nested[sid]
         if nested is None:
-            flat, leaf_states = self.states[sid], self._leaf_states
-
-            def build(shape: Shape) -> State:
-                if isinstance(shape, int):
-                    return leaf_states[shape][flat[shape]]
-                return (build(shape[0]), build(shape[1]))
-
-            nested = self._nested[sid] = build(self._shape)
+            nested = self._nested[sid] = _build(self._shape, self.states[sid], self._leaf_states)
             self._built[nested] = sid
         return nested
 
@@ -214,6 +211,13 @@ class SuccessorTable:
                     nxt[ko], nxt[ki] = lo, li
                     succ.append(self._id(tuple(nxt)))
         return tuple(succ)
+
+
+def _build(shape: Shape, flat: tuple[int, ...], leaf_states: list[list[State]]) -> State:
+    """The nested state of local ids *flat*, shaped like *shape*."""
+    if isinstance(shape, int):
+        return leaf_states[shape][flat[shape]]
+    return (_build(shape[0], flat, leaf_states), _build(shape[1], flat, leaf_states))
 
 
 def _lower(module: Module, leaves: list[Module]) -> tuple:
