@@ -41,16 +41,22 @@ class _MemoryCache(dict):
         self[key] = payload
 
 
-def _best_of(repeats, fn):
+def _best_of(repeats, *fns):
+    """The best time of each of *fns* over *repeats* rounds, with its value.
+
+    Each round times the functions in turn, so a slow stretch of a shared
+    core slows every side of a ratio alike instead of one side's repeats.
+    """
     from time import perf_counter
 
-    best = float("inf")
-    value = None
+    best = [float("inf")] * len(fns)
+    values = [None] * len(fns)
     for _ in range(repeats):
-        start = perf_counter()
-        value = fn()
-        best = min(best, perf_counter() - start)
-    return best, value
+        for index, fn in enumerate(fns):
+            start = perf_counter()
+            values[index] = fn()
+            best[index] = min(best[index], perf_counter() - start)
+    return list(zip(best, values))
 
 
 def collect_measurements(repeats: int = 3) -> dict:
@@ -60,7 +66,8 @@ def collect_measurements(repeats: int = 3) -> dict:
     denotation; the recheck side is a cache hit, exactly as in a warm
     ``Session.check_obligations`` run, so the ratio reflects what that run
     actually saves.  ``recheck_seconds`` is the end-to-end fast path: key
-    derivation, binary decode and witness-replay validation.
+    derivation, binary decode and witness-replay validation.  The search
+    and the recheck are timed alternately within each repeat.
     """
     import dataclasses
     import json
@@ -73,32 +80,30 @@ def collect_measurements(repeats: int = 3) -> dict:
     for module, factory, kwargs in _OBLIGATIONS:
         rewrite = build_rewrite(module, factory, kwargs)
         for index, (lhs, rhs, env, stimuli) in enumerate(rewrite.obligation()):
-            search_seconds, report = _best_of(
-                repeats, lambda: check_rewrite_obligation(lhs, rhs, env, stimuli)
-            )
-            certificate = report.certificate
-
-            json_encode_seconds, payload = _best_of(repeats, certificate.to_dict)
-            json_bytes = len(json.dumps(payload))
-            binary_encode_seconds, blob = _best_of(
-                repeats, lambda: to_bytes(certificate)
-            )
-            decode_seconds, _ = _best_of(repeats, lambda: from_bytes(blob))
-
             cache = _MemoryCache()
-            check_rewrite_obligation(lhs, rhs, env, stimuli, cache=cache)
+            certificate = check_rewrite_obligation(
+                lhs, rhs, env, stimuli, cache=cache
+            ).certificate
             (key,) = cache
-            recheck_seconds, rechecked = _best_of(
+            (search_seconds, _), (recheck_seconds, rechecked) = _best_of(
                 repeats,
+                lambda: check_rewrite_obligation(lhs, rhs, env, stimuli),
                 lambda: check_rewrite_obligation(lhs, rhs, env, stimuli, cache=cache),
             )
             assert rechecked.mode == "recheck"
             assert rechecked.certificate.content_hash() == certificate.content_hash()
 
+            [(json_encode_seconds, payload)] = _best_of(repeats, certificate.to_dict)
+            json_bytes = len(json.dumps(payload))
+            [(binary_encode_seconds, blob)] = _best_of(
+                repeats, lambda: to_bytes(certificate)
+            )
+            [(decode_seconds, _)] = _best_of(repeats, lambda: from_bytes(blob))
+
             # Damage-path cost: strip the advisory witnesses so the recheck
             # falls back to the exhaustive per-pair pass.
             bare = _MemoryCache({key: to_bytes(dataclasses.replace(certificate, witnesses=None))})
-            fallback_seconds, fell_back = _best_of(
+            [(fallback_seconds, fell_back)] = _best_of(
                 repeats,
                 lambda: check_rewrite_obligation(lhs, rhs, env, stimuli, cache=bare),
             )

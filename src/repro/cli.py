@@ -132,32 +132,12 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     return 0
 
 
-def _refine_specs(args: argparse.Namespace):
-    """Resolve ``--rule`` filters against the verified-rewrite registry.
-
-    Raises :class:`~repro.errors.GraphitiError` on an unknown rule name so
-    callers report it as an invalid-argument failure (exit code 2, like
-    every other bad flag — see the exit-code table in ``docs/api.md``).
-    """
-    from .errors import GraphitiError
-    from .rewriting.rules import VERIFY_FACTORY_SPECS
-
-    specs = list(VERIFY_FACTORY_SPECS)
-    if args.rule:
-        wanted = set(args.rule)
-        specs = [spec for spec in specs if spec[1] in wanted]
-        unknown = wanted - {factory for _, factory, _ in specs}
-        if unknown:
-            known = sorted({factory for _, factory, _ in VERIFY_FACTORY_SPECS})
-            raise GraphitiError(f"unknown rule(s) {sorted(unknown)}; known: {known}")
-    return specs
-
-
 def _cmd_refine(args: argparse.Namespace) -> int:
     from .errors import GraphitiError
+    from .rewriting.rules import select_specs
 
     try:
-        specs = _refine_specs(args)
+        specs = select_specs(args.rule)
     except GraphitiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -381,9 +361,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 def _cmd_sat_check(args: argparse.Namespace) -> int:
     from .errors import GraphitiError
+    from .rewriting.rules import select_specs
 
     try:
-        specs = _refine_specs(args)
+        specs = select_specs(args.rule)
     except GraphitiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

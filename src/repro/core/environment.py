@@ -61,9 +61,6 @@ class Environment:
         self._functions[name] = definition
         return definition
 
-    def has_component(self, name: str) -> bool:
-        return name in self._builders
-
     def lookup_function(self, name: str) -> FunctionDef | None:
         """Registry-only lookup (no combinator resolution); None if absent."""
         return self._functions.get(name)

@@ -135,17 +135,19 @@ def certificate_key(
     spec: ExprHigh,
     env: Environment,
     stimuli: Mapping | None,
-    spec_capacity: int | None = None,
 ) -> str:
     """Cache key for a persisted simulation certificate.
 
     The key addresses the serialised
     :class:`~repro.refinement.simulation.SimulationCertificate` itself,
     which the reader re-validates rather than trusts.  Covers both
-    graphs, the environment signature, the stimuli, the spec capacity and
-    the tool version — any drift in what the certificate is evidence *for*
-    misses the cache and forces a fresh search.
+    graphs, the environment signature, the stimuli, the spec capacity
+    (:data:`~repro.refinement.checker.SPEC_CAPACITY`) and the tool
+    version — any drift in what the certificate is evidence *for* misses
+    the cache and forces a fresh search.
     """
+    from ..refinement.checker import SPEC_CAPACITY
+
     return fingerprint(
         "sim-certificate",
         TOOL_VERSION,
@@ -153,7 +155,7 @@ def certificate_key(
         graph_fingerprint(spec),
         env.signature(),
         stimuli_fingerprint(stimuli),
-        repr(spec_capacity),
+        repr(SPEC_CAPACITY),
     )
 
 

@@ -33,7 +33,6 @@ to the parent (see :func:`repro.exec.executor._call_unit`).
 from __future__ import annotations
 
 import functools
-import importlib
 from time import perf_counter
 
 from .. import obs
@@ -69,8 +68,9 @@ def check_obligation_certified(
     """
     from ..errors import RefinementError
     from ..refinement.checker import check_rewrite_obligation
+    from ..rewriting.rules import build_rewrite
 
-    rewrite = getattr(importlib.import_module(module), factory)(**(kwargs or {}))
+    rewrite = build_rewrite(module, factory, kwargs)
     cache = _open_cache(cache_dir) if cache_dir else None
     start = perf_counter()
     modes: list[str] = []
@@ -149,8 +149,9 @@ def cross_check_rewrite(
     """
     from ..errors import OracleDisagreement
     from ..refinement.sat import DEFAULT_BOUND, cross_check_obligation
+    from ..rewriting.rules import build_rewrite
 
-    rewrite = getattr(importlib.import_module(module), factory)(**(kwargs or {}))
+    rewrite = build_rewrite(module, factory, kwargs)
     bound = DEFAULT_BOUND if bound is None else int(bound)
     start = perf_counter()
     instances = []

@@ -43,6 +43,19 @@ from .simulation import (
 
 Stimuli = Mapping[Port, Iterable[Value]]
 
+#: Queue capacity the spec (lhs) side of every obligation instance is
+#: denoted with, approximating the paper's unbounded-queue semantics.  The
+#: spec must be roomier than the impl so that extra buffering introduced by
+#: a rewrite does not register as a spurious input-refusal counterexample;
+#: it must stay bounded because components that discard tokens (Sinks)
+#: would otherwise give the simulation game unboundedly many
+#: partially-drained spec states.
+SPEC_CAPACITY = 4
+
+#: The value set offered uniformly on every input of an instance that
+#: names no stimuli of its own.
+DEFAULT_VALUES = (0, 1)
+
 
 @dataclass
 class RefinementReport:
@@ -70,6 +83,23 @@ def uniform_stimuli(module: Module, values: Iterable[Value]) -> dict[Port, tuple
     """Offer the same finite value set on every input port of *module*."""
     values = tuple(values)
     return {port: values for port in module.input_ports()}
+
+
+def denote_instance(
+    lhs: ExprHigh, rhs: ExprHigh, env: Environment, stimuli: Stimuli | None = None
+) -> tuple[Module, Module, Stimuli]:
+    """Denote one obligation instance as ``(impl, spec, stimuli)``.
+
+    The rhs (implementation) is denoted in *env*, whose queue capacities
+    bound the explored state space; the lhs (specification) at
+    :data:`SPEC_CAPACITY`.  Omitted *stimuli* offer :data:`DEFAULT_VALUES`
+    on every input of the implementation.
+    """
+    impl = denote(rhs.lower(), env)
+    spec = denote(lhs.lower(), env.with_capacity(SPEC_CAPACITY))
+    if stimuli is None:
+        stimuli = uniform_stimuli(impl, DEFAULT_VALUES)
+    return impl, spec, stimuli
 
 
 def io_stimuli(values_per_port: Mapping[int, Iterable[Value]]) -> dict[Port, tuple[Value, ...]]:
@@ -141,25 +171,13 @@ def check_rewrite_obligation(
     rhs: ExprHigh,
     env: Environment,
     stimuli: Stimuli | None = None,
-    values: Iterable[Value] = (0, 1),
-    spec_capacity: int | None = 4,
     cache=None,
 ) -> RefinementReport:
     """Discharge the ``rhs ⊑ lhs`` obligation of a rewrite on a bounded instance.
 
     The rewriting function is correctness-preserving whenever the right-hand
     side refines the left-hand side (theorem 4.6); this function checks that
-    premise.  When *stimuli* is omitted, the value set *values* is offered
-    uniformly on every input.
-
-    The rhs (implementation) is denoted in *env*, whose queue capacities
-    bound the explored state space; the lhs (specification) is denoted with
-    the larger *spec_capacity*, approximating the paper's unbounded-queue
-    semantics.  The spec must be roomier than the impl so that extra
-    buffering introduced by a rewrite does not register as a spurious
-    input-refusal counterexample; it must stay bounded because components
-    that discard tokens (Sinks) would otherwise give the simulation game
-    unboundedly many partially-drained spec states.
+    premise on the instance :func:`denote_instance` builds.
 
     *cache* (a :class:`repro.exec.cache.ResultCache`-shaped object with
     ``get_bytes``/``put_bytes``) enables the certificate fast path: a prior
@@ -169,17 +187,14 @@ def check_rewrite_obligation(
     failure the full search runs (``mode="search-fallback"``) and its fresh
     certificate replaces the stored one.
     """
-    rhs_module = denote(rhs.lower(), env)
-    lhs_module = denote(lhs.lower(), env.with_capacity(spec_capacity))
-    if stimuli is None:
-        stimuli = uniform_stimuli(rhs_module, values)
+    rhs_module, lhs_module, stimuli = denote_instance(lhs, rhs, env, stimuli)
 
     key = None
     had_candidate = False
     if cache is not None:
         from ..exec.hashing import certificate_key
 
-        key = certificate_key(rhs, lhs, env, stimuli, spec_capacity=spec_capacity)
+        key = certificate_key(rhs, lhs, env, stimuli)
         report, had_candidate = _recheck_cached_certificate(
             cache, key, rhs_module, lhs_module, stimuli
         )

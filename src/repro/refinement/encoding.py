@@ -53,12 +53,6 @@ def write_uvarint(out: bytearray, value: int) -> None:
             return
 
 
-def uvarint(value: int) -> bytes:
-    out = bytearray()
-    write_uvarint(out, value)
-    return bytes(out)
-
-
 def read_uvarint(buf: bytes, pos: int) -> tuple[int, int]:
     """Read an unsigned varint at *pos*; returns ``(value, new_pos)``."""
     result = 0

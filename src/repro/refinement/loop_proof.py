@@ -33,6 +33,7 @@ from ..core.ports import IOPort
 from ..core.semantics import denote
 from ..errors import RefinementError
 from ..rewriting.rules.loop_rewrite import ooo_loop_rhs, sequential_loop_concrete
+from .checker import denote_instance
 from .simulation import find_weak_simulation
 
 
@@ -120,9 +121,6 @@ class SequentialLoop:
         (init_q,) = self.accessors["ini"](state)
         steering_tokens = tuple(fork_init_q) + tuple(init_q) + tuple(cond_q)
         return steering_tokens == (False,)
-
-    def input_queue(self, state: State) -> tuple:
-        return self.accessors["mx"](state)[2]
 
 
 def check_flushing_lemma(
@@ -304,8 +302,11 @@ def check_loop_refinement(
     tags: int = 2,
 ):
     """Theorem 5.3, decided on the bounded instance: 𝓘 ⊑ 𝓢."""
-    impl = denote(ooo_loop_rhs(fn_name, tags).lower(), env)
-    spec = denote(sequential_loop_concrete(fn_name).lower(), env.with_capacity(4))
-    stimuli = {IOPort(0): tuple(inputs)}
+    impl, spec, stimuli = denote_instance(
+        sequential_loop_concrete(fn_name),
+        ooo_loop_rhs(fn_name, tags),
+        env,
+        {IOPort(0): tuple(inputs)},
+    )
     result = find_weak_simulation(impl, spec, stimuli)
     return result.raise_on_failure()

@@ -60,9 +60,8 @@ from ..core.environment import Environment
 from ..core.exprhigh import ExprHigh
 from ..core.module import Module, Value
 from ..core.ports import Port
-from ..core.semantics import denote
 from ..errors import NotDualHornError, OracleDisagreement
-from .checker import uniform_stimuli
+from .checker import denote_instance
 from .simulation import (
     SimulationResult,
     _GameCache,
@@ -374,23 +373,19 @@ def cross_check_obligation(
     rhs: ExprHigh,
     env: Environment,
     stimuli: Stimuli | None = None,
-    values: Iterable[Value] = (0, 1),
-    spec_capacity: int | None = 4,
     bound: int = DEFAULT_BOUND,
 ) -> CrossCheckReport:
     """Run both decision procedures on one obligation and compare.
 
     The weak-simulation game is solved and the SAT oracle consulted on
-    the *same* denoted modules and stimuli.  A definitive SAT verdict
-    that contradicts the game raises :class:`OracleDisagreement` carrying
-    both witnesses; an indefinite one (SAT under a truncating bound) is
-    recorded as agreement-by-default since it claims nothing beyond the
-    bound.
+    the *same* denoted modules and stimuli
+    (:func:`~repro.refinement.checker.denote_instance`).  A definitive
+    SAT verdict that contradicts the game raises
+    :class:`OracleDisagreement` carrying both witnesses; an indefinite
+    one (SAT under a truncating bound) is recorded as
+    agreement-by-default since it claims nothing beyond the bound.
     """
-    impl = denote(rhs.lower(), env)
-    spec = denote(lhs.lower(), env.with_capacity(spec_capacity))
-    if stimuli is None:
-        stimuli = uniform_stimuli(impl, values)
+    impl, spec, stimuli = denote_instance(lhs, rhs, env, stimuli)
     # One successor cache serves both procedures, so each module is
     # lowered once and each leaf fires once per local state; with
     # mismatched interfaces both return early.

@@ -76,6 +76,11 @@ Stimuli = Mapping[Port, Iterable[Value]]
 #: section.
 CERTIFICATE_FORMAT = 2
 
+#: The most positions one simulation game may intern before giving up
+#: with a :class:`~repro.errors.SemanticsError`; far above what any
+#: library obligation's search interns.
+POSITION_LIMIT = 500_000
+
 #: Diagram tags used by the game and by replay witnesses (canonical move
 #: order sorts input moves before outputs before internals).
 _KIND_INPUT, _KIND_OUTPUT, _KIND_INTERNAL = 0, 1, 2
@@ -548,7 +553,6 @@ def find_weak_simulation(
     impl: Module,
     spec: Module,
     stimuli: Stimuli,
-    limit: int = 500_000,
     *,
     mint_witnesses: bool = True,
     cache: _GameCache | None = None,
@@ -571,7 +575,7 @@ def find_weak_simulation(
     unrefuted positions, and it carries replay witnesses (each move's
     chosen response) unless *mint_witnesses* is False; see
     :class:`ReplayWitnesses`.  Raises :class:`SemanticsError` when more
-    than *limit* positions are explored.
+    than :data:`POSITION_LIMIT` positions are explored.
 
     *cache* is a successor cache already built for exactly these modules
     and stimuli, which the SAT cross-check shares with its encoder; by
@@ -586,7 +590,7 @@ def find_weak_simulation(
     impl_init = sorted(impl.init, key=lambda s: state_bytes(s, memo))
     spec_init = sorted(spec.init, key=lambda t: state_bytes(t, memo))
 
-    game = _LocalGame(succ, limit)
+    game = _LocalGame(succ)
     exhausted = game.solve(
         [succ.impl_table.intern(s0) for s0 in impl_init],
         [succ.spec_table.intern(t0) for t0 in spec_init],
@@ -643,14 +647,13 @@ class _LocalGame:
     """
 
     __slots__ = (
-        "succ", "limit", "index_of", "pairs", "lost", "reason", "moves",
+        "succ", "index_of", "pairs", "lost", "reason", "moves",
         "cands", "choice", "waiting", "pending", "refuted", "iterations",
         "root_sid", "root_cands", "root_choice",
     )
 
-    def __init__(self, succ: _GameCache, limit: int):
+    def __init__(self, succ: _GameCache):
         self.succ = succ
-        self.limit = limit
         self.index_of: dict[int, int] = {}
         self.pairs: list[tuple[int, int]] = []
         self.lost = bytearray()
@@ -677,9 +680,9 @@ class _LocalGame:
             idx = index_of.get(key)
             if idx is None:
                 idx = len(self.pairs)
-                if idx >= self.limit:
+                if idx >= POSITION_LIMIT:
                     raise SemanticsError(
-                        f"simulation game exceeded the limit of {self.limit} positions"
+                        f"simulation game exceeded the limit of {POSITION_LIMIT} positions"
                     )
                 index_of[key] = idx
                 self.pairs.append((s_next, cands[k]))

@@ -71,10 +71,6 @@ class Rewrite:
     obligation: Callable[[], Iterable[ObligationInstance]] | None = None
     description: str = ""
 
-    def interface_arity(self) -> tuple[int, int]:
-        """Number of boundary inputs and outputs of the pattern."""
-        return len(self.lhs.inputs), len(self.lhs.outputs)
-
 
 def pattern(build: Callable[[ExprHigh], None]) -> ExprHigh:
     """Small helper: run *build* on a fresh graph and return it."""

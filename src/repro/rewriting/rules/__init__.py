@@ -9,6 +9,9 @@ rewrites (purify-body / expand-body) the pipeline builds per loop.
 
 from __future__ import annotations
 
+from typing import Iterable
+
+from ...errors import RewriteError
 from ..rewrite import Rewrite
 from . import combine, loop_rewrite, pure_gen, reduction, shuffle
 
@@ -48,6 +51,23 @@ def build_rewrite(module: str, factory: str, kwargs: dict | None = None) -> Rewr
     return getattr(importlib.import_module(module), factory)(**(kwargs or {}))
 
 
+def select_specs(names: Iterable[str] | None) -> list[tuple[str, str, dict]]:
+    """The ``VERIFY_FACTORY_SPECS`` entries whose factory is named in
+    *names*, in registry order; all of them when *names* is None.
+
+    Raises :class:`~repro.errors.RewriteError` naming the unknown names
+    and every known one when some name matches no factory.
+    """
+    if names is None:
+        return list(VERIFY_FACTORY_SPECS)
+    wanted = set(names)
+    known = sorted(factory for _, factory, _ in VERIFY_FACTORY_SPECS)
+    unknown = sorted(wanted.difference(known))
+    if unknown:
+        raise RewriteError(f"unknown rule(s) {unknown}; known: {known}")
+    return [spec for spec in VERIFY_FACTORY_SPECS if spec[1] in wanted]
+
+
 __all__ = [
     "VERIFY_FACTORY_SPECS",
     "build_rewrite",
@@ -55,5 +75,6 @@ __all__ = [
     "loop_rewrite",
     "pure_gen",
     "reduction",
+    "select_specs",
     "shuffle",
 ]

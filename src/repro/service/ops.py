@@ -73,14 +73,13 @@ def _check_rules(params: Mapping, kind: str) -> list[str] | None:
         isinstance(rule, str) for rule in rules
     ):
         raise ServiceError(f"{kind} job parameter 'rules' must be a list of factory names")
-    from ..rewriting.rules import VERIFY_FACTORY_SPECS
+    from ..errors import RewriteError
+    from ..rewriting.rules import select_specs
 
-    known = {factory for _, factory, _ in VERIFY_FACTORY_SPECS}
-    unknown = sorted(set(rules) - known)
-    if unknown:
-        raise ServiceError(
-            f"{kind} job names unknown rule(s) {unknown}; known: {sorted(known)}"
-        )
+    try:
+        select_specs(rules)
+    except RewriteError as exc:
+        raise ServiceError(f"{kind} job names {exc}") from None
     return sorted(set(rules))
 
 
@@ -190,16 +189,6 @@ def _canonical_mark(mark: Mapping) -> dict:
     return out
 
 
-def _specs_for(rules: list[str] | None):
-    from ..rewriting.rules import VERIFY_FACTORY_SPECS
-
-    specs = list(VERIFY_FACTORY_SPECS)
-    if rules is not None:
-        wanted = set(rules)
-        specs = [spec for spec in specs if spec[1] in wanted]
-    return specs
-
-
 def _compiled_kernel(session, name: str):
     from ..benchmarks import load_benchmark
     from ..hls.frontend import compile_program
@@ -222,13 +211,14 @@ def run_op(session, kind: str, params: Mapping) -> dict:
         return _op_simulate(session, params)
     if kind == "bench":
         return session.bench(name=params["name"]).to_dict()
-    if kind == "check_obligations":
-        outcomes = session.check_obligations(_specs_for(params.get("rules")))
-        return {"kind": "ObligationOutcomes", "outcomes": outcomes}
-    if kind == "sat_check":
-        outcomes = session.sat_check(
-            _specs_for(params.get("rules")), bound=params.get("bound")
-        )
+    if kind in ("check_obligations", "sat_check"):
+        from ..rewriting.rules import select_specs
+
+        specs = select_specs(params.get("rules"))
+        if kind == "check_obligations":
+            outcomes = session.check_obligations(specs)
+            return {"kind": "ObligationOutcomes", "outcomes": outcomes}
+        outcomes = session.sat_check(specs, bound=params.get("bound"))
         return {"kind": "SatCheckOutcomes", "outcomes": outcomes}
     if kind == "fuzz":
         manifest = session.fuzz(cases=params["cases"], seed=params["seed"])

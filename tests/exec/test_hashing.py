@@ -1,10 +1,13 @@
 """Fingerprint semantics: stability, sensitivity, and key coverage."""
 
 import numpy as np
+import pytest
 
+from repro import Session
 from repro.benchmarks import matvec
 from repro.components import default_environment, fork, mux
 from repro.core import ExprHigh
+from repro.exec import hashing
 from repro.exec.hashing import (
     eval_unit_key,
     fingerprint,
@@ -14,6 +17,8 @@ from repro.exec.hashing import (
     stimuli_fingerprint,
 )
 from repro.hls.frontend import compile_program
+from repro.refinement.checker import check_rewrite_obligation
+from repro.rewriting.rules import VERIFY_FACTORY_SPECS, build_rewrite
 from repro.rewriting.rules.combine import mux_combine
 
 
@@ -128,3 +133,126 @@ class TestUnitKeys:
         first = obligation_fingerprint("mux-combine", list(mux_combine().obligation()))
         second = obligation_fingerprint("mux-combine", list(mux_combine().obligation()))
         assert first == second
+
+
+#: ``(certificate_key, sat_cross_check_key)`` of every library rule's one
+#: obligation instance, with ``TOOL_VERSION`` pinned to ``"pinned"``.  A
+#: key that drifts turns every user's warm cache cold, and nothing else
+#: notices: benchmarks and CI always start from an empty cache.
+PINNED_KEYS = {
+    "mux_combine": (
+        "4473cd558967eccdab4249f7c99744684aa2aa113a705fd307f2c7d3e5091327",
+        "2fa26ff1d09809c4cffd17e0df69f7bcb1016e7f51ce9bf76ee32c0c9b7abdfb",
+    ),
+    "merge_combine": (
+        "a1bb629288c4411df94f2335b0374b00b61c3a6b69893b1b96eee8ecdd889e0b",
+        "c0dac90d06f7d6bb349d5daa3ee061308b48da0874700a27c00ea6582e0036fe",
+    ),
+    "branch_combine": (
+        "bc255b96c6d7e1309b442d0699e3caebda1094041f20b0cf385fd19ea5a5b04c",
+        "e464fba7fa1f359830623f9f58c6eb6914320b7562298d24a08ee5cdce22d039",
+    ),
+    "split_join_elim": (
+        "d184108627f32bdb24df3d46a5cb274db09180c910494bbc01929dd5ece8cfb1",
+        "abbc3aa3690963b5db3b96969437eaec286afd6d037b1734c7e6409792fb8ceb",
+    ),
+    "join_split_elim": (
+        "8fe2d7ab4643623710716bee56fa3f3a6f78a1e02ca78f3201df73c1801c56cc",
+        "20fde173fe867e2ba560d6921e421883480b6cdbca557d1bbe6850fa803a7a37",
+    ),
+    "fork_sink_elim": (
+        "f6b404b27b9dba7bc5a438706a60e084e5df53a344c09629ce1e9d20962a389a",
+        "3dd184debd6fe35f56fde264b8294d2ddf87b7e551f82ed41a3dfad26feda07e",
+    ),
+    "pure_id_elim": (
+        "9e7c01d68583c0e519f566a92fa4e4a072c57bb0a4d363e42befd62586ff64a4",
+        "31fab7913a432a7ee0a2ae49309ac6c59d4932561d095294004c74623a31c412",
+    ),
+    "op1_to_pure": (
+        "3f7cd85b7ef91a7ab3559678eaf69eb7fbc4ca8e1a0cb6ff068ef334b5d58e4c",
+        "e1ddf72f5715a63fceeb1cc826146a794cef9b837af756f15388218cf165496f",
+    ),
+    "op2_to_pure": (
+        "77d3c78523ca987553cca8a00b020b9ce10a7e935230bf9f6e8c75017a6408f7",
+        "cf8afa80067de4840b41c63312bacdc02fa86f0c9421b81f1875de18206a9057",
+    ),
+    "fork_lift_pure": (
+        "a7c902e6999af1e608cb2ad7f66fd54cd91ae65910ba7303286be8bec8eee1d6",
+        "22e0d5fefc89f0933cbc30dd4a14511e4fb6e2f6f8f572e77096713bdf4a7f72",
+    ),
+    "fork_to_pure": (
+        "efda072f47d07450df3e95b3380ab63d8a7e88c199ee671d135000a8cf242c9f",
+        "f603c8dfb3418dd3f1cbb07c1cb8703918fd4a058b0cf4b74f8f430c0708caf2",
+    ),
+    "pure_compose": (
+        "6e8dd49a4f44074a6ac028a3fd51f00fd9223c2d5e43d2fc8c5a056e91006951",
+        "6a4f4f66d9b690bdaf7c360971bbfbeaee872f83c043e7674214ad98054a009c",
+    ),
+    "join_pure_left": (
+        "468ab48a35476673754cd6640ac69ae1a70d110fee5236d123cd20520108d97a",
+        "fdb643d183e8d55ac178a0b011f4b793912985173dc6da2382d1594db8f777df",
+    ),
+    "join_pure_right": (
+        "57b9432683fd2cdffe054176754a57118da12ff55f363cc70191eaea0e63d22d",
+        "0c413e70806cb42aa1c490de29275559288f14c5965f70b71993f5afb9b2643d",
+    ),
+    "split_pure_left": (
+        "6e4b30815f1f3ff50058c000339df4532d576cca88ec90a19f892cb67416aea8",
+        "845851991e3a1bd0d631398a9e693f64aab70ee2b984732faef17e5674219ba7",
+    ),
+    "split_pure_right": (
+        "cc069f1fd0e99e946114049995e5e811208944198671ad0c635cda01a4d50322",
+        "adb6bbcb4d0536677704e4d27f41436389666691d977eaf1e81d256221256a0e",
+    ),
+    "join_assoc": (
+        "e32eca033cd699dbdd98a9af7c86e241be5168ada4f11d7d3f98ab92680d9971",
+        "7aa5f9236e1f2d43c28bae976038d5897a0f63b49dc7569f3833193036706a5d",
+    ),
+    "join_swap": (
+        "01322e492261cda7f9083309e72b792cae7d6a34bcdfee51b6e0ab193e6471d2",
+        "3b7c3738d04e075f634773a79b4d27214516aa5b6699641473b24424c95687e1",
+    ),
+    "ooo_loop": (
+        "1418618c7009f89e7636453e4ee73740eebef2f45082eb87f4cdc234a624a62c",
+        "ea8c8865c3fe34394d196a2767efec5d4ea3ee4aff9c618e25d79940f5a8f691",
+    ),
+}
+
+
+class _KeySeen(Exception):
+    pass
+
+
+class _KeyRecorder:
+    """A cache that records the key it is asked for, then stops the check."""
+
+    def __init__(self):
+        self.keys = []
+
+    def get_bytes(self, key):
+        self.keys.append(key)
+        raise _KeySeen
+
+
+class TestPinnedKeys:
+    @pytest.fixture(autouse=True)
+    def pinned_version(self, monkeypatch):
+        monkeypatch.setattr(hashing, "TOOL_VERSION", "pinned")
+
+    def test_certificate_keys_are_pinned(self):
+        for spec in VERIFY_FACTORY_SPECS:
+            recorder = _KeyRecorder()
+            for lhs, rhs, env, stimuli in build_rewrite(*spec).obligation():
+                with pytest.raises(_KeySeen):
+                    check_rewrite_obligation(lhs, rhs, env, stimuli, cache=recorder)
+            assert recorder.keys == [PINNED_KEYS[spec[1]][0]], spec[1]
+
+    def test_sat_cross_check_keys_are_pinned(self, monkeypatch):
+        session = Session(jobs=1, use_cache=False)
+        units = []
+        monkeypatch.setattr(session.executor, "run", units.extend)
+        session.sat_check()
+        assert {unit.uid: unit.cache_key for unit in units} == {
+            f"sat-check:{build_rewrite(*spec).name}": PINNED_KEYS[spec[1]][1]
+            for spec in VERIFY_FACTORY_SPECS
+        }

@@ -27,6 +27,7 @@ from repro.refinement import (
     recheck_certificate,
     uniform_stimuli,
 )
+from repro.refinement.checker import denote_instance
 from repro.refinement.encoding import NodeTable, decode_nodes
 
 
@@ -214,9 +215,8 @@ class TestRecheck:
 
 def obligation_key(lhs, rhs, env):
     """The key check_rewrite_obligation uses for its default stimuli."""
-    rhs_module = denote(rhs.lower(), env)
-    stimuli = uniform_stimuli(rhs_module, (0, 1))
-    return certificate_key(rhs, lhs, env, stimuli, spec_capacity=4)
+    _, _, stimuli = denote_instance(lhs, rhs, env)
+    return certificate_key(rhs, lhs, env, stimuli)
 
 
 class TestCacheFallback:

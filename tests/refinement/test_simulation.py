@@ -5,8 +5,8 @@ import pytest
 from repro.components import buffer, default_environment, fork, merge, pure
 from repro.core import ExprHigh, denote
 from repro.core.ports import IOPort
-from repro.errors import RefinementError
-from repro.refinement import find_weak_simulation, refines, uniform_stimuli
+from repro.errors import RefinementError, SemanticsError
+from repro.refinement import find_weak_simulation, refines, simulation, uniform_stimuli
 
 from .traces import enumerate_traces, trace_inclusion
 
@@ -53,6 +53,12 @@ class TestReflexivityAndBasics:
         mod = single_node_module(env, fork(2))
         with pytest.raises(RefinementError):
             find_weak_simulation(mod, mod, {})
+
+    def test_position_budget_overrun_raises(self, env, monkeypatch):
+        monkeypatch.setattr(simulation, "POSITION_LIMIT", 3)
+        mod = buffer_chain_module(env, 2)
+        with pytest.raises(SemanticsError, match="limit of 3 positions"):
+            find_weak_simulation(mod, mod, uniform_stimuli(mod, (0, 1)))
 
     def test_certificate_relation_covers_init(self, env):
         mod = single_node_module(env, buffer())

@@ -18,8 +18,8 @@ from repro.core.environment import Environment
 from repro.core.exprhigh import ExprHigh
 from repro.core.module import Module, State, Value
 from repro.core.ports import Port
-from repro.core.semantics import denote
 from repro.errors import RefinementError
+from repro.refinement.checker import denote_instance
 
 Event = tuple[str, Port, Value]
 Trace = tuple[Event, ...]
@@ -150,7 +150,6 @@ def check_rewrite_obligation_traces(
     env: Environment,
     stimuli: Mapping[Port, Iterable[Value]],
     depth: int = 4,
-    spec_capacity: int | None = 4,
 ) -> None:
     """Cross-validate an obligation through the trace semantics.
 
@@ -160,8 +159,7 @@ def check_rewrite_obligation_traces(
     *depth*) but conceptually simpler, which is exactly what makes it a
     good oracle for the checker itself.
     """
-    rhs_module = denote(rhs.lower(), env)
-    lhs_module = denote(lhs.lower(), env.with_capacity(spec_capacity))
+    rhs_module, lhs_module, stimuli = denote_instance(lhs, rhs, env, stimuli)
     witness = trace_inclusion(rhs_module, lhs_module, stimuli, depth)
     if witness is not None:
         raise RefinementError(

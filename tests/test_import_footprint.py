@@ -136,6 +136,29 @@ def test_transform_of_a_dot_graph_loads_no_numerics(tmp_path):
     assert "Tagger" in (tmp_path / "out.dot").read_text()
 
 
+def test_transcoding_a_netlist_loads_no_fuzzer(tmp_path):
+    from repro.components import pure
+    from repro.core import ExprHigh
+    from repro.interop import dumps_netlist
+
+    graph = ExprHigh()
+    graph.add_node("inc", pure("incr"))
+    graph.mark_input(0, "inc", "in0")
+    graph.mark_output(0, "inc", "out0")
+    netlist = tmp_path / "g.json"
+    netlist.write_text(dumps_netlist(graph, name="g"))
+    argv = ["import", str(netlist), "-o", str(tmp_path / "g.v"), "--no-cache"]
+    code = f"""
+        import contextlib, io
+        from repro.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main({argv!r}) == 0
+    """
+    watched = ("numpy", "repro.hls.ir", "repro.interop.corpus")
+    assert loaded_after(code, watched) == []
+    assert "module g" in (tmp_path / "g.v").read_text()
+
+
 def test_exports_resolve_lazily_to_their_defining_objects():
     code = """
         import importlib, sys
@@ -156,7 +179,7 @@ def test_exports_resolve_lazily_to_their_defining_objects():
 
         # Every export is its defining module's object, renamed ones and
         # constants included.
-        for package in ("repro.refinement", "repro.hls"):
+        for package in ("repro.refinement", "repro.hls", "repro.interop"):
             module = importlib.import_module(package)
             assert not set(module.__all__) & set(vars(module)), package
             for name in module.__all__:
@@ -178,13 +201,15 @@ def test_exports_resolve_lazily_to_their_defining_objects():
 
 def test_dir_lists_exports_without_loading_them():
     code = """
-        import repro, repro.eval, repro.hls, repro.refinement, repro.rewriting
-        for package in (repro, repro.eval, repro.hls, repro.refinement, repro.rewriting):
+        import repro, repro.eval, repro.hls, repro.interop, repro.refinement, repro.rewriting
+        for package in (
+            repro, repro.eval, repro.hls, repro.interop, repro.refinement, repro.rewriting
+        ):
             assert set(package.__all__) <= set(dir(package)), package.__name__
     """
     # The probe imports the repro.hls package itself; none of its modules.
     watched = tuple(m for m in EVALUATION_STACK if m != "repro.hls") + (
         "repro.hls.ir", "repro.hls.frontend", "repro.refinement.simulation",
-        "repro.api", "repro.core", "repro.eval.report",
+        "repro.api", "repro.core", "repro.eval.report", "repro.interop.netlist",
     )
     assert loaded_after(code, watched) == []
