@@ -379,10 +379,10 @@ def lower_node(
     """
     in_map: dict[Port, Port] = {}
     for idx, port in enumerate(spec.in_ports):
-        in_map[IOPort(idx)] = input_names.get(Endpoint(name, port), InternalPort(name, port))
+        in_map[IOPort(idx)] = input_names.get(Endpoint(name, port)) or InternalPort(name, port)
     out_map: dict[Port, Port] = {}
     for idx, port in enumerate(spec.out_ports):
-        out_map[IOPort(idx)] = output_names.get(Endpoint(name, port), InternalPort(name, port))
+        out_map[IOPort(idx)] = output_names.get(Endpoint(name, port)) or InternalPort(name, port)
     encoded = encode_component(spec.typ, spec.param_dict())
     return exprlow.Base(encoded, PortMap(in_map), PortMap(out_map))
 

@@ -16,7 +16,10 @@ from typing import Iterable, Iterator, Mapping, Union
 from ..errors import PortError
 
 
-@dataclass(frozen=True, order=True)
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, order=True, init=False)
 class IOPort:
     """An external I/O port, identified by a natural number.
 
@@ -25,10 +28,13 @@ class IOPort:
 
     index: int
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise PortError(f"I/O port index must be a natural number, got {self.index}")
-        object.__setattr__(self, "_hash", hash((self.index,)))
+    # Written out, not generated with a ``__post_init__``: lowering and
+    # denotation make ports by the hundred for every obligation.
+    def __init__(self, index: int) -> None:
+        if index < 0:
+            raise PortError(f"I/O port index must be a natural number, got {index}")
+        _set(self, "index", index)
+        _set(self, "_hash", hash((index,)))
 
     # Ports key every successor cache of the refinement layer, so the hash
     # is computed once; it equals the generated ``hash((index,))``, which
@@ -43,17 +49,19 @@ class IOPort:
         return f"io:{self.index}"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class InternalPort:
     """A local port name: an instance name paired with a wire name."""
 
     instance: str
     wire: str
 
-    def __post_init__(self) -> None:
-        if not self.instance or not self.wire:
+    def __init__(self, instance: str, wire: str) -> None:
+        if not instance or not wire:
             raise PortError("internal port requires non-empty instance and wire names")
-        object.__setattr__(self, "_hash", hash((self.instance, self.wire)))
+        _set(self, "instance", instance)
+        _set(self, "wire", wire)
+        _set(self, "_hash", hash((instance, wire)))
 
     # Cached like IOPort's.  String hashes are salted per process, so a
     # pickled port is rebuilt through the constructor, never copied.

@@ -75,23 +75,33 @@ def _back_edges(graph: ExprHigh) -> set[tuple[str, str]]:
 
     Walks the graph's per-node successor index directly; distinct successor
     names in sorted order give the same traversal the old materialised
-    digraph produced.
+    digraph produced.  The walk keeps its own stack of successor iterators:
+    a recursive closure would form a reference cycle that pins *graph*
+    until the cyclic collector runs.
     """
     back: set[tuple[str, str]] = set()
     seen: set[str] = set()
-    stack: set[str] = set()
 
-    def visit(node: str) -> None:
-        seen.add(node)
-        stack.add(node)
-        for succ in sorted({succ for succ, _, _ in graph.successors(node)}):
-            if succ in stack:
-                back.add((node, succ))
-            elif succ not in seen:
-                visit(succ)
-        stack.discard(node)
+    def successors(node: str):
+        return iter(sorted({succ for succ, _, _ in graph.successors(node)}))
 
-    for node in sorted(graph.nodes):
-        if node not in seen:
-            visit(node)
+    for root in sorted(graph.nodes):
+        if root in seen:
+            continue
+        seen.add(root)
+        on_path = {root}
+        path = [(root, successors(root))]
+        while path:
+            node, pending = path[-1]
+            for succ in pending:
+                if succ in on_path:
+                    back.add((node, succ))
+                elif succ not in seen:
+                    seen.add(succ)
+                    on_path.add(succ)
+                    path.append((succ, successors(succ)))
+                    break
+            else:
+                path.pop()
+                on_path.discard(node)
     return back

@@ -279,17 +279,9 @@ class Kernel:
 
     def outer_points(self):
         """Iterate over the outer index environments, row-major."""
-        def recurse(dims, env):
-            if not dims:
-                yield dict(env)
-                return
-            head, *rest = dims
-            for value in range(head.count):
-                env[head.var] = value
-                yield from recurse(rest, env)
-            env.pop(head.var, None)
-
-        yield from recurse(list(self.outer), {})
+        names = [dim.var for dim in self.outer]
+        for values in product(*(range(dim.count) for dim in self.outer)):
+            yield dict(zip(names, values))
 
 @dataclass
 class Program:

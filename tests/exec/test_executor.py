@@ -1,16 +1,20 @@
-"""Executor behaviour: ordering, caching, crash fallback, retries."""
+"""Executor behaviour: ordering, caching, crash fallback, retries, and
+the cyclic collector's pause around each unit."""
 
+import gc
 import os
+import threading
 
 import pytest
 
 from repro import obs
 from repro.exec.cache import ResultCache
-from repro.exec.executor import Executor, ExecutorError, WorkUnit, resolve_worker
+from repro.exec.executor import Executor, ExecutorError, WorkUnit, _call_unit, resolve_worker
 from repro.exec.hashing import fingerprint
 from repro.obs import MetricsSnapshot
 
 DOUBLE = "tests.exec.workertasks:double"
+COLLECTOR_STATE = "tests.exec.workertasks:collector_state"
 
 
 def run_counted(executor, units):
@@ -93,6 +97,66 @@ class TestParallel:
         units = [WorkUnit(uid="bad", fn="tests.exec.workertasks:fail_always", payload={})]
         with pytest.raises(ValueError, match="boom"):
             Executor(jobs=1).run(units)
+
+
+@pytest.fixture
+def collector_restored():
+    """Turn the collector back on whatever a test leaves it in."""
+    assert gc.isenabled()
+    yield
+    gc.enable()
+
+
+def collector_units(count):
+    return [WorkUnit(uid=f"gc:{i}", fn=COLLECTOR_STATE) for i in range(count)]
+
+
+@pytest.mark.usefixtures("collector_restored")
+class TestCollectorPause:
+    def test_a_unit_runs_paused_and_the_collector_is_on_after_it(self):
+        assert Executor(jobs=1).run(collector_units(2)) == [{"enabled": False}] * 2
+        assert gc.isenabled()
+
+    def test_the_collector_is_on_after_a_unit_raises(self):
+        units = [WorkUnit(uid="bad", fn="tests.exec.workertasks:fail_always")]
+        with pytest.raises(ValueError, match="boom"):
+            Executor(jobs=1).run(units)
+        assert gc.isenabled()
+
+    def test_a_caller_that_disabled_the_collector_finds_it_disabled(self):
+        gc.disable()
+        Executor(jobs=1).run(collector_units(1))
+        assert not gc.isenabled()
+
+    def test_a_nested_unit_leaves_the_pause_to_the_outer_one(self):
+        units = [WorkUnit(uid="outer", fn="tests.exec.workertasks:nested_collector_state")]
+        assert Executor(jobs=1).run(units) == [{"inner": False, "after_inner": False}]
+        assert gc.isenabled()
+
+    def test_a_unit_off_the_main_thread_leaves_the_collector_alone(self):
+        results = []
+        thread = threading.Thread(
+            target=lambda: results.extend(Executor(jobs=1).run(collector_units(1)))
+        )
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert results[0]["enabled"] is True
+        assert gc.isenabled()
+
+    def test_the_pool_entry_pauses_the_collector(self):
+        outcome = _call_unit(COLLECTOR_STATE, {}, uid="gc")
+        assert outcome["value"]["enabled"] is False
+        assert gc.isenabled()
+
+    def test_pool_workers_run_the_collector_between_units(self):
+        with Executor(jobs=2) as executor:
+            results, metrics = run_counted(executor, collector_units(4))
+            assert metrics.counters.get("executor.pool") == 4
+            assert results == [{"enabled": False}] * 4
+            pool = executor._ensure_pool()
+            assert all(pool.submit(gc.isenabled).result(timeout=30) for _ in range(4))
+        assert gc.isenabled()
 
 
 class TestCaching:

@@ -6,6 +6,7 @@ them by name in pool workers as well as in-process.
 
 from __future__ import annotations
 
+import gc
 import os
 
 
@@ -15,6 +16,19 @@ def double(*, x: int) -> dict:
 
 def fail_always(*, message: str = "boom") -> dict:
     raise ValueError(message)
+
+
+def collector_state() -> dict:
+    """Whether the cyclic collector is on while this unit runs."""
+    return {"enabled": gc.isenabled()}
+
+
+def nested_collector_state() -> dict:
+    """Run a unit inside this one; report the collector inside and after it."""
+    from repro.exec.executor import Executor, WorkUnit
+
+    [inner] = Executor(jobs=1).run([WorkUnit(uid="inner", fn=f"{__name__}:collector_state")])
+    return {"inner": inner["enabled"], "after_inner": gc.isenabled()}
 
 
 def crash_unless_parent(*, parent_pid: int, x: int) -> dict:

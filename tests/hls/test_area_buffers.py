@@ -1,5 +1,7 @@
 """Tests for the technology model and buffer placement."""
 
+import gc
+
 import pytest
 
 from repro.components import branch, default_environment, fork, merge, mux, operator, tagger
@@ -149,3 +151,18 @@ class TestBufferPlacement:
     def test_extra_slots_accounted(self):
         g = loop_graph(tagged=True)
         assert place_buffers(g, tags=8).extra_slots > place_buffers(g).extra_slots
+
+    def test_placement_leaves_no_cyclic_garbage(self):
+        # A reference cycle through the back-edge walk would pin the whole
+        # graph until the cyclic collector runs, which a work unit defers.
+        g = loop_graph()
+        gc.collect()
+        gc.disable()
+        try:
+            placement = place_buffers(g)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        back = {(src.node, dst.node) for (src, dst), slots in placement.capacities.items()
+                if slots == 3}
+        assert back == {("f", "br")}

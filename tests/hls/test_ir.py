@@ -1,5 +1,7 @@
 """Tests for the mini-IR and its reference interpreter."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,20 @@ class TestKernelExecution:
         assert points[0] == {"i": 0, "j": 0}
         assert points[1] == {"i": 0, "j": 1}
         assert points[-1] == {"i": 1, "j": 2}
+
+    def test_outer_points_leave_no_cyclic_garbage(self):
+        loop = DoWhile("l", ("a",), {"a": Var("a")}, UnOp("eq0", Var("a")), ("a",))
+        kernel = Kernel(
+            "k", loop, (OuterLoop("i", 2), OuterLoop("j", 3)), {"a": Const(1)}
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            points = list(kernel.outer_points())
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert len(points) == 6
 
     def test_trip_counts(self):
         program = self._countdown()

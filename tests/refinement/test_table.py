@@ -45,7 +45,7 @@ from repro.refinement.simulation import (
     recheck_certificate,
 )
 from repro.refinement.table import SuccessorTable
-from repro.rewriting.rules import VERIFY_FACTORY_SPECS, build_rewrite
+from repro.rewriting.rules import VERIFY_FACTORY_SPECS, build_rewrite, select_specs
 
 from .table_oracle import assert_table_matches_fire, reachable
 
@@ -350,6 +350,26 @@ def test_a_recheck_leaves_no_cyclic_garbage(ooo_loop_certificate):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_cold_check_and_cross_check_leave_no_cyclic_garbage(tmp_path):
+    # Work units run with the cyclic collector paused, which is safe only
+    # while a cold pass makes no reference cycles either: the search,
+    # witness minting, the codec, SAT encoding and solving.
+    from repro import Session
+
+    specs = select_specs(["mux_combine", "ooo_loop"])
+    with Session(jobs=1, cache_dir=tmp_path) as session:
+        gc.collect()
+        gc.disable()
+        try:
+            checked = session.check_obligations(specs)
+            crossed = session.sat_check(specs)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+    assert [entry["holds"] for entry in checked] == [True, True]
+    assert [entry["agreed"] for entry in crossed] == [True, True]
 
 
 def test_a_connection_within_one_leaf_replaces_its_slot_twice():
