@@ -183,9 +183,8 @@ class Session:
         obligation persists its :class:`~repro.refinement.simulation.\
 SimulationCertificate` in the content-addressed result cache (compact
         binary encoding), and a warm run *re-validates* the stored
-        relation — by witness replay when witnesses are present, else the
-        exhaustive diagram pass — rather than re-solving the simulation
-        game (see :func:`repro.refinement.recheck_certificate`).
+        relation with the exhaustive diagram pass rather than re-solving
+        the simulation game (see :func:`repro.refinement.recheck_certificate`).
         Re-validation is a real check: a stale or tampered certificate
         falls back to a full search, never to a trusted verdict.
 

@@ -26,7 +26,6 @@ _EXPORTS = {
     "encode_refinement": ".sat",
     "solve_cnf": ".sat:solve",
     "CERTIFICATE_FORMAT": ".simulation",
-    "ReplayWitnesses": ".simulation",
     "SimulationCertificate": ".simulation",
     "SimulationResult": ".simulation",
     "Violation": ".simulation",

@@ -17,7 +17,7 @@ offset / size         field
 39 / 32               content digest — SHA-256 of the *uncompressed* canonical
                       core (== :meth:`SimulationCertificate.content_hash`)
 71 / 4+n              u32 length + zlib-compressed canonical core
-… / 4+m               u32 length + zlib-compressed witness section
+… / rest              iteration count (unsigned LEB128 varint)
 ====================  ==========================================================
 
 The canonical core is exactly the byte string hashed by
@@ -25,14 +25,12 @@ The canonical core is exactly the byte string hashed by
 int tables for the state roots, relation rows and stimuli.  Decoding
 verifies the digest against the decompressed core (not merely trusting the
 stored value), and the outer integrity hash rejects any bit flip or
-truncation anywhere in the container, witness section included.
+truncation anywhere in the container, the trailer included.
 
-The witness section (see :class:`~.simulation.ReplayWitnesses`) extends the
-core's node table with the path-only spec states and stores the τ-path and
-per-row move tables as varint runs, followed by the iteration count.  It is
-covered by the integrity hash but *not* by the content digest: witnesses
-are advisory and two searches of the same obligation may record different
-(equally valid) responses.
+The iteration count trailer is search bookkeeping: the integrity hash
+covers it, the content digest does not.  Container version 1 carried a
+replay-witness section in its place; such an entry fails the version check
+and the obligation falls back to a fresh search.
 
 Size: hash-consing stores each distinct state subtree once and zlib
 squeezes the remaining varint tables, so a container is well over 5x
@@ -48,17 +46,11 @@ import zlib
 
 from ..core.ports import parse_port
 from ..errors import CertificateError, PortError
-from .encoding import (
-    NodeTable,
-    decode_nodes,
-    read_uvarint,
-    read_uvarint_list,
-    write_uvarint,
-)
-from .simulation import CERTIFICATE_FORMAT, ReplayWitnesses, SimulationCertificate
+from .encoding import decode_nodes, read_uvarint, read_uvarint_list, write_uvarint
+from .simulation import CERTIFICATE_FORMAT, SimulationCertificate
 
 MAGIC = b"GRC2"
-CONTAINER_VERSION = 1
+CONTAINER_VERSION = 2
 
 _HEADER = struct.Struct(">4sBH")
 _U32 = struct.Struct(">I")
@@ -66,48 +58,12 @@ _U32 = struct.Struct(">I")
 
 def to_bytes(certificate: SimulationCertificate) -> bytes:
     """Serialise *certificate* into the binary container."""
-    table = NodeTable()
-    core = certificate.core_bytes(table)
-    digest = hashlib.sha256(core).digest()
-    n_core_nodes = len(table)
-
-    wit = bytearray()
-    witnesses = certificate.witnesses
-    if witnesses is None:
-        wit.append(0)
-    else:
-        wit.append(1)
-        extra_roots = [table.index(t) for t in witnesses.extra_spec]
-        extra_records = table.records[n_core_nodes:]
-        write_uvarint(wit, len(extra_records))
-        for record in extra_records:
-            wit += record
-        write_uvarint(wit, len(extra_roots))
-        for root in extra_roots:
-            write_uvarint(wit, root)
-        write_uvarint(wit, len(witnesses.paths))
-        for path in witnesses.paths:
-            write_uvarint(wit, len(path))
-            for k in path:
-                write_uvarint(wit, k)
-        write_uvarint(wit, len(witnesses.rows))
-        for row in witnesses.rows:
-            write_uvarint(wit, len(row))
-            for kind, p_idx, resp in row:
-                write_uvarint(wit, kind)
-                write_uvarint(wit, p_idx)
-                write_uvarint(wit, resp)
-    write_uvarint(wit, int(certificate.iterations))
-
+    core = certificate.core_bytes()
     core_z = zlib.compress(core, 6)
-    wit_z = zlib.compress(bytes(wit), 6)
-    payload = (
-        digest
-        + _U32.pack(len(core_z))
-        + core_z
-        + _U32.pack(len(wit_z))
-        + wit_z
-    )
+    payload = bytearray(hashlib.sha256(core).digest())
+    payload += _U32.pack(len(core_z))
+    payload += core_z
+    write_uvarint(payload, int(certificate.iterations))
     integrity = hashlib.sha256(payload).digest()
     return _HEADER.pack(MAGIC, CONTAINER_VERSION, CERTIFICATE_FORMAT) + integrity + payload
 
@@ -124,7 +80,7 @@ def content_hash_of(blob: bytes) -> str:
 
 
 def _check_envelope(blob: bytes) -> None:
-    if len(blob) < 71 + 8:
+    if len(blob) < 71 + 5:
         raise CertificateError("binary certificate truncated (shorter than header)")
     magic, version, fmt = _HEADER.unpack_from(blob, 0)
     if magic != MAGIC:
@@ -153,24 +109,16 @@ def from_bytes(blob: bytes) -> SimulationCertificate:
     """
     _check_envelope(blob)
     digest = blob[39:71]
-    pos = 71
-    try:
-        (core_len,) = _U32.unpack_from(blob, pos)
-        pos += 4
-        core_z = blob[pos : pos + core_len]
-        if len(core_z) != core_len:
-            raise CertificateError("binary certificate truncated in core section")
-        pos += core_len
-        (wit_len,) = _U32.unpack_from(blob, pos)
-        pos += 4
-        wit_z = blob[pos : pos + wit_len]
-        if len(wit_z) != wit_len:
-            raise CertificateError("binary certificate truncated in witness section")
-    except struct.error as exc:
-        raise CertificateError("binary certificate truncated") from exc
+    (core_len,) = _U32.unpack_from(blob, 71)
+    pos = 75 + core_len
+    core_z = blob[75:pos]
+    if len(core_z) != core_len:
+        raise CertificateError("binary certificate truncated in core section")
+    iterations, pos = read_uvarint(blob, pos)
+    if pos != len(blob):
+        raise CertificateError("trailing bytes after the iteration count")
     try:
         core = zlib.decompress(core_z)
-        wit = zlib.decompress(wit_z)
     except zlib.error as exc:
         raise CertificateError(f"binary certificate decompression failed: {exc}") from exc
     if hashlib.sha256(core).digest() != digest:
@@ -228,58 +176,12 @@ def from_bytes(blob: bytes) -> SimulationCertificate:
         raise CertificateError(f"malformed stimuli encoding: {exc}") from exc
     relation = frozenset((impl_states[i], spec_states[j]) for i, j in rows)
 
-    # -- witness section (advisory: parse errors raise, since the integrity
-    # hash already vouched for these bytes — junk here means a codec bug,
-    # not wire damage) -------------------------------------------------------
-    pos = 0
-    if pos >= len(wit):
-        raise CertificateError("truncated witness section")
-    has_witnesses = wit[pos]
-    pos += 1
-    witnesses = None
-    if has_witnesses == 1:
-        n_extra, pos = read_uvarint(wit, pos)
-        extra_nodes = list(nodes)
-        pos = decode_nodes(wit, pos, n_extra, extra_nodes)
-        n_roots, pos = read_uvarint(wit, pos)
-        root_idxs, pos = read_uvarint_list(wit, pos, n_roots)
-        if any(i >= len(extra_nodes) for i in root_idxs):
-            raise CertificateError("witness state root outside the node table")
-        extra_spec = tuple(extra_nodes[i] for i in root_idxs)
-        n_paths, pos = read_uvarint(wit, pos)
-        paths = []
-        for _ in range(n_paths):
-            length, pos = read_uvarint(wit, pos)
-            path, pos = read_uvarint_list(wit, pos, length)
-            paths.append(tuple(path))
-        n_wit_rows, pos = read_uvarint(wit, pos)
-        wit_rows = []
-        for _ in range(n_wit_rows):
-            length, pos = read_uvarint(wit, pos)
-            row = []
-            for _ in range(length):
-                kind, pos = read_uvarint(wit, pos)
-                p_idx, pos = read_uvarint(wit, pos)
-                resp, pos = read_uvarint(wit, pos)
-                row.append((kind, p_idx, resp))
-            wit_rows.append(tuple(row))
-        if n_wit_rows == len(rows):
-            witnesses = ReplayWitnesses(
-                extra_spec=extra_spec, paths=tuple(paths), rows=tuple(wit_rows)
-            )
-    elif has_witnesses != 0:
-        raise CertificateError("malformed witness section flag")
-    iterations, pos = read_uvarint(wit, pos)
-    if pos != len(wit):
-        raise CertificateError("trailing bytes after witness section")
-
     return SimulationCertificate(
         relation=relation,
         impl_states=impl_count,
         spec_states=spec_count,
         iterations=iterations,
         stimuli=stimuli,
-        witnesses=witnesses,
         _canon=(tuple(impl_states), tuple(spec_states), tuple(rows)),
         _hash=digest.hex(),
     )

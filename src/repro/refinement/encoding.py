@@ -214,10 +214,8 @@ class NodeTable:
 def decode_nodes(buf: bytes, pos: int, count: int, values: list) -> int:
     """Decode *count* node records at *pos*, appending each value to *values*.
 
-    Composite nodes may only reference earlier indices (including any
-    pre-existing entries of *values*, which lets a witness section extend a
-    core table).  Returns the new position; raises
-    :class:`CertificateError` on malformed data.
+    Composite nodes may only reference earlier indices.  Returns the new
+    position; raises :class:`CertificateError` on malformed data.
     """
     for _ in range(count):
         if pos >= len(buf):

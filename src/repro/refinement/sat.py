@@ -394,11 +394,7 @@ def cross_check_obligation(
         stimuli = _normalise_stimuli(impl, stimuli)
         cache = _GameCache(impl, spec, stimuli)
 
-    # The certificate only ever serves as the disagreement witness, so
-    # skip minting replay witnesses.
-    game: SimulationResult = find_weak_simulation(
-        impl, spec, stimuli, mint_witnesses=False, cache=cache
-    )
+    game: SimulationResult = find_weak_simulation(impl, spec, stimuli, cache=cache)
     verdict = check_refinement_sat(impl, spec, stimuli, bound=bound, cache=cache)
     obs.count("refinement.sat_cross_checks")
 

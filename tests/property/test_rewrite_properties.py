@@ -6,8 +6,6 @@ refines the original (bounded weak simulation).  Any unsound rewrite or
 any bug in matching/application/lifting shows up as a counterexample.
 """
 
-import dataclasses
-
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -156,8 +154,5 @@ class TestLocalGameAgreesWithSat:
             return
         certificate = game.certificate
         assert len(certificate.relation) <= sat.pairs_explored
-        replayed = recheck_certificate(impl, spec, certificate, stimuli)
-        assert replayed.holds and replayed.method == "replay"
-        bare = dataclasses.replace(certificate, witnesses=None)
-        exhaustive = recheck_certificate(impl, spec, bare, stimuli)
-        assert exhaustive.holds and exhaustive.method == "exhaustive"
+        rechecked = recheck_certificate(impl, spec, certificate, stimuli)
+        assert rechecked.holds and rechecked.method == "exhaustive"

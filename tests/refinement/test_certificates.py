@@ -7,7 +7,10 @@ exactly the evidence a search emits, and a corrupted certificate is
 a wrong "holds" through the fast path.
 """
 
+import hashlib
 import json
+import struct
+import zlib
 
 import pytest
 
@@ -28,7 +31,7 @@ from repro.refinement import (
     uniform_stimuli,
 )
 from repro.refinement.checker import denote_instance
-from repro.refinement.encoding import NodeTable, decode_nodes
+from repro.refinement.encoding import NodeTable, decode_nodes, write_uvarint
 
 
 @pytest.fixture
@@ -63,6 +66,37 @@ def searched_certificate(env):
     result = find_weak_simulation(impl, spec, stimuli)
     assert result.holds
     return impl, spec, stimuli, result.certificate
+
+
+def pure_graph(fn):
+    g = ExprHigh()
+    g.add_node("p", pure(fn))
+    g.mark_input(0, "p", "in0")
+    g.mark_output(0, "p", "out0")
+    return g
+
+
+def version_1_container(certificate):
+    """*certificate* in container version 1, the layout that carried a
+    replay-witness section: after the compressed core comes a u32 length
+    and a zlib-compressed section holding a witness flag, the witness
+    tables (here one path and one empty move row per relation row) and
+    the iteration count.  Content digest and integrity hash are sound."""
+    core = certificate.core_bytes()
+    section = bytearray([1])  # witnesses present
+    for count in (0, 0, 1, 1, 0):  # extra nodes, extra roots, paths, path 0: (0,)
+        write_uvarint(section, count)
+    write_uvarint(section, len(certificate.relation))
+    section += bytes(len(certificate.relation))  # each row: no moves
+    write_uvarint(section, certificate.iterations)
+    core_z, section_z = zlib.compress(core), zlib.compress(bytes(section))
+    payload = (
+        hashlib.sha256(core).digest()
+        + struct.pack(">I", len(core_z)) + core_z
+        + struct.pack(">I", len(section_z)) + section_z
+    )
+    header = struct.pack(">4sBH", b"GRC2", 1, 2)
+    return header + hashlib.sha256(payload).digest() + payload
 
 
 def binary_roundtrip(state):
@@ -186,6 +220,53 @@ class TestRecheck:
         assert not result.holds
         assert result.violation.kind == "init"
 
+    def test_dropped_row_fails_a_diagram(self, env):
+        # A relation row whose implementation state appears nowhere else:
+        # the move into it from another row is left without a response.
+        impl, spec, stimuli, certificate = searched_certificate(env)
+        impl_states = [s for s, _ in certificate.relation]
+        row = next(
+            (s, t)
+            for s, t in certificate.relation
+            if s not in impl.init and impl_states.count(s) == 1
+        )
+        dropped = SimulationCertificate(
+            relation=certificate.relation - {row},
+            impl_states=certificate.impl_states,
+            spec_states=certificate.spec_states,
+            iterations=certificate.iterations,
+            stimuli=certificate.stimuli,
+        )
+        result = recheck_certificate(impl, spec, dropped, stimuli)
+        assert not result.holds and result.method == "exhaustive"
+        assert result.violation.kind in ("input", "output", "internal")
+
+    def test_drifted_module_fails_a_diagram(self, env):
+        # The module behind the certificate changed its function since the
+        # certificate was minted; its states look just the same.
+        spec = denote(pure_graph("id").lower(), env)
+        stimuli = uniform_stimuli(spec, (0, 1))
+        certificate = find_weak_simulation(spec, spec, stimuli).certificate
+        drifted = denote(pure_graph("incr").lower(), env)
+        result = recheck_certificate(drifted, spec, certificate, stimuli)
+        assert not result.holds and result.method == "exhaustive"
+        assert result.violation.kind == "output"
+
+    def test_wider_recorded_stimuli_fail_the_input_diagram(self, env):
+        # Stimuli recorded wider than the domain the relation was built
+        # under: the relation has no answer to the extra input value.
+        impl, spec, stimuli, certificate = searched_certificate(env)
+        widened = SimulationCertificate(
+            relation=certificate.relation,
+            impl_states=certificate.impl_states,
+            spec_states=certificate.spec_states,
+            iterations=certificate.iterations,
+            stimuli={port: (*values, 2) for port, values in certificate.stimuli.items()},
+        )
+        result = recheck_certificate(impl, spec, widened)
+        assert not result.holds and result.method == "exhaustive"
+        assert result.violation.kind == "input"
+
     def test_stimuli_mismatch_refused(self, env):
         impl, spec, stimuli, certificate = searched_certificate(env)
         other = {port: (0, 1, 2) for port in stimuli}
@@ -270,6 +351,24 @@ class TestCacheFallback:
         # ...and the fallback repaired the cache with a fresh certificate.
         assert check_rewrite_obligation(lhs, rhs, env, cache=cache).mode == "recheck"
 
+    def test_version_1_entry_falls_back_and_is_replaced(self, env, tmp_path):
+        """A container-version-1 entry with its witness section, under the
+        right key and holding a sound relation, is not evidence any more:
+        the check counts a recheck failure, searches, and stores a current
+        entry that the next check rechecks."""
+        cache = ResultCache(tmp_path)
+        lhs, rhs = wide_graph(2), chain_graph(2)
+        cold = check_rewrite_obligation(lhs, rhs, env)
+        key = obligation_key(lhs, rhs, env)
+        cache.put_bytes(key, version_1_container(cold.certificate))
+        with obs.scoped_tracer() as tracer:
+            report = check_rewrite_obligation(lhs, rhs, env, cache=cache)
+        assert report.mode == "search-fallback"
+        assert tracer.counters["refinement.cert_recheck_failures"] == 1
+        assert report.certificate.content_hash() == cold.certificate.content_hash()
+        assert cache.get_bytes(key) == certificate_to_bytes(cold.certificate)
+        assert check_rewrite_obligation(lhs, rhs, env, cache=cache).mode == "recheck"
+
     def test_json_entry_is_never_read(self, env, tmp_path):
         """Only binary entries are evidence: a JSON certificate under the
         key (the pre-format-2 layout) is ignored, so the check searches."""
@@ -319,3 +418,21 @@ class TestCacheFallback:
             check_rewrite_obligation(lhs, rhs, env, cache=cache)
         # the planted evidence was loaded and rejected, not missed
         assert self.counters()["refinement.cert_recheck_failures"] == before + 1
+
+
+def test_warm_refine_over_version_1_entries_exits_0(tmp_path, capsys):
+    from repro.cli import main
+
+    cache = tmp_path / "cache"
+    argv = ["refine", "--rule", "mux_combine", "--rule", "split_join_elim",
+            "--cache-dir", str(cache)]
+    assert main(argv) == 0
+    stored = sorted(cache.glob("*/*.bin"))
+    assert len(stored) == 2
+    for path in stored:
+        path.write_bytes(version_1_container(certificate_from_bytes(path.read_bytes())))
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count(" holds [search-fallback]") == 2
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count(" holds [recheck]") == 2

@@ -3,8 +3,8 @@
 The solver explores only the positions its chosen responses reach, so the
 relation it certifies depends on the order in which responses are tried.
 These tests pin that the order is a function of the modules alone (never
-of ``PYTHONHASHSEED``, of the executor pool size, or of whether replay
-witnesses are minted), that a refutation names a stable counterexample,
+of ``PYTHONHASHSEED`` or of the executor pool size), that a refutation
+names a stable counterexample,
 and that the ``refinement.game_positions`` counter reports the
 exploration.
 """
@@ -23,7 +23,6 @@ from repro.core.semantics import denote
 from repro.refinement import (
     check_refinement_sat,
     find_weak_simulation,
-    recheck_certificate,
     uniform_stimuli,
 )
 from repro.rewriting.rules import build_rewrite
@@ -42,7 +41,7 @@ for module, factory, kwargs in VERIFY_FACTORY_SPECS:
         spec = denote(lhs.lower(), env.with_capacity(4))
         if stimuli is None:
             stimuli = uniform_stimuli(impl, (0, 1))
-        result = find_weak_simulation(impl, spec, stimuli, mint_witnesses=False)
+        result = find_weak_simulation(impl, spec, stimuli)
         if result.holds:
             rows.append([rewrite.name, True, result.certificate.content_hash()])
         else:
@@ -110,30 +109,12 @@ def _obligation(factory: str):
     return impl, spec, stimuli
 
 
-def test_minting_witnesses_leaves_the_relation_unchanged():
-    impl, spec, stimuli = _obligation("mux_combine")
-    minted = find_weak_simulation(impl, spec, stimuli)
-    bare = find_weak_simulation(impl, spec, stimuli, mint_witnesses=False)
-    assert minted.holds and bare.holds
-    assert minted.certificate.relation == bare.certificate.relation
-    assert minted.certificate.content_hash() == bare.certificate.content_hash()
-    assert minted.certificate.witnesses is not None
-    assert bare.certificate.witnesses is None
-    # Both re-validate: the witness fast path and the exhaustive pass.
-    assert recheck_certificate(impl, spec, minted.certificate).holds
-    assert recheck_certificate(impl, spec, bare.certificate).holds
-
-
 def test_refutation_names_a_stable_counterexample():
     impl, spec, stimuli = _obligation("branch_combine")
-    details = {
-        (result.violation.kind, result.violation.detail)
-        for result in (
-            find_weak_simulation(impl, spec, stimuli),
-            find_weak_simulation(impl, spec, stimuli, mint_witnesses=False),
-        )
-    }
-    assert details == {("input", "input io:2='b' has no winning spec response")}
+    violation = find_weak_simulation(impl, spec, stimuli).violation
+    assert (violation.kind, violation.detail) == (
+        "input", "input io:2='b' has no winning spec response"
+    )
 
 
 def test_certificates_do_not_depend_on_pool_size():

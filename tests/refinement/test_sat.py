@@ -278,7 +278,7 @@ def test_shared_cache_changes_no_verdict(monkeypatch, bound):
         report = cross_check_obligation(lhs, rhs, env, stimuli, bound=bound)
         alone = check_refinement_sat(impl, spec, stimuli, bound=bound)
         assert sat_fields(report.sat) == sat_fields(alone), name
-        game = find_weak_simulation(impl, spec, stimuli, mint_witnesses=False)
+        game = find_weak_simulation(impl, spec, stimuli)
         assert game_outcome(games[-1]) == game_outcome(game), name
         assert report.game_holds == game.holds, name
         checked += 1
