@@ -13,6 +13,8 @@ This package provides:
 
 from __future__ import annotations
 
+import functools
+
 from ..core.environment import Environment
 from ..core.exprhigh import NodeSpec
 from .base import build_buffer, build_fork, build_join, build_sink, build_source, build_split
@@ -71,8 +73,18 @@ _BUILDERS = {
 
 
 def default_environment(capacity: int | None = None) -> Environment:
-    """The standard environment with every library component registered."""
-    env = Environment(capacity)
+    """The standard environment with every library component registered.
+
+    Every call returns a fresh copy of one registry built on first use:
+    builders and function definitions are immutable, and every rule
+    obligation asks for an environment of its own.
+    """
+    return _standard_environment().with_capacity(capacity)
+
+
+@functools.lru_cache(maxsize=None)
+def _standard_environment() -> Environment:
+    env = Environment()
     for name, builder in _BUILDERS.items():
         env.register(name, builder)
     _register_standard_functions(env)

@@ -377,12 +377,14 @@ def lower_node(
     the node's k-th port (*input_names*/*output_names*), or else to the
     internal name ``name.port``.
     """
+    # A plain ``(name, port)`` pair finds an Endpoint key without making
+    # one: a named tuple hashes and compares as the tuple of its fields.
     in_map: dict[Port, Port] = {}
     for idx, port in enumerate(spec.in_ports):
-        in_map[IOPort(idx)] = input_names.get(Endpoint(name, port)) or InternalPort(name, port)
+        in_map[IOPort(idx)] = input_names.get((name, port)) or InternalPort(name, port)
     out_map: dict[Port, Port] = {}
     for idx, port in enumerate(spec.out_ports):
-        out_map[IOPort(idx)] = output_names.get(Endpoint(name, port)) or InternalPort(name, port)
+        out_map[IOPort(idx)] = output_names.get((name, port)) or InternalPort(name, port)
     encoded = encode_component(spec.typ, spec.param_dict())
     return exprlow.Base(encoded, PortMap(in_map), PortMap(out_map))
 

@@ -172,9 +172,10 @@ class Module:
 
 def rename(module: Module, in_map: PortMap, out_map: PortMap) -> Module:
     """Rename the module's ports; unmapped ports keep their names."""
-    inputs = {in_map.apply(port): t for port, t in module.inputs.items()}
-    outputs = {out_map.apply(port): t for port, t in module.outputs.items()}
-    if len(inputs) != len(module.inputs) or len(outputs) != len(module.outputs):
+    old_inputs, old_outputs = module.inputs, module.outputs
+    inputs = {in_map.apply(port): t for port, t in old_inputs.items()}
+    outputs = {out_map.apply(port): t for port, t in old_outputs.items()}
+    if len(inputs) != len(old_inputs) or len(outputs) != len(old_outputs):
         raise SemanticsError("renaming collapsed two ports onto the same name")
     return Module(inputs, outputs, module.internals, module.init)
 

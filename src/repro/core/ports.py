@@ -19,6 +19,9 @@ from ..errors import PortError
 _set = object.__setattr__
 
 
+_IO_PORTS: dict[int, "IOPort"] = {}
+
+
 @dataclass(frozen=True, order=True, init=False)
 class IOPort:
     """An external I/O port, identified by a natural number.
@@ -28,13 +31,20 @@ class IOPort:
 
     index: int
 
-    # Written out, not generated with a ``__post_init__``: lowering and
-    # denotation make ports by the hundred for every obligation.
-    def __init__(self, index: int) -> None:
-        if index < 0:
-            raise PortError(f"I/O port index must be a natural number, got {index}")
-        _set(self, "index", index)
-        _set(self, "_hash", hash((index,)))
+    # One shared port per int index: lowering, denotation and every
+    # component builder ask for the same few ports by the hundred per
+    # obligation.
+    def __new__(cls, index: int) -> "IOPort":
+        port = _IO_PORTS.get(index) if type(index) is int else None
+        if port is None:
+            if index < 0:
+                raise PortError(f"I/O port index must be a natural number, got {index}")
+            port = object.__new__(cls)
+            _set(port, "index", index)
+            _set(port, "_hash", hash((index,)))
+            if type(index) is int:
+                _IO_PORTS[index] = port
+        return port
 
     # Ports key every successor cache of the refinement layer, so the hash
     # is computed once; it equals the generated ``hash((index,))``, which
@@ -104,6 +114,13 @@ class PortMap(Mapping[Port, Port]):
 
     def __init__(self, entries: Mapping[Port, Port] | Iterable[tuple[Port, Port]] = ()):
         if isinstance(entries, dict):  # the usual case, without typing's slow ABC check
+            # A dict has no duplicate source, so it is injective exactly
+            # when its inverse is as large; lowering makes one per port list.
+            backward = {dst: src for src, dst in entries.items()}
+            if len(backward) == len(entries):
+                self._forward = dict(entries)
+                self._backward = backward
+                return
             items = entries.items()
         else:
             items = list(entries.items()) if isinstance(entries, Mapping) else list(entries)
@@ -127,6 +144,24 @@ class PortMap(Mapping[Port, Port]):
 
     def __len__(self) -> int:
         return len(self._forward)
+
+    # The dict's own views and lookups, not the slower generic ones
+    # ``Mapping`` derives from ``__getitem__``: denotation compares every
+    # base component's port map with its module's ports.
+    def __contains__(self, port: object) -> bool:
+        return port in self._forward
+
+    def keys(self):
+        return self._forward.keys()
+
+    def items(self):
+        return self._forward.items()
+
+    def values(self):
+        return self._forward.values()
+
+    def get(self, port, default=None):
+        return self._forward.get(port, default)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PortMap):

@@ -20,12 +20,12 @@ def denote(expr: ExprLow, env: Environment) -> Module:
     """Compute ⟦expr⟧env."""
     if isinstance(expr, Base):
         module = env.lookup(expr.typ)
-        if set(module.inputs) != set(expr.inputs):
+        if module.inputs.keys() != expr.inputs.keys():
             raise SemanticsError(
                 f"component {expr.typ!r}: port map covers {sorted(map(str, expr.inputs))} "
                 f"but the module has inputs {sorted(map(str, module.inputs))}"
             )
-        if set(module.outputs) != set(expr.outputs):
+        if module.outputs.keys() != expr.outputs.keys():
             raise SemanticsError(
                 f"component {expr.typ!r}: port map covers {sorted(map(str, expr.outputs))} "
                 f"but the module has outputs {sorted(map(str, module.outputs))}"

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import gc
 import importlib
+import sys
 import threading
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -81,10 +82,14 @@ def resolve_worker(spec: str) -> Callable[..., Any]:
     module_name, sep, attr = spec.partition(":")
     if not sep or not module_name or not attr:
         raise ExecutorError(f"worker spec {spec!r} is not of the form 'module:function'")
-    try:
-        module = importlib.import_module(module_name)
-    except ImportError as exc:
-        raise ExecutorError(f"cannot import worker module {module_name!r}: {exc}") from exc
+    # Every unit resolves its worker; once imported, the module is read
+    # straight from sys.modules, without the import machinery.
+    module = sys.modules.get(module_name)
+    if module is None:
+        try:
+            module = importlib.import_module(module_name)
+        except ImportError as exc:
+            raise ExecutorError(f"cannot import worker module {module_name!r}: {exc}") from exc
     fn = getattr(module, attr, None)
     if not callable(fn):
         raise ExecutorError(f"worker {spec!r} does not name a callable")

@@ -40,6 +40,14 @@ class TestIOPort:
         port = pickle.loads(pickle.dumps(IOPort(4)))
         assert port == IOPort(4) and hash(port) == hash((4,))
 
+    def test_one_port_per_index(self):
+        assert IOPort(6) is IOPort(6)
+        assert pickle.loads(pickle.dumps(IOPort(6))) is IOPort(6)
+
+    def test_a_non_int_index_does_not_take_the_shared_port(self):
+        assert IOPort(True) == IOPort(1)
+        assert type(IOPort(1).index) is int and str(IOPort(1)) == "io:1"
+
 
 class TestInternalPort:
     def test_round_trip_through_str(self):
@@ -84,8 +92,18 @@ class TestPortMap:
         assert len(pm) == 2
 
     def test_injectivity_enforced(self):
-        with pytest.raises(PortError):
+        with pytest.raises(PortError, match="mapped twice"):
             PortMap({IOPort(0): InternalPort("n", "a"), IOPort(1): InternalPort("n", "a")})
+
+    def test_views_and_lookups_read_the_map(self):
+        source = {IOPort(0): InternalPort("n", "a"), IOPort(1): IOPort(7)}
+        pm = PortMap(source)
+        source[IOPort(2)] = IOPort(8)  # the map keeps its own copy
+        assert pm.keys() == {IOPort(0), IOPort(1)}
+        assert list(pm.items()) == [(IOPort(0), InternalPort("n", "a")), (IOPort(1), IOPort(7))]
+        assert list(pm.values()) == [InternalPort("n", "a"), IOPort(7)]
+        assert IOPort(1) in pm and IOPort(2) not in pm
+        assert pm.get(IOPort(1)) == IOPort(7) and pm.get(IOPort(2), "none") == "none"
 
     def test_duplicate_source_rejected(self):
         with pytest.raises(PortError):
