@@ -59,8 +59,11 @@ _U32 = struct.Struct(">I")
 def to_bytes(certificate: SimulationCertificate) -> bytes:
     """Serialise *certificate* into the binary container."""
     core = certificate.core_bytes()
+    digest = hashlib.sha256(core).digest()
+    if certificate._hash is None:  # the content hash, without a second core
+        certificate._hash = digest.hex()
     core_z = zlib.compress(core, 6)
-    payload = bytearray(hashlib.sha256(core).digest())
+    payload = bytearray(digest)
     payload += _U32.pack(len(core_z))
     payload += core_z
     write_uvarint(payload, int(certificate.iterations))

@@ -9,39 +9,63 @@ satisfiability and handed to an in-tree dual-Horn solver.  Agreement
 between two independently-implemented decision procedures is the point:
 :func:`cross_check_obligation` runs both on one rewrite obligation and
 raises :class:`~repro.errors.OracleDisagreement` if their *definitive*
-verdicts ever contradict.  The two share only the memoised successor
+verdicts ever contradict.  The two share only one-step successor
 enumeration (one :class:`_GameCache` per cross-check, over the same
-``denote`` semantics); the game's relation, choices and refutations
-never reach the encoder.
+``denote`` semantics).  The encoder reads exactly four things of it:
+``moves`` (implementation moves), ``internal_succ`` (spec one-step
+internal successors), ``spec_table.inputs`` and ``spec_emits`` (spec
+one-step input and output successors), plus ``intern`` for the initial
+states.  It walks τ-steps and applies the three diagrams itself, so a
+mistake in the game's diagram definitions shows up as a disagreement;
+the game's relation, choices and refutations never reach the encoder.
 
-**The encoding.**  One boolean variable ``r_p`` per product-reachable
-pair ``p = (impl state, spec state)``, read as "p is in the simulation
-relation".  The clauses say exactly that a relation exists which contains
-the initial pairs and is closed under the three simulation diagrams:
+**The encoding.**  One boolean variable ``r(s, t)`` per
+product-reachable pair of an impl state ``s`` and a spec state ``t``,
+read as "the pair is in the simulation relation".  A τ-closure is never
+spelled out in a clause.  Instead the spec's internal-step graph is
+condensed into strongly connected components (SCCs, :class:`_Encoding`),
+and one auxiliary variable ``W(s', C)`` per impl state ``s'`` and SCC
+``C`` reads "some spec state τ*-reachable from C is related to s'":
 
-* for every implementation initial state ``s0``:
-  ``(r_{(s0,t0)} ∨ … )`` over all spec initial states ``t0`` — some
-  initial pair must be related;
-* for every explored pair ``p`` and every implementation move
-  ``s → s'`` whose permitted spec responses are ``{t'_1 … t'_k}``:
-  ``(¬r_p ∨ r_{(s',t'_1)} ∨ … ∨ r_{(s',t'_k)})`` — if p is related, some
-  response pair must be related too.  A move with *no* permitted
-  response contributes the unit clause ``(¬r_p)``.
+* ``(¬W(s', C) ∨ ⋁_{t ∈ C} r(s', t) ∨ ⋁ W(s', C'))`` over the SCCs
+  ``C'`` one internal step below C (a single state with no internal step
+  out needs no ``W``: it is ``r(s', t)`` itself);
+* for every implementation initial state ``s0``: ``(⋁ r(s0, t0))`` over
+  all spec initial states ``t0`` — some initial pair must be related;
+* for every explored pair ``p = (s, t)`` and implementation move to
+  ``s'``, "if p is related, some permitted response is related too":
 
+  - **internal** move: ``(¬r_p ∨ W(s', scc(t)))`` — zero or more
+    internal steps;
+  - **input** of *v* on port *i*: ``(¬r_p ∨ ⋁ W(s', scc(t_mid)))`` over
+    the spec states ``t_mid`` that accept *v* on *i* from ``t`` —
+    internal steps may follow;
+  - **output** of *v* on port *o*: ``(¬r_p ∨ ⋁ r(s', t₂))`` over the
+    spec states ``t₂`` reached by emitting *v* on *o* after τ-steps from
+    ``t`` (memoised per SCC) — internal steps may precede the output but
+    not follow it.
+
+  A move with *no* permitted response contributes the unit clause
+  ``(¬r_p)``.
+
+The SCC graph is acyclic, so in every model a ``W`` can only be true if
+some pair below it is, and the greatest model restricted to the pair
+variables is exactly the greatest relation closed under the diagrams.
 Every clause has at most one negative literal (the formula is
 dual-Horn), so :func:`solve` decides it by propagation alone, in linear
 time: starting from all-true, a clause whose positive literals have all
 gone false forces its negative one — the game's refutation of a losing
 position.  The model it finds is the greatest one.
 
-**Soundness of the verdicts.**  Exploration stops after *bound* pairs.
-Pairs beyond the bound get a variable but no closure clauses — they are
+**Soundness of the verdicts.**  Exploration stops after *bound* pairs
+(auxiliary variables do not count).  Pairs beyond the bound get a
+variable but no closure clauses — they are
 *optimistically unconstrained* (free to be "related").  Hence:
 
 * **UNSAT is always a definitive "fails"**: even with every out-of-bound
   pair granted for free, no relation exists, so none exists outright.
 * **SAT with complete exploration is a definitive "holds"**: the model's
-  true variables form a genuine weak simulation containing an initial
+  true pair variables form a genuine weak simulation containing an initial
   pair for every implementation initial state.
 * **SAT with truncated exploration is indefinite** ("holds up to the
   bound") and is never allowed to contradict the game checker.
@@ -64,6 +88,8 @@ from ..errors import NotDualHornError, OracleDisagreement
 from .checker import denote_instance
 from .simulation import (
     SimulationResult,
+    _KIND_INPUT,
+    _KIND_INTERNAL,
     _GameCache,
     _interface_violation,
     _normalise_stimuli,
@@ -123,13 +149,6 @@ class CnfFormula:
                 head = -lit
         self.clauses.append((head, body))
 
-    def checked_body(self, body: list[int]) -> list[int]:
-        """Range-check a body list once, for clauses that will share it."""
-        if body and (min(body) < 1 or max(body) > self.num_vars):
-            bad = min(body) if min(body) < 1 else max(body)
-            raise ValueError(f"literal {bad} outside variable range")
-        return body
-
 
 @dataclass
 class SatResult:
@@ -145,13 +164,16 @@ class SatResult:
 def solve(formula: CnfFormula) -> SatResult:
     """Decide the dual-Horn *formula* by Dowling–Gallier propagation.
 
-    Every variable starts true, and each clause watches one body variable.
-    When a watched variable is forced false, the watch moves to a later
-    body variable of that clause that is still true; falsity is permanent,
-    so a watch never moves back and the whole run is linear in the formula
-    size.  A clause whose body is all false forces its head false, and a
-    clause without a head then makes the formula UNSAT.  No decision is
-    ever taken, so nothing is undone.
+    Every variable starts true.  Only a clause with an empty body forces
+    a variable false outright, so when there is none the all-true
+    assignment is the model and nothing else is built.  Otherwise each
+    clause watches one body variable.  When a watched variable is forced
+    false, the watch moves to a later body variable of that clause that
+    is still true; falsity is permanent, so a watch never moves back and
+    the whole run is linear in the formula size.  A clause whose body is
+    all false forces its head false, and a clause without a head then
+    makes the formula UNSAT.  No decision is ever taken, so nothing is
+    undone.
 
     A variable is false in the returned model only if every model makes it
     false: the model is the *greatest* one, the same one a true-first DPLL
@@ -161,21 +183,31 @@ def solve(formula: CnfFormula) -> SatResult:
     value = bytearray(b"\x01") * (n + 1)
     value[0] = 0
     clauses = formula.clauses
-    watches: list[list[int]] = [[] for _ in range(n + 1)]
-    watch_at = [0] * len(clauses)
     queue: list[int] = []
-    for ci, (head, body) in enumerate(clauses):
+    for head, body in clauses:
         if body:
-            watches[body[0]].append(ci)
-        elif not head:
+            continue
+        if not head:
             return SatResult(False, None, len(queue))
-        elif value[head]:
+        if value[head]:
             value[head] = 0
             queue.append(head)
 
     propagations = len(queue)
+    if not queue:
+        return SatResult(True, list(map(bool, value)), 0)
+    # Only variables some clause watches get a watch list.
+    watches: list[list[int] | None] = [None] * (n + 1)
+    for ci, (_, body) in enumerate(clauses):
+        if body:
+            watching = watches[body[0]]
+            if watching is None:
+                watches[body[0]] = [ci]
+            else:
+                watching.append(ci)
+    watch_at = [0] * len(clauses)
     while queue:
-        for ci in watches[queue.pop()]:
+        for ci in watches[queue.pop()] or ():
             head, body = clauses[ci]
             k = watch_at[ci] + 1
             size = len(body)
@@ -183,7 +215,11 @@ def solve(formula: CnfFormula) -> SatResult:
                 k += 1
             if k < size:
                 watch_at[ci] = k
-                watches[body[k]].append(ci)
+                watching = watches[body[k]]
+                if watching is None:
+                    watches[body[k]] = [ci]
+                else:
+                    watching.append(ci)
             elif not head:
                 return SatResult(False, None, propagations)
             elif value[head]:
@@ -230,6 +266,258 @@ class SatVerdict:
         )
 
 
+class RefinementFormula(CnfFormula):
+    """The dual-Horn encoding of one refinement instance.
+
+    ``pair_vars[i]`` is the variable of the *i*-th product pair in
+    exploration order; every other variable is an auxiliary τ-closure
+    variable (see the module docstring)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.pair_vars: list[int] = []
+
+
+class _Encoding:
+    """The clauses of one refinement instance, emitted as exploration
+    reaches each product pair.
+
+    The spec's internal-step graph is condensed into strongly connected
+    components (SCCs) on demand, by an iterative Tarjan over the memoised
+    one-step successors; SCC ids are dense and numbered in completion
+    order, so every SCC an SCC reaches in one step has a smaller id.
+    Methods, not nested closures: a recursive closure refers to itself
+    through its cell, and the cycle would keep every memo here alive until
+    the cyclic collector runs.
+    """
+
+    __slots__ = (
+        "formula", "pairs", "moves", "internal_succ", "spec_inputs", "spec_emits",
+        "_scc_of", "_members", "_below", "_pair_rows", "_closure_rows",
+        "_entered", "_emitted", "_input_bodies", "_output_bodies",
+    )
+
+    def __init__(self, cache: _GameCache):
+        self.formula = RefinementFormula()
+        #: Product pairs ``(impl id, spec id)`` in exploration order.
+        self.pairs: list[tuple[int, int]] = []
+        # The only reads of the shared successor cache.
+        self.moves = cache.moves
+        self.internal_succ = cache.internal_succ
+        self.spec_inputs = cache.spec_table.inputs
+        self.spec_emits = cache.spec_emits
+        self._scc_of: dict[int, int] = {}
+        self._members: list[tuple[int, ...]] = []
+        self._below: list[tuple[int, ...]] = []
+        # Per implementation successor id: spec id → pair variable, and
+        # SCC id → the one-literal body [W].
+        self._pair_rows: dict[int, dict[int, int]] = {}
+        self._closure_rows: dict[int, dict[int, list[int]]] = {}
+        self._entered: dict[tuple, tuple[int, ...]] = {}
+        self._emitted: dict[tuple, tuple[int, ...]] = {}
+        self._input_bodies: dict[tuple, list[int]] = {}
+        self._output_bodies: dict[tuple, list[int]] = {}
+
+    # -- the condensed internal-step graph ------------------------------------
+
+    def scc(self, tid: int) -> int:
+        """The SCC id of spec state *tid*."""
+        c = self._scc_of.get(tid)
+        if c is None:
+            self._condense(tid)
+            c = self._scc_of[tid]
+        return c
+
+    def _condense(self, root: int) -> None:
+        """Tarjan from *root* over the states no earlier run reached.
+
+        A frame keeps its state's stack position, and ``low`` each open
+        state's least reachable position; a state whose position survives
+        closes the SCC above it on the stack."""
+        succ, scc_of = self.internal_succ, self._scc_of
+        low = {root: 0}
+        stack = [root]
+        work = [(root, iter(succ(root)), 0)]
+        while work:
+            v, edges, at = work[-1]
+            for w in edges:
+                if w in scc_of:  # in a finished SCC
+                    continue
+                reach = low.get(w)
+                if reach is None:
+                    low[w] = len(stack)
+                    work.append((w, iter(succ(w)), len(stack)))
+                    stack.append(w)
+                    break
+                if reach < low[v]:  # on the stack
+                    low[v] = reach
+            else:
+                work.pop()
+                reach = low[v]
+                if reach < at:
+                    u = work[-1][0]
+                    if reach < low[u]:
+                        low[u] = reach
+                    continue
+                c = len(self._members)
+                members = tuple(stack[at:])
+                del stack[at:]
+                below: dict[int, None] = {}
+                for m in members:
+                    scc_of[m] = c
+                for m in members:
+                    below.update(dict.fromkeys(map(scc_of.__getitem__, succ(m))))
+                below.pop(c, None)
+                self._members.append(members)
+                self._below.append(tuple(below))
+
+    def _emissions(self, c: int, port: Port, value: Value) -> tuple[int, ...]:
+        """Spec ids reached by emitting *value* on *port* after τ-steps
+        from SCC *c* (none after the emission), memoised per SCC."""
+        memo = self._emitted.get((port, value))
+        if memo is None:
+            memo = self._emitted[port, value] = {}
+        found = memo.get(c)
+        if found is not None:
+            return found
+        members, below, emits = self._members, self._below, self.spec_emits
+        # Bottom-up over the SCCs below c, without recursion.
+        todo = [c]
+        while todo:
+            d = todo[-1]
+            missing = [e for e in below[d] if e not in memo]
+            if missing:
+                todo += missing
+                continue
+            todo.pop()
+            if d not in memo:
+                targets = {
+                    t: None
+                    for m in members[d]
+                    for spec_value, t in emits(m, port)
+                    if spec_value == value
+                }
+                for e in below[d]:
+                    targets.update(dict.fromkeys(memo[e]))
+                memo[d] = tuple(targets)
+        return memo[c]
+
+    # -- variables and bodies ---------------------------------------------------
+
+    def pair_vars(self, s_next: int, tids: Iterable[int]) -> list[int]:
+        """The variables of the pairs ``(s_next, t)``, new ones numbered
+        and queued for exploration in *tids* order."""
+        row = self._pair_rows.get(s_next)
+        if row is None:
+            row = self._pair_rows[s_next] = {}
+        lits = []
+        for t in tids:
+            v = row.get(t)
+            if v is None:
+                v = row[t] = self.formula.new_var()
+                self.pairs.append((s_next, t))
+                self.formula.pair_vars.append(v)
+            lits.append(v)
+        return lits
+
+    def closure_body(self, s_next: int, c: int) -> list[int]:
+        """``[W(s_next, c)]``, the body of an internal move to *s_next*
+        from a spec state in SCC *c*.
+
+        A new ``W`` gets the clause ``¬W ∨ ⋁ r(s_next, t) ∨ ⋁ W(s_next, C′)``
+        over the states of *c* and the SCCs one step below it, and so does
+        every new ``W`` below it: a variable without its clause would be
+        unconstrained.  Each SCC's pairs are numbered when the walk first
+        meets it, so on an acyclic internal-step graph pairs are explored
+        in the order of a depth-first τ-walk."""
+        row = self._closure_rows.get(s_next)
+        if row is None:
+            row = self._closure_rows[s_next] = {}
+        body = row.get(c)
+        if body is None:
+            pending: list[tuple[int, int, list[int]]] = []
+            body = self._open(s_next, row, c, pending)
+            clauses = self.formula.clauses
+            while pending:
+                w, d, lits = pending.pop()
+                for e in self._below[d]:
+                    child = row.get(e)
+                    if child is None:
+                        child = self._open(s_next, row, e, pending)
+                    lits.append(child[0])
+                clauses.append((w, lits))
+        return body
+
+    def _open(self, s_next: int, row: dict, c: int, pending: list) -> list[int]:
+        """Number the pairs of SCC *c* and make ``[W(s_next, c)]``, queueing
+        its clause on *pending*.  A single state with no internal step
+        out is its own closure, so there ``W`` is the pair variable."""
+        lits = self.pair_vars(s_next, self._members[c])
+        if len(lits) == 1 and not self._below[c]:
+            body = row[c] = lits
+        else:
+            body = row[c] = [self.formula.new_var()]
+            pending.append((body[0], c, lits))
+        return body
+
+    def input_body(self, s_next: int, tid: int, port: Port, value: Value) -> list[int]:
+        """``⋁ W(s_next, scc(t_mid))`` over the states *tid* accepts
+        (*port*, *value*) into: internal steps may follow an input."""
+        sccs = self._entered.get((tid, port, value))
+        if sccs is None:
+            mids = self.spec_inputs(tid, port, value)
+            sccs = self._entered[tid, port, value] = (
+                (self.scc(mids[0]),) if len(mids) == 1
+                else tuple(dict.fromkeys(map(self.scc, mids)))
+            )
+        if len(sccs) == 1:  # the internal move's body, shared
+            return self.closure_body(s_next, sccs[0])
+        body = self._input_bodies.get((s_next, sccs))
+        if body is None:
+            body = self._input_bodies[s_next, sccs] = [
+                self.closure_body(s_next, c)[0] for c in sccs
+            ]
+        return body
+
+    def output_body(self, s_next: int, c: int, port: Port, value: Value) -> list[int]:
+        """``⋁ r(s_next, t₂)`` over the emissions of *value* on *port*
+        after τ-steps from SCC *c*: internal steps may only precede an
+        output."""
+        targets = self._emissions(c, port, value)
+        body = self._output_bodies.get((s_next, targets))
+        if body is None:
+            body = self._output_bodies[s_next, targets] = self.pair_vars(s_next, targets)
+        return body
+
+    def explore(self, bound: int) -> tuple[int, bool]:
+        """Emit the closure clauses of pairs in order until none is left
+        or *bound* pairs are explored; returns ``(explored, truncated)``."""
+        pairs, pair_vars, clauses = self.pairs, self.formula.pair_vars, self.formula.clauses
+        moves, scc_of, closure_rows = self.moves, self._scc_of, self._closure_rows
+        explored = 0
+        while explored < len(pairs):
+            if explored >= bound:
+                return explored, True
+            sid, tid = pairs[explored]
+            p = pair_vars[explored]
+            explored += 1
+            c = scc_of.get(tid)
+            if c is None:
+                c = self.scc(tid)
+            for kind, port, value, s_next in moves(sid):
+                if kind == _KIND_INTERNAL:
+                    row = closure_rows.get(s_next)
+                    body = None if row is None else row.get(c)
+                    if body is None:
+                        body = self.closure_body(s_next, c)
+                elif kind == _KIND_INPUT:
+                    body = self.input_body(s_next, tid, port, value)
+                else:
+                    body = self.output_body(s_next, c, port, value)
+                clauses.append((p, body))
+        return explored, False
+
+
 def encode_refinement(
     impl: Module,
     spec: Module,
@@ -237,71 +525,34 @@ def encode_refinement(
     bound: int = DEFAULT_BOUND,
     *,
     cache: _GameCache | None = None,
-) -> tuple[CnfFormula, list[tuple[int, int]], int, bool]:
+) -> tuple[RefinementFormula, list[tuple[int, int]], int, bool]:
     """Encode ``impl ⊑ spec`` (bounded by *stimuli*) as dual-Horn CNF.
 
-    Returns ``(formula, pairs, explored, truncated)``: variable ``v`` is
-    the product pair ``pairs[v - 1]`` ``(impl id, spec id)`` — ids in the
-    :class:`_GameCache` ordering, numbered breadth-first from the initial
-    pairs — *explored* counts pairs whose closure clauses were emitted,
-    and *truncated* is True when the *bound* cut exploration short (see
-    the module docstring for what that does to verdict status).
+    Returns ``(formula, pairs, explored, truncated)``: *pairs* lists the
+    product pairs ``(impl id, spec id)`` — ids in the :class:`_GameCache`
+    ordering — numbered breadth-first from the initial pairs, and
+    ``formula.pair_vars[i]`` is the variable of ``pairs[i]``; *explored*
+    counts the pairs whose closure clauses were emitted, and *truncated*
+    is True when the *bound* cut exploration short (see the module
+    docstring for what that does to verdict status).  The bound counts
+    pairs only, not auxiliary variables.
 
     *cache* is a successor cache already built for exactly these modules
     and stimuli (:func:`cross_check_obligation` shares one with the game
     so that each module is lowered once); by default a fresh one is used.
-    Only successor enumeration is shared: the encoding reads nothing of
-    the game's positions, choices or refutations.
+    Only one-step successor enumeration is shared: the encoding walks
+    τ-steps and applies the diagrams itself, and reads nothing of the
+    game's positions, choices or refutations.
     """
     stimuli = _normalise_stimuli(impl, stimuli)
     cache = _successor_cache(impl, spec, stimuli, cache)
-    formula = CnfFormula()
-    clauses = formula.clauses
-    pairs: list[tuple[int, int]] = []
-    # Per implementation successor id: spec id → variable.
-    rows: dict[int, dict[int, int]] = {}
-    # Clauses with the same successor and responses share one body list.
-    bodies: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-
-    def body_of(s_next: int, responses: tuple[int, ...]) -> list[int]:
-        key = (s_next, responses)
-        body = bodies.get(key)
-        if body is None:
-            row = rows.get(s_next)
-            if row is None:
-                row = rows[s_next] = {}
-            body = list(map(row.get, responses))
-            if not all(body):
-                for k, tid in enumerate(responses):
-                    if body[k] is None:
-                        v = row.get(tid)
-                        if v is None:
-                            pairs.append((s_next, tid))
-                            v = row[tid] = len(pairs)
-                        body[k] = v
-                formula.num_vars = len(pairs)
-            body = bodies[key] = formula.checked_body(body)
-        return body
-
-    spec_init = tuple(cache.spec_table.intern(t0) for t0 in sorted(spec.init, key=repr))
+    encoding = _Encoding(cache)
+    spec_init = [cache.spec_table.intern(t0) for t0 in sorted(spec.init, key=repr)]
     for s0 in sorted(impl.init, key=repr):
-        clauses.append((0, body_of(cache.impl_table.intern(s0), spec_init)))
-
-    impl_moves = cache.moves
-    responses = cache.responders()
-    truncated = False
-    explored = 0
-    while explored < len(pairs):
-        if explored >= bound:
-            truncated = True
-            break
-        sid, tid = pairs[explored]
-        explored += 1
-        p = explored
-        for kind, port, value, s_next in impl_moves(sid):
-            clauses.append((p, body_of(s_next, responses[kind](tid, port, value))))
-
-    return formula, pairs, explored, truncated
+        body = encoding.pair_vars(cache.impl_table.intern(s0), spec_init)
+        encoding.formula.clauses.append((0, body))
+    explored, truncated = encoding.explore(bound)
+    return encoding.formula, encoding.pairs, explored, truncated
 
 
 def check_refinement_sat(
@@ -340,8 +591,8 @@ def check_refinement_sat(
     obs.count("refinement.sat_checks")
     relation_size = None
     if result.satisfiable and result.model is not None:
-        # Every variable is a pair variable, so the relation is the model.
-        relation_size = result.model.count(True)
+        model = result.model
+        relation_size = sum(model[v] for v in formula.pair_vars)
     return SatVerdict(
         holds=result.satisfiable,
         complete=not truncated,

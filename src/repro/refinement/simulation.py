@@ -296,7 +296,8 @@ class _GameCache:
     spec one-step internal successors and emissions, τ-closures (walked
     over the memoised one-step ids, and resumable where a caller stopped
     early), and per-(state, port, value) spec input and output
-    responses.
+    responses.  The SAT encoder reads only the moves and the one-step
+    spec successors, and walks τ-steps itself.
     """
 
     __slots__ = (

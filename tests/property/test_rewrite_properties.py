@@ -19,6 +19,8 @@ from repro.refinement import (
     refines,
     uniform_stimuli,
 )
+from repro.refinement.sat import encode_refinement, solve
+from repro.refinement.simulation import _GameCache, _normalise_stimuli
 from repro.rewriting.engine import RewriteEngine
 from repro.rewriting.rules.pure_gen import fork_lift_pure, pure_compose
 from repro.rewriting.rules.reduction import fork_sink_elim, pure_id_elim
@@ -156,3 +158,105 @@ class TestLocalGameAgreesWithSat:
         assert len(certificate.relation) <= sat.pairs_explored
         rechecked = recheck_certificate(impl, spec, certificate, stimuli)
         assert rechecked.holds and rechecked.method == "exhaustive"
+
+
+def naive_greatest_relation(impl, spec, stimuli):
+    """``(arena, related)``: the product pairs reachable from the initial
+    pairs through the three diagrams' responses, and the greatest subset
+    of them closed under the diagrams.
+
+    Read literally off the modules' own transitions (no successor table,
+    no SCCs) and refined by plain iteration to the fixpoint; for tests.
+    """
+
+    closures: dict = {}
+
+    def tau_closure(t):
+        if t not in closures:
+            closures[t] = spec.tau_closure(t)
+        return closures[t]
+
+    def moves(s, t):
+        """Per implementation move, its successor and permitted responses."""
+        for port, values in stimuli.items():
+            for value in values:
+                for s_next in impl.inputs[port].fire(s, value):
+                    yield s_next, {
+                        t_next
+                        for mid in spec.inputs[port].fire(t, value)
+                        for t_next in tau_closure(mid)
+                    }
+        for port, transition in impl.outputs.items():
+            for value, s_next in transition.fire(s):
+                yield s_next, {
+                    t_next
+                    for mid in tau_closure(t)
+                    for emitted, t_next in spec.outputs[port].fire(mid)
+                    if emitted == value
+                }
+        for s_next in impl.internal_steps(s):
+            yield s_next, tau_closure(t)
+
+    arena: dict = {}
+    todo = [(s0, t0) for s0 in impl.init for t0 in spec.init]
+    while todo:
+        pair = todo.pop()
+        if pair not in arena:
+            arena[pair] = list(moves(*pair))
+            todo.extend((s_next, t) for s_next, ts in arena[pair] for t in ts)
+    related = set(arena)
+    changed = True
+    while changed:
+        lost = {
+            pair
+            for pair in related
+            if any(all((s_next, t) not in related for t in ts) for s_next, ts in arena[pair])
+        }
+        related -= lost
+        changed = bool(lost)
+    return set(arena), related
+
+
+class TestSatModelIsTheGreatestRelation:
+    """The τ-closure encoding against a literal fixpoint of the diagrams.
+
+    The greatest model of the formula, read on its pair variables, must be
+    exactly the greatest relation over the product arena, in both
+    directions of a rewrite (the reverse often fails, so the relation is
+    then a proper subset of the arena).
+    """
+
+    @seed(36)
+    @given(
+        elastic_graphs(),
+        st.lists(st.sampled_from(range(len(NORMALIZERS))), max_size=4),
+        st.integers(1, 2),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_pair_model_equals_naive_fixpoint(self, graph, rule_choice, impl_cap, spec_cap):
+        env = default_environment(capacity=impl_cap)
+        rules = [NORMALIZERS[i]() for i in sorted(set(rule_choice))]
+        rewritten = RewriteEngine().apply_exhaustively(graph, rules, max_steps=64)
+        impl = denote(rewritten.lower(), env)
+        spec = denote(graph.lower(), env.with_capacity(spec_cap))
+        for left, right in ((impl, spec), (spec, impl)):
+            stimuli = _normalise_stimuli(left, uniform_stimuli(left, (0,)))
+            cache = _GameCache(left, right, stimuli)
+            formula, pairs, _, truncated = encode_refinement(left, right, stimuli, cache=cache)
+            assert not truncated
+            if len(pairs) > 1_000:  # the literal fixpoint is slow; most arenas are smaller
+                continue
+            arena, related = naive_greatest_relation(left, right, stimuli)
+            states = [
+                (cache.impl_table.state(s), cache.spec_table.state(t)) for s, t in pairs
+            ]
+            assert set(states) == arena
+            result = solve(formula)
+            holds = all(any((s0, t0) in related for t0 in right.init) for s0 in left.init)
+            assert result.satisfiable == holds
+            if holds:
+                model = result.model
+                assert {
+                    pair for pair, v in zip(states, formula.pair_vars) if model[v]
+                } == related

@@ -436,3 +436,24 @@ def test_warm_refine_over_version_1_entries_exits_0(tmp_path, capsys):
     assert capsys.readouterr().out.count(" holds [search-fallback]") == 2
     assert main(argv) == 0
     assert capsys.readouterr().out.count(" holds [recheck]") == 2
+
+
+def test_a_cold_check_builds_each_certificate_core_once(tmp_path, monkeypatch):
+    # Storing a certificate hashes its canonical core, and the content
+    # hash each worker reports reuses that digest instead of building the
+    # core a second time.
+    from repro import Session
+
+    built = []
+    core_bytes = SimulationCertificate.core_bytes
+
+    def counting_core_bytes(self):
+        built.append(self)
+        return core_bytes(self)
+
+    monkeypatch.setattr(SimulationCertificate, "core_bytes", counting_core_bytes)
+    with Session(jobs=1, cache_dir=tmp_path) as session:
+        checked = session.check_obligations()
+    hashes = [h for entry in checked for h in entry["certificate_hashes"]]
+    assert len(hashes) == len(built) == 17
+    assert hashes == [hashlib.sha256(core_bytes(c)).hexdigest() for c in built]
