@@ -23,7 +23,8 @@ from repro.refinement.loop_proof import (
     check_state_invariant,
 )
 from repro.refinement.simulation import find_weak_simulation
-from repro.rewriting.rules.loop_rewrite import ooo_loop_rhs, sequential_loop_concrete
+from repro.rewriting.rules.common import instantiate
+from repro.rewriting.rules.loop_rewrite import ooo_loop_rhs, sequential_loop_lhs
 
 
 def main() -> None:
@@ -51,7 +52,8 @@ def main() -> None:
     print("Counterexample check: a broken body must be refuted")
     env.register_function("bad_step", lambda n: (n - 2, n - 2 > 0), 1)
     impl = denote(ooo_loop_rhs("bad_step", 2).lower(), env)
-    spec = denote(sequential_loop_concrete("dec_step").lower(), env.with_capacity(4))
+    sequential = instantiate(sequential_loop_lhs(), {"F": "dec_step"})
+    spec = denote(sequential.lower(), env.with_capacity(4))
     result = find_weak_simulation(impl, spec, {IOPort(0): (3,)})
     assert not result.holds
     print(f"  refuted: {result.violation}")

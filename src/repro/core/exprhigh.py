@@ -328,7 +328,9 @@ class ExprHigh:
         return self._unlink(dst)
 
     def copy(self) -> "ExprHigh":
-        clone = ExprHigh()
+        # Every field and index is assigned below, so skip ``__init__``
+        # (which would build empty indexes only to discard them).
+        clone = object.__new__(ExprHigh)
         clone.nodes = dict(self.nodes)
         clone.connections = dict(self.connections)
         clone.inputs = dict(self.inputs)

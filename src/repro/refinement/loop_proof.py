@@ -32,7 +32,8 @@ from ..core.module import Module, State, Value
 from ..core.ports import IOPort
 from ..core.semantics import denote
 from ..errors import RefinementError
-from ..rewriting.rules.loop_rewrite import ooo_loop_rhs, sequential_loop_concrete
+from ..rewriting.rules.common import instantiate
+from ..rewriting.rules.loop_rewrite import ooo_loop_rhs, sequential_loop_lhs
 from .checker import denote_instance
 from .simulation import find_weak_simulation
 
@@ -92,7 +93,7 @@ class SequentialLoop:
 
     @staticmethod
     def build(fn_name: str, env: Environment) -> "SequentialLoop":
-        graph = sequential_loop_concrete(fn_name)
+        graph = instantiate(sequential_loop_lhs(), {"F": fn_name})
         module = denote(graph.lower(), env)
         return SequentialLoop(graph, module, state_accessors(graph))
 
@@ -303,7 +304,7 @@ def check_loop_refinement(
 ):
     """Theorem 5.3, decided on the bounded instance: 𝓘 ⊑ 𝓢."""
     impl, spec, stimuli = denote_instance(
-        sequential_loop_concrete(fn_name),
+        instantiate(sequential_loop_lhs(), {"F": fn_name}),
         ooo_loop_rhs(fn_name, tags),
         env,
         {IOPort(0): tuple(inputs)},

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ...components import branch, fork, join, merge, mux, split
 from ..rewrite import Match, Rewrite
-from .common import graph_of, io_values, obligation_env
+from .common import Instance, graph_of, obligation
 
 
 def _mux_combine_lhs():
@@ -33,20 +33,19 @@ def _mux_combine_rhs(match: Match):
     )
 
 
-def _mux_combine_obligation():
-    env = obligation_env(capacity=1)
-    stimuli = io_values({0: (True, False), 1: ("a0",), 2: ("a1",), 3: ("b0",), 4: ("b1",)})
-    yield _mux_combine_lhs(), _mux_combine_rhs(None), env, stimuli
-
-
 def mux_combine() -> Rewrite:
     """Two Muxes with a common (forked) condition become one Mux."""
+    lhs = _mux_combine_lhs()
     return Rewrite(
         name="mux-combine",
-        lhs=_mux_combine_lhs(),
+        lhs=lhs,
         rhs=_mux_combine_rhs,
         verified=True,
-        obligation=_mux_combine_obligation,
+        obligation=obligation(
+            lhs,
+            _mux_combine_rhs,
+            Instance({0: (True, False), 1: ("a0",), 2: ("a1",), 3: ("b0",), 4: ("b1",)}),
+        ),
         description="Combine two Muxes sharing a forked condition (fig. 3a)",
     )
 
@@ -69,12 +68,6 @@ def _branch_combine_rhs(match: Match):
     )
 
 
-def _branch_combine_obligation():
-    env = obligation_env(capacity=1)
-    stimuli = io_values({0: (True, False), 1: ("a",), 2: ("b",)})
-    yield _branch_combine_lhs(), _branch_combine_rhs(None), env, stimuli
-
-
 def branch_combine() -> Rewrite:
     """Two Branches with a common (forked) condition become one Branch.
 
@@ -86,17 +79,20 @@ def branch_combine() -> Rewrite:
     outputs before older false-side tokens have drained, an output
     reordering across ports the uncombined circuit cannot perform.  The
     bounded checker finds that counterexample; see
-    ``tests/rewriting/test_combine.py``.  The rewrite is nonetheless sound
+    ``tests/refinement/test_obligation_verdicts.py``.  The rewrite is nonetheless sound
     in the loop context where the pipeline applies it, because there the
     true-side outputs loop back into the single Mux that consumes them in
     condition order.
     """
+    lhs = _branch_combine_lhs()
     return Rewrite(
         name="branch-combine",
-        lhs=_branch_combine_lhs(),
+        lhs=lhs,
         rhs=_branch_combine_rhs,
         verified=False,
-        obligation=_branch_combine_obligation,
+        obligation=obligation(
+            lhs, _branch_combine_rhs, Instance({0: (True, False), 1: ("a",), 2: ("b",)})
+        ),
         description="Combine two Branches sharing a forked condition (fig. 3a, unverified)",
     )
 
@@ -119,19 +115,16 @@ def _merge_combine_rhs(match: Match):
     )
 
 
-def _merge_combine_obligation():
-    env = obligation_env(capacity=1)
-    stimuli = io_values({0: ("a0",), 1: ("a1",), 2: ("b0",), 3: ("b1",)})
-    yield _merge_combine_lhs(), _merge_combine_rhs(None), env, stimuli
-
-
 def merge_combine() -> Rewrite:
     """Two side-by-side Merges become one Merge over joined pairs."""
+    lhs = _merge_combine_lhs()
     return Rewrite(
         name="merge-combine",
-        lhs=_merge_combine_lhs(),
+        lhs=lhs,
         rhs=_merge_combine_rhs,
         verified=True,
-        obligation=_merge_combine_obligation,
+        obligation=obligation(
+            lhs, _merge_combine_rhs, Instance({0: ("a0",), 1: ("a1",), 2: ("b0",), 3: ("b1",)})
+        ),
         description="Combine two parallel Merges into one over pairs",
     )

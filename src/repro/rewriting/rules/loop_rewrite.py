@@ -17,10 +17,12 @@ invariant in :mod:`repro.refinement.loop_proof`.
 
 from __future__ import annotations
 
-from ...components import branch, fork, init, merge, mux, split, tagger
-from ...core.exprhigh import ExprHigh, NodeSpec
+from typing import Callable
+
+from ...components import branch, fork, init, merge, mux, pure, split, tagger
+from ...core.exprhigh import ExprHigh
 from ..rewrite import Match, Rewrite, Var
-from .common import graph_of, io_values, obligation_env
+from .common import Instance, graph_of, obligation
 
 
 def sequential_loop_lhs() -> ExprHigh:
@@ -28,7 +30,7 @@ def sequential_loop_lhs() -> ExprHigh:
     return graph_of(
         nodes={
             "mx": mux(),
-            "body": NodeSpec.make("Pure", ["in0"], ["out0"], {"fn": Var("F")}),
+            "body": pure(Var("F")),
             "sp": split(),
             "fk": fork(2),
             "ini": init(value=False),
@@ -55,7 +57,7 @@ def ooo_loop_rhs(fn: str, tags: int) -> ExprHigh:
         nodes={
             "tg": tagger(tags=tags),
             "mg": merge(),
-            "body": NodeSpec.make("Pure", ["in0"], ["out0"], {"fn": fn, "tagged": True}),
+            "body": pure(fn, tagged=True),
             "sp": split(tagged=True),
             "br": branch(tagged=True),
         },
@@ -73,27 +75,16 @@ def ooo_loop_rhs(fn: str, tags: int) -> ExprHigh:
     )
 
 
-def sequential_loop_concrete(fn: str) -> ExprHigh:
-    """The lhs pattern instantiated with a concrete body function."""
-    loop = sequential_loop_lhs().copy()
-    spec = loop.nodes["body"]
-    loop.nodes["body"] = NodeSpec.make(spec.typ, spec.in_ports, spec.out_ports, {"fn": fn})
-    return loop
-
-
 def _dec_step(n: int) -> tuple[int, bool]:
     """A tiny loop body: count down, continue while positive."""
     return n - 1, n - 1 > 0
 
 
-def _obligation(tags: int):
-    def instances():
-        env = obligation_env(capacity=1, functions={"dec_step": (_dec_step, 1)})
-        lhs = sequential_loop_concrete("dec_step")
-        rhs = ooo_loop_rhs("dec_step", tags=min(tags, 2))
-        yield lhs, rhs, env, io_values({0: (1, 2)})
+def _rhs(tags: int) -> Callable[[Match], ExprHigh]:
+    def rhs(match: Match) -> ExprHigh:
+        return ooo_loop_rhs(str(match.params["F"]), tags)
 
-    return instances
+    return rhs
 
 
 def ooo_loop(tags: int = 4) -> Rewrite:
@@ -105,15 +96,17 @@ def ooo_loop(tags: int = 4) -> Rewrite:
     bounded stand-in for the parametric Lean proof of section 5.
     """
     lhs = sequential_loop_lhs()
-
-    def rhs(match: Match) -> ExprHigh:
-        return ooo_loop_rhs(str(match.params["F"]), tags)
-
     return Rewrite(
         name="ooo-loop",
         lhs=lhs,
-        rhs=rhs,
+        rhs=_rhs(tags),
         verified=True,
-        obligation=_obligation(tags),
+        # The instance is the 2-tag builder's output whatever *tags* the
+        # rewrite is applied with, which keeps the bounded check small.
+        obligation=obligation(
+            lhs,
+            _rhs(min(tags, 2)),
+            Instance({0: (1, 2)}, {"F": "dec_step"}, {"dec_step": (_dec_step, 1)}),
+        ),
         description="Mux-guarded sequential loop becomes tagged Merge loop (fig. 3d)",
     )

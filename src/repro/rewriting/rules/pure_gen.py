@@ -10,19 +10,11 @@ the body consumes one token and produces one token, in order.
 
 from __future__ import annotations
 
-from ...components import fork, join, split
+from ...components import fork, join, pure, split
 from ...core.exprhigh import NodeSpec
 from .. import algebra
 from ..rewrite import Match, Rewrite, Var
-from .common import graph_of, io_values, obligation_env
-
-
-def _tagged(match: Match, node: str) -> bool:
-    return bool(match.host_specs[match.nodes[node]].param("tagged", False))
-
-
-def _pure_spec(fn: str, tagged: bool) -> NodeSpec:
-    return NodeSpec.make("Pure", ["in0"], ["out0"], {"fn": fn, "tagged": tagged})
+from .common import Instance, graph_of, is_tagged, obligation
 
 
 def _op1_lhs():
@@ -33,28 +25,19 @@ def _op1_lhs():
 def _op1_rhs(match: Match):
     fn = str(match.params["F"])
     return graph_of(
-        {"p": _pure_spec(fn, _tagged(match, "op"))}, [], {0: "p.in0"}, {0: "p.out0"}
+        {"p": pure(fn, tagged=is_tagged(match, "op"))}, [], {0: "p.in0"}, {0: "p.out0"}
     )
-
-
-def _op1_obligation():
-    env = obligation_env(capacity=1)
-    lhs = graph_of(
-        {"op": NodeSpec.make("Operator", ["in0"], ["out0"], {"op": "ne0"})},
-        [], {0: "op.in0"}, {0: "op.out0"},
-    )
-    rhs = graph_of({"p": _pure_spec("ne0", False)}, [], {0: "p.in0"}, {0: "p.out0"})
-    yield lhs, rhs, env, io_values({0: (0, 1)})
 
 
 def op1_to_pure() -> Rewrite:
     """A unary Operator is already a Pure."""
+    lhs = _op1_lhs()
     return Rewrite(
         name="op1-to-pure",
-        lhs=_op1_lhs(),
+        lhs=lhs,
         rhs=_op1_rhs,
         verified=True,
-        obligation=_op1_obligation,
+        obligation=obligation(lhs, _op1_rhs, Instance({0: (0, 1)}, {"F": "ne0"})),
         description="Unary operator becomes a Pure component (fig. 5b)",
     )
 
@@ -66,46 +49,31 @@ def _op2_lhs():
 
 def _op2_rhs(match: Match):
     fn = algebra.tup(str(match.params["F"]))
-    tagged = _tagged(match, "op")
+    tagged = is_tagged(match, "op")
     return graph_of(
-        {"jn": join(tagged=tagged), "p": _pure_spec(fn, tagged)},
+        {"jn": join(tagged=tagged), "p": pure(fn, tagged=tagged)},
         [("jn.out0", "p.in0")],
         {0: "jn.in0", 1: "jn.in1"},
         {0: "p.out0"},
     )
-
-
-def _op2_obligation():
-    env = obligation_env(capacity=1)
-    algebra.ensure(env, "tup(mod)")
-    lhs = graph_of(
-        {"op": NodeSpec.make("Operator", ["in0", "in1"], ["out0"], {"op": "mod"})},
-        [], {0: "op.in0", 1: "op.in1"}, {0: "op.out0"},
-    )
-    rhs = graph_of(
-        {"jn": join(tagged=False), "p": _pure_spec("tup(mod)", False)},
-        [("jn.out0", "p.in0")],
-        {0: "jn.in0", 1: "jn.in1"},
-        {0: "p.out0"},
-    )
-    yield lhs, rhs, env, io_values({0: (5, 7), 1: (3,)})
 
 
 def op2_to_pure() -> Rewrite:
     """A binary Operator becomes Join followed by a tupled Pure."""
+    lhs = _op2_lhs()
     return Rewrite(
         name="op2-to-pure",
-        lhs=_op2_lhs(),
+        lhs=lhs,
         rhs=_op2_rhs,
         verified=True,
-        obligation=_op2_obligation,
+        obligation=obligation(lhs, _op2_rhs, Instance({0: (5, 7), 1: (3,)}, {"F": "mod"})),
         description="Binary operator becomes Join; Pure(tup f) (fig. 5b)",
     )
 
 
 def _fork_lift_lhs():
     return graph_of(
-        {"p": NodeSpec.make("Pure", ["in0"], ["out0"], {"fn": Var("F")}), "fk": fork(2)},
+        {"p": pure(Var("F")), "fk": fork(2)},
         [("p.out0", "fk.in0")],
         {0: "p.in0"},
         {0: "fk.out0", 1: "fk.out1"},
@@ -114,40 +82,24 @@ def _fork_lift_lhs():
 
 def _fork_lift_rhs(match: Match):
     fn = str(match.params["F"])
-    tagged = _tagged(match, "p")
+    tagged = is_tagged(match, "p")
     return graph_of(
-        {"fk": fork(2), "pa": _pure_spec(fn, tagged), "pb": _pure_spec(fn, tagged)},
+        {"fk": fork(2), "pa": pure(fn, tagged=tagged), "pb": pure(fn, tagged=tagged)},
         [("fk.out0", "pa.in0"), ("fk.out1", "pb.in0")],
         {0: "fk.in0"},
         {0: "pa.out0", 1: "pb.out0"},
     )
-
-
-def _fork_lift_obligation():
-    env = obligation_env(capacity=1)
-    lhs = graph_of(
-        {"p": _pure_spec("incr", False), "fk": fork(2)},
-        [("p.out0", "fk.in0")],
-        {0: "p.in0"},
-        {0: "fk.out0", 1: "fk.out1"},
-    )
-    rhs = graph_of(
-        {"fk": fork(2), "pa": _pure_spec("incr", False), "pb": _pure_spec("incr", False)},
-        [("fk.out0", "pa.in0"), ("fk.out1", "pb.in0")],
-        {0: "fk.in0"},
-        {0: "pa.out0", 1: "pb.out0"},
-    )
-    yield lhs, rhs, env, io_values({0: (1, 2)})
 
 
 def fork_lift_pure() -> Rewrite:
     """Move a Fork above a Pure, duplicating the Pure (fig. 5c)."""
+    lhs = _fork_lift_lhs()
     return Rewrite(
         name="fork-lift-pure",
-        lhs=_fork_lift_lhs(),
+        lhs=lhs,
         rhs=_fork_lift_rhs,
         verified=True,
-        obligation=_fork_lift_obligation,
+        obligation=obligation(lhs, _fork_lift_rhs, Instance({0: (1, 2)}, {"F": "incr"})),
         description="Fork moved above a Pure, duplicating it (fig. 5c)",
     )
 
@@ -157,46 +109,31 @@ def _fork_to_pure_lhs():
 
 
 def _fork_to_pure_rhs(match: Match):
-    tagged = _tagged(match, "fk")
+    tagged = is_tagged(match, "fk")
     return graph_of(
-        {"p": _pure_spec("dup", tagged), "sp": split(tagged=tagged)},
+        {"p": pure("dup", tagged=tagged), "sp": split(tagged=tagged)},
         [("p.out0", "sp.in0")],
         {0: "p.in0"},
         {0: "sp.out0", 1: "sp.out1"},
     )
-
-
-def _fork_to_pure_obligation():
-    env = obligation_env(capacity=1)
-    algebra.ensure(env, "dup")
-    lhs = _fork_to_pure_lhs()
-    rhs = graph_of(
-        {"p": _pure_spec("dup", False), "sp": split(tagged=False)},
-        [("p.out0", "sp.in0")],
-        {0: "p.in0"},
-        {0: "sp.out0", 1: "sp.out1"},
-    )
-    yield lhs, rhs, env, io_values({0: ("x", "y")})
 
 
 def fork_to_pure() -> Rewrite:
     """A Fork becomes ``Pure{dup}`` followed by a Split (fig. 5d)."""
+    lhs = _fork_to_pure_lhs()
     return Rewrite(
         name="fork-to-pure",
-        lhs=_fork_to_pure_lhs(),
+        lhs=lhs,
         rhs=_fork_to_pure_rhs,
         verified=True,
-        obligation=_fork_to_pure_obligation,
+        obligation=obligation(lhs, _fork_to_pure_rhs, Instance({0: ("x", "y")})),
         description="Fork becomes Pure(dup); Split (fig. 5d)",
     )
 
 
 def _compose_lhs():
     return graph_of(
-        {
-            "p": NodeSpec.make("Pure", ["in0"], ["out0"], {"fn": Var("F")}),
-            "q": NodeSpec.make("Pure", ["in0"], ["out0"], {"fn": Var("G")}),
-        },
+        {"p": pure(Var("F")), "q": pure(Var("G"))},
         [("p.out0", "q.in0")],
         {0: "p.in0"},
         {0: "q.out0"},
@@ -205,32 +142,20 @@ def _compose_lhs():
 
 def _compose_rhs(match: Match):
     fn = algebra.comp(str(match.params["F"]), str(match.params["G"]))
-    tagged = _tagged(match, "p") or _tagged(match, "q")
-    return graph_of({"pq": _pure_spec(fn, tagged)}, [], {0: "pq.in0"}, {0: "pq.out0"})
-
-
-def _compose_obligation():
-    env = obligation_env(capacity=1)
-    algebra.ensure(env, "comp(incr,ne0)")
-    lhs = graph_of(
-        {"p": _pure_spec("incr", False), "q": _pure_spec("ne0", False)},
-        [("p.out0", "q.in0")],
-        {0: "p.in0"},
-        {0: "q.out0"},
-    )
-    rhs = graph_of(
-        {"pq": _pure_spec("comp(incr,ne0)", False)}, [], {0: "pq.in0"}, {0: "pq.out0"}
-    )
-    yield lhs, rhs, env, io_values({0: (-1, 0)})
+    tagged = is_tagged(match, "p") or is_tagged(match, "q")
+    return graph_of({"pq": pure(fn, tagged=tagged)}, [], {0: "pq.in0"}, {0: "pq.out0"})
 
 
 def pure_compose() -> Rewrite:
     """Two Pures in sequence compose into one."""
+    lhs = _compose_lhs()
     return Rewrite(
         name="pure-compose",
-        lhs=_compose_lhs(),
+        lhs=lhs,
         rhs=_compose_rhs,
         verified=True,
-        obligation=_compose_obligation,
+        obligation=obligation(
+            lhs, _compose_rhs, Instance({0: (-1, 0)}, {"F": "incr", "G": "ne0"})
+        ),
         description="Sequential Pures fuse into one Pure (fig. 5e)",
     )

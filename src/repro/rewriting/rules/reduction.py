@@ -11,8 +11,8 @@ placer treats identity Pures as plain wires.
 from __future__ import annotations
 
 from ...components import fork, join, pure, sink, split
-from ..rewrite import Match, Rewrite
-from .common import graph_of, io_values, obligation_env
+from ..rewrite import Match, Rewrite, Var
+from .common import Instance, graph_of, is_tagged, obligation
 
 
 def _split_join_lhs():
@@ -33,19 +33,15 @@ def _split_join_rhs(match: Match):
     )
 
 
-def _split_join_obligation():
-    env = obligation_env(capacity=1)
-    yield _split_join_lhs(), _split_join_rhs(None), env, io_values({0: (("x", "y"),)})
-
-
 def split_join_elim() -> Rewrite:
     """``Split ; Join`` (straight wires) is the identity on pairs."""
+    lhs = _split_join_lhs()
     return Rewrite(
         name="split-join-elim",
-        lhs=_split_join_lhs(),
+        lhs=lhs,
         rhs=_split_join_rhs,
         verified=True,
-        obligation=_split_join_obligation,
+        obligation=obligation(lhs, _split_join_rhs, Instance({0: (("x", "y"),)})),
         description="Split immediately re-joined collapses to a wire (fig. 3b)",
     )
 
@@ -68,11 +64,6 @@ def _join_split_rhs(match: Match):
     )
 
 
-def _join_split_obligation():
-    env = obligation_env(capacity=1)
-    yield _join_split_lhs(), _join_split_rhs(None), env, io_values({0: ("x",), 1: ("y",)})
-
-
 def join_split_elim() -> Rewrite:
     """``Join ; Split`` is two independent wires.
 
@@ -83,12 +74,13 @@ def join_split_elim() -> Rewrite:
     refines the rhs.  The paper's pipeline applies it where the surrounding
     loop re-synchronises the streams anyway.
     """
+    lhs = _join_split_lhs()
     return Rewrite(
         name="join-split-elim",
-        lhs=_join_split_lhs(),
+        lhs=lhs,
         rhs=_join_split_rhs,
         verified=False,
-        obligation=_join_split_obligation,
+        obligation=obligation(lhs, _join_split_rhs, Instance({0: ("x",), 1: ("y",)})),
         description="Join immediately re-split collapses to two wires (fig. 3b, unverified)",
     )
 
@@ -111,33 +103,22 @@ def _fork_sink_rhs(match: Match):
     )
 
 
-def _fork_sink_obligation():
-    env = obligation_env(capacity=1)
-    yield _fork_sink_lhs(), _fork_sink_rhs(None), env, io_values({0: ("x", "y")})
-
-
 def fork_sink_elim() -> Rewrite:
     """A Fork whose second output is discarded is a wire."""
+    lhs = _fork_sink_lhs()
     return Rewrite(
         name="fork-sink-elim",
-        lhs=_fork_sink_lhs(),
+        lhs=lhs,
         rhs=_fork_sink_rhs,
         verified=True,
-        obligation=_fork_sink_obligation,
+        obligation=obligation(lhs, _fork_sink_rhs, Instance({0: ("x", "y")})),
         description="Fork with a sunk output collapses to a wire (fig. 3b)",
     )
 
 
 def _pure_id_pure_lhs():
-    from ..rewrite import Var
-
-    from ...core.exprhigh import NodeSpec
-
     return graph_of(
-        nodes={
-            "w": pure("id"),
-            "p": NodeSpec.make("Pure", ["in0"], ["out0"], {"fn": Var("F")}),
-        },
+        nodes={"w": pure("id"), "p": pure(Var("F"))},
         connections=[("w.out0", "p.in0")],
         inputs={0: "w.in0"},
         outputs={0: "p.out0"},
@@ -145,57 +126,22 @@ def _pure_id_pure_lhs():
 
 
 def _pure_id_pure_rhs(match: Match):
-    from ...core.exprhigh import NodeSpec
-
-    fn = match.params["F"]
-    tagged = bool(match.host_specs[match.nodes["p"]].param("tagged", False))
     return graph_of(
-        nodes={"p": NodeSpec.make("Pure", ["in0"], ["out0"], {"fn": fn, "tagged": tagged})},
+        nodes={"p": pure(match.params["F"], tagged=is_tagged(match, "p"))},
         connections=[],
         inputs={0: "p.in0"},
         outputs={0: "p.out0"},
     )
 
 
-def _pure_id_pure_obligation():
-    env = obligation_env(capacity=1)
-    lhs = _pure_id_pure_lhs()
-    match = Match(
-        nodes={"p": "p"},
-        params={"F": "incr"},
-        inputs={},
-        outputs={},
-        host_specs={"p": pure("incr")},
-    )
-    yield lhs_concrete(lhs, "incr"), _pure_id_pure_rhs(match), env, io_values({0: (1, 2)})
-
-
-def lhs_concrete(lhs, fn: str):
-    """Instantiate a pattern's Var("F") parameters with a concrete function."""
-    from ..rewrite import Var
-
-    concrete = lhs.copy()
-    for name, spec in list(concrete.nodes.items()):
-        params = spec.param_dict()
-        changed = False
-        for key, value in params.items():
-            if isinstance(value, Var):
-                params[key] = fn
-                changed = True
-        if changed:
-            from ...core.exprhigh import NodeSpec
-
-            concrete.nodes[name] = NodeSpec.make(spec.typ, spec.in_ports, spec.out_ports, params)
-    return concrete
-
-
 def pure_id_elim() -> Rewrite:
     """An identity Pure in front of another Pure is absorbed."""
+    lhs = _pure_id_pure_lhs()
     return Rewrite(
         name="pure-id-elim",
-        lhs=_pure_id_pure_lhs(),
+        lhs=lhs,
         rhs=_pure_id_pure_rhs,
         verified=True,
-        obligation=_pure_id_pure_obligation,
+        obligation=obligation(lhs, _pure_id_pure_rhs, Instance({0: (1, 2)}, {"F": "incr"})),
         description="Identity wire absorbed into the following Pure",
     )

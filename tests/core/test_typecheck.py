@@ -10,9 +10,10 @@ from repro.errors import TypeCheckError
 
 
 def sequential_loop():
-    from repro.rewriting.rules.loop_rewrite import sequential_loop_concrete
+    from repro.rewriting.rules.common import instantiate
+    from repro.rewriting.rules.loop_rewrite import sequential_loop_lhs
 
-    return sequential_loop_concrete("gcd_step")
+    return instantiate(sequential_loop_lhs(), {"F": "gcd_step"})
 
 
 class TestDeduction:

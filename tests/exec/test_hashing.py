@@ -177,32 +177,32 @@ PINNED_KEYS = {
         "cf8afa80067de4840b41c63312bacdc02fa86f0c9421b81f1875de18206a9057",
     ),
     "fork_lift_pure": (
-        "a7c902e6999af1e608cb2ad7f66fd54cd91ae65910ba7303286be8bec8eee1d6",
-        "22e0d5fefc89f0933cbc30dd4a14511e4fb6e2f6f8f572e77096713bdf4a7f72",
+        "e3a489713e1b0253b97c93505811f4f5d28adcf47df03930dc62920fdaa52726",
+        "fe7153c0987e63719fd1ba9acfe5de4b24c5493e7d2353be65d0533f273c1431",
     ),
     "fork_to_pure": (
         "efda072f47d07450df3e95b3380ab63d8a7e88c199ee671d135000a8cf242c9f",
         "f603c8dfb3418dd3f1cbb07c1cb8703918fd4a058b0cf4b74f8f430c0708caf2",
     ),
     "pure_compose": (
-        "6e8dd49a4f44074a6ac028a3fd51f00fd9223c2d5e43d2fc8c5a056e91006951",
-        "6a4f4f66d9b690bdaf7c360971bbfbeaee872f83c043e7674214ad98054a009c",
+        "8e1fd58fefeec47c48987b0bfcf417eed409b73312303bc08056c891657adb0f",
+        "d4ec19cb0e9c7a8f62394c88c118e72229197acded60fd5c17e2ece26bc9e18c",
     ),
     "join_pure_left": (
-        "468ab48a35476673754cd6640ac69ae1a70d110fee5236d123cd20520108d97a",
-        "fdb643d183e8d55ac178a0b011f4b793912985173dc6da2382d1594db8f777df",
+        "3465c3c354f439d841f5b12a3d8ffe553b9e336b42f31b80af22e9dda086af04",
+        "06d40f332ad2e3058db52e571e43c0621fce4a4ef68895a638d7b16d9f50bfea",
     ),
     "join_pure_right": (
-        "57b9432683fd2cdffe054176754a57118da12ff55f363cc70191eaea0e63d22d",
-        "0c413e70806cb42aa1c490de29275559288f14c5965f70b71993f5afb9b2643d",
+        "1d3d6b215ad588cac19d0cd7e05109367b58879ea761acaf61c3e45156c4ba70",
+        "3863e58a886196e5b5744dfa3c850426f8ddb00cd810cfab9e188c5c9c681aa3",
     ),
     "split_pure_left": (
-        "6e4b30815f1f3ff50058c000339df4532d576cca88ec90a19f892cb67416aea8",
-        "845851991e3a1bd0d631398a9e693f64aab70ee2b984732faef17e5674219ba7",
+        "3d401196ae015bb2c4ba0660930ad6db96a4b28d0a0fdd9acc1c0a6de34631b9",
+        "7b166578f3d15cdb88f15d37b2bd30f3f50870286593bad470d1042839398cf2",
     ),
     "split_pure_right": (
-        "cc069f1fd0e99e946114049995e5e811208944198671ad0c635cda01a4d50322",
-        "adb6bbcb4d0536677704e4d27f41436389666691d977eaf1e81d256221256a0e",
+        "1c8f2b4eadaf2ec515b822456afd5a1d435df8a2f89ebf636bd1bdcb4b87ae51",
+        "fa45541fa9ece92633f3137f7d59571b80310f60ff9392249eccea4e1732f1ae",
     ),
     "join_assoc": (
         "e32eca033cd699dbdd98a9af7c86e241be5168ada4f11d7d3f98ab92680d9971",

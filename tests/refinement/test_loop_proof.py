@@ -106,11 +106,13 @@ class TestLoopRefinement:
         from repro.core.ports import IOPort
         from repro.core.semantics import denote
         from repro.refinement.simulation import find_weak_simulation
-        from repro.rewriting.rules.loop_rewrite import ooo_loop_rhs, sequential_loop_concrete
+        from repro.rewriting.rules.common import instantiate
+        from repro.rewriting.rules.loop_rewrite import ooo_loop_rhs, sequential_loop_lhs
 
         # Input 3: bad_step yields -1 on exit, dec_step yields 0 — an
         # observable output mismatch (iteration counts alone would not be).
         impl = denote(ooo_loop_rhs("bad_step", 2).lower(), env)
-        spec = denote(sequential_loop_concrete("dec_step").lower(), env.with_capacity(4))
+        sequential = instantiate(sequential_loop_lhs(), {"F": "dec_step"})
+        spec = denote(sequential.lower(), env.with_capacity(4))
         result = find_weak_simulation(impl, spec, {IOPort(0): (3,)})
         assert not result.holds

@@ -6,10 +6,10 @@ deep-host tests apply it along a long chain, and its obligation is
 discharged by the same checks as the library's.
 """
 
-from repro.components import buffer, pure
+from repro.components import pure
 from repro.core.exprhigh import NodeSpec
 from repro.rewriting.rewrite import Match, Rewrite, Var
-from repro.rewriting.rules.common import graph_of, io_values, obligation_env
+from repro.rewriting.rules.common import Instance, graph_of, obligation
 
 
 def _buffer_elim_lhs():
@@ -21,19 +21,14 @@ def _buffer_elim_rhs(match: Match):
     return graph_of({"w": pure("id")}, [], {0: "w.in0"}, {0: "w.out0"})
 
 
-def _buffer_elim_obligation():
-    env = obligation_env(capacity=1)
-    lhs = graph_of({"b": buffer(slots=3)}, [], {0: "b.in0"}, {0: "b.out0"})
-    yield lhs, _buffer_elim_rhs(None), env, io_values({0: ("x", "y")})
-
-
 def buffer_elim() -> Rewrite:
     """A buffer shrinks to a wire: fewer slots, fewer behaviours."""
+    lhs = _buffer_elim_lhs()
     return Rewrite(
         name="buffer-elim",
-        lhs=_buffer_elim_lhs(),
+        lhs=lhs,
         rhs=_buffer_elim_rhs,
         verified=True,
-        obligation=_buffer_elim_obligation,
+        obligation=obligation(lhs, _buffer_elim_rhs, Instance({0: ("x", "y")}, {"S": 3})),
         description="Buffer removal refines (slack only adds behaviours)",
     )

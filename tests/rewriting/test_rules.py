@@ -15,7 +15,9 @@ library driver (``Session.check_obligations``, covered by
 import pytest
 
 from repro.errors import RefinementError
+from repro.exec.hashing import graph_fingerprint
 from repro.refinement.checker import check_rewrite_obligation
+from repro.rewriting.matcher import first_match
 from repro.rewriting.rules import (
     VERIFY_FACTORY_SPECS,
     build_rewrite,
@@ -104,3 +106,61 @@ class TestUnverifiedObligations:
         assert "ooo-loop" in names
         unverified = [r.name for r in rewrites if not r.verified]
         assert set(unverified) == {"branch-combine", "join-split-elim"}
+
+
+#: The metavariable bindings each rule's obligation instance declares.
+DECLARED_BINDINGS = {
+    "mux_combine": {},
+    "merge_combine": {},
+    "branch_combine": {},
+    "split_join_elim": {},
+    "join_split_elim": {},
+    "fork_sink_elim": {},
+    "pure_id_elim": {"F": "incr"},
+    "op1_to_pure": {"F": "ne0"},
+    "op2_to_pure": {"F": "mod"},
+    "fork_lift_pure": {"F": "incr"},
+    "fork_to_pure": {},
+    "pure_compose": {"F": "incr", "G": "ne0"},
+    "join_pure_left": {"F": "incr"},
+    "join_pure_right": {"F": "incr"},
+    "split_pure_left": {"F": "incr"},
+    "split_pure_right": {"F": "incr"},
+    "join_assoc": {},
+    "join_swap": {},
+    "ooo_loop": {"F": "dec_step"},
+    "buffer_elim": {"S": 3},
+}
+
+INSTANCE_RULES = [
+    *[(spec[1], lambda spec=spec: build_rewrite(*spec)) for spec in VERIFY_FACTORY_SPECS],
+    ("buffer_elim", buffer_elim),
+]
+
+
+class TestInstancesComeFromTheRule:
+    """Every obligation instance is the rule's own pattern at concrete
+    bindings, with its rhs from the rule's own builder: the rewrite the
+    engine applies to an instance's lhs is the one the obligation checks."""
+
+    @pytest.mark.parametrize(
+        "name,factory", INSTANCE_RULES, ids=[name for name, _ in INSTANCE_RULES]
+    )
+    def test_instance_is_the_applied_rewrite(self, name, factory):
+        rewrite = factory()
+        instances = list(rewrite.obligation())
+        assert instances
+        for lhs, rhs, _env, _stimuli in instances:
+            match = first_match(lhs, rewrite)
+            assert match is not None
+            assert match.nodes == {node: node for node in rewrite.lhs.nodes}
+            assert match.params == DECLARED_BINDINGS[name]
+            assert graph_fingerprint(rewrite.rhs(match)) == graph_fingerprint(rhs)
+
+    def test_ooo_loop_is_checked_at_two_tags(self):
+        rewrite = loop_rewrite.ooo_loop(tags=32)
+        ((lhs, rhs, _env, _stimuli),) = rewrite.obligation()
+        two_tags = loop_rewrite.ooo_loop_rhs("dec_step", tags=2)
+        assert graph_fingerprint(rhs) == graph_fingerprint(two_tags)
+        applied = rewrite.rhs(first_match(lhs, rewrite))
+        assert applied.nodes["tg"].param("tags") == 32
